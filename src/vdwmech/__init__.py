@@ -13,9 +13,8 @@ from .errors import (GeometryError, InputError, InstabilityError,
                      TopologyError, VdwmechError)
 from .generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                          make_pe_crystal, make_swcnt)
-from .mbd import (DipoleCouplingMatrix, MbdModelConfig, assemble_mbd_matrix,
-                  dipole_tensor, mbd_energy, mbd_energy_and_forces, mbd_forces,
-                  sym_eigen)
+from .mbd import (MbdModelConfig, assemble_mbd_matrix, dipole_tensor,
+                  mbd_energy, mbd_energy_and_forces, mbd_forces, sym_eigen)
 from .md import MdConfig, MdResult, run_md
 from .minimize import MinimizerConfig, MinimizeResult, minimize
 from .pairwise import (PwModelConfig, combine_c6, fermi_damping, pw_energy,

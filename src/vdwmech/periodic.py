@@ -26,6 +26,20 @@ class ImageSet:
     def __len__(self):
         return len(self.translations)
 
+    def half_set(self) -> np.ndarray:
+        """Indices of one translation from each +-t pair, home image excluded.
+
+        A translation is kept when its first nonzero Cartesian component is
+        positive.  Negation flips that sign exactly, so each pair is picked
+        once.
+        """
+        t = self.translations
+        lead = t[np.arange(len(t)), np.argmax(t != 0.0, axis=1)]
+        half = np.flatnonzero(lead > 0.0)
+        if 2 * len(half) + 1 != len(t):
+            raise InputError("image set is not closed under negation")
+        return half
+
 
 def generate_images(cell: CellTensor | None, shells: int) -> ImageSet:
     """All integer lattice combinations with max |index| <= shells along

@@ -68,20 +68,76 @@ def brute_force_pw_energy(structure, states, d, gamma):
     return e * ha
 
 
+def tensor_scalars(r, s):
+    """Radial derivatives g', g'' of g(R) = erf(R/s)/R, term by term.
+
+    ``r`` may be an array [Bohr]; ``s`` broadcasts against it.
+    """
+    from scipy.special import erf
+
+    zeta = r / s
+    e = erf(zeta)
+    g = 2.0 / np.sqrt(np.pi) * np.exp(-zeta * zeta)
+    gp = g / (s * r) - e / r**2
+    gpp = 2.0 * e / r**3 - 2.0 * g / (s * r**2) - 2.0 * g / s**3
+    return gp, gpp
+
+
+def brute_force_mbd_matrix(structure, states, cfg, images=None):
+    """3N x 3N MBD matrix [Ha^2] from full (N, N, 3, 3) blocks per image.
+
+    Visits every image, including both members of each +-t pair, builds
+    each 3x3 block explicitly and symmetrizes at the end.
+    """
+    from vdwmech.errors import GeometryError
+    from vdwmech.units import BOHR_ANGSTROM
+
+    n = len(structure)
+    omega = np.array([s.omega for s in states])
+    alpha = np.array([s.alpha0_eff for s in states])
+    sigma = np.array([s.sigma for s in states])
+    coupling = np.outer(omega, omega) * np.sqrt(np.outer(alpha, alpha))
+    s_pair = cfg.beta * np.sqrt(sigma[:, None] ** 2 + sigma[None, :] ** 2)
+
+    pos = structure.positions / BOHR_ANGSTROM
+    guard = structure.overlap_guard / BOHR_ANGSTROM
+    c4 = np.zeros((n, 3, n, 3))
+    idx = np.arange(n)
+    trans = np.zeros((1, 3)) if images is None else images.translations
+    for t in trans / BOHR_ANGSTROM:
+        diff = pos[:, None, :] - (pos[None, :, :] + t)
+        r = np.linalg.norm(diff, axis=-1)
+        if np.allclose(t, 0.0):
+            r[idx, idx] = 1e30  # no self coupling in the home cell
+        bad = r < guard
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise GeometryError(
+                f"atoms {i} and {j} (image) are below the overlap guard")
+        rhat = diff / r[..., None]
+        gp, gpp = tensor_scalars(r, s_pair)
+        a = gpp - gp / r
+        b = gp / r
+        blocks = -(a[..., None, None] * rhat[..., :, None] * rhat[..., None, :]
+                   + b[..., None, None] * np.eye(3))
+        c4 += (coupling[:, :, None, None] * blocks).transpose(0, 2, 1, 3)
+    c4[idx, :, idx, :] += omega[:, None, None] ** 2 * np.eye(3)
+    c = c4.reshape(3 * n, 3 * n)
+    return 0.5 * (c + c.T)
+
+
 def two_oscillator_energy(states, r_ang, beta):
     """Closed-form two-body MBD energy [eV] for atoms on a common axis.
 
     The 6x6 problem factorizes into three 2x2 blocks (one per Cartesian
     direction), each solved in closed form; no dense eigensolver involved.
     """
-    from vdwmech.mbd import _tensor_scalars
-
     bohr = 0.529177
     ha = 27.211386
     s1, s2 = states
     r = r_ang / bohr
     sig = beta * np.sqrt(s1.sigma**2 + s2.sigma**2)
-    gp, gpp, _ = _tensor_scalars(np.array([r]), sig)
+    gp, gpp = tensor_scalars(np.array([r]), sig)
     t_par = -float(gpp[0])
     t_perp = -float(gp[0]) / r
     k = s1.omega * s2.omega * np.sqrt(s1.alpha0_eff * s2.alpha0_eff)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import (fd_forces, jacobi_eigenvalues, random_cluster,
-                      random_rotation, two_oscillator_energy)
+from conftest import (brute_force_mbd_matrix, fd_forces, jacobi_eigenvalues,
+                      random_cluster, random_rotation, two_oscillator_energy)
+from vdwmech import mbd
 from vdwmech.errors import (GeometryError, InputError, InstabilityError)
 from vdwmech.mbd import (MbdModelConfig, assemble_mbd_matrix, dipole_tensor,
                          mbd_energy, mbd_energy_and_forces, mbd_forces,
                          sym_eigen)
-from vdwmech.periodic import generate_images
+from vdwmech.generators import PeCrystalSpec, make_pe_crystal
+from vdwmech.periodic import ImageSet, generate_images
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM
@@ -116,6 +118,19 @@ def test_sym_eigen_reconstruction(rng):
     assert np.abs(vecs @ vecs.T - np.eye(30)).max() < 1e-10
 
 
+@pytest.mark.parametrize("staged", [False, True])
+def test_sym_eigen_values_do_not_depend_on_vectors(rng, monkeypatch, staged):
+    if staged:  # route small matrices through the path large ones take
+        monkeypatch.setattr(mbd, "_STAGED_MIN_BYTES", 0)
+    for n in (1, 2, 30):
+        m = rng.standard_normal((n, n))
+        a = m + m.T
+        assert np.array_equal(sym_eigen(a, vectors=False), sym_eigen(a)[0])
+        vals, vecs = sym_eigen(a)
+        assert np.linalg.norm((vecs * vals) @ vecs.T - a) / np.linalg.norm(a) < 1e-10
+        assert np.abs(vecs @ vecs.T - np.eye(n)).max() < 1e-10
+
+
 def test_sym_eigen_rejects_nonsymmetric(rng):
     m = rng.standard_normal((5, 5))
     with pytest.raises(InputError):
@@ -127,38 +142,87 @@ def test_sym_eigen_rejects_nonsymmetric(rng):
 def test_single_atom_matrix():
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     st = states_for(s)
-    cm = assemble_mbd_matrix(s, st, CFG)
+    c = assemble_mbd_matrix(s, st, CFG)
     w2 = st[0].omega**2
-    assert np.allclose(cm.matrix, w2 * np.eye(3))
-    assert np.allclose(cm.eigenvalues, w2)
+    assert np.allclose(c, w2 * np.eye(3))
+    assert np.allclose(sym_eigen(c)[0], w2)
 
 
 def test_decoupling_limit():
     s, st = _pair(5000.0)
-    cm = assemble_mbd_matrix(s, st, CFG)
+    lam, _ = sym_eigen(assemble_mbd_matrix(s, st, CFG))
     w2 = st[0].omega**2
-    assert np.abs(cm.eigenvalues - w2).max() < 1e-8 * w2
+    assert np.abs(lam - w2).max() < 1e-8 * w2
 
 
 def test_matrix_invariants(rng):
     s = random_cluster(rng, 6)
     st = states_for(s)
-    cm = assemble_mbd_matrix(s, st, CFG)
-    assert np.abs(cm.matrix - cm.matrix.T).max() < 1e-12
-    lam, vecs = cm.eigenvalues, cm.eigenvectors
+    c = assemble_mbd_matrix(s, st, CFG)
+    assert np.abs(c - c.T).max() < 1e-12
+    lam, vecs = sym_eigen(c)
     assert np.abs(vecs @ vecs.T - np.eye(len(lam))).max() < 1e-10
-    diag = vecs.T @ cm.matrix @ vecs
+    diag = vecs.T @ c @ vecs
     assert np.abs(diag - np.diag(lam)).max() < 1e-10
     assert np.all(lam > 0)
+
+
+TRICLINIC = CellTensor(np.array([[6.0, 0.0, 0.0], [1.5, 6.5, 0.0], [-1.0, 1.2, 7.0]]))
+TRICLINIC_PTS = np.array([[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]])
+
+
+def _matrix_cases(rng):
+    s = random_cluster(rng, 8)
+    yield s, None
+    chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
+    s = AtomicStructure(positions=[[0.3, 0, 0], [2.1, 1.0, 0.4], [3.9, -0.5, 1.1]],
+                        species=["C", "H", "C"], cell=chain)
+    yield s, generate_images(chain, 3)
+    s = AtomicStructure(positions=TRICLINIC_PTS, species=["C", "H", "C"], cell=TRICLINIC)
+    yield s, generate_images(TRICLINIC, 1)
+    yield s, generate_images(TRICLINIC, 2)
+    s = AtomicStructure(positions=[[0.2, 0.1, 0.3]], species=["C"], cell=TRICLINIC)
+    yield s, generate_images(TRICLINIC, 2)
+
+
+def test_matrix_matches_brute_force_oracle(rng):
+    for s, img in _matrix_cases(rng):
+        st = states_for(s)
+        c = assemble_mbd_matrix(s, st, CFG, img)
+        ref = brute_force_mbd_matrix(s, st, CFG, img)
+        assert np.array_equal(c, c.T)
+        assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_overlap_error_names_home_cell_or_translation():
+    cell = CellTensor(np.diag([4.0, 30.0, 30.0]))
+    s = AtomicStructure(positions=[[0.0, 0, 0], [2.0, 0, 0]], species=["C", "C"], cell=cell)
+    s = s.with_positions([[0.0, 0, 0], [0.05, 0, 0]], check_overlap=False)
+    with pytest.raises(GeometryError, match="in the home cell"):
+        assemble_mbd_matrix(s, states_for(s), CFG, generate_images(cell, 1))
+    s = s.with_positions([[0.0, 0, 0], [3.95, 0, 0]], check_overlap=False)
+    with pytest.raises(GeometryError, match="at lattice translation"):
+        assemble_mbd_matrix(s, states_for(s), CFG, generate_images(cell, 1))
+
+
+def test_malformed_image_set_rejected():
+    s = AtomicStructure(positions=[[0.0, 0, 0], [3.0, 0, 0]], species=["C", "C"])
+    st = states_for(s)
+    two_homes = ImageSet(np.zeros((2, 3)), np.zeros(2, dtype=int))
+    one_sided = ImageSet(np.array([[0.0, 0, 0], [10.0, 0, 0], [20.0, 0, 0]]),
+                         np.array([0, 1, 2]))
+    for img in (two_homes, one_sided):
+        with pytest.raises(InputError):
+            assemble_mbd_matrix(s, st, CFG, img)
 
 
 def test_eigenvalues_match_jacobi_oracle(rng):
     for n in (3, 6, 10):
         s = random_cluster(rng, n)
         st = states_for(s)
-        cm = assemble_mbd_matrix(s, st, CFG)
-        ref = jacobi_eigenvalues(cm.matrix)
-        assert np.abs(cm.eigenvalues - ref).max() < 1e-10
+        c = assemble_mbd_matrix(s, st, CFG)
+        ref = jacobi_eigenvalues(c)
+        assert np.abs(sym_eigen(c)[0] - ref).max() < 1e-10
 
 
 # -------------------------------------------------------------------- energy
@@ -283,9 +347,10 @@ def test_periodic_self_image_terms_in_diagonal():
     cell = CellTensor(np.diag([4.0, 30.0, 30.0]))
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"], cell=cell)
     st = states_for(s)
-    cm = assemble_mbd_matrix(s, st, CFG, generate_images(cell, 2))
+    c = assemble_mbd_matrix(s, st, CFG, generate_images(cell, 2))
     w2 = st[0].omega**2
-    assert np.abs(cm.matrix - w2 * np.eye(3)).max() > 0.0
+    assert np.abs(c - w2 * np.eye(3)).max() > 0.0
+    assert np.all(sym_eigen(c)[0] > 0.0)
 
 
 def test_periodic_forces_match_fd(rng):
@@ -297,3 +362,28 @@ def test_periodic_forces_match_fd(rng):
     f = mbd_forces(s, st, CFG, img)
     ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, img), s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_triclinic_periodic_forces_match_fd():
+    s = AtomicStructure(positions=TRICLINIC_PTS, species=["C", "H", "C"], cell=TRICLINIC)
+    st = states_for(s)
+    img = generate_images(TRICLINIC, 2)
+    f = mbd_forces(s, st, CFG, img)
+    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, img), s)
+    assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_periodic_energy_and_forces_memory_bounded():
+    """Images are visited one at a time, so no temporary grows with them."""
+    import tracemalloc
+
+    s = make_pe_crystal(PeCrystalSpec(2, 2, 2))
+    st = states_for(s)
+    img = generate_images(s.cell, 2)
+    tracemalloc.start()
+    try:
+        mbd_energy_and_forces(s, st, CFG, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

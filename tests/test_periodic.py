@@ -39,6 +39,25 @@ def test_images_closed_under_negation():
         assert np.any(np.all(np.isclose(t, -row, atol=1e-12), axis=1))
 
 
+def test_image_set_invariants():
+    m = np.array([[2.0, 0.1, 0.3], [-0.4, 3.0, 0.2], [0.5, -0.7, 4.0]])
+    for periodic in ((True, False, False), (False, True, True), (True, True, True)):
+        for shells in (1, 2):
+            img = generate_images(CellTensor(m, periodic), shells)
+            t = img.translations
+            assert len(t) == (2 * shells + 1) ** sum(periodic)
+            home = np.flatnonzero(np.all(t == 0.0, axis=1))
+            assert home.tolist() == np.flatnonzero(img.shell_index == 0).tolist()
+            assert len(home) == 1
+            # closed under negation, exactly: -t is another row
+            partner = [np.flatnonzero(np.all(t == -row, axis=1)) for row in t]
+            assert all(len(p) == 1 for p in partner)
+            half = img.half_set()
+            assert home[0] not in half
+            picked = np.concatenate([half, [partner[k][0] for k in half]])
+            assert sorted(picked.tolist() + home.tolist()) == list(range(len(t)))
+
+
 def test_images_count_grows_with_shells():
     cell = CellTensor(np.diag([2.0, 3.0, 4.0]))
     counts = [len(generate_images(cell, s)) for s in range(4)]
