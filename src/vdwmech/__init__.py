@@ -6,7 +6,7 @@ benchmark geometry generators.
 """
 
 from .bonded import (HarmonicTopology, detect_topology, harmonic_energy,
-                     harmonic_forces)
+                     harmonic_energy_and_forces)
 from .composite import CompositeModel
 from .errors import (GeometryError, InputError, InstabilityError,
                      IntegrationError, NumericalError, ParseError,
@@ -18,7 +18,7 @@ from .mbd import (MbdModelConfig, assemble_mbd_matrix, dipole_tensor,
 from .md import MdConfig, MdResult, run_md
 from .minimize import MinimizerConfig, MinimizeResult, minimize
 from .pairwise import (PwModelConfig, combine_c6, fermi_damping, pw_energy,
-                       pw_forces)
+                       pw_energy_and_forces)
 from .periodic import (ImageSet, StressTensor, apply_cell_strain, cell_stress,
                        generate_images)
 from .quasistatic import (LoadingProtocol, QuasistaticResult, StepRecord,

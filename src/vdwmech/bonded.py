@@ -81,26 +81,22 @@ class HarmonicTopology:
 
         # atoms carrying the offsets, per term kind (the other atom is the
         # zero-offset reference)
-        layouts = {"bond": (1,), "angle": (0, 2), "dihedral": (0, 2, 3)}
+        layouts = {"bond": [1], "angle": [0, 2], "dihedral": [0, 2, 3]}
         for arr, offs, ref, what in (
                 (self.bonds, self.bond_offsets, self.bond_r0, "bond"),
                 (self.angles, self.angle_offsets, self.angle_theta0, "angle"),
                 (self.dihedrals, self.dihedral_offsets, self.dihedral_phi0, "dihedral")):
             if len(arr) != len(ref):
                 raise InputError(f"{what} index and reference lists differ in length")
-            carriers = layouts[what]
-            for row, off in zip(arr, offs):
-                # atom instances (index, lattice offset) must be distinct
-                inst = []
-                at = 0
-                for col in range(len(row)):
-                    if col in carriers:
-                        inst.append((int(row[col]), tuple(int(x) for x in off[at])))
-                        at += 1
-                    else:
-                        inst.append((int(row[col]), (0, 0, 0)))
-                if len(set(inst)) != len(inst):
-                    raise InputError(f"{what} {row.tolist()} repeats an atom instance")
+            # atom instances (index, lattice offset) must be distinct
+            inst = np.zeros((len(arr), arr.shape[1], 4), int)
+            inst[:, :, 0] = arr
+            inst[:, layouts[what], 1:] = offs
+            for a, b in combinations(range(arr.shape[1]), 2):
+                dup = np.all(inst[:, a] == inst[:, b], axis=1)
+                if dup.any():
+                    raise InputError(f"{what} {arr[np.argmax(dup)].tolist()} "
+                                     "repeats an atom instance")
         if np.any(self.bond_r0 <= 0):
             raise InputError("bond references must be positive")
         if len(self.angle_theta0) and not np.all(
@@ -119,50 +115,81 @@ def _cellmat(structure):
     return structure.cell.matrix if structure.cell is not None else None
 
 
-def _shift(offsets, cellmat):
-    """Cartesian translations for integer offset rows; zero without a cell."""
-    if cellmat is None:
-        return 0.0
-    return offsets @ cellmat
-
-
 # -------------------------------------------------------------- geometry
+#
+# Vectors are (3, T) arrays, one column per term, so every Cartesian
+# component is a contiguous row.
 
-def bond_length(structure, i, j, offset=(0, 0, 0)) -> float:
-    d = structure.positions[i] - structure.positions[j] \
-        - _shift(np.asarray(offset, float), _cellmat(structure))
-    return float(np.linalg.norm(d))
+def _dot(a, b):
+    return (a * b).sum(axis=0)
+
+
+def _cross(a, b):
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _term_positions(pos_t, cm, atoms, offsets, ref):
+    """(3, T) positions of each atom column of the terms ``atoms``; every
+    column but ``ref`` carries one row of lattice ``offsets``."""
+    cols = list(pos_t.take(atoms.T, axis=1).swapaxes(0, 1))
+    if cm is not None:
+        carriers = [c for c in range(len(cols)) if c != ref]
+        for o, c in enumerate(carriers):
+            cols[c] = cols[c] + cm.T @ offsets[:, o].T
+    return cols
+
+
+def _angle_geometry(u, w):
+    """Angles between the columns of u and w, stable near 0 and pi via
+    atan2, plus |u x w| and u . w."""
+    n = _cross(u, w)
+    s = np.sqrt(_dot(n, n))
+    c = _dot(u, w)
+    return np.arctan2(s, c), s, c
+
+
+def _dihedral_geometry(pi_, pj, pk, pl):
+    """Torsions about the j-k bonds in (-pi, pi], a mask of the undefined
+    ones (collinear inner angle), and the vectors the gradients reuse."""
+    b_ij = pi_ - pj
+    b_kj = pk - pj
+    b_lk = pl - pk
+    n1 = _cross(b_ij, b_kj)
+    n2 = _cross(b_lk, b_kj)
+    nrkj2 = _dot(b_kj, b_kj)
+    inner1 = _dot(n1, n1)
+    inner2 = _dot(n2, n2)
+    tol2 = _DIHEDRAL_COLLINEAR_TOL**2
+    bad = (inner1 < tol2 * nrkj2 * _dot(b_ij, b_ij)) | \
+          (inner2 < tol2 * nrkj2 * _dot(b_lk, b_lk))
+    nrkj = np.sqrt(nrkj2)
+    phi = np.arctan2(_dot(_cross(n1, n2), b_kj) / nrkj, _dot(n1, n2))
+    return phi, bad, (b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj)
+
+
+def _one_term(structure, atoms, offsets, ref):
+    """_term_positions of a single term."""
+    pos_t = np.ascontiguousarray(structure.positions.T)
+    return _term_positions(pos_t, _cellmat(structure), np.array([atoms]),
+                           np.asarray(offsets, float).reshape(1, -1, 3), ref)
 
 
 def bond_angle(structure, i, j, k, offset_i=(0, 0, 0), offset_k=(0, 0, 0)) -> float:
-    """Angle at j, stable near 0 and pi via atan2."""
-    cm = _cellmat(structure)
-    u = structure.positions[i] + _shift(np.asarray(offset_i, float), cm) \
-        - structure.positions[j]
-    w = structure.positions[k] + _shift(np.asarray(offset_k, float), cm) \
-        - structure.positions[j]
-    return float(np.arctan2(np.linalg.norm(np.cross(u, w)), np.dot(u, w)))
+    """Angle at j [rad], stable near 0 and pi via atan2."""
+    pi_, pj, pk = _one_term(structure, (i, j, k), (offset_i, offset_k), 1)
+    return float(_angle_geometry(pi_ - pj, pk - pj)[0][0])
 
 
 def dihedral_angle(structure, i, j, k, l, offsets=None) -> float:
     """Signed torsion about the j-k bond, in (-pi, pi]."""
-    cm = _cellmat(structure)
-    off = np.zeros((3, 3)) if offsets is None else np.asarray(offsets, float)
-    pi_ = structure.positions[i] + _shift(off[0], cm)
-    pj = structure.positions[j]
-    pk = structure.positions[k] + _shift(off[1], cm)
-    pl = structure.positions[l] + _shift(off[2], cm)
-    b_ij = pi_ - pj
-    b_kj = pk - pj
-    b_lk = pl - pk
-    n1 = np.cross(b_ij, b_kj)
-    n2 = np.cross(b_kj, -b_lk)
-    nb2 = np.linalg.norm(b_kj)
-    if np.linalg.norm(n1) < _DIHEDRAL_COLLINEAR_TOL * nb2 * np.linalg.norm(b_ij) or \
-       np.linalg.norm(n2) < _DIHEDRAL_COLLINEAR_TOL * nb2 * np.linalg.norm(b_lk):
+    off = np.zeros((3, 3)) if offsets is None else offsets
+    phi, bad, _ = _dihedral_geometry(*_one_term(structure, (i, j, k, l), off, 1))
+    if bad[0]:
         raise DegenerateGeometryError(
             f"dihedral {i}-{j}-{k}-{l} has a collinear inner bond")
-    return float(np.arctan2(np.dot(np.cross(n1, n2), b_kj / nb2), np.dot(n1, n2)))
+    return float(phi[0])
 
 
 # -------------------------------------------------------------- detection
@@ -208,7 +235,7 @@ def _neighbor_table(structure, cutoffs):
         zero = off == (0, 0, 0)
         if not zero and not off > (0, 0, 0):
             continue
-        t = _shift(np.asarray(off, float), cm) if cm is not None else np.zeros(3)
+        t = np.asarray(off, float) @ cm if cm is not None else np.zeros(3)
         dist = np.linalg.norm(pos[:, None, :] - (pos[None, :, :] + t), axis=-1)
         hit = (cutmat >= 0) & (dist <= cutmat)
         if zero:
@@ -252,7 +279,7 @@ def detect_topology(structure: AtomicStructure,
             angles.append((a, j, b))
             angle_offs.append((ta, tb))
 
-    dihedrals, dihedral_offs, phi0 = [], [], []
+    dihedrals, dihedral_offs = [], []
     if include_dihedrals:
         for (j, k, tk) in bonds:
             for (i, ti) in neighbors[j]:
@@ -262,25 +289,29 @@ def detect_topology(structure: AtomicStructure,
                     tl_j = tuple(a + b for a, b in zip(tk, tl))
                     if (l, tl_j) == (j, (0, 0, 0)) or (l, tl_j) == (i, ti):
                         continue
-                    off = (ti, tk, tl_j)
-                    try:
-                        phi0.append(dihedral_angle(structure, i, j, k, l, off))
-                    except DegenerateGeometryError:
-                        continue
                     dihedrals.append((i, j, k, l))
-                    dihedral_offs.append(off)
+                    dihedral_offs.append((ti, tk, tl_j))
 
+    # reference geometry of all terms at once; undefined torsions are dropped
+    pos_t = np.ascontiguousarray(structure.positions.T)
+    cm = _cellmat(structure)
+    bond_idx = np.array([(i, j) for i, j, _ in bonds], int).reshape(-1, 2)
+    bond_offs = np.array([o for _, _, o in bonds], int).reshape(-1, 1, 3)
+    pi_, pj = _term_positions(pos_t, cm, bond_idx, bond_offs, 0)
+    angles = np.array(angles, int).reshape(-1, 3)
+    angle_offs = np.array(angle_offs, int).reshape(-1, 2, 3)
+    ai, aj, ak = _term_positions(pos_t, cm, angles, angle_offs, 1)
+    dihedrals = np.array(dihedrals, int).reshape(-1, 4)
+    dihedral_offs = np.array(dihedral_offs, int).reshape(-1, 3, 3)
+    phi0, bad, _ = _dihedral_geometry(
+        *_term_positions(pos_t, cm, dihedrals, dihedral_offs, 1))
     return HarmonicTopology(
-        bonds=np.array([(i, j) for i, j, _ in bonds], int).reshape(-1, 2),
-        bond_offsets=np.array([o for _, _, o in bonds], int).reshape(-1, 1, 3),
-        bond_r0=np.array([bond_length(structure, i, j, o) for i, j, o in bonds]),
-        angles=np.array(angles, int).reshape(-1, 3),
-        angle_offsets=np.array(angle_offs, int).reshape(-1, 2, 3),
-        angle_theta0=np.array([bond_angle(structure, a, j, b, ta, tb)
-                               for (a, j, b), (ta, tb) in zip(angles, angle_offs)]),
-        dihedrals=np.array(dihedrals, int).reshape(-1, 4),
-        dihedral_offsets=np.array(dihedral_offs, int).reshape(-1, 3, 3),
-        dihedral_phi0=np.array(phi0, float),
+        bonds=bond_idx, bond_offsets=bond_offs,
+        bond_r0=np.sqrt(_dot(pi_ - pj, pi_ - pj)),
+        angles=angles, angle_offsets=angle_offs,
+        angle_theta0=_angle_geometry(ai - aj, ak - aj)[0],
+        dihedrals=dihedrals[~bad], dihedral_offsets=dihedral_offs[~bad],
+        dihedral_phi0=phi0[~bad],
         k_r=k_r, k_theta=k_theta, k_phi=k_phi,
         include_dihedrals=include_dihedrals)
 
@@ -292,130 +323,77 @@ def _wrap_pi(x):
     return np.pi - np.mod(np.pi - np.asarray(x, float), 2.0 * np.pi)
 
 
-def _bond_vectors(structure, topo):
-    pos = structure.positions
-    d = pos[topo.bonds[:, 0]] - pos[topo.bonds[:, 1]]
+def _harmonic(structure, topo, forces):
+    """Energy [eV] and, when ``forces``, forces [eV/A] from one pass over
+    the bond, angle and torsion geometry, gathered by a single scatter."""
+    _check_indices(structure, topo)
+    n = len(structure)
+    pos_t = np.ascontiguousarray(structure.positions.T)
     cm = _cellmat(structure)
-    if cm is not None:
-        d = d - topo.bond_offsets[:, 0, :] @ cm
-    return d
-
-
-def _angle_vectors(structure, topo):
-    pos = structure.positions
-    ai, aj, ak = (topo.angles[:, c] for c in range(3))
-    u = pos[ai] - pos[aj]
-    w = pos[ak] - pos[aj]
-    cm = _cellmat(structure)
-    if cm is not None:
-        u = u + topo.angle_offsets[:, 0, :] @ cm
-        w = w + topo.angle_offsets[:, 1, :] @ cm
-    return u, w
-
-
-def _dihedral_geometry(structure, topo):
-    """Vectorized torsion angles plus the vectors the gradients reuse."""
-    pos = structure.positions
-    i, j, k, l = (topo.dihedrals[:, c] for c in range(4))
-    cm = _cellmat(structure)
-    pi_ = pos[i].copy()
-    pk = pos[k].copy()
-    pl = pos[l].copy()
-    if cm is not None:
-        pi_ += topo.dihedral_offsets[:, 0, :] @ cm
-        pk += topo.dihedral_offsets[:, 1, :] @ cm
-        pl += topo.dihedral_offsets[:, 2, :] @ cm
-    pj = pos[j]
-    b_ij = pi_ - pj
-    b_kj = pk - pj
-    b_lk = pl - pk
-    n1 = np.cross(b_ij, b_kj)
-    n2 = np.cross(b_kj, -b_lk)
-    nrkj2 = np.einsum("ij,ij->i", b_kj, b_kj)
-    inner1 = np.einsum("ij,ij->i", n1, n1)
-    inner2 = np.einsum("ij,ij->i", n2, n2)
-    tol2 = _DIHEDRAL_COLLINEAR_TOL**2
-    bad = (inner1 < tol2 * nrkj2 * np.einsum("ij,ij->i", b_ij, b_ij)) | \
-          (inner2 < tol2 * nrkj2 * np.einsum("ij,ij->i", b_lk, b_lk))
-    if bad.any():
-        w = int(np.argmax(bad))
-        raise DegenerateGeometryError(
-            f"dihedral {topo.dihedrals[w].tolist()} has a collinear inner bond")
-    nrkj = np.sqrt(nrkj2)
-    y = np.einsum("ij,ij->i", np.cross(n1, n2), b_kj) / nrkj
-    x = np.einsum("ij,ij->i", n1, n2)
-    phi = np.arctan2(y, x)
-    return phi, b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj
+    e = 0.0
+    atoms, parts = [], []  # per term atom: index and (3, T) force
+    if len(topo.bonds):
+        pi_, pj = _term_positions(pos_t, cm, topo.bonds, topo.bond_offsets, 0)
+        d = pi_ - pj
+        r = np.sqrt(_dot(d, d))
+        dr = r - topo.bond_r0
+        e += 0.5 * topo.k_r * np.sum(dr * dr)
+        if forces:
+            f = (-topo.k_r * dr / r) * d
+            atoms += [topo.bonds[:, 0], topo.bonds[:, 1]]
+            parts += [f, -f]
+    if len(topo.angles):
+        pi_, pj, pk = _term_positions(pos_t, cm, topo.angles, topo.angle_offsets, 1)
+        u = pi_ - pj
+        w = pk - pj
+        theta, sin_uw, dot_uw = _angle_geometry(u, w)
+        dtheta = theta - topo.angle_theta0
+        e += 0.5 * topo.k_theta * np.sum(dtheta * dtheta)
+        if forces:
+            ru2 = _dot(u, u)
+            rw2 = _dot(w, w)
+            # |u x w| = |u| |w| sin(theta), floored where theta is 0 or pi
+            a = -topo.k_theta * dtheta / np.maximum(sin_uw, _SIN_FLOOR * np.sqrt(ru2 * rw2))
+            fi = a * (dot_uw / ru2 * u - w)
+            fk = a * (dot_uw / rw2 * w - u)
+            atoms += [topo.angles[:, 0], topo.angles[:, 2], topo.angles[:, 1]]
+            parts += [fi, fk, -(fi + fk)]
+    if topo.include_dihedrals and len(topo.dihedrals):
+        phi, bad, (b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj) = \
+            _dihedral_geometry(*_term_positions(pos_t, cm, topo.dihedrals,
+                                                topo.dihedral_offsets, 1))
+        if bad.any():
+            w = int(np.argmax(bad))
+            raise DegenerateGeometryError(
+                f"dihedral {topo.dihedrals[w].tolist()} has a collinear inner bond")
+        dphi = _wrap_pi(phi - topo.dihedral_phi0)
+        e += 0.5 * topo.k_phi * np.sum(dphi * dphi)
+        if forces:
+            dedphi = topo.k_phi * dphi * nrkj
+            f_i = (-dedphi / inner1) * n1
+            f_l = (dedphi / inner2) * n2
+            sv = (_dot(b_ij, b_kj) / nrkj2) * f_i + (_dot(b_lk, b_kj) / nrkj2) * f_l
+            atoms += [topo.dihedrals[:, c] for c in range(4)]
+            parts += [f_i, sv - f_i, -(f_l + sv), f_l]
+    if not forces:
+        return float(e), None
+    if not atoms:
+        return float(e), np.zeros((n, 3))
+    flat = 3 * np.concatenate(atoms) + np.arange(3)[:, None]
+    f = np.bincount(flat.ravel(), weights=np.concatenate(parts, axis=1).ravel(),
+                    minlength=3 * n)
+    return float(e), f.reshape(n, 3)
 
 
 def harmonic_energy(structure: AtomicStructure, topo: HarmonicTopology) -> float:
     """Total harmonic energy [eV]; zero at the reference geometry."""
-    _check_indices(structure, topo)
-    e = 0.0
-    if len(topo.bonds):
-        r = np.linalg.norm(_bond_vectors(structure, topo), axis=1)
-        e += 0.5 * topo.k_r * np.sum((r - topo.bond_r0) ** 2)
-    if len(topo.angles):
-        u, w = _angle_vectors(structure, topo)
-        theta = np.arctan2(np.linalg.norm(np.cross(u, w), axis=1),
-                           np.einsum("ij,ij->i", u, w))
-        e += 0.5 * topo.k_theta * np.sum((theta - topo.angle_theta0) ** 2)
-    if topo.include_dihedrals and len(topo.dihedrals):
-        phi = _dihedral_geometry(structure, topo)[0]
-        dphi = _wrap_pi(phi - topo.dihedral_phi0)
-        e += 0.5 * topo.k_phi * np.sum(dphi ** 2)
-    return float(e)
+    return _harmonic(structure, topo, forces=False)[0]
 
 
-def harmonic_forces(structure: AtomicStructure, topo: HarmonicTopology) -> np.ndarray:
-    """Analytic forces [eV/A], shape (N, 3)."""
-    _check_indices(structure, topo)
-    n = len(structure)
-    forces = np.zeros((n, 3))
-
-    def scatter(idx, contrib):
-        for c in range(3):
-            forces[:, c] += np.bincount(idx, weights=contrib[:, c], minlength=n)
-
-    if len(topo.bonds):
-        v = _bond_vectors(structure, topo)
-        r = np.linalg.norm(v, axis=1)
-        f = (-topo.k_r * (r - topo.bond_r0) / r)[:, None] * v
-        scatter(topo.bonds[:, 0], f)
-        scatter(topo.bonds[:, 1], -f)
-
-    if len(topo.angles):
-        ai, aj, ak = (topo.angles[:, c] for c in range(3))
-        u, w = _angle_vectors(structure, topo)
-        ru = np.linalg.norm(u, axis=1)
-        rw = np.linalg.norm(w, axis=1)
-        dot = np.einsum("ij,ij->i", u, w)
-        cs = np.clip(dot / (ru * rw), -1.0, 1.0)
-        theta = np.arctan2(np.linalg.norm(np.cross(u, w), axis=1), dot)
-        sn = np.maximum(np.sqrt(np.maximum(0.0, 1.0 - cs * cs)), _SIN_FLOOR)
-        a = -topo.k_theta * (theta - topo.angle_theta0) / sn
-        uh = u / ru[:, None]
-        wh = w / rw[:, None]
-        fi = (a / ru)[:, None] * (uh * cs[:, None] - wh)
-        fk = (a / rw)[:, None] * (wh * cs[:, None] - uh)
-        scatter(ai, fi)
-        scatter(ak, fk)
-        scatter(aj, -(fi + fk))
-
-    if topo.include_dihedrals and len(topo.dihedrals):
-        (phi, b_ij, b_kj, b_lk, n1, n2,
-         inner1, inner2, nrkj2, nrkj) = _dihedral_geometry(structure, topo)
-        dedphi = topo.k_phi * _wrap_pi(phi - topo.dihedral_phi0)
-        f_i = (-dedphi * nrkj / inner1)[:, None] * n1
-        f_l = (dedphi * nrkj / inner2)[:, None] * n2
-        p = np.einsum("ij,ij->i", b_ij, b_kj) / nrkj2
-        q = np.einsum("ij,ij->i", -b_lk, b_kj) / nrkj2
-        sv = p[:, None] * f_i - q[:, None] * f_l
-        scatter(topo.dihedrals[:, 0], f_i)
-        scatter(topo.dihedrals[:, 1], -(f_i - sv))
-        scatter(topo.dihedrals[:, 2], -(f_l + sv))
-        scatter(topo.dihedrals[:, 3], f_l)
-    return forces
+def harmonic_energy_and_forces(structure: AtomicStructure, topo: HarmonicTopology
+                               ) -> tuple[float, np.ndarray]:
+    """Energy [eV] and analytic forces [eV/A], shape (N, 3), in one pass."""
+    return _harmonic(structure, topo, forces=True)
 
 
 def _check_indices(structure, topo):

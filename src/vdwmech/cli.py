@@ -20,10 +20,10 @@ from .errors import InputError, NumericalError, VdwmechError
 from .generators import (ChainSpec, CntSpec, PeCrystalSpec, cnt_radius,
                          make_chain_pair, make_pe_crystal, make_swcnt,
                          upper_chain_indices)
-from .mbd import MbdModelConfig, mbd_forces
+from .mbd import MbdModelConfig, mbd_energy_and_forces
 from .md import MdConfig, run_md
 from .minimize import MinimizerConfig, minimize
-from .pairwise import PwModelConfig, pw_forces
+from .pairwise import PwModelConfig, pw_energy_and_forces
 from .periodic import relaxable_components
 from .quasistatic import LoadingProtocol, run_quasistatic
 from .records import emit_chain_sweep, emit_md_stats, emit_records
@@ -252,8 +252,8 @@ def _cmd_chain_sweep(args):
             structure = make_chain_pair(spec)
             states = states_for(structure)
             upper = upper_chain_indices(spec)
-            f_pw = float(pw_forces(structure, states, pw_cfg)[upper, 1].sum())
-            f_mbd = float(mbd_forces(structure, states, mbd_cfg)[upper, 1].sum())
+            f_pw = float(pw_energy_and_forces(structure, states, pw_cfg)[1][upper, 1].sum())
+            f_mbd = float(mbd_energy_and_forces(structure, states, mbd_cfg)[1][upper, 1].sum())
             rows.append({"h": h, "nc1": int(nc1), "f_pw": f_pw, "f_mbd": f_mbd,
                          "ratio": abs(f_mbd) / abs(f_pw)})
     out = cfg["io.output"]

@@ -119,17 +119,16 @@ class CompositeModel:
         e_bond = 0.0
         f = np.zeros((n, 3))
         if self.topology is not None:
-            e_bond = _bonded.harmonic_energy(structure, self.topology)
-            f += _bonded.harmonic_forces(structure, self.topology)
+            e_bond, f_bond = _bonded.harmonic_energy_and_forces(structure, self.topology)
+            f += f_bond
         e_vdw = 0.0
         if self.vdw != "none":
             states = self._states_for(structure)
             images = self.images_for(structure)
             if self.vdw == "pw":
-                e_vdw = _pw.pw_energy(structure, states, self.pw_cfg, images)
-                f += _pw.pw_forces(structure, states, self.pw_cfg, images)
+                e_vdw, f_vdw = _pw.pw_energy_and_forces(structure, states, self.pw_cfg, images)
             else:
-                e_vdw, f_mbd = _mbd.mbd_energy_and_forces(
+                e_vdw, f_vdw = _mbd.mbd_energy_and_forces(
                     structure, states, self.mbd_cfg, images)
-                f += f_mbd
+            f += f_vdw
         return (e_bond + e_vdw, e_bond, e_vdw), f

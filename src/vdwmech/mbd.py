@@ -44,14 +44,13 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import GeometryError, InputError, InstabilityError, NumericalError
-from .periodic import ImageSet
+from .periodic import ImageSet, paired_separations
 from .species import PerAtomVdwState
 from .structure import AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
 
 EIG_FLOOR = 1e-12  # Ha^2; eigenvalues below -EIG_FLOOR are an instability
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
-_FAR = 1e30  # Bohr; masks excluded pairs without producing inf * 0 = nan
 # the unique Cartesian components (a, b) of a symmetric 3x3 block
 _COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # Matrices from this size on are diagonalized through scipy's LAPACK stages,
@@ -181,17 +180,6 @@ def _staged_eigen(a, vectors):
     return vals, vecs
 
 
-def _paired_translations(images: ImageSet | None) -> np.ndarray:
-    """The home translation, then one translation of each +-t pair [Bohr]."""
-    if images is None:
-        return np.zeros((1, 3))
-    home = np.flatnonzero(images.shell_index == 0)
-    if len(home) != 1:
-        raise InputError(f"image set has {len(home)} home images (shell 0), expected 1")
-    order = np.concatenate([home, images.half_set()])
-    return images.translations[order] / BOHR_ANGSTROM
-
-
 def _pair_params(states, cfg):
     """Frequencies omega_i, couplings K_ij and inverse widths 1/s_ij."""
     omega = np.array([s.omega for s in states])
@@ -200,19 +188,6 @@ def _pair_params(states, cfg):
     coupling = np.outer(omega, omega) * np.sqrt(np.outer(alpha, alpha))
     inv_s = 1.0 / (cfg.beta * np.sqrt(sigma[:, None] ** 2 + sigma[None, :] ** 2))
     return omega, coupling, inv_s
-
-
-def _separations(pos_t, t, home):
-    """Difference vectors d = R_i - (R_j + t) as (3, N, N), and |d|^2.
-
-    ``pos_t`` holds the positions as a contiguous (3, N) array [Bohr].  In
-    the home image the self pairs are pushed far away.
-    """
-    d = pos_t[:, :, None] - (pos_t + t[:, None])[:, None, :]
-    r2 = np.einsum("kij,kij->ij", d, d)
-    if home:
-        np.fill_diagonal(r2, _FAR * _FAR)
-    return d, r2
 
 
 def assemble_mbd_matrix(structure: AtomicStructure, states: list[PerAtomVdwState],
@@ -229,22 +204,13 @@ def assemble_mbd_matrix(structure: AtomicStructure, states: list[PerAtomVdwState
     if len(states) != n:
         raise InputError("one vdW state per atom required")
     omega, coupling, inv_s = _pair_params(states, cfg)
-    pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
-    guard2 = (structure.overlap_guard / BOHR_ANGSTROM) ** 2
-    trans = _paired_translations(images)
-    paired = len(trans) > 1
+    paired = images is not None and len(images) > 1
     # sum_t A d_a d_b in _COMPONENTS order, then sum_t B; with paired images
     # the sum is added to its transpose, so the home image weighs 1/2
     acc = np.zeros((7, n, n))
-    for k, t in enumerate(trans):
-        d, r2 = _separations(pos_t, t, home=k == 0)
-        if r2.min() < guard2:
-            i, j = np.argwhere(r2 < guard2)[0]
-            where = ("in the home cell" if k == 0 else "at lattice translation "
-                     f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
-            raise GeometryError(f"atoms {i} and {j} {where} are below the overlap guard")
+    for home, d, r2 in paired_separations(structure, images):
         a, b = _radial(r2, inv_s)
-        if k == 0 and paired:
+        if home and paired:
             a *= 0.5
             b *= 0.5
         for c, (p, q) in enumerate(_COMPONENTS):
@@ -330,14 +296,12 @@ def _trace_forces(structure, states, cfg, images, lam, vecs):
     kw = _coupled_inverse_sqrt(lam, vecs, coupling)
     xx, yy, zz, xy, xz, yz = kw
     ktr = xx + yy + zz
-    pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
     # minus the gradient of K W : T with respect to d; the home image weighs
     # 1/2 because its row and column sums are equal and opposite
     acc = np.zeros((3, n, n))
-    for k, t in enumerate(_paired_translations(images)):
-        d, r2 = _separations(pos_t, t, home=k == 0)
+    for home, d, r2 in paired_separations(structure, images):
         a, _, slope = _radial(r2, inv_s, slope=True)
-        if k == 0:
+        if home:
             a *= 0.5
             slope *= 0.5
         dx, dy, dz = d

@@ -72,14 +72,15 @@ def maxwell_boltzmann_velocities(structure, temperature, rng):
     return np.where(structure.free_mask(), v, 0.0)
 
 
+def _temperature(ke, n_dof):
+    return 2.0 * ke / (KB_EV * n_dof) if n_dof else 0.0
+
+
 def kinetic_temperature(structure, velocities) -> float:
     free = structure.free_mask()
-    n_dof = int(free.sum())
-    if n_dof == 0:
-        return 0.0
     ke = 0.5 * KE_AMU_A2_FS2_EV * float(
         np.sum(structure.masses[:, None] * np.where(free, velocities, 0.0) ** 2))
-    return 2.0 * ke / (KB_EV * n_dof)
+    return _temperature(ke, int(free.sum()))
 
 
 def run_md(structure: AtomicStructure, model, cfg: MdConfig,
@@ -95,6 +96,10 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
         raise InputError("cannot run MD on an empty structure")
     rng = np.random.default_rng(cfg.seed)
     free = structure.free_mask()
+    # fixed components keep exactly zero velocity: their accelerations and
+    # noise are multiplied by 0
+    free_f = free.astype(float)
+    n_dof = int(free.sum())
     masses = structure.masses[:, None]
 
     pos = structure.positions.copy()
@@ -112,6 +117,7 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
         c1 = np.exp(-cfg.friction * dt)
         c2 = np.sqrt(max(0.0, 1.0 - c1 * c1))
         v_std = np.sqrt(KB_EV * cfg.temperature * ACC_EV_A_AMU / structure.masses)[:, None]
+        noise_scale = c2 * v_std * free_f
 
     fixed_any = structure.fixed.any(axis=1)
 
@@ -123,19 +129,18 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     n_prod = 0
 
     def accel(f):
-        return np.where(free, ACC_EV_A_AMU * f / masses, 0.0)
+        return ACC_EV_A_AMU * f / masses * free_f
 
     cur = structure
     a = accel(forces)
     for step in range(1, cfg.total_steps + 1):
-        vel = np.where(free, vel + 0.5 * dt * a, 0.0)
+        vel = vel + 0.5 * dt * a
         if langevin:
-            pos = pos + 0.5 * dt * np.where(free, vel, 0.0)
-            noise = rng.standard_normal((n, 3))
-            vel = np.where(free, c1 * vel + c2 * v_std * noise, 0.0)
-            pos = pos + 0.5 * dt * np.where(free, vel, 0.0)
+            pos = pos + 0.5 * dt * vel
+            vel = c1 * vel + noise_scale * rng.standard_normal((n, 3))
+            pos = pos + 0.5 * dt * vel
         else:
-            pos = pos + dt * np.where(free, vel, 0.0)
+            pos = pos + dt * vel
         cur = cur.with_positions(pos, check_overlap=False)
         try:
             (e_pot, _, _), forces = model.energy_and_forces(cur)
@@ -143,7 +148,7 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
             raise IntegrationError(f"trajectory left the model's domain "
                                    f"at step {step}: {e}")
         a = accel(forces)
-        vel = np.where(free, vel + 0.5 * dt * a, 0.0)
+        vel = vel + 0.5 * dt * a
 
         if step % cfg.sample_interval == 0:
             ke = 0.5 * KE_AMU_A2_FS2_EV * float(np.sum(masses * vel**2))
@@ -153,7 +158,7 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
                     f"total energy diverged at step {step}: {e_tot:.3e} eV")
             times.append(step * dt)
             energies.append(e_tot)
-            temps.append(kinetic_temperature(cur, vel))
+            temps.append(_temperature(ke, n_dof))
             if step > cfg.runup_steps:
                 d = pos - pos0
                 disp_sum += d

@@ -128,13 +128,14 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
             dr *= scale
             dc *= scale
 
-        trial = cur.with_positions(cur.positions + dr, check_overlap=False)
-        for comp, delta in zip(relax_cell, dc):
-            trial = apply_cell_strain(trial, comp, delta=float(delta))
         try:
+            trial = cur.with_positions(cur.positions + dr, check_overlap=False)
+            for comp, delta in zip(relax_cell, dc):
+                trial = apply_cell_strain(trial, comp, delta=float(delta))
             e_new, f_at_new, f_cell_new = evaluate(trial)
         except (GeometryError, InstabilityError):
-            # overshot into a region the model refuses to evaluate
+            # overshot into overlapping atoms, an inverted cell or a region
+            # the model refuses to evaluate
             e_new = np.inf
         if e_new > energy + 1e-12 * (1.0 + abs(energy)):
             # uphill: reject, restart inertia with a smaller step

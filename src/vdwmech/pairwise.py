@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import GeometryError, InputError
-from .periodic import ImageSet
+from .errors import InputError
+from .periodic import ImageSet, paired_separations
 from .species import PerAtomVdwState
 from .structure import AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
@@ -65,102 +65,51 @@ def combine_c6(state_i: PerAtomVdwState, state_j: PerAtomVdwState) -> float:
     return 2.0 * ci * cj / ((aj / ai) * ci + (ai / aj) * cj)
 
 
-def _pair_image_terms(structure: AtomicStructure, images: ImageSet | None):
-    """Enumerate each unordered (pair, image) interaction exactly once.
-
-    Yields (i_idx, j_idx, diff) with diff = R_i - (R_j + t) in Angstrom.
-    Self pairs (i == j) appear only for nonzero translations.
-    """
-    pos = structure.positions
-    n = len(pos)
-    iu, ju = np.triu_indices(n, k=1)
-    yield iu, ju, pos[iu] - pos[ju]
-    if images is None:
-        return
-    trans = images.translations
-    nz = trans[images.shell_index > 0]
-    # one representative per +-t pair: first nonzero component positive
-    key = np.round(nz / max(1e-9, np.abs(nz).max() or 1.0), 9) if len(nz) else nz
-    half = []
-    for t, k in zip(nz, key):
-        for c in k:
-            if c > 0:
-                half.append(t)
-                break
-            if c < 0:
-                break
-    ii, jj = np.mgrid[0:n, 0:n]
-    ii, jj = ii.ravel(), jj.ravel()
-    for t in half:
-        yield ii, jj, pos[ii] - (pos[jj] + t)
-
-
-def _pair_arrays(structure, states, cfg, images):
-    """Flattened per-term arrays (R [Bohr], C6 [a.u.], S_vdw [Bohr], i, j, u)."""
+def _pw(structure, states, cfg, images, forces):
+    """Energy [eV] and, when ``forces``, forces [eV/A] from one pass over
+    the home image and one image of each +-t pair, with (N, N) arrays per
+    image; pairs beyond the cutoff get zero weight."""
     n = len(structure)
-    c6 = np.array([s.c6_eff for s in states])
-    alpha = np.array([s.alpha0_eff for s in states])
-    rv = np.array([s.rvdw_eff for s in states])
+    if n != len(states):
+        raise InputError("one vdW state per atom required")
+    if n < 2 and images is None:
+        return 0.0, np.zeros((n, 3)) if forces else None
+    c6, alpha, rv = np.array([(s.c6_eff, s.alpha0_eff, s.rvdw_eff) for s in states]).T
+    # combine_c6 for all pairs, as 2 p_i p_j / (q_i + q_j), p = C6/alpha, q = p/alpha
+    p = c6 / alpha
+    c6ij = np.outer(p, 2.0 * p) / np.add.outer(p / alpha, p / alpha)
+    d_over_s = (cfg.d / cfg.gamma) / np.add.outer(rv, rv)
     cutoff = cfg.effective_cutoff(n)
-
-    idx_i, idx_j, diffs = [], [], []
-    for ii, jj, d in _pair_image_terms(structure, images):
-        idx_i.append(ii)
-        idx_j.append(jj)
-        diffs.append(d)
-    ii = np.concatenate(idx_i)
-    jj = np.concatenate(idx_j)
-    d = np.concatenate(diffs)
-    r_ang = np.linalg.norm(d, axis=1)
-    if len(r_ang) and r_ang.min() < structure.overlap_guard:
-        k = int(r_ang.argmin())
-        raise GeometryError(
-            f"pair ({ii[k]}, {jj[k]}) at {r_ang[k]:.4f} A violates the overlap guard")
-    if cutoff is not None:
-        keep = r_ang <= cutoff
-        ii, jj, d, r_ang = ii[keep], jj[keep], d[keep], r_ang[keep]
-
-    r = r_ang / BOHR_ANGSTROM
-    c6ij = 2.0 * c6[ii] * c6[jj] / (
-        (alpha[jj] / alpha[ii]) * c6[ii] + (alpha[ii] / alpha[jj]) * c6[jj])
-    s_vdw = cfg.gamma * (rv[ii] + rv[jj])
-    return r, c6ij, s_vdw, ii, jj, d / BOHR_ANGSTROM
+    e_ha = 0.0
+    f_ha = np.zeros((3, n))
+    for home, d, r2 in paired_separations(structure, images):
+        r = np.sqrt(r2)
+        damp = expit(d_over_s * r - cfg.d)
+        e6 = c6ij / (r2 * r2 * r2)
+        if cutoff is not None:
+            e6[r > cutoff / BOHR_ANGSTROM] = 0.0
+        # the home image holds each pair twice
+        e_ha -= (0.5 if home else 1.0) * np.vdot(damp, e6)
+        if forces:
+            # with w = e'(R) / R for e(R) = -f C6 / R^6, the force on atom i
+            # is the column sum minus the row sum of w d; in the home image
+            # the two are equal and opposite and the pairs are there twice
+            wd = (e6 * (6.0 * damp / r - damp * (1.0 - damp) * d_over_s) / r) * d
+            f_ha -= wd.sum(axis=2)
+            if not home:
+                f_ha += wd.sum(axis=1)
+    return (float(e_ha) * HARTREE_EV,
+            f_ha.T * (HARTREE_EV / BOHR_ANGSTROM) if forces else None)
 
 
 def pw_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
               cfg: PwModelConfig, images: ImageSet | None = None) -> float:
     """Pairwise dispersion energy [eV]; images extend the sum periodically."""
-    if len(structure) != len(states):
-        raise InputError("one vdW state per atom required")
-    if len(structure) < 2 and images is None:
-        return 0.0
-    r, c6ij, s_vdw, _, _, _ = _pair_arrays(structure, states, cfg, images)
-    if len(r) == 0:
-        return 0.0
-    f = expit(cfg.d * (r / s_vdw - 1.0))
-    e_ha = -np.sum(f * c6ij / r**6)
-    return float(e_ha) * HARTREE_EV
+    return _pw(structure, states, cfg, images, forces=False)[0]
 
 
-def pw_forces(structure: AtomicStructure, states: list[PerAtomVdwState],
-              cfg: PwModelConfig, images: ImageSet | None = None) -> np.ndarray:
-    """Analytic forces -dE/dR [eV/A], shape (N, 3)."""
-    if len(structure) != len(states):
-        raise InputError("one vdW state per atom required")
-    n = len(structure)
-    forces = np.zeros((n, 3))
-    if n < 2 and images is None:
-        return forces
-    r, c6ij, s_vdw, ii, jj, d_bohr = _pair_arrays(structure, states, cfg, images)
-    if len(r) == 0:
-        return forces
-    f = expit(cfg.d * (r / s_vdw - 1.0))
-    dfdr = f * (1.0 - f) * cfg.d / s_vdw
-    # e(R) = -f C6 / R^6  ->  e'(R)
-    dedr = -c6ij / r**6 * (dfdr - 6.0 * f / r)
-    w = dedr / r  # per-term weight on the difference vector
-    for c in range(3):
-        contrib = w * d_bohr[:, c]
-        forces[:, c] -= np.bincount(ii, weights=contrib, minlength=n)
-        forces[:, c] += np.bincount(jj, weights=contrib, minlength=n)
-    return forces * (HARTREE_EV / BOHR_ANGSTROM)
+def pw_energy_and_forces(structure: AtomicStructure, states: list[PerAtomVdwState],
+                         cfg: PwModelConfig, images: ImageSet | None = None
+                         ) -> tuple[float, np.ndarray]:
+    """Energy [eV] and analytic forces -dE/dR [eV/A], shape (N, 3), in one pass."""
+    return _pw(structure, states, cfg, images, forces=True)

@@ -7,9 +7,11 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InputError
+from .errors import GeometryError, InputError
 from .structure import AtomicStructure, CellTensor
-from .units import EV_A3_GPA
+from .units import BOHR_ANGSTROM, EV_A3_GPA
+
+_FAR = 1e30  # Bohr; masks the self pairs of the home image without inf * 0 = nan
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,38 @@ class ImageSet:
         if 2 * len(half) + 1 != len(t):
             raise InputError("image set is not closed under negation")
         return half
+
+
+def paired_separations(structure: AtomicStructure, images: ImageSet | None):
+    """Difference vectors over the home image, then one image of each +-t pair.
+
+    Yields (home, d, r2) per image: d = R_i - (R_j + t) as a (3, N, N)
+    array [Bohr] and r2 = |d|^2, with the self pairs of the home image
+    pushed far away.  Sums over all images follow from these: a paired
+    image stands for both of its members, and the home image for half of
+    its symmetric pair sum.  Raises GeometryError when a pair is closer
+    than the structure's overlap guard.
+    """
+    if images is None:
+        trans = np.zeros((1, 3))
+    else:
+        home = np.flatnonzero(images.shell_index == 0)
+        if len(home) != 1:
+            raise InputError(f"image set has {len(home)} home images (shell 0), expected 1")
+        trans = images.translations[np.concatenate([home, images.half_set()])] / BOHR_ANGSTROM
+    pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
+    guard2 = (structure.overlap_guard / BOHR_ANGSTROM) ** 2
+    for k, t in enumerate(trans):
+        d = pos_t[:, :, None] - (pos_t + t[:, None])[:, None, :]
+        r2 = np.einsum("kij,kij->ij", d, d)
+        if k == 0:
+            np.fill_diagonal(r2, _FAR * _FAR)
+        if r2.min() < guard2:
+            i, j = np.argwhere(r2 < guard2)[0]
+            where = ("in the home cell" if k == 0 else "at lattice translation "
+                     f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
+            raise GeometryError(f"atoms {i} and {j} {where} are below the overlap guard")
+        yield k == 0, d, r2
 
 
 def generate_images(cell: CellTensor | None, shells: int) -> ImageSet:
@@ -112,7 +146,7 @@ def apply_cell_strain(structure: AtomicStructure, component: tuple[int, int],
     frac = structure.positions @ np.linalg.inv(old)
     newcell = CellTensor(new, structure.cell.periodic)
     if all(newcell.periodic) and np.linalg.det(new) <= 0:
-        raise InputError("strain produced a non-positive cell determinant")
+        raise GeometryError("strain produced a non-positive cell determinant")
     return structure.with_positions(frac @ new).with_cell(newcell)
 
 

@@ -68,6 +68,60 @@ def brute_force_pw_energy(structure, states, d, gamma):
     return e * ha
 
 
+def brute_force_pw(structure, states, cfg, images=None):
+    """Pairwise energy [eV] and forces [eV/A] from flattened per-term arrays.
+
+    Every unordered (pair, image) term is listed once: home pairs i < j,
+    then all (i, j) for one image of each +-t pair, the representative
+    being the translation whose first nonzero rounded component is
+    positive.  Forces are scattered term by term with bincount.
+    """
+    from scipy.special import expit
+
+    from vdwmech.errors import GeometryError
+    from vdwmech.units import BOHR_ANGSTROM, HARTREE_EV
+
+    pos = structure.positions
+    n = len(pos)
+    iu, ju = np.triu_indices(n, k=1)
+    terms = [(iu, ju, pos[iu] - pos[ju])]
+    if images is not None:
+        nz = images.translations[images.shell_index > 0]
+        key = np.round(nz / max(1e-9, np.abs(nz).max() or 1.0), 9) if len(nz) else nz
+        ii, jj = (a.ravel() for a in np.mgrid[0:n, 0:n])
+        for t, k in zip(nz, key):
+            lead = k[np.flatnonzero(k)[0]]
+            if lead > 0:
+                terms.append((ii, jj, pos[ii] - (pos[jj] + t)))
+    ii = np.concatenate([t[0] for t in terms])
+    jj = np.concatenate([t[1] for t in terms])
+    d = np.concatenate([t[2] for t in terms])
+    r_ang = np.linalg.norm(d, axis=1)
+    if len(r_ang) and r_ang.min() < structure.overlap_guard:
+        raise GeometryError("pair below the overlap guard")
+    cutoff = cfg.effective_cutoff(n)
+    if cutoff is not None:
+        keep = r_ang <= cutoff
+        ii, jj, d, r_ang = ii[keep], jj[keep], d[keep], r_ang[keep]
+    c6 = np.array([s.c6_eff for s in states])
+    alpha = np.array([s.alpha0_eff for s in states])
+    rv = np.array([s.rvdw_eff for s in states])
+    r = r_ang / BOHR_ANGSTROM
+    c6ij = 2.0 * c6[ii] * c6[jj] / (
+        (alpha[jj] / alpha[ii]) * c6[ii] + (alpha[ii] / alpha[jj]) * c6[jj])
+    s_vdw = cfg.gamma * (rv[ii] + rv[jj])
+    f = expit(cfg.d * (r / s_vdw - 1.0))
+    energy = -np.sum(f * c6ij / r**6) * HARTREE_EV
+    dedr = -c6ij / r**6 * (f * (1.0 - f) * cfg.d / s_vdw - 6.0 * f / r)
+    w = dedr / r
+    forces = np.zeros((n, 3))
+    for c in range(3):
+        contrib = w * d[:, c] / BOHR_ANGSTROM
+        forces[:, c] -= np.bincount(ii, weights=contrib, minlength=n)
+        forces[:, c] += np.bincount(jj, weights=contrib, minlength=n)
+    return float(energy), forces * (HARTREE_EV / BOHR_ANGSTROM)
+
+
 def tensor_scalars(r, s):
     """Radial derivatives g', g'' of g(R) = erf(R/s)/R, term by term.
 

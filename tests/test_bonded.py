@@ -4,7 +4,7 @@ import pytest
 from conftest import fd_forces
 from vdwmech.bonded import (HarmonicTopology, bond_angle, detect_topology,
                             dihedral_angle, dump_topology, harmonic_energy,
-                            harmonic_forces, load_topology)
+                            harmonic_energy_and_forces, load_topology)
 from vdwmech.errors import (DegenerateGeometryError, InputError, TopologyError)
 from vdwmech.generators import CntSpec, PeCrystalSpec, make_pe_crystal, make_swcnt
 from vdwmech.structure import AtomicStructure
@@ -39,7 +39,7 @@ def test_detect_single_atom():
     topo = detect_topology(s)
     assert topo.n_terms == (0, 0, 0)
     assert harmonic_energy(s, topo) == 0.0
-    assert np.all(harmonic_forces(s, topo) == 0.0)
+    assert np.all(harmonic_energy_and_forces(s, topo)[1] == 0.0)
 
 
 def test_detect_swcnt_bond_count():
@@ -66,7 +66,7 @@ def test_reference_geometry_is_minimum():
     topo = detect_topology(s)
     assert topo.n_terms[2] > 0
     assert harmonic_energy(s, topo) == pytest.approx(0.0, abs=1e-20)
-    assert np.abs(harmonic_forces(s, topo)).max() < 1e-10
+    assert np.abs(harmonic_energy_and_forces(s, topo)[1]).max() < 1e-10
 
 
 def test_bond_energy_hand_value():
@@ -93,7 +93,7 @@ def test_stretched_diatomic_forces():
     s = AtomicStructure(positions=[[0, 0, 0], [1.5, 0, 0]], species=["C", "C"])
     topo = detect_topology(s)
     stretched = s.with_positions([[0, 0, 0], [1.6, 0, 0]])
-    f = harmonic_forces(stretched, topo)
+    f = harmonic_energy_and_forces(stretched, topo)[1]
     assert f[1, 0] == pytest.approx(-35.0505 * 0.1, rel=1e-10)
     assert f[0, 0] == pytest.approx(+35.0505 * 0.1, rel=1e-10)
 
@@ -101,7 +101,7 @@ def test_stretched_diatomic_forces():
 def test_forces_match_finite_differences():
     s = _pe_fragment(perturb=0.08)
     topo = detect_topology(_pe_fragment())
-    f = harmonic_forces(s, topo)
+    f = harmonic_energy_and_forces(s, topo)[1]
     ref = fd_forces(lambda x: harmonic_energy(x, topo), s, h=1e-5)
     assert np.abs(f - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max())
 
@@ -112,7 +112,7 @@ def test_forces_match_fd_near_straight_angles():
     topo = detect_topology(s)
     rng = np.random.default_rng(7)
     bent = s.with_positions(s.positions + 0.05 * rng.standard_normal((5, 3)))
-    f = harmonic_forces(bent, topo)
+    f = harmonic_energy_and_forces(bent, topo)[1]
     ref = fd_forces(lambda x: harmonic_energy(x, topo), bent, h=1e-5)
     assert np.abs(f - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())
 
@@ -189,7 +189,7 @@ def test_degenerate_dihedral_raises():
         angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
         dihedrals=np.array([[0, 1, 2, 3]]), dihedral_phi0=np.array([0.5]))
     with pytest.raises(DegenerateGeometryError):
-        harmonic_forces(s, topo)
+        harmonic_energy_and_forces(s, topo)
 
 
 def test_detect_skips_undefined_dihedrals():
@@ -201,7 +201,7 @@ def test_detect_skips_undefined_dihedrals():
 def test_net_force_and_torque_vanish():
     s = _pe_fragment(perturb=0.05, seed=21)
     topo = detect_topology(_pe_fragment())
-    f = harmonic_forces(s, topo)
+    f = harmonic_energy_and_forces(s, topo)[1]
     assert np.abs(f.sum(axis=0)).max() < 1e-9
     torque = np.cross(s.positions, f).sum(axis=0)
     assert np.abs(torque).max() < 1e-9
@@ -265,4 +265,46 @@ def test_single_atom_periodic_chain_strain_response():
     stretched = apply_cell_strain(s, (0, 0), delta=0.1)
     assert harmonic_energy(stretched, topo) == pytest.approx(
         0.5 * topo.k_r * 0.1**2, rel=1e-10)
-    assert np.abs(harmonic_forces(stretched, topo)).max() < 1e-12
+    assert np.abs(harmonic_energy_and_forces(stretched, topo)[1]).max() < 1e-12
+
+
+def _perturbed(s, scale, seed):
+    rng = np.random.default_rng(seed)
+    return s.with_positions(s.positions + scale * rng.standard_normal(s.positions.shape))
+
+
+def test_periodic_offset_forces_match_fd():
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    topo = detect_topology(s)
+    assert topo.bond_offsets.any() and topo.angle_offsets.any() and topo.dihedral_offsets.any()
+    moved = _perturbed(s, 0.05, 5)
+    f = harmonic_energy_and_forces(moved, topo)[1]
+    ref = fd_forces(lambda x: harmonic_energy(x, topo), moved, h=1e-5)
+    assert np.abs(f - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max())
+
+
+def test_torsion_forces_match_fd():
+    s = make_swcnt(CntSpec(4, 4, 3))
+    topo = detect_topology(s)
+    assert len(topo.dihedrals) > 0
+    moved = _perturbed(s, 0.05, 6)
+    f = harmonic_energy_and_forces(moved, topo)[1]
+    ref = fd_forces(lambda x: harmonic_energy(x, topo), moved, h=1e-5)
+    assert np.abs(f - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max())
+
+
+def test_energy_only_equals_energy_and_forces():
+    for s in (_pe_fragment(), make_pe_crystal(PeCrystalSpec(1, 1, 1))):
+        topo = detect_topology(s)
+        moved = _perturbed(s, 0.05, 8)
+        assert harmonic_energy(moved, topo) == harmonic_energy_and_forces(moved, topo)[0]
+
+
+def test_reference_values_come_from_the_evaluation_geometry():
+    # detection and evaluation share one geometry path, so the input
+    # geometry has zero energy to the last bit, periodic offsets included
+    for s in (_pe_fragment(), make_pe_crystal(PeCrystalSpec(1, 1, 1))):
+        topo = detect_topology(s)
+        e, f = harmonic_energy_and_forces(s, topo)
+        assert e == 0.0
+        assert np.abs(f).max() < 1e-10

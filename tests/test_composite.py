@@ -70,3 +70,24 @@ def test_states_cache_tracks_ratio_changes():
     e2 = model.energy(s2)
     assert e2 != e1
     assert abs(e2) < abs(e1)  # smaller ratios, weaker dispersion
+
+
+def test_small_evaluations_do_not_load_scipy_linalg():
+    # scipy.linalg adds ~6.5 MB resident; only large MBD matrices need it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import vdwmech
+    code = (
+        "import sys\n"
+        "from vdwmech import ChainSpec, CompositeModel, detect_topology, make_chain_pair\n"
+        "s = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))\n"
+        "for vdw in ('mbd', 'pw'):\n"
+        "    CompositeModel(topology=detect_topology(s), vdw=vdw).energy_and_forces(s)\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    src = str(Path(vdwmech.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -292,6 +292,12 @@ def test_energy_and_forces_consistent(rng):
     assert np.abs(f - mbd_forces(s, st, CFG)).max() < 1e-14
 
 
+def test_energy_only_equals_energy_and_forces(rng):
+    for s, img in list(_matrix_cases(rng))[:3]:
+        st = states_for(s)
+        assert mbd_energy(s, st, CFG, img) == mbd_energy_and_forces(s, st, CFG, img)[0]
+
+
 def test_two_atom_forces_collinear():
     s, st = _pair(5.0)
     f = mbd_forces(s, st, CFG)

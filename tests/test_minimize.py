@@ -80,3 +80,19 @@ def test_iteration_budget_reports_nonconvergence():
     assert not res.converged
     assert res.iterations == 1
     assert res.max_force > 1e-12
+
+
+def test_cell_relax_rejects_overlapping_trial_cell():
+    # bonded terms plus damped dispersion have no repulsion between the
+    # chains, so the relaxed cell shrinks until a trial cell overlaps atoms;
+    # that trial is rejected like an uphill step instead of raising
+    from vdwmech.generators import PeCrystalSpec, make_pe_crystal
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    model = CompositeModel(topology=detect_topology(s), vdw="pw", shells=1)
+    res = minimize(s, model, MinimizerConfig(max_iterations=150),
+                   relax_cell=((0, 0), (1, 1), (2, 2)))
+    assert not res.converged
+    trace = np.array(res.energy_trace)
+    assert len(trace) - 1 < res.iterations  # some steps were rejected
+    assert np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[:-1])))
+    res.structure.with_positions(res.structure.positions)  # passes the overlap guard

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_pw_energy, fd_forces, random_cluster, random_rotation
+from conftest import (brute_force_pw, brute_force_pw_energy, fd_forces, random_cluster,
+                      random_rotation)
 from vdwmech.errors import GeometryError, InputError
 from vdwmech.pairwise import (PwModelConfig, combine_c6, fermi_damping,
-                              pw_energy, pw_forces)
+                              pw_energy, pw_energy_and_forces)
+from vdwmech.periodic import generate_images
 from vdwmech.species import VdwSpeciesParams, scale_vdw_params, states_for
-from vdwmech.structure import AtomicStructure
+from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM, HARTREE_EV
 
 
@@ -62,7 +64,7 @@ def test_energy_empty_and_single():
     assert pw_energy(s0, [], cfg) == 0.0
     s1 = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     assert pw_energy(s1, states_for(s1), cfg) == 0.0
-    assert np.all(pw_forces(s1, states_for(s1), cfg) == 0.0)
+    assert np.all(pw_energy_and_forces(s1, states_for(s1), cfg)[1] == 0.0)
 
 
 def test_two_atom_undamped_value():
@@ -88,7 +90,7 @@ def test_forces_match_finite_differences(rng):
     cfg = PwModelConfig()
     s = random_cluster(rng, 7)
     states = states_for(s)
-    f = pw_forces(s, states, cfg)
+    f = pw_energy_and_forces(s, states, cfg)[1]
     ref = fd_forces(lambda x: pw_energy(x, states_for(x), cfg), s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
@@ -96,7 +98,7 @@ def test_forces_match_finite_differences(rng):
 def test_two_atom_force_symmetry():
     cfg = PwModelConfig()
     s = AtomicStructure(positions=[[0, 0, 0], [4.0, 0, 0]], species=["C", "C"])
-    f = pw_forces(s, states_for(s), cfg)
+    f = pw_energy_and_forces(s, states_for(s), cfg)[1]
     assert f[0] == pytest.approx(-f[1])
     assert f[0, 1] == 0.0 and f[0, 2] == 0.0
     assert f[0, 0] > 0  # attraction
@@ -105,7 +107,7 @@ def test_two_atom_force_symmetry():
 def test_net_force_zero(rng):
     cfg = PwModelConfig()
     s = random_cluster(rng, 9)
-    f = pw_forces(s, states_for(s), cfg)
+    f = pw_energy_and_forces(s, states_for(s), cfg)[1]
     assert np.abs(f.sum(axis=0)).max() < 1e-10
 
 
@@ -154,3 +156,50 @@ def test_state_length_mismatch():
     s = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "C"])
     with pytest.raises(InputError):
         pw_energy(s, [], PwModelConfig())
+
+
+TRICLINIC = CellTensor(np.array([[6.0, 0.0, 0.0], [1.5, 6.5, 0.0], [-1.0, 1.2, 7.0]]))
+
+
+def _oracle_cases(rng):
+    """(structure, images, config): open pair, 1-D chain, triclinic 3-D at
+    2 shells, and a cluster whose cutoff drops some pairs."""
+    s = AtomicStructure(positions=[[0, 0, 0], [3.7, 0.4, -0.2]], species=["C", "H"])
+    yield s, None, PwModelConfig()
+    chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
+    s = AtomicStructure(positions=[[0.3, 0, 0], [2.1, 1.0, 0.4], [3.9, -0.5, 1.1]],
+                        species=["C", "H", "C"], cell=chain)
+    yield s, generate_images(chain, 3), PwModelConfig()
+    s = AtomicStructure(positions=[[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]],
+                        species=["C", "H", "C"], cell=TRICLINIC)
+    yield s, generate_images(TRICLINIC, 2), PwModelConfig()
+    yield random_cluster(rng, 12), None, PwModelConfig(cutoff=5.0)
+
+
+def test_energy_and_forces_match_flat_oracle(rng):
+    for s, img, cfg in _oracle_cases(rng):
+        st = states_for(s)
+        e, f = pw_energy_and_forces(s, st, cfg, img)
+        e_ref, f_ref = brute_force_pw(s, st, cfg, img)
+        assert e == pytest.approx(e_ref, rel=1e-12)
+        assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
+
+
+def test_periodic_forces_match_fd():
+    s = AtomicStructure(positions=[[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]],
+                        species=["C", "H", "C"], cell=TRICLINIC)
+    img = generate_images(TRICLINIC, 2)
+    cfg = PwModelConfig()
+    f = pw_energy_and_forces(s, states_for(s), cfg, img)[1]
+    ref = fd_forces(lambda x: pw_energy(x, states_for(x), cfg, img), s)
+    assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_energy_only_equals_energy_and_forces(rng):
+    chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
+    periodic = AtomicStructure(positions=[[0.3, 0, 0], [2.1, 1.0, 0.4], [3.9, -0.5, 1.1]],
+                               species=["C", "H", "C"], cell=chain)
+    for s, img in ((random_cluster(rng, 9), None), (periodic, generate_images(chain, 3))):
+        st = states_for(s)
+        assert pw_energy(s, st, PwModelConfig(), img) == \
+            pw_energy_and_forces(s, st, PwModelConfig(), img)[0]
