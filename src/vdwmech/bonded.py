@@ -36,6 +36,7 @@ _MAX_BONDS = {"C": 4, "H": 1}
 
 _SIN_FLOOR = 1e-8
 _DIHEDRAL_COLLINEAR_TOL = 1e-6
+_STRAIGHT_TOL = 1e-6  # rad, angle references closer to pi are straight
 
 
 @dataclass(frozen=True)
@@ -323,25 +324,26 @@ def _wrap_pi(x):
     return np.pi - np.mod(np.pi - np.asarray(x, float), 2.0 * np.pi)
 
 
-def _harmonic(structure, topo, forces):
-    """Energy [eV] and, when ``forces``, forces [eV/A] from one pass over
-    the bond, angle and torsion geometry, gathered by a single scatter."""
+def _harmonic(structure, topo, weight=None):
+    """Energy [eV] and, given ``weight``, the weighted internal-coordinate
+    gradients weight(k, q - q0) dq/dR of every term kind from one pass over
+    the bond, angle and torsion geometry, as {kind: (slot atoms (S, T),
+    S arrays (3, T))}.  The forces weigh by -k (q - q0), the Gauss-Newton
+    Hessian by sqrt(k)."""
     _check_indices(structure, topo)
-    n = len(structure)
     pos_t = np.ascontiguousarray(structure.positions.T)
     cm = _cellmat(structure)
     e = 0.0
-    atoms, parts = [], []  # per term atom: index and (3, T) force
+    grads = {}
     if len(topo.bonds):
         pi_, pj = _term_positions(pos_t, cm, topo.bonds, topo.bond_offsets, 0)
         d = pi_ - pj
         r = np.sqrt(_dot(d, d))
         dr = r - topo.bond_r0
         e += 0.5 * topo.k_r * np.sum(dr * dr)
-        if forces:
-            f = (-topo.k_r * dr / r) * d
-            atoms += [topo.bonds[:, 0], topo.bonds[:, 1]]
-            parts += [f, -f]
+        if weight is not None:
+            g = (weight(topo.k_r, dr) / r) * d
+            grads["bond"] = (topo.bonds.T, (g, -g))
     if len(topo.angles):
         pi_, pj, pk = _term_positions(pos_t, cm, topo.angles, topo.angle_offsets, 1)
         u = pi_ - pj
@@ -349,15 +351,15 @@ def _harmonic(structure, topo, forces):
         theta, sin_uw, dot_uw = _angle_geometry(u, w)
         dtheta = theta - topo.angle_theta0
         e += 0.5 * topo.k_theta * np.sum(dtheta * dtheta)
-        if forces:
+        if weight is not None:
             ru2 = _dot(u, u)
             rw2 = _dot(w, w)
             # |u x w| = |u| |w| sin(theta), floored where theta is 0 or pi
-            a = -topo.k_theta * dtheta / np.maximum(sin_uw, _SIN_FLOOR * np.sqrt(ru2 * rw2))
-            fi = a * (dot_uw / ru2 * u - w)
-            fk = a * (dot_uw / rw2 * w - u)
-            atoms += [topo.angles[:, 0], topo.angles[:, 2], topo.angles[:, 1]]
-            parts += [fi, fk, -(fi + fk)]
+            a = weight(topo.k_theta, dtheta) / np.maximum(
+                sin_uw, _SIN_FLOOR * np.sqrt(ru2 * rw2))
+            gi = a * (dot_uw / ru2 * u - w)
+            gk = a * (dot_uw / rw2 * w - u)
+            grads["angle"] = (topo.angles.T, (gi, -(gi + gk), gk))
     if topo.include_dihedrals and len(topo.dihedrals):
         phi, bad, (b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj) = \
             _dihedral_geometry(*_term_positions(pos_t, cm, topo.dihedrals,
@@ -368,32 +370,66 @@ def _harmonic(structure, topo, forces):
                 f"dihedral {topo.dihedrals[w].tolist()} has a collinear inner bond")
         dphi = _wrap_pi(phi - topo.dihedral_phi0)
         e += 0.5 * topo.k_phi * np.sum(dphi * dphi)
-        if forces:
-            dedphi = topo.k_phi * dphi * nrkj
-            f_i = (-dedphi / inner1) * n1
-            f_l = (dedphi / inner2) * n2
-            sv = (_dot(b_ij, b_kj) / nrkj2) * f_i + (_dot(b_lk, b_kj) / nrkj2) * f_l
-            atoms += [topo.dihedrals[:, c] for c in range(4)]
-            parts += [f_i, sv - f_i, -(f_l + sv), f_l]
-    if not forces:
-        return float(e), None
-    if not atoms:
-        return float(e), np.zeros((n, 3))
-    flat = 3 * np.concatenate(atoms) + np.arange(3)[:, None]
-    f = np.bincount(flat.ravel(), weights=np.concatenate(parts, axis=1).ravel(),
-                    minlength=3 * n)
-    return float(e), f.reshape(n, 3)
+        if weight is not None:
+            c = weight(topo.k_phi, dphi) * nrkj
+            g_i = (c / inner1) * n1
+            g_l = (-c / inner2) * n2
+            sv = (_dot(b_ij, b_kj) / nrkj2) * g_i + (_dot(b_lk, b_kj) / nrkj2) * g_l
+            grads["dihedral"] = (topo.dihedrals.T, (g_i, sv - g_i, -(g_l + sv), g_l))
+    return float(e), grads
 
 
 def harmonic_energy(structure: AtomicStructure, topo: HarmonicTopology) -> float:
     """Total harmonic energy [eV]; zero at the reference geometry."""
-    return _harmonic(structure, topo, forces=False)[0]
+    return _harmonic(structure, topo)[0]
 
 
 def harmonic_energy_and_forces(structure: AtomicStructure, topo: HarmonicTopology
                                ) -> tuple[float, np.ndarray]:
-    """Energy [eV] and analytic forces [eV/A], shape (N, 3), in one pass."""
-    return _harmonic(structure, topo, forces=True)
+    """Energy [eV] and analytic forces [eV/A], shape (N, 3), in one pass,
+    gathered by a single scatter."""
+    e, grads = _harmonic(structure, topo, lambda k, dq: -k * dq)
+    n = len(structure)
+    if not grads:
+        return e, np.zeros((n, 3))
+    flat = 3 * np.concatenate([a.ravel() for a, _ in grads.values()]) + np.arange(3)[:, None]
+    parts = np.concatenate([gs for _, g in grads.values() for gs in g], axis=1)
+    return e, np.bincount(flat.ravel(), weights=parts.ravel(), minlength=3 * n).reshape(n, 3)
+
+
+def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.ndarray:
+    """Gauss-Newton Hessian sum_t k_t dq_t/dR dq_t/dR^T [eV/A^2], (3N, 3N),
+    exact at the reference geometry and positive semidefinite everywhere.
+
+    theta has no gradient where an angle is straight (pi is a cusp of
+    theta), so an angle whose reference is straight enters through its bend
+    vector b = u/|u| + w/|w| instead: |b| = 2 sin((pi - theta) / 2), so
+    k/2 |b|^2 has the Hessian of the angle term there.
+    """
+    n = len(structure)
+    _, grads = _harmonic(structure, topo, lambda k, dq: np.full(dq.shape, np.sqrt(k)))
+    straight = np.pi - topo.angle_theta0 < _STRAIGHT_TOL
+    if straight.any():
+        atoms, g = grads["angle"]
+        grads["angle"] = (atoms, [np.where(straight, 0.0, gs) for gs in g])
+        pi_, pj, pk = _term_positions(np.ascontiguousarray(structure.positions.T),
+                                      _cellmat(structure), topo.angles[straight],
+                                      topo.angle_offsets[straight], 1)
+        u, w = pi_ - pj, pk - pj
+        ru, rw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
+        root_k = np.sqrt(topo.k_theta)
+        for c, unit in enumerate(np.eye(3)[:, :, None]):
+            gi = (root_k / ru) * (unit - u[c] * u / ru**2)
+            gk = (root_k / rw) * (unit - w[c] * w / rw**2)
+            grads[c] = (atoms[:, straight], (gi, -(gi + gk), gk))
+    h = np.zeros(9 * n * n)
+    for atoms, g in grads.values():
+        g = np.array(g)  # (S, 3, T)
+        idx = 3 * atoms[:, None, :] + np.arange(3)[:, None]
+        flat = 3 * n * idx[:, :, None, None] + idx[None, None]
+        h += np.bincount(flat.ravel(), weights=(g[:, :, None, None] * g[None, None]).ravel(),
+                         minlength=9 * n * n)
+    return h.reshape(3 * n, 3 * n)
 
 
 def _check_indices(structure, topo):

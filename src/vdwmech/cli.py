@@ -177,6 +177,7 @@ def _cmd_relax(args):
     write_xyz(res.structure, out)
     _write_manifest(cfg, out)
     print(f"converged {int(res.converged)} iterations {res.iterations} "
+          f"evaluations {res.evaluations} rejected {res.rejected} "
           f"max_force_eV_per_A {res.max_force:.3e} energy_eV {res.energy:.10e}")
     if not res.converged:
         raise NumericalError(

@@ -180,8 +180,10 @@ def _staged_eigen(a, vectors):
     return vals, vecs
 
 
-def _pair_params(states, cfg):
+def _pair_params(structure, states, cfg):
     """Frequencies omega_i, couplings K_ij and inverse widths 1/s_ij."""
+    if len(states) != len(structure):
+        raise InputError("one vdW state per atom required")
     omega = np.array([s.omega for s in states])
     alpha = np.array([s.alpha0_eff for s in states])
     sigma = np.array([s.sigma for s in states])
@@ -198,12 +200,14 @@ def assemble_mbd_matrix(structure: AtomicStructure, states: list[PerAtomVdwState
     Periodic images are lattice-summed into every block, including the
     self-image terms on the diagonal.
     """
-    n = len(structure)
-    if n < 1:
+    if len(structure) < 1:
         raise InputError("assemble_mbd_matrix requires at least one atom")
-    if len(states) != n:
-        raise InputError("one vdW state per atom required")
-    omega, coupling, inv_s = _pair_params(states, cfg)
+    return _assemble(structure, images, *_pair_params(structure, states, cfg))
+
+
+def _assemble(structure, images, omega, coupling, inv_s):
+    """assemble_mbd_matrix from the _pair_params of the states."""
+    n = len(structure)
     paired = images is not None and len(images) > 1
     # sum_t A d_a d_b in _COMPONENTS order, then sum_t B; with paired images
     # the sum is added to its transpose, so the home image weighs 1/2
@@ -259,23 +263,18 @@ def mbd_energy_and_forces(structure: AtomicStructure, states: list[PerAtomVdwSta
     n = len(structure)
     if n == 0 or (n == 1 and images is None):
         return 0.0, np.zeros((n, 3))
-    lam, vecs = sym_eigen(assemble_mbd_matrix(structure, states, cfg, images))
+    omega, coupling, inv_s = _pair_params(structure, states, cfg)
+    lam, vecs = sym_eigen(_assemble(structure, images, omega, coupling, inv_s))
     _check_spectrum(lam, need_positive=True)
-    omega = np.array([s.omega for s in states])
     e_ha = 0.5 * np.sum(np.sqrt(lam)) - 1.5 * np.sum(omega)
-    forces = _trace_forces(structure, states, cfg, images, lam, vecs)
+    forces = _trace_forces(structure, images, lam, vecs, coupling, inv_s)
     return float(e_ha) * HARTREE_EV, forces
 
 
 def mbd_forces(structure: AtomicStructure, states: list[PerAtomVdwState],
                cfg: MbdModelConfig, images: ImageSet | None = None) -> np.ndarray:
     """Analytic MBD forces via the trace formula [eV/A], shape (N, 3)."""
-    n = len(structure)
-    if n == 0 or (n == 1 and images is None):
-        return np.zeros((n, 3))
-    lam, vecs = sym_eigen(assemble_mbd_matrix(structure, states, cfg, images))
-    _check_spectrum(lam, need_positive=True)
-    return _trace_forces(structure, states, cfg, images, lam, vecs)
+    return mbd_energy_and_forces(structure, states, cfg, images)[1]
 
 
 def _coupled_inverse_sqrt(lam, vecs, coupling):
@@ -288,9 +287,8 @@ def _coupled_inverse_sqrt(lam, vecs, coupling):
                      for p, q in _COMPONENTS])
 
 
-def _trace_forces(structure, states, cfg, images, lam, vecs):
+def _trace_forces(structure, images, lam, vecs, coupling, inv_s):
     n = len(structure)
-    _, coupling, inv_s = _pair_params(states, cfg)
     # dT is symmetric in (a, b), so the trace needs only the symmetric part
     # of each W block: 1/4 Tr[W dC] = 1/4 sum K_ij W_ij : dT(d_ij)
     kw = _coupled_inverse_sqrt(lam, vecs, coupling)

@@ -1,42 +1,41 @@
-"""Structural relaxation with a FIRE-style descent.
+"""Structural relaxation by preconditioned L-BFGS.
 
-Velocity-projection dynamics with adaptive time step, a hard cap on the
-per-iteration displacement, and an energy guard: any trial move that
-raises the energy is rejected and restarts the inertia, so accepted
-iterations are strictly non-increasing in energy.
+Quasi-Newton descent (Liu & Nocedal, Math. Program. 45, 503 (1989)) over
+the last ``_MEMORY`` steps.  The initial inverse Hessian is P^-1, built
+once per call: P = sum_t k_t dq_t/dR dq_t/dR^T + mu I is the bonded
+Gauss-Newton Hessian (bonded.harmonic_hessian) on the free components, a
+force-field preconditioner as in Packwood et al., J. Chem. Phys. 144,
+164109 (2016).  Cell components get P's mean diagonal.
 
-Optionally a set of cell components joins the optimization; their
-gradients come from central finite differences of the total energy under
-the affine cell remap.
+Trial steps move no atom more than ``initial_step``.  A trial that raises
+the energy, or that the geometry or the model refuses, is rejected and
+the step along the same direction halved, so accepted energies never
+increase.  Relaxed cell components take their gradients from central
+finite differences of the total energy under the affine cell remap.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bonded import harmonic_hessian
 from .errors import GeometryError, InputError, InstabilityError
 from .periodic import apply_cell_strain
 from .structure import AtomicStructure
 
-# unit-mass dynamics: the stability limit for the stiffest bond mode
-# (k ~ 70 eV/A^2) is dt ~ 0.24, so the ceiling stays below it
-_DT0 = 0.02
-_DT_MAX = 0.15
-_N_MIN = 5
-_F_INC = 1.1
-_F_DEC = 0.5
-_ALPHA0 = 0.1
-_F_ALPHA = 0.99
+_MEMORY = 10        # L-BFGS step pairs kept
+_MU = 0.05          # eV/A^2, stiffness of directions no bonded term reaches
 _CELL_FD_STEP = 1e-3  # A
 
 
 @dataclass(frozen=True)
 class MinimizerConfig:
     force_tolerance: float = 1e-3   # eV/A on free components
-    max_iterations: int = 5000
-    initial_step: float = 0.20      # A, displacement cap per iteration
+    max_iterations: int = 5000      # trial steps
+    initial_step: float = 0.20      # A, displacement cap per trial step
 
     def __post_init__(self):
         if self.force_tolerance <= 0:
@@ -47,12 +46,21 @@ class MinimizerConfig:
 
 @dataclass
 class MinimizeResult:
+    """``iterations`` counts trial steps, accepted or rejected, and
+    ``evaluations`` the model's energy-and-forces calls, the start included.
+    ``components`` and ``forces`` are model.energy_and_forces(structure):
+    (total, bonded, vdW) [eV] and the forces on all atoms, fixed ones too."""
+
     structure: AtomicStructure
     converged: bool
     iterations: int
     max_force: float
     energy: float
     energy_trace: list = None  # accepted-step energies, non-increasing
+    evaluations: int = 0
+    rejected: int = 0
+    components: tuple = None
+    forces: np.ndarray = None
 
 
 def _cell_gradient(structure, model, components):
@@ -64,98 +72,83 @@ def _cell_gradient(structure, model, components):
     return g
 
 
+def _direction(g, h0, memory):
+    """-H g by the L-BFGS two-loop recursion."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    r = h0 @ q
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        r += (a - rho * (y @ r)) * s
+    return -r
+
+
 def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
              relax_cell: tuple[tuple[int, int], ...] = ()) -> MinimizeResult:
     """Relax free atomic components (and optionally cell components) until
     the largest force falls below the tolerance.
 
-    Returns converged=False when the iteration budget runs out; the best
+    Returns converged=False when the trial-step budget runs out; the best
     state reached so far is still returned.
     """
-    free = structure.free_mask()
     relax_cell = tuple(relax_cell)
+    n3 = 3 * len(structure)
+    # the atomic components, then the cell ones; fixed components stay 0
+    free = np.concatenate([structure.free_mask().ravel(), np.ones(len(relax_cell), bool)])
+    p = _MU * np.eye(len(free))
+    if model.topology is not None:
+        p[:n3, :n3] += harmonic_hessian(structure, model.topology)
+    np.fill_diagonal(p[n3:, n3:], p.diagonal()[:n3].mean())
+    h0 = np.zeros_like(p)
+    h0[np.ix_(free, free)] = np.linalg.inv(p[np.ix_(free, free)])
+    evaluations = 0
 
     def evaluate(s):
-        (e_tot, _, _), f = model.energy_and_forces(s)
-        f = np.where(free, f, 0.0)
-        fc = -_cell_gradient(s, model, relax_cell) if relax_cell else np.zeros(0)
-        return e_tot, f, fc
+        nonlocal evaluations
+        evaluations += 1
+        components, f = model.energy_and_forces(s)
+        g = np.concatenate([-f.ravel(), _cell_gradient(s, model, relax_cell)]) * free
+        return components, f, g
 
     cur = structure
-    energy, f_at, f_cell = evaluate(cur)
-    trace = [energy]
-    max_f = _max_force(f_at, f_cell)
-    if max_f <= cfg.force_tolerance:
-        return MinimizeResult(cur, True, 0, max_f, energy, trace)
-
-    v_at = np.zeros_like(f_at)
-    v_cell = np.zeros_like(f_cell)
-    dt = _DT0
-    alpha = _ALPHA0
-    n_up = 0
-    cap = cfg.initial_step
-
-    for it in range(1, cfg.max_iterations + 1):
-        v_at += dt * f_at
-        v_cell += dt * f_cell
-        p = float(np.sum(v_at * f_at) + np.sum(v_cell * f_cell))
-        vnorm = np.sqrt(np.sum(v_at**2) + np.sum(v_cell**2))
-        fnorm = np.sqrt(np.sum(f_at**2) + np.sum(f_cell**2))
-        if fnorm > 0:
-            mix = alpha * vnorm / fnorm
-            v_at = (1.0 - alpha) * v_at + mix * f_at
-            v_cell = (1.0 - alpha) * v_cell + mix * f_cell
-        if p > 0:
-            n_up += 1
-            if n_up > _N_MIN:
-                dt = min(dt * _F_INC, _DT_MAX)
-                alpha *= _F_ALPHA
-        else:
-            n_up = 0
-            dt *= _F_DEC
-            alpha = _ALPHA0
-            v_at[:] = 0.0
-            v_cell[:] = 0.0
-            continue
-
-        dr = dt * v_at
-        step = np.linalg.norm(dr, axis=1).max() if len(dr) else 0.0
-        dc = dt * v_cell
-        if len(dc):
-            step = max(step, np.abs(dc).max())
-        if step > cap:
-            scale = cap / step
-            dr *= scale
-            dc *= scale
-
+    components, forces, g = evaluate(cur)
+    trace = [components[0]]
+    memory = deque(maxlen=_MEMORY)  # (s, y, 1 / y.s)
+    iterations = rejected = 0
+    step = None
+    while np.abs(g).max(initial=0.0) > cfg.force_tolerance \
+            and iterations < cfg.max_iterations:
+        if step is None:
+            step = _direction(g, h0, memory)
+            longest = np.concatenate([np.linalg.norm(step[:n3].reshape(-1, 3), axis=1),
+                                      np.abs(step[n3:])]).max()
+            step *= min(1.0, cfg.initial_step / longest)
+        iterations += 1
         try:
-            trial = cur.with_positions(cur.positions + dr, check_overlap=False)
-            for comp, delta in zip(relax_cell, dc):
+            # overlapping atoms, an inverted cell or a region the model
+            # refuses to evaluate reject the trial like an uphill one
+            trial = cur.with_positions(cur.positions + step[:n3].reshape(-1, 3),
+                                       check_overlap=False)
+            for comp, delta in zip(relax_cell, step[n3:]):
                 trial = apply_cell_strain(trial, comp, delta=float(delta))
-            e_new, f_at_new, f_cell_new = evaluate(trial)
+            t_components, t_forces, t_g = evaluate(trial)
+            uphill = t_components[0] > components[0] + 1e-12 * (1.0 + abs(components[0]))
         except (GeometryError, InstabilityError):
-            # overshot into overlapping atoms, an inverted cell or a region
-            # the model refuses to evaluate
-            e_new = np.inf
-        if e_new > energy + 1e-12 * (1.0 + abs(energy)):
-            # uphill: reject, restart inertia with a smaller step
-            v_at[:] = 0.0
-            v_cell[:] = 0.0
-            dt = max(dt * _F_DEC, 1e-4)
-            alpha = _ALPHA0
-            n_up = 0
+            uphill = True
+        if uphill:
+            rejected += 1
+            step = 0.5 * step
             continue
-        cur, energy, f_at, f_cell = trial, e_new, f_at_new, f_cell_new
-        trace.append(energy)
-        max_f = _max_force(f_at, f_cell)
-        if max_f <= cfg.force_tolerance:
-            return MinimizeResult(cur, True, it, max_f, energy, trace)
+        y = t_g - g
+        if step @ y > 0:
+            memory.append((step, y, 1.0 / (step @ y)))
+        cur, components, forces, g = trial, t_components, t_forces, t_g
+        trace.append(components[0])
+        step = None
 
-    return MinimizeResult(cur, False, cfg.max_iterations, max_f, energy, trace)
-
-
-def _max_force(f_at, f_cell):
-    m = float(np.abs(f_at).max()) if f_at.size else 0.0
-    if f_cell.size:
-        m = max(m, float(np.abs(f_cell).max()))
-    return m
+    max_f = float(np.abs(g).max(initial=0.0))
+    return MinimizeResult(cur, max_f <= cfg.force_tolerance, iterations, max_f,
+                          components[0], trace, evaluations, rejected,
+                          components, forces)

@@ -20,6 +20,7 @@ from .structure import AtomicStructure
 from .units import EV_A3_GPA
 
 CNT_WALL_THICKNESS = 3.4  # A, assumed monolayer wall thickness
+_INCREMENT_FLOOR = 1e-15  # remainders of a step this small are dropped
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class LoadingProtocol:
     def __post_init__(self):
         if self.kind not in ("displacement", "cell-strain"):
             raise InputError(f"unknown protocol kind {self.kind!r}")
-        if self.increment == 0.0:
-            raise InputError("increment must be nonzero")
+        if abs(self.increment) <= _INCREMENT_FLOOR:
+            raise InputError(f"increment must exceed {_INCREMENT_FLOOR} in magnitude")
         if self.step_count < 1:
             raise InputError("step_count must be >= 1")
         if self.kind == "displacement" and not len(self.driven):
@@ -129,7 +130,7 @@ def run_quasistatic(structure: AtomicStructure, model,
         sub = protocol.increment
         halvings = 0
         converged = True
-        while abs(remaining) > 1e-15:
+        while abs(remaining) > _INCREMENT_FLOOR:
             if abs(sub) > abs(remaining):
                 sub = remaining
             if protocol.kind == "displacement":
@@ -151,7 +152,8 @@ def run_quasistatic(structure: AtomicStructure, model,
                 break
             sub *= 0.5
 
-        (e_tot, e_bond, e_vdw), forces = model.energy_and_forces(cur)
+        # res holds the last relaxation, whose final state is cur
+        (e_tot, e_bond, e_vdw), forces = res.components, res.forces
 
         reaction = None
         sigma = None

@@ -21,6 +21,21 @@ def fd_forces(energy_fn, structure, h=1e-4):
     return out
 
 
+def fd_hessian(forces_fn, structure, h=1e-5):
+    """Central finite-difference Hessian oracle [eV/A^2], (3N, 3N): column
+    j is -(F(R + h e_j) - F(R - h e_j)) / 2h."""
+    n = len(structure)
+    out = np.zeros((3 * n, 3 * n))
+    for j in range(3 * n):
+        p = structure.positions.copy().ravel()
+        p[j] += h
+        fp = forces_fn(structure.with_positions(p.reshape(n, 3)))
+        p[j] -= 2 * h
+        fm = forces_fn(structure.with_positions(p.reshape(n, 3)))
+        out[:, j] = -(fp - fm).ravel() / (2 * h)
+    return out
+
+
 def jacobi_eigenvalues(a, sweeps=60):
     """Independent cyclic Jacobi eigensolver for symmetric matrices."""
     a = np.array(a, dtype=float)

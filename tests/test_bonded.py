@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import fd_forces
+from conftest import fd_forces, fd_hessian
 from vdwmech.bonded import (HarmonicTopology, bond_angle, detect_topology,
                             dihedral_angle, dump_topology, harmonic_energy,
-                            harmonic_energy_and_forces, load_topology)
+                            harmonic_energy_and_forces, harmonic_hessian,
+                            load_topology)
 from vdwmech.errors import (DegenerateGeometryError, InputError, TopologyError)
-from vdwmech.generators import CntSpec, PeCrystalSpec, make_pe_crystal, make_swcnt
+from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
+                                make_pe_crystal, make_swcnt)
 from vdwmech.structure import AtomicStructure
 
 
@@ -308,3 +310,29 @@ def test_reference_values_come_from_the_evaluation_geometry():
         e, f = harmonic_energy_and_forces(s, topo)
         assert e == 0.0
         assert np.abs(f).max() < 1e-10
+
+
+_HESSIAN_CASES = {
+    # straight chains with fixed caps: every angle reference is pi
+    "open chain": lambda: make_chain_pair(ChainSpec(5, 5, hydrogen_caps=True)),
+    "PE 1x1x1": lambda: make_pe_crystal(PeCrystalSpec(1, 1, 1)),
+    "SWCNT (4,4)x3": lambda: make_swcnt(CntSpec(4, 4, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HESSIAN_CASES))
+def test_hessian_matches_fd_at_reference(case):
+    s = _HESSIAN_CASES[case]()
+    topo = detect_topology(s)
+    h = harmonic_hessian(s, topo)
+    ref = fd_hessian(lambda x: harmonic_energy_and_forces(x, topo)[1], s)
+    np.testing.assert_allclose(h, ref, rtol=1e-6, atol=1e-6 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("case", sorted(_HESSIAN_CASES))
+def test_hessian_symmetric_psd_off_reference(case):
+    s = _HESSIAN_CASES[case]()
+    topo = detect_topology(s)
+    h = harmonic_hessian(_perturbed(s, 0.1, 9), topo)
+    assert np.abs(h - h.T).max() <= 1e-13 * np.abs(h).max()
+    assert np.linalg.eigvalsh(h).min() >= -1e-10 * np.abs(h).max()

@@ -73,7 +73,8 @@ def test_states_cache_tracks_ratio_changes():
 
 
 def test_small_evaluations_do_not_load_scipy_linalg():
-    # scipy.linalg adds ~6.5 MB resident; only large MBD matrices need it
+    # scipy.linalg adds ~6.5 MB resident; only large MBD matrices need it,
+    # and the minimizer's preconditioner is inverted with numpy
     import os
     import subprocess
     import sys
@@ -82,10 +83,11 @@ def test_small_evaluations_do_not_load_scipy_linalg():
     import vdwmech
     code = (
         "import sys\n"
-        "from vdwmech import ChainSpec, CompositeModel, detect_topology, make_chain_pair\n"
+        "from vdwmech import (ChainSpec, CompositeModel, MinimizerConfig, detect_topology,\n"
+        "                     make_chain_pair, minimize)\n"
         "s = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))\n"
         "for vdw in ('mbd', 'pw'):\n"
-        "    CompositeModel(topology=detect_topology(s), vdw=vdw).energy_and_forces(s)\n"
+        "    minimize(s, CompositeModel(topology=detect_topology(s), vdw=vdw), MinimizerConfig())\n"
         "print('scipy.linalg' in sys.modules)\n")
     src = str(Path(vdwmech.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},

@@ -84,6 +84,11 @@ def test_cli_generate_and_relax(tmp_path, capsys):
               "--set", "relax.force_tolerance=1e-4"])
     assert rc == 0
     assert read_xyz(str(relaxed)).positions.shape == (12, 3)
+    words = capsys.readouterr().out.split()
+    counts = {k: int(words[words.index(k) + 1])
+              for k in ("iterations", "evaluations", "rejected")}
+    assert 1 <= counts["evaluations"] <= counts["iterations"] + 1
+    assert counts["rejected"] <= counts["iterations"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -43,6 +43,7 @@ def test_energy_never_increases():
     res = minimize(start, model, MinimizerConfig(force_tolerance=1e-3,
                                                  max_iterations=600))
     assert res.converged
+    assert res.iterations <= 60
     trace = np.array(res.energy_trace)
     assert np.all(np.diff(trace) <= 1e-12 * (1.0 + np.abs(trace[:-1])))
 
@@ -67,6 +68,7 @@ def test_capped_chain_pair_harmonic_mbd_relaxes():
     res = minimize(s, model, MinimizerConfig(force_tolerance=1e-3,
                                              max_iterations=4000))
     assert res.converged
+    assert res.evaluations <= 30
     f = model.forces(res.structure)
     f = np.where(res.structure.free_mask(), f, 0.0)
     assert np.abs(f).max() < 1e-3

@@ -67,6 +67,36 @@ def test_displacement_protocol_moves_driven_set():
     assert result.records[1].applied == pytest.approx(-1.0)
 
 
+def test_records_equal_a_reevaluation_of_the_final_state():
+    s, model, driven = _chain_system()
+    protocol = LoadingProtocol(
+        kind="displacement", increment=-0.25, step_count=2, driven=driven,
+        axis=1, minimizer=MinimizerConfig(force_tolerance=1e-3))
+    result = run_quasistatic(s, model, protocol)
+    (e_tot, e_bond, e_vdw), forces = model.energy_and_forces(result.final)
+    r = result.records[-1]
+    assert (r.e_total, r.e_bonded, r.e_vdw) == (e_tot, e_bond, e_vdw)
+    assert r.reaction == float(forces[list(driven), 1].sum())
+
+
+def test_load_step_reaction_converges_with_force_tolerance():
+    # the MBD chain-pair load step: a 1e-3 eV/A relaxation gives the reaction
+    # of a 1e-6 eV/A one to 1e-3 eV/A
+    spec = ChainSpec(28, 28, hydrogen_caps=True)
+    s = make_chain_pair(spec)
+    model = CompositeModel(topology=detect_topology(s), vdw="mbd")
+    driven = tuple(int(i) for i in cap_indices(spec)[1])
+    reactions = []
+    for ftol in (1e-3, 1e-6):
+        protocol = LoadingProtocol(
+            kind="displacement", increment=-0.2, step_count=1, driven=driven,
+            axis=1, minimizer=MinimizerConfig(force_tolerance=ftol))
+        result = run_quasistatic(s, model, protocol)
+        assert result.records[0].converged
+        reactions.append(result.records[0].reaction)
+    assert abs(reactions[0] - reactions[1]) <= 1e-3
+
+
 def test_driven_atoms_must_be_fixed():
     s, model, _ = _chain_system()
     protocol = LoadingProtocol(
@@ -97,9 +127,10 @@ def test_cell_strain_protocol_records_stress():
 def test_protocol_validation():
     with pytest.raises(InputError):
         LoadingProtocol(kind="squeeze", increment=0.1, step_count=1)
-    with pytest.raises(InputError):
-        LoadingProtocol(kind="displacement", increment=0.0, step_count=1,
-                        driven=(0,))
+    for increment in (0.0, 1e-16):
+        with pytest.raises(InputError):
+            LoadingProtocol(kind="displacement", increment=increment, step_count=1,
+                            driven=(0,))
     with pytest.raises(InputError):
         LoadingProtocol(kind="displacement", increment=0.1, step_count=0,
                         driven=(0,))
