@@ -379,15 +379,13 @@ def _harmonic(structure, topo, weight=None):
     return float(e), grads
 
 
-def harmonic_energy(structure: AtomicStructure, topo: HarmonicTopology) -> float:
-    """Total harmonic energy [eV]; zero at the reference geometry."""
-    return _harmonic(structure, topo)[0]
-
-
-def harmonic_energy_and_forces(structure: AtomicStructure, topo: HarmonicTopology
-                               ) -> tuple[float, np.ndarray]:
-    """Energy [eV] and analytic forces [eV/A], shape (N, 3), in one pass,
-    gathered by a single scatter."""
+def harmonic_energy(structure: AtomicStructure, topo: HarmonicTopology,
+                    forces: bool = False) -> tuple[float, np.ndarray | None]:
+    """Harmonic energy [eV], zero at the reference geometry, and with
+    ``forces`` the analytic forces [eV/A], shape (N, 3), from the same pass
+    and one scatter; otherwise None."""
+    if not forces:
+        return _harmonic(structure, topo)[0], None
     e, grads = _harmonic(structure, topo, lambda k, dq: -k * dq)
     n = len(structure)
     if not grads:

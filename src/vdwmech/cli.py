@@ -20,14 +20,13 @@ from .errors import InputError, NumericalError, VdwmechError
 from .generators import (ChainSpec, CntSpec, PeCrystalSpec, cnt_radius,
                          make_chain_pair, make_pe_crystal, make_swcnt,
                          upper_chain_indices)
-from .mbd import MbdModelConfig, mbd_energy_and_forces
+from .mbd import MbdModelConfig
 from .md import MdConfig, run_md
 from .minimize import MinimizerConfig, minimize
-from .pairwise import PwModelConfig, pw_energy_and_forces
+from .pairwise import PwModelConfig
 from .periodic import relaxable_components
 from .quasistatic import LoadingProtocol, run_quasistatic
 from .records import emit_chain_sweep, emit_md_stats, emit_records
-from .species import states_for
 from .structure import AtomicStructure
 from .xyz import read_xyz, write_xyz
 
@@ -142,7 +141,7 @@ def _cmd_forces(args):
     cfg = _load_config(args)
     structure = _read_input(cfg)
     model = build_model(cfg, structure)
-    forces = model.forces(structure)
+    forces = model.energy_and_forces(structure)[1]
     out = cfg["io.output"]
     if out:
         with open(out, "w") as fh:
@@ -242,19 +241,18 @@ def _cmd_md(args):
 
 def _cmd_chain_sweep(args):
     cfg = _load_config(args)
-    pw_cfg = PwModelConfig(d=cfg["model.pw_d"], gamma=cfg["model.pw_gamma"],
-                           cutoff=cfg["model.pw_cutoff"])
-    mbd_cfg = MbdModelConfig(beta=cfg["model.mbd_beta"])
+    pw_model = CompositeModel(vdw="pw", pw_cfg=PwModelConfig(
+        d=cfg["model.pw_d"], gamma=cfg["model.pw_gamma"], cutoff=cfg["model.pw_cutoff"]))
+    mbd_model = CompositeModel(vdw="mbd", mbd_cfg=MbdModelConfig(beta=cfg["model.mbd_beta"]))
     rows = []
     for nc1 in cfg["sweep.nc1_values"]:
         for h in cfg["sweep.h_values"]:
             spec = ChainSpec(n_upper=int(nc1), n_lower=cfg["sweep.nc2"],
                              spacing=cfg["sweep.spacing"], gap=h)
             structure = make_chain_pair(spec)
-            states = states_for(structure)
             upper = upper_chain_indices(spec)
-            f_pw = float(pw_energy_and_forces(structure, states, pw_cfg)[1][upper, 1].sum())
-            f_mbd = float(mbd_energy_and_forces(structure, states, mbd_cfg)[1][upper, 1].sum())
+            f_pw, f_mbd = (float(m.energy_and_forces(structure)[1][upper, 1].sum())
+                           for m in (pw_model, mbd_model))
             rows.append({"h": h, "nc1": int(nc1), "f_pw": f_pw, "f_mbd": f_mbd,
                          "ratio": abs(f_mbd) / abs(f_pw)})
     out = cfg["io.output"]

@@ -9,8 +9,6 @@ at every evaluation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import bonded as _bonded
 from . import mbd as _mbd
 from . import pairwise as _pw
@@ -60,12 +58,6 @@ class CompositeModel:
             self._states_key = key
         return self._states
 
-    def _vdw_energy(self, structure, images):
-        states = self._states_for(structure)
-        if self.vdw == "pw":
-            return _pw.pw_energy(structure, states, self.pw_cfg, images)
-        return _mbd.mbd_energy(structure, states, self.mbd_cfg, images)
-
     def resolve_shells(self, structure: AtomicStructure) -> int:
         """Pick and pin the replica shell count by per-cell energy convergence."""
         if structure.cell is None or not structure.cell.periodic_axes():
@@ -78,10 +70,10 @@ class CompositeModel:
             tol, max_shells = self.mbd_cfg.shell_energy_tol, self.mbd_cfg.replica_shells
         else:
             tol, max_shells = _PW_SHELL_TOL_EV, _PW_MAX_SHELLS
-        prev = self._vdw_energy(structure, generate_images(structure.cell, 0))
+        prev = self._evaluate(structure, False, generate_images(structure.cell, 0))[0][2]
         shells = 0
         for s in range(1, max_shells + 1):
-            cur = self._vdw_energy(structure, generate_images(structure.cell, s))
+            cur = self._evaluate(structure, False, generate_images(structure.cell, s))[0][2]
             shells = s
             if abs(cur - prev) < tol:
                 break
@@ -98,37 +90,31 @@ class CompositeModel:
 
     # -- evaluation --------------------------------------------------------
 
-    def energy_components(self, structure: AtomicStructure) -> tuple[float, float, float]:
-        """(total, bonded, vdW) energies [eV]."""
-        e_bond = _bonded.harmonic_energy(structure, self.topology) \
-            if self.topology is not None else 0.0
+    def _evaluate(self, structure, forces, images=None):
+        """((total, bonded, vdW), forces or None) in eV and eV/A.
+
+        ``images`` defaults to the model's pinned shells (images_for).
+        """
+        e_bond, f = 0.0, None
+        if self.topology is not None:
+            e_bond, f = _bonded.harmonic_energy(structure, self.topology, forces)
         e_vdw = 0.0
         if self.vdw != "none":
-            e_vdw = self._vdw_energy(structure, self.images_for(structure))
-        return e_bond + e_vdw, e_bond, e_vdw
+            kernel, cfg = ((_pw.pw_energy, self.pw_cfg) if self.vdw == "pw"
+                           else (_mbd.mbd_energy, self.mbd_cfg))
+            if images is None:
+                images = self.images_for(structure)
+            e_vdw, f_vdw = kernel(structure, self._states_for(structure), cfg, images, forces)
+            f = f_vdw if f is None else f + f_vdw
+        return (e_bond + e_vdw, e_bond, e_vdw), f
+
+    def energy_components(self, structure: AtomicStructure) -> tuple[float, float, float]:
+        """(total, bonded, vdW) energies [eV]."""
+        return self._evaluate(structure, False)[0]
 
     def energy(self, structure: AtomicStructure) -> float:
-        return self.energy_components(structure)[0]
-
-    def forces(self, structure: AtomicStructure) -> np.ndarray:
-        return self.energy_and_forces(structure)[1]
+        return self._evaluate(structure, False)[0][0]
 
     def energy_and_forces(self, structure: AtomicStructure):
         """((total, bonded, vdW), forces) in eV and eV/A."""
-        n = len(structure)
-        e_bond = 0.0
-        f = np.zeros((n, 3))
-        if self.topology is not None:
-            e_bond, f_bond = _bonded.harmonic_energy_and_forces(structure, self.topology)
-            f += f_bond
-        e_vdw = 0.0
-        if self.vdw != "none":
-            states = self._states_for(structure)
-            images = self.images_for(structure)
-            if self.vdw == "pw":
-                e_vdw, f_vdw = _pw.pw_energy_and_forces(structure, states, self.pw_cfg, images)
-            else:
-                e_vdw, f_vdw = _mbd.mbd_energy_and_forces(
-                    structure, states, self.mbd_cfg, images)
-            f += f_vdw
-        return (e_bond + e_vdw, e_bond, e_vdw), f
+        return self._evaluate(structure, True)

@@ -234,17 +234,25 @@ def _assemble(structure, images, omega, coupling, inv_s):
 
 
 def mbd_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
-               cfg: MbdModelConfig, images: ImageSet | None = None) -> float:
-    """Many-body dispersion energy [eV]."""
-    if len(structure) == 0:
-        return 0.0
-    if len(structure) == 1 and images is None:
-        return 0.0
-    lam = sym_eigen(assemble_mbd_matrix(structure, states, cfg, images), vectors=False)
-    _check_spectrum(lam)
-    omega = np.array([s.omega for s in states])
+               cfg: MbdModelConfig, images: ImageSet | None = None,
+               forces: bool = False) -> tuple[float, np.ndarray | None]:
+    """Many-body dispersion energy [eV] and, with ``forces``, the analytic
+    trace-formula forces [eV/A], shape (N, 3), otherwise None.
+
+    Both come from one eigendecomposition; without ``forces`` it computes
+    eigenvalues only.  Forces need a strictly positive spectrum, the energy
+    only a non-negative one.
+    """
+    n = len(structure)
+    if n == 0 or (n == 1 and images is None):
+        return 0.0, np.zeros((n, 3)) if forces else None
+    omega, coupling, inv_s = _pair_params(structure, states, cfg)
+    eig = sym_eigen(_assemble(structure, images, omega, coupling, inv_s), vectors=forces)
+    lam, vecs = eig if forces else (eig, None)
+    _check_spectrum(lam, need_positive=forces)
     e_ha = 0.5 * np.sum(np.sqrt(np.clip(lam, 0.0, None))) - 1.5 * np.sum(omega)
-    return float(e_ha) * HARTREE_EV
+    f = _trace_forces(structure, images, lam, vecs, coupling, inv_s) if forces else None
+    return float(e_ha) * HARTREE_EV, f
 
 
 def _check_spectrum(lam, need_positive=False):
@@ -254,27 +262,6 @@ def _check_spectrum(lam, need_positive=False):
         raise InstabilityError(
             f"coupled-oscillator mode {k} has eigenvalue {lam[k]:.3e} Ha^2; "
             "geometry is outside the model's validity", mode_index=k)
-
-
-def mbd_energy_and_forces(structure: AtomicStructure, states: list[PerAtomVdwState],
-                          cfg: MbdModelConfig, images: ImageSet | None = None
-                          ) -> tuple[float, np.ndarray]:
-    """Energy [eV] and forces [eV/A] from a single eigendecomposition."""
-    n = len(structure)
-    if n == 0 or (n == 1 and images is None):
-        return 0.0, np.zeros((n, 3))
-    omega, coupling, inv_s = _pair_params(structure, states, cfg)
-    lam, vecs = sym_eigen(_assemble(structure, images, omega, coupling, inv_s))
-    _check_spectrum(lam, need_positive=True)
-    e_ha = 0.5 * np.sum(np.sqrt(lam)) - 1.5 * np.sum(omega)
-    forces = _trace_forces(structure, images, lam, vecs, coupling, inv_s)
-    return float(e_ha) * HARTREE_EV, forces
-
-
-def mbd_forces(structure: AtomicStructure, states: list[PerAtomVdwState],
-               cfg: MbdModelConfig, images: ImageSet | None = None) -> np.ndarray:
-    """Analytic MBD forces via the trace formula [eV/A], shape (N, 3)."""
-    return mbd_energy_and_forces(structure, states, cfg, images)[1]
 
 
 def _coupled_inverse_sqrt(lam, vecs, coupling):

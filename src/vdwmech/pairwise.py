@@ -65,10 +65,16 @@ def combine_c6(state_i: PerAtomVdwState, state_j: PerAtomVdwState) -> float:
     return 2.0 * ci * cj / ((aj / ai) * ci + (ai / aj) * cj)
 
 
-def _pw(structure, states, cfg, images, forces):
-    """Energy [eV] and, when ``forces``, forces [eV/A] from one pass over
-    the home image and one image of each +-t pair, with (N, N) arrays per
-    image; pairs beyond the cutoff get zero weight."""
+def pw_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
+              cfg: PwModelConfig, images: ImageSet | None = None,
+              forces: bool = False) -> tuple[float, np.ndarray | None]:
+    """Pairwise dispersion energy [eV] and, with ``forces``, the analytic
+    forces -dE/dR [eV/A], shape (N, 3), otherwise None.
+
+    One pass over the home image and one image of each +-t pair, with
+    (N, N) arrays per image; images extend the sum periodically, and pairs
+    beyond the cutoff get zero weight.
+    """
     n = len(structure)
     if n != len(states):
         raise InputError("one vdW state per atom required")
@@ -100,16 +106,3 @@ def _pw(structure, states, cfg, images, forces):
                 f_ha += wd.sum(axis=1)
     return (float(e_ha) * HARTREE_EV,
             f_ha.T * (HARTREE_EV / BOHR_ANGSTROM) if forces else None)
-
-
-def pw_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
-              cfg: PwModelConfig, images: ImageSet | None = None) -> float:
-    """Pairwise dispersion energy [eV]; images extend the sum periodically."""
-    return _pw(structure, states, cfg, images, forces=False)[0]
-
-
-def pw_energy_and_forces(structure: AtomicStructure, states: list[PerAtomVdwState],
-                         cfg: PwModelConfig, images: ImageSet | None = None
-                         ) -> tuple[float, np.ndarray]:
-    """Energy [eV] and analytic forces -dE/dR [eV/A], shape (N, 3), in one pass."""
-    return _pw(structure, states, cfg, images, forces=True)

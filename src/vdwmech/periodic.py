@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -113,41 +113,28 @@ class StressTensor:
 def apply_deformation(structure: AtomicStructure, gradient: np.ndarray) -> AtomicStructure:
     """Apply a homogeneous deformation gradient F to cell and positions."""
     F = np.asarray(gradient, dtype=float)
-    pos = structure.positions @ F.T
     cell = structure.cell
     if cell is not None:
         cell = CellTensor(cell.matrix @ F.T, cell.periodic)
-    return structure.with_positions(pos).with_cell(cell)
+    return replace(structure, positions=structure.positions @ F.T, cell=cell)
 
 
 def apply_cell_strain(structure: AtomicStructure, component: tuple[int, int],
-                      delta: float | None = None, fraction: float | None = None,
-                      mode: str = "fixed-others") -> AtomicStructure:
-    """Change one cell component, remapping atoms affinely.
-
-    ``delta`` is an absolute change [A]; ``fraction`` a relative one.
-    Fractional atomic coordinates are preserved.  ``mode`` is recorded by
-    the loading drivers; it does not alter the returned structure.
-    """
+                      delta: float) -> AtomicStructure:
+    """Change one cell component by ``delta`` [A], remapping atoms affinely
+    so that their fractional coordinates are preserved."""
     if structure.cell is None:
         raise InputError("structure has no cell to strain")
-    if mode not in ("fixed-others", "relaxed-others"):
-        raise InputError(f"unknown strain mode {mode!r}")
     a, b = component
     if not structure.cell.periodic[a]:
         raise InputError(f"cell direction {a} is not periodic")
     old = structure.cell.matrix
     new = old.copy()
-    if (delta is None) == (fraction is None):
-        raise InputError("specify exactly one of delta or fraction")
-    if fraction is not None:
-        delta = fraction * old[a, b]
-    new[a, b] = old[a, b] + delta
-    frac = structure.positions @ np.linalg.inv(old)
-    newcell = CellTensor(new, structure.cell.periodic)
-    if all(newcell.periodic) and np.linalg.det(new) <= 0:
+    new[a, b] += delta
+    if all(structure.cell.periodic) and np.linalg.det(new) <= 0:
         raise GeometryError("strain produced a non-positive cell determinant")
-    return structure.with_positions(frac @ new).with_cell(newcell)
+    # the deformation gradient F with new = old F^T
+    return apply_deformation(structure, np.linalg.solve(old, new).T)
 
 
 def relaxable_components(cell: CellTensor, driven: tuple[int, int] | None,

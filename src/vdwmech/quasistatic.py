@@ -136,8 +136,7 @@ def run_quasistatic(structure: AtomicStructure, model,
             if protocol.kind == "displacement":
                 trial = _apply_displacement(cur, protocol, sub)
             else:
-                trial = apply_cell_strain(cur, protocol.component, delta=sub,
-                                          mode=protocol.cell_mode)
+                trial = apply_cell_strain(cur, protocol.component, sub)
             res = minimize(trial, model, protocol.minimizer, relax_cell=relax_cell)
             if res.converged:
                 cur = res.structure

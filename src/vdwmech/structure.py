@@ -43,11 +43,10 @@ class CellTensor:
             raise InputError(f"cell matrix must be 3x3, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))
-        rows = m[list(self.periodic_axes())]
-        if len(rows):
-            gram = rows @ rows.T
-            if np.linalg.det(gram) <= 0.0:
-                raise InputError("periodic cell vectors are linearly dependent")
+        # every full-matrix inverse (minimum image, strain) needs all three
+        # rows independent, the non-periodic ones included
+        if not abs(np.linalg.det(m)) > 1e-12 * np.prod(np.linalg.norm(m, axis=1)):
+            raise InputError("cell vectors are linearly dependent (singular cell matrix)")
 
     def periodic_axes(self) -> list[int]:
         return [i for i, p in enumerate(self.periodic) if p]
@@ -56,11 +55,6 @@ class CellTensor:
     def volume(self) -> float:
         """Determinant of the full matrix; only meaningful for 3-D periodic cells."""
         return abs(float(np.linalg.det(self.matrix)))
-
-    def with_component(self, component: tuple[int, int], value: float) -> "CellTensor":
-        m = self.matrix.copy()
-        m[component] = value
-        return CellTensor(m, self.periodic)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,6 @@ touch (bonded terms, forces, MD) is in eV / Angstrom / fs / amu.
 Conversions happen only at module boundaries.
 """
 
-from dataclasses import dataclass
-
 HARTREE_EV = 27.211386       # 1 Ha in eV       (CODATA)
 BOHR_ANGSTROM = 0.529177     # 1 Bohr in A      (CODATA)
 
@@ -19,29 +17,3 @@ KB_EV = 8.617333262e-5
 # 1 eV/A^3 in GPa
 EV_A3_GPA = 160.2176634
 
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Fixed conversion constants between atomic units and eV/A."""
-
-    hartree_ev: float = HARTREE_EV
-    bohr_angstrom: float = BOHR_ANGSTROM
-
-    def ha_to_ev(self, x):
-        return x * self.hartree_ev
-
-    def ev_to_ha(self, x):
-        return x / self.hartree_ev
-
-    def bohr_to_ang(self, x):
-        return x * self.bohr_angstrom
-
-    def ang_to_bohr(self, x):
-        return x / self.bohr_angstrom
-
-    def ha_bohr_to_ev_ang(self, x):
-        """Force conversion Ha/Bohr -> eV/A."""
-        return x * (self.hartree_ev / self.bohr_angstrom)
-
-
-UNITS = UnitSystem()

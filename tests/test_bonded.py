@@ -4,8 +4,7 @@ import pytest
 from conftest import fd_forces, fd_hessian
 from vdwmech.bonded import (HarmonicTopology, bond_angle, detect_topology,
                             dihedral_angle, dump_topology, harmonic_energy,
-                            harmonic_energy_and_forces, harmonic_hessian,
-                            load_topology)
+                            harmonic_hessian, load_topology)
 from vdwmech.errors import (DegenerateGeometryError, InputError, TopologyError)
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                                 make_pe_crystal, make_swcnt)
@@ -40,8 +39,8 @@ def test_detect_single_atom():
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     topo = detect_topology(s)
     assert topo.n_terms == (0, 0, 0)
-    assert harmonic_energy(s, topo) == 0.0
-    assert np.all(harmonic_energy_and_forces(s, topo)[1] == 0.0)
+    assert harmonic_energy(s, topo)[0] == 0.0
+    assert np.all(harmonic_energy(s, topo, forces=True)[1] == 0.0)
 
 
 def test_detect_swcnt_bond_count():
@@ -67,8 +66,8 @@ def test_reference_geometry_is_minimum():
     s = _pe_fragment()
     topo = detect_topology(s)
     assert topo.n_terms[2] > 0
-    assert harmonic_energy(s, topo) == pytest.approx(0.0, abs=1e-20)
-    assert np.abs(harmonic_energy_and_forces(s, topo)[1]).max() < 1e-10
+    assert harmonic_energy(s, topo)[0] == pytest.approx(0.0, abs=1e-20)
+    assert np.abs(harmonic_energy(s, topo, forces=True)[1]).max() < 1e-10
 
 
 def test_bond_energy_hand_value():
@@ -76,7 +75,7 @@ def test_bond_energy_hand_value():
     topo = detect_topology(s)
     stretched = s.with_positions([[0, 0, 0], [1.6, 0, 0]])
     # 1/2 * 35.0505 * 0.1^2
-    assert harmonic_energy(stretched, topo) == pytest.approx(0.17525, rel=1e-4)
+    assert harmonic_energy(stretched, topo)[0] == pytest.approx(0.17525, rel=1e-4)
 
 
 def test_angle_energy_hand_value():
@@ -88,14 +87,14 @@ def test_angle_energy_hand_value():
     bent = s.with_positions(
         [[np.cos(theta1), np.sin(theta1), 0], [0, 0, 0], [1.0, 0, 0]])
     # 1/2 * 6.6069 * 0.1^2
-    assert harmonic_energy(bent, topo) == pytest.approx(0.033035, rel=1e-4)
+    assert harmonic_energy(bent, topo)[0] == pytest.approx(0.033035, rel=1e-4)
 
 
 def test_stretched_diatomic_forces():
     s = AtomicStructure(positions=[[0, 0, 0], [1.5, 0, 0]], species=["C", "C"])
     topo = detect_topology(s)
     stretched = s.with_positions([[0, 0, 0], [1.6, 0, 0]])
-    f = harmonic_energy_and_forces(stretched, topo)[1]
+    f = harmonic_energy(stretched, topo, forces=True)[1]
     assert f[1, 0] == pytest.approx(-35.0505 * 0.1, rel=1e-10)
     assert f[0, 0] == pytest.approx(+35.0505 * 0.1, rel=1e-10)
 
@@ -103,8 +102,8 @@ def test_stretched_diatomic_forces():
 def test_forces_match_finite_differences():
     s = _pe_fragment(perturb=0.08)
     topo = detect_topology(_pe_fragment())
-    f = harmonic_energy_and_forces(s, topo)[1]
-    ref = fd_forces(lambda x: harmonic_energy(x, topo), s, h=1e-5)
+    f = harmonic_energy(s, topo, forces=True)[1]
+    ref = fd_forces(lambda x: harmonic_energy(x, topo)[0], s, h=1e-5)
     assert np.abs(f - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max())
 
 
@@ -114,8 +113,8 @@ def test_forces_match_fd_near_straight_angles():
     topo = detect_topology(s)
     rng = np.random.default_rng(7)
     bent = s.with_positions(s.positions + 0.05 * rng.standard_normal((5, 3)))
-    f = harmonic_energy_and_forces(bent, topo)[1]
-    ref = fd_forces(lambda x: harmonic_energy(x, topo), bent, h=1e-5)
+    f = harmonic_energy(bent, topo, forces=True)[1]
+    ref = fd_forces(lambda x: harmonic_energy(x, topo)[0], bent, h=1e-5)
     assert np.abs(f - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())
 
 
@@ -130,7 +129,7 @@ def test_energy_nonnegative_and_quadratic():
     delta = rng.standard_normal(s.positions.shape) * 0.05
     scales = np.linspace(-1.0, 1.0, 9)
     es = np.array([harmonic_energy(s.with_positions(s.positions + a * delta),
-                                   bonds_only) for a in scales])
+                                   bonds_only)[0] for a in scales])
     assert np.all(es >= 0)
     # not exactly quadratic in cartesian displacements (r is nonlinear),
     # but a quadratic fit must dominate for small steps
@@ -145,7 +144,7 @@ def test_stretch_direction_scaling_exactly_quadratic():
     topo = detect_topology(s)
     scales = np.linspace(-0.2, 0.2, 11)
     es = np.array([
-        harmonic_energy(s.with_positions([[0, 0, 0], [1.5 + a, 0, 0]]), topo)
+        harmonic_energy(s.with_positions([[0, 0, 0], [1.5 + a, 0, 0]]), topo)[0]
         for a in scales])
     coeffs = np.polyfit(scales, es, 2)
     resid = es - np.polyval(coeffs, scales)
@@ -155,8 +154,8 @@ def test_stretch_direction_scaling_exactly_quadratic():
 def test_dihedral_toggle():
     s = _pe_fragment(perturb=0.05, seed=9)
     topo = detect_topology(_pe_fragment())
-    e_with = harmonic_energy(s, topo)
-    e_without = harmonic_energy(s, topo.without_dihedrals())
+    e_with = harmonic_energy(s, topo)[0]
+    e_without = harmonic_energy(s, topo.without_dihedrals())[0]
     phi = np.array([dihedral_angle(s, *d) for d in topo.dihedrals])
     dphi = np.pi - np.mod(np.pi - (phi - topo.dihedral_phi0), 2 * np.pi)
     assert e_with - e_without == pytest.approx(
@@ -176,7 +175,7 @@ def test_dihedral_wrap():
     d = phi - 3.0
     wrapped = np.pi - np.mod(np.pi - d, 2 * np.pi)
     assert abs(wrapped) < np.pi
-    e = harmonic_energy(s, topo)
+    e = harmonic_energy(s, topo)[0]
     assert e == pytest.approx(0.5 * topo.k_phi * wrapped**2, rel=1e-12)
     assert_angle(e, e)
 
@@ -191,7 +190,7 @@ def test_degenerate_dihedral_raises():
         angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
         dihedrals=np.array([[0, 1, 2, 3]]), dihedral_phi0=np.array([0.5]))
     with pytest.raises(DegenerateGeometryError):
-        harmonic_energy_and_forces(s, topo)
+        harmonic_energy(s, topo, forces=True)
 
 
 def test_detect_skips_undefined_dihedrals():
@@ -203,7 +202,7 @@ def test_detect_skips_undefined_dihedrals():
 def test_net_force_and_torque_vanish():
     s = _pe_fragment(perturb=0.05, seed=21)
     topo = detect_topology(_pe_fragment())
-    f = harmonic_energy_and_forces(s, topo)[1]
+    f = harmonic_energy(s, topo, forces=True)[1]
     assert np.abs(f.sum(axis=0)).max() < 1e-9
     torque = np.cross(s.positions, f).sum(axis=0)
     assert np.abs(torque).max() < 1e-9
@@ -238,7 +237,7 @@ def test_dump_load_round_trip(tmp_path):
     assert np.array_equal(back.dihedrals, topo.dihedrals)
     assert np.allclose(back.dihedral_phi0, topo.dihedral_phi0, atol=0)
     assert back.k_r == topo.k_r and back.include_dihedrals == topo.include_dihedrals
-    assert harmonic_energy(s, back) == harmonic_energy(s, topo)
+    assert harmonic_energy(s, back)[0] == harmonic_energy(s, topo)[0]
 
 
 def test_periodic_image_bonds():
@@ -251,7 +250,7 @@ def test_periodic_image_bonds():
     assert len(topo.bonds) == 2
     assert topo.bond_r0 == pytest.approx([1.5, 1.5])
     moved = s.with_positions([[0.05, 0, 0], [1.6, 0, 0]])
-    assert harmonic_energy(moved, topo) > 0
+    assert harmonic_energy(moved, topo)[0] > 0
 
 
 def test_single_atom_periodic_chain_strain_response():
@@ -263,11 +262,11 @@ def test_single_atom_periodic_chain_strain_response():
     s = AtomicStructure(positions=[[0.0, 0, 0]], species=["C"], cell=cell)
     topo = detect_topology(s)
     assert len(topo.bonds) == 1  # the +x self-image bond, counted once
-    assert harmonic_energy(s, topo) == pytest.approx(0.0, abs=1e-18)
+    assert harmonic_energy(s, topo)[0] == pytest.approx(0.0, abs=1e-18)
     stretched = apply_cell_strain(s, (0, 0), delta=0.1)
-    assert harmonic_energy(stretched, topo) == pytest.approx(
+    assert harmonic_energy(stretched, topo)[0] == pytest.approx(
         0.5 * topo.k_r * 0.1**2, rel=1e-10)
-    assert np.abs(harmonic_energy_and_forces(stretched, topo)[1]).max() < 1e-12
+    assert np.abs(harmonic_energy(stretched, topo, forces=True)[1]).max() < 1e-12
 
 
 def _perturbed(s, scale, seed):
@@ -280,8 +279,8 @@ def test_periodic_offset_forces_match_fd():
     topo = detect_topology(s)
     assert topo.bond_offsets.any() and topo.angle_offsets.any() and topo.dihedral_offsets.any()
     moved = _perturbed(s, 0.05, 5)
-    f = harmonic_energy_and_forces(moved, topo)[1]
-    ref = fd_forces(lambda x: harmonic_energy(x, topo), moved, h=1e-5)
+    f = harmonic_energy(moved, topo, forces=True)[1]
+    ref = fd_forces(lambda x: harmonic_energy(x, topo)[0], moved, h=1e-5)
     assert np.abs(f - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max())
 
 
@@ -290,8 +289,8 @@ def test_torsion_forces_match_fd():
     topo = detect_topology(s)
     assert len(topo.dihedrals) > 0
     moved = _perturbed(s, 0.05, 6)
-    f = harmonic_energy_and_forces(moved, topo)[1]
-    ref = fd_forces(lambda x: harmonic_energy(x, topo), moved, h=1e-5)
+    f = harmonic_energy(moved, topo, forces=True)[1]
+    ref = fd_forces(lambda x: harmonic_energy(x, topo)[0], moved, h=1e-5)
     assert np.abs(f - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max())
 
 
@@ -299,7 +298,7 @@ def test_energy_only_equals_energy_and_forces():
     for s in (_pe_fragment(), make_pe_crystal(PeCrystalSpec(1, 1, 1))):
         topo = detect_topology(s)
         moved = _perturbed(s, 0.05, 8)
-        assert harmonic_energy(moved, topo) == harmonic_energy_and_forces(moved, topo)[0]
+        assert harmonic_energy(moved, topo)[0] == harmonic_energy(moved, topo, forces=True)[0]
 
 
 def test_reference_values_come_from_the_evaluation_geometry():
@@ -307,7 +306,7 @@ def test_reference_values_come_from_the_evaluation_geometry():
     # geometry has zero energy to the last bit, periodic offsets included
     for s in (_pe_fragment(), make_pe_crystal(PeCrystalSpec(1, 1, 1))):
         topo = detect_topology(s)
-        e, f = harmonic_energy_and_forces(s, topo)
+        e, f = harmonic_energy(s, topo, forces=True)
         assert e == 0.0
         assert np.abs(f).max() < 1e-10
 
@@ -325,7 +324,7 @@ def test_hessian_matches_fd_at_reference(case):
     s = _HESSIAN_CASES[case]()
     topo = detect_topology(s)
     h = harmonic_hessian(s, topo)
-    ref = fd_hessian(lambda x: harmonic_energy_and_forces(x, topo)[1], s)
+    ref = fd_hessian(lambda x: harmonic_energy(x, topo, forces=True)[1], s)
     np.testing.assert_allclose(h, ref, rtol=1e-6, atol=1e-6 * np.abs(ref).max())
 
 

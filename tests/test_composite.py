@@ -24,6 +24,26 @@ def test_total_is_sum_of_components():
         assert f.shape == (len(s), 3)
 
 
+def test_energy_only_mbd_skips_eigenvectors(monkeypatch):
+    from vdwmech import mbd
+
+    spec = ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True)
+    s = make_chain_pair(spec)
+    model = CompositeModel(topology=detect_topology(s), vdw="mbd")
+    asked = []
+    solve = mbd.sym_eigen
+
+    def recording(a, vectors=True):
+        asked.append(vectors)
+        return solve(a, vectors)
+
+    monkeypatch.setattr(mbd, "sym_eigen", recording)
+    model.energy(s)
+    assert asked == [False]
+    model.energy_and_forces(s)
+    assert asked == [False, True]
+
+
 def test_requires_some_component():
     with pytest.raises(InputError):
         CompositeModel(topology=None, vdw="none")
@@ -49,8 +69,8 @@ def test_shell_resolution_periodic():
     from vdwmech.mbd import mbd_energy
     from vdwmech.species import states_for
     st = states_for(s)
-    e1 = mbd_energy(s, st, model.mbd_cfg, generate_images(s.cell, shells))
-    e2 = mbd_energy(s, st, model.mbd_cfg, generate_images(s.cell, shells + 1))
+    e1 = mbd_energy(s, st, model.mbd_cfg, generate_images(s.cell, shells))[0]
+    e2 = mbd_energy(s, st, model.mbd_cfg, generate_images(s.cell, shells + 1))[0]
     assert abs(e2 - e1) < 1e-4 or shells == 4
 
 

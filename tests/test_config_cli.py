@@ -4,7 +4,8 @@ import pytest
 from vdwmech.cli import cli
 from vdwmech.config import RunConfig
 from vdwmech.errors import InputError
-from vdwmech.generators import ChainSpec, make_chain_pair
+from vdwmech.composite import CompositeModel
+from vdwmech.generators import ChainSpec, make_chain_pair, upper_chain_indices
 from vdwmech.xyz import read_xyz, write_xyz
 
 
@@ -100,6 +101,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli(["energy"]) == 1
     err = capsys.readouterr().err
     assert "error: kind=" in err
+    # a singular cell is a validation error, not a crash in a later inverse
+    xyz = tmp_path / "singular.xyz"
+    xyz.write_text('2\nLattice="0 0 0 0 0 0 0 0 10" pbc="F F T"\nC 0 0 0\nC 0 0 1.5\n')
+    assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw"]) == 1
+    assert "singular" in capsys.readouterr().err
 
 
 def test_cli_manifest_reproduces_run(tmp_path, capsys):
@@ -116,7 +122,17 @@ def test_cli_manifest_reproduces_run(tmp_path, capsys):
     assert manifest["io.input"] == str(xyz)
 
 
-def test_cli_chain_sweep_small(tmp_path, capsys):
+def test_cli_chain_sweep_small(tmp_path, capsys, monkeypatch):
+    import vdwmech.cli as cli_mod
+
+    emitted = []
+    emit = cli_mod.emit_chain_sweep
+
+    def recording(rows, path):
+        emitted.extend(rows)
+        emit(rows, path)
+
+    monkeypatch.setattr(cli_mod, "emit_chain_sweep", recording)
     out = tmp_path / "sweep.csv"
     rc = cli(["chain-sweep", "--output", str(out),
               "--set", "sweep.h_values=8 10",
@@ -129,6 +145,15 @@ def test_cli_chain_sweep_small(tmp_path, capsys):
     h, nc1, f_pw, f_mbd, ratio = lines[1].split(",")
     assert int(nc1) == 4
     assert float(ratio) == pytest.approx(abs(float(f_mbd)) / abs(float(f_pw)))
+    # each row is the upper-chain y force of the composite vdW-only models
+    assert [r["h"] for r in emitted] == [8.0, 10.0]
+    for row in emitted:
+        spec = ChainSpec(n_upper=4, n_lower=6, spacing=1.2, gap=row["h"])
+        s = make_chain_pair(spec)
+        for vdw in ("pw", "mbd"):
+            f = CompositeModel(vdw=vdw).energy_and_forces(s)[1]
+            ref = f[upper_chain_indices(spec), 1].sum()
+            assert row[f"f_{vdw}"] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_cli_md_runs(tmp_path, capsys):

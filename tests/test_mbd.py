@@ -6,8 +6,7 @@ from conftest import (brute_force_mbd_matrix, fd_forces, jacobi_eigenvalues,
 from vdwmech import mbd
 from vdwmech.errors import (GeometryError, InputError, InstabilityError)
 from vdwmech.mbd import (MbdModelConfig, assemble_mbd_matrix, dipole_tensor,
-                         mbd_energy, mbd_energy_and_forces, mbd_forces,
-                         sym_eigen)
+                         mbd_energy, sym_eigen)
 from vdwmech.generators import PeCrystalSpec, make_pe_crystal
 from vdwmech.periodic import ImageSet, generate_images
 from vdwmech.species import states_for
@@ -229,10 +228,10 @@ def test_eigenvalues_match_jacobi_oracle(rng):
 
 def test_energy_trivial_cases():
     s0 = AtomicStructure(positions=np.zeros((0, 3)), species=[])
-    assert mbd_energy(s0, [], CFG) == 0.0
+    assert mbd_energy(s0, [], CFG)[0] == 0.0
     s1 = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
-    assert mbd_energy(s1, states_for(s1), CFG) == 0.0
-    assert np.all(mbd_forces(s1, states_for(s1), CFG) == 0.0)
+    assert mbd_energy(s1, states_for(s1), CFG)[0] == 0.0
+    assert np.all(mbd_energy(s1, states_for(s1), CFG, forces=True)[1] == 0.0)
 
 
 def test_two_body_asymptotic_slope():
@@ -240,7 +239,7 @@ def test_two_body_asymptotic_slope():
     es = []
     for r in rs:
         s, st = _pair(r)
-        es.append(abs(mbd_energy(s, st, CFG)))
+        es.append(abs(mbd_energy(s, st, CFG)[0]))
     slope = np.polyfit(np.log(rs), np.log(es), 1)[0]
     assert slope == pytest.approx(-6.0, abs=0.05)
 
@@ -248,20 +247,20 @@ def test_two_body_asymptotic_slope():
 def test_two_body_closed_form_oracle():
     for r in (3.0, 4.5, 7.0, 12.0, 25.0, 50.0):
         s, st = _pair(r)
-        e = mbd_energy(s, st, CFG)
+        e = mbd_energy(s, st, CFG)[0]
         ref = two_oscillator_energy(st, r, CFG.beta)
         assert e == pytest.approx(ref, rel=1e-10)
     # heteronuclear too
     for r in (3.5, 8.0):
         s, st = _pair(r, species=("C", "H"))
-        e = mbd_energy(s, st, CFG)
+        e = mbd_energy(s, st, CFG)[0]
         ref = two_oscillator_energy(st, r, CFG.beta)
         assert e == pytest.approx(ref, rel=1e-10)
 
 
 def test_energy_negative_when_separated():
     s, st = _pair(6.0)
-    assert mbd_energy(s, st, CFG) < 0.0
+    assert mbd_energy(s, st, CFG)[0] < 0.0
 
 
 def test_instability_error_names_mode():
@@ -279,28 +278,30 @@ def test_instability_error_names_mode():
 def test_forces_match_finite_differences(rng):
     s = random_cluster(rng, 8)
     st = states_for(s)
-    f = mbd_forces(s, st, CFG)
-    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG), s)
+    f = mbd_energy(s, st, CFG, forces=True)[1]
+    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG)[0], s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 def test_energy_and_forces_consistent(rng):
     s = random_cluster(rng, 5)
     st = states_for(s)
-    e, f = mbd_energy_and_forces(s, st, CFG)
-    assert e == pytest.approx(mbd_energy(s, st, CFG), rel=1e-14)
-    assert np.abs(f - mbd_forces(s, st, CFG)).max() < 1e-14
+    e, f = mbd_energy(s, st, CFG, forces=True)
+    e_only, none = mbd_energy(s, st, CFG)
+    assert e == pytest.approx(e_only, rel=1e-14)
+    assert none is None
+    assert np.abs(f - mbd_energy(s, st, CFG, forces=True)[1]).max() < 1e-14
 
 
 def test_energy_only_equals_energy_and_forces(rng):
     for s, img in list(_matrix_cases(rng))[:3]:
         st = states_for(s)
-        assert mbd_energy(s, st, CFG, img) == mbd_energy_and_forces(s, st, CFG, img)[0]
+        assert mbd_energy(s, st, CFG, img)[0] == mbd_energy(s, st, CFG, img, forces=True)[0]
 
 
 def test_two_atom_forces_collinear():
     s, st = _pair(5.0)
-    f = mbd_forces(s, st, CFG)
+    f = mbd_energy(s, st, CFG, forces=True)[1]
     assert f[0] == pytest.approx(-f[1])
     assert abs(f[0, 1]) < 1e-14 and abs(f[0, 2]) < 1e-14
     assert f[0, 0] > 0  # attraction
@@ -309,18 +310,18 @@ def test_two_atom_forces_collinear():
 def test_net_force_zero(rng):
     s = random_cluster(rng, 7)
     st = states_for(s)
-    f = mbd_forces(s, st, CFG)
+    f = mbd_energy(s, st, CFG, forces=True)[1]
     assert np.abs(f.sum(axis=0)).max() < 1e-9
 
 
 def test_invariance_under_rigid_motion(rng):
     s = random_cluster(rng, 6)
-    e0 = mbd_energy(s, states_for(s), CFG)
+    e0 = mbd_energy(s, states_for(s), CFG)[0]
     t = s.translated([-4.0, 2.5, 7.0])
-    assert mbd_energy(t, states_for(t), CFG) == pytest.approx(e0, abs=1e-10)
+    assert mbd_energy(t, states_for(t), CFG)[0] == pytest.approx(e0, abs=1e-10)
     q = random_rotation(rng)
     r = s.with_positions(s.positions @ q.T)
-    assert mbd_energy(r, states_for(r), CFG) == pytest.approx(e0, abs=1e-10)
+    assert mbd_energy(r, states_for(r), CFG)[0] == pytest.approx(e0, abs=1e-10)
 
 
 def test_three_body_non_additivity():
@@ -328,11 +329,11 @@ def test_three_body_non_additivity():
     s3 = AtomicStructure(positions=[[0, 0, 0], [d, 0, 0], [2 * d, 0, 0]],
                          species=["C"] * 3)
     st3 = states_for(s3)
-    e3 = mbd_energy(s3, st3, CFG)
+    e3 = mbd_energy(s3, st3, CFG)[0]
     pair_sum = 0.0
     for a, b in ((0, d), (0, 2 * d), (d, 2 * d)):
         sp = AtomicStructure(positions=[[a, 0, 0], [b, 0, 0]], species=["C", "C"])
-        pair_sum += mbd_energy(sp, states_for(sp), CFG)
+        pair_sum += mbd_energy(sp, states_for(sp), CFG)[0]
     assert abs(e3 - pair_sum) / abs(e3) > 1e-6
 
 
@@ -342,7 +343,7 @@ def test_periodic_shell_convergence():
     cell = CellTensor(np.diag([8.0, 30.0, 30.0]))
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"], cell=cell)
     st = states_for(s)
-    es = [mbd_energy(s, st, CFG, generate_images(cell, k)) for k in range(7)]
+    es = [mbd_energy(s, st, CFG, generate_images(cell, k))[0] for k in range(7)]
     diffs = [abs(b - a) for a, b in zip(es, es[1:])]
     assert es[1] != es[0]          # images contribute
     assert diffs[-1] < 1e-5        # converged within the shell budget
@@ -365,8 +366,8 @@ def test_periodic_forces_match_fd(rng):
     s = AtomicStructure(positions=pts, species=["C", "H", "C"], cell=cell)
     st = states_for(s)
     img = generate_images(cell, 1)
-    f = mbd_forces(s, st, CFG, img)
-    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, img), s)
+    f = mbd_energy(s, st, CFG, img, forces=True)[1]
+    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, img)[0], s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
@@ -374,8 +375,8 @@ def test_triclinic_periodic_forces_match_fd():
     s = AtomicStructure(positions=TRICLINIC_PTS, species=["C", "H", "C"], cell=TRICLINIC)
     st = states_for(s)
     img = generate_images(TRICLINIC, 2)
-    f = mbd_forces(s, st, CFG, img)
-    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, img), s)
+    f = mbd_energy(s, st, CFG, img, forces=True)[1]
+    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, img)[0], s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
@@ -388,7 +389,7 @@ def test_periodic_energy_and_forces_memory_bounded():
     img = generate_images(s.cell, 2)
     tracemalloc.start()
     try:
-        mbd_energy_and_forces(s, st, CFG, img)
+        mbd_energy(s, st, CFG, img, forces=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -69,7 +69,7 @@ def test_capped_chain_pair_harmonic_mbd_relaxes():
                                              max_iterations=4000))
     assert res.converged
     assert res.evaluations <= 30
-    f = model.forces(res.structure)
+    f = model.energy_and_forces(res.structure)[1]
     f = np.where(res.structure.free_mask(), f, 0.0)
     assert np.abs(f).max() < 1e-3
 

@@ -4,8 +4,7 @@ import pytest
 from conftest import (brute_force_pw, brute_force_pw_energy, fd_forces, random_cluster,
                       random_rotation)
 from vdwmech.errors import GeometryError, InputError
-from vdwmech.pairwise import (PwModelConfig, combine_c6, fermi_damping,
-                              pw_energy, pw_energy_and_forces)
+from vdwmech.pairwise import PwModelConfig, combine_c6, fermi_damping, pw_energy
 from vdwmech.periodic import generate_images
 from vdwmech.species import VdwSpeciesParams, scale_vdw_params, states_for
 from vdwmech.structure import AtomicStructure, CellTensor
@@ -61,10 +60,10 @@ def test_combine_c6_hand_value():
 def test_energy_empty_and_single():
     cfg = PwModelConfig()
     s0 = AtomicStructure(positions=np.zeros((0, 3)), species=[])
-    assert pw_energy(s0, [], cfg) == 0.0
+    assert pw_energy(s0, [], cfg)[0] == 0.0
     s1 = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
-    assert pw_energy(s1, states_for(s1), cfg) == 0.0
-    assert np.all(pw_energy_and_forces(s1, states_for(s1), cfg)[1] == 0.0)
+    assert pw_energy(s1, states_for(s1), cfg)[0] == 0.0
+    assert np.all(pw_energy(s1, states_for(s1), cfg, forces=True)[1] == 0.0)
 
 
 def test_two_atom_undamped_value():
@@ -72,7 +71,7 @@ def test_two_atom_undamped_value():
     st = _state(1.0, 1.0, 1e-3)  # tiny radius pushes the damping to 1
     r_ang = 2.0 * BOHR_ANGSTROM
     s = AtomicStructure(positions=[[0, 0, 0], [r_ang, 0, 0]], species=["C", "C"])
-    e = pw_energy(s, [st, st], PwModelConfig())
+    e = pw_energy(s, [st, st], PwModelConfig())[0]
     assert e / HARTREE_EV == pytest.approx(-1.0 / 64.0, rel=1e-9)
 
 
@@ -81,7 +80,7 @@ def test_brute_force_oracle(rng):
     for n in (5, 12, 20):
         s = random_cluster(rng, n)
         states = states_for(s)
-        e = pw_energy(s, states, cfg)
+        e = pw_energy(s, states, cfg)[0]
         ref = brute_force_pw_energy(s, states, cfg.d, cfg.gamma)
         assert e == pytest.approx(ref, rel=1e-12)
 
@@ -90,15 +89,15 @@ def test_forces_match_finite_differences(rng):
     cfg = PwModelConfig()
     s = random_cluster(rng, 7)
     states = states_for(s)
-    f = pw_energy_and_forces(s, states, cfg)[1]
-    ref = fd_forces(lambda x: pw_energy(x, states_for(x), cfg), s)
+    f = pw_energy(s, states, cfg, forces=True)[1]
+    ref = fd_forces(lambda x: pw_energy(x, states_for(x), cfg)[0], s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 def test_two_atom_force_symmetry():
     cfg = PwModelConfig()
     s = AtomicStructure(positions=[[0, 0, 0], [4.0, 0, 0]], species=["C", "C"])
-    f = pw_energy_and_forces(s, states_for(s), cfg)[1]
+    f = pw_energy(s, states_for(s), cfg, forces=True)[1]
     assert f[0] == pytest.approx(-f[1])
     assert f[0, 1] == 0.0 and f[0, 2] == 0.0
     assert f[0, 0] > 0  # attraction
@@ -107,19 +106,19 @@ def test_two_atom_force_symmetry():
 def test_net_force_zero(rng):
     cfg = PwModelConfig()
     s = random_cluster(rng, 9)
-    f = pw_energy_and_forces(s, states_for(s), cfg)[1]
+    f = pw_energy(s, states_for(s), cfg, forces=True)[1]
     assert np.abs(f.sum(axis=0)).max() < 1e-10
 
 
 def test_invariance_under_rigid_motion(rng):
     cfg = PwModelConfig()
     s = random_cluster(rng, 8)
-    e0 = pw_energy(s, states_for(s), cfg)
+    e0 = pw_energy(s, states_for(s), cfg)[0]
     t = s.translated([5.0, -2.0, 1.0])
-    assert pw_energy(t, states_for(t), cfg) == pytest.approx(e0, abs=1e-12)
+    assert pw_energy(t, states_for(t), cfg)[0] == pytest.approx(e0, abs=1e-12)
     q = random_rotation(rng)
     r = s.with_positions(s.positions @ q.T)
-    assert pw_energy(r, states_for(r), cfg) == pytest.approx(e0, abs=1e-12)
+    assert pw_energy(r, states_for(r), cfg)[0] == pytest.approx(e0, abs=1e-12)
 
 
 def test_energy_negative_and_decaying(rng):
@@ -128,7 +127,7 @@ def test_energy_negative_and_decaying(rng):
     vals = []
     for r in np.linspace(4.0, 12.0, 12):
         s = AtomicStructure(positions=[[0, 0, 0], [r, 0, 0]], species=["C", "C"])
-        vals.append(pw_energy(s, [st, st], cfg))
+        vals.append(pw_energy(s, [st, st], cfg)[0])
     vals = np.array(vals)
     assert np.all(vals < 0)
     assert np.all(np.diff(np.abs(vals)) < 0)  # |E| decreases with R
@@ -146,8 +145,8 @@ def test_overlap_guard_in_energy():
 def test_cutoff():
     st = _state(46.6, 12.0, 3.59)
     s = AtomicStructure(positions=[[0, 0, 0], [30.0, 0, 0]], species=["C", "C"])
-    full = pw_energy(s, [st, st], PwModelConfig())
-    cut = pw_energy(s, [st, st], PwModelConfig(cutoff=20.0))
+    full = pw_energy(s, [st, st], PwModelConfig())[0]
+    cut = pw_energy(s, [st, st], PwModelConfig(cutoff=20.0))[0]
     assert full < 0
     assert cut == 0.0
 
@@ -179,7 +178,7 @@ def _oracle_cases(rng):
 def test_energy_and_forces_match_flat_oracle(rng):
     for s, img, cfg in _oracle_cases(rng):
         st = states_for(s)
-        e, f = pw_energy_and_forces(s, st, cfg, img)
+        e, f = pw_energy(s, st, cfg, img, forces=True)
         e_ref, f_ref = brute_force_pw(s, st, cfg, img)
         assert e == pytest.approx(e_ref, rel=1e-12)
         assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
@@ -190,8 +189,8 @@ def test_periodic_forces_match_fd():
                         species=["C", "H", "C"], cell=TRICLINIC)
     img = generate_images(TRICLINIC, 2)
     cfg = PwModelConfig()
-    f = pw_energy_and_forces(s, states_for(s), cfg, img)[1]
-    ref = fd_forces(lambda x: pw_energy(x, states_for(x), cfg, img), s)
+    f = pw_energy(s, states_for(s), cfg, img, forces=True)[1]
+    ref = fd_forces(lambda x: pw_energy(x, states_for(x), cfg, img)[0], s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
@@ -201,5 +200,5 @@ def test_energy_only_equals_energy_and_forces(rng):
                                species=["C", "H", "C"], cell=chain)
     for s, img in ((random_cluster(rng, 9), None), (periodic, generate_images(chain, 3))):
         st = states_for(s)
-        assert pw_energy(s, st, PwModelConfig(), img) == \
-            pw_energy_and_forces(s, st, PwModelConfig(), img)[0]
+        assert pw_energy(s, st, PwModelConfig(), img)[0] == \
+            pw_energy(s, st, PwModelConfig(), img, forces=True)[0]

@@ -76,7 +76,7 @@ def test_strain_preserves_fractional_coordinates():
     cell = CellTensor(np.diag([10.0, 8.0, 6.0]))
     s = AtomicStructure(positions=[[2.5, 1.0, 1.5], [7.5, 4.0, 3.0]],
                         species=["C", "C"], cell=cell)
-    out = apply_cell_strain(s, (0, 0), fraction=-0.01)
+    out = apply_cell_strain(s, (0, 0), delta=-0.01 * 10.0)
     assert out.cell.matrix[0, 0] == pytest.approx(9.9)
     assert np.allclose(out.positions[:, 0], s.positions[:, 0] * 0.99)
     assert np.allclose(out.positions[:, 1:], s.positions[:, 1:])
@@ -99,8 +99,6 @@ def test_strain_errors():
                          cell=CellTensor(np.diag([5.0, 5.0, 5.0])))
     with pytest.raises(InputError):
         apply_cell_strain(s2, (0, 0), delta=-6.0)  # negative determinant
-    with pytest.raises(InputError):
-        apply_cell_strain(s2, (0, 0))  # neither delta nor fraction
     nocell = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     with pytest.raises(InputError):
         apply_cell_strain(nocell, (0, 0), delta=0.1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vdwmech.errors import ParseError
+from vdwmech.errors import InputError, ParseError
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.xyz import read_xyz, write_xyz
 
@@ -41,6 +41,16 @@ def test_lattice_field_populates_cell(tmp_path):
     assert s.cell is not None
     assert s.cell.periodic == (True, True, True)
     assert np.allclose(np.diag(s.cell.matrix), [5, 6, 7])
+
+
+def test_singular_lattice_rejected(tmp_path):
+    # non-periodic rows count too: every inverse of the cell matrix needs them
+    path = tmp_path / "flat.xyz"
+    for lattice, pbc in (("0 0 0 0 0 0 0 0 10", "F F T"), ("5 0 0 10 0 0 0 0 7", "T T T"),
+                         ("5 0 0 0 6 0 0 0 0", "T T F")):
+        path.write_text(f'1\nLattice="{lattice}" pbc="{pbc}"\nC 1.0 2.0 3.0\n')
+        with pytest.raises(InputError, match="singular"):
+            read_xyz(str(path))
 
 
 def test_missing_volume_ratio_defaults(tmp_path):
