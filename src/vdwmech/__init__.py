@@ -12,18 +12,17 @@ from .errors import (GeometryError, InputError, InstabilityError,
                      TopologyError, VdwmechError)
 from .generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                          make_pe_crystal, make_swcnt)
-from .mbd import (MbdModelConfig, assemble_mbd_matrix, dipole_tensor,
-                  mbd_energy, sym_eigen)
+from .mbd import MbdModelConfig, assemble_mbd_matrix, mbd_energy, sym_eigen
 from .md import MdConfig, MdResult, run_md
 from .minimize import MinimizerConfig, MinimizeResult, minimize
-from .pairwise import PwModelConfig, combine_c6, fermi_damping, pw_energy
+from .pairwise import PwModelConfig, fermi_damping, pw_energy
 from .periodic import (ImageSet, StressTensor, apply_cell_strain, cell_stress,
                        generate_images)
 from .quasistatic import (LoadingProtocol, QuasistaticResult, StepRecord,
-                          cnt_face_area, face_reaction_stress, run_quasistatic)
+                          run_quasistatic)
 from .species import (PerAtomVdwState, VdwSpeciesParams, load_species_params,
                       scale_vdw_params, states_for)
-from .structure import AtomicStructure, CellTensor, distance
+from .structure import AtomicStructure, CellTensor
 from .xyz import read_xyz, write_xyz
 
 __version__ = "0.1.0"

@@ -17,12 +17,12 @@ smooth under cell strain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InputError, ParseError, TopologyError
+from .errors import DegenerateGeometryError, InputError, TopologyError
 from .structure import AtomicStructure
 
 K_R_DEFAULT = 35.0505      # eV/A^2
@@ -60,7 +60,6 @@ class HarmonicTopology:
     k_r: float = K_R_DEFAULT
     k_theta: float = K_THETA_DEFAULT
     k_phi: float = K_PHI_DEFAULT
-    include_dihedrals: bool = True
 
     def __post_init__(self):
         def setarr(name, value, dtype, shape):
@@ -103,9 +102,6 @@ class HarmonicTopology:
         if len(self.angle_theta0) and not np.all(
                 (self.angle_theta0 > 0) & (self.angle_theta0 < np.pi + 1e-12)):
             raise InputError("angle references must lie in (0, pi]")
-
-    def without_dihedrals(self) -> "HarmonicTopology":
-        return replace(self, include_dihedrals=False)
 
     @property
     def n_terms(self):
@@ -168,29 +164,6 @@ def _dihedral_geometry(pi_, pj, pk, pl):
     nrkj = np.sqrt(nrkj2)
     phi = np.arctan2(_dot(_cross(n1, n2), b_kj) / nrkj, _dot(n1, n2))
     return phi, bad, (b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj)
-
-
-def _one_term(structure, atoms, offsets, ref):
-    """_term_positions of a single term."""
-    pos_t = np.ascontiguousarray(structure.positions.T)
-    return _term_positions(pos_t, _cellmat(structure), np.array([atoms]),
-                           np.asarray(offsets, float).reshape(1, -1, 3), ref)
-
-
-def bond_angle(structure, i, j, k, offset_i=(0, 0, 0), offset_k=(0, 0, 0)) -> float:
-    """Angle at j [rad], stable near 0 and pi via atan2."""
-    pi_, pj, pk = _one_term(structure, (i, j, k), (offset_i, offset_k), 1)
-    return float(_angle_geometry(pi_ - pj, pk - pj)[0][0])
-
-
-def dihedral_angle(structure, i, j, k, l, offsets=None) -> float:
-    """Signed torsion about the j-k bond, in (-pi, pi]."""
-    off = np.zeros((3, 3)) if offsets is None else offsets
-    phi, bad, _ = _dihedral_geometry(*_one_term(structure, (i, j, k, l), off, 1))
-    if bad[0]:
-        raise DegenerateGeometryError(
-            f"dihedral {i}-{j}-{k}-{l} has a collinear inner bond")
-    return float(phi[0])
 
 
 # -------------------------------------------------------------- detection
@@ -313,8 +286,7 @@ def detect_topology(structure: AtomicStructure,
         angle_theta0=_angle_geometry(ai - aj, ak - aj)[0],
         dihedrals=dihedrals[~bad], dihedral_offsets=dihedral_offs[~bad],
         dihedral_phi0=phi0[~bad],
-        k_r=k_r, k_theta=k_theta, k_phi=k_phi,
-        include_dihedrals=include_dihedrals)
+        k_r=k_r, k_theta=k_theta, k_phi=k_phi)
 
 
 # -------------------------------------------------------------- evaluation
@@ -360,7 +332,7 @@ def _harmonic(structure, topo, weight=None):
             gi = a * (dot_uw / ru2 * u - w)
             gk = a * (dot_uw / rw2 * w - u)
             grads["angle"] = (topo.angles.T, (gi, -(gi + gk), gk))
-    if topo.include_dihedrals and len(topo.dihedrals):
+    if len(topo.dihedrals):
         phi, bad, (b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj) = \
             _dihedral_geometry(*_term_positions(pos_t, cm, topo.dihedrals,
                                                 topo.dihedral_offsets, 1))
@@ -435,72 +407,3 @@ def _check_indices(structure, topo):
     for arr in (topo.bonds, topo.angles, topo.dihedrals):
         if len(arr) and (arr.min() < 0 or arr.max() >= n):
             raise InputError("topology indices out of range for structure")
-
-
-# ----------------------------------------------------------------- file I/O
-
-def _fmt_off(off):
-    return " ".join(str(int(x)) for x in np.asarray(off).ravel())
-
-
-def dump_topology(topo: HarmonicTopology, path: str) -> None:
-    """Write the topology as a plain-text record file."""
-    with open(path, "w") as fh:
-        fh.write("# vdwmech harmonic topology\n")
-        fh.write(f"constants {float(topo.k_r)!r} {float(topo.k_theta)!r} "
-                 f"{float(topo.k_phi)!r} {int(topo.include_dihedrals)}\n")
-        for (i, j), off, r0 in zip(topo.bonds, topo.bond_offsets, topo.bond_r0):
-            fh.write(f"bond {i} {j} {_fmt_off(off)} {float(r0)!r}\n")
-        for (i, j, k), off, t0 in zip(topo.angles, topo.angle_offsets,
-                                      topo.angle_theta0):
-            fh.write(f"angle {i} {j} {k} {_fmt_off(off)} {float(t0)!r}\n")
-        for (i, j, k, l), off, p0 in zip(topo.dihedrals, topo.dihedral_offsets,
-                                         topo.dihedral_phi0):
-            fh.write(f"dihedral {i} {j} {k} {l} {_fmt_off(off)} {float(p0)!r}\n")
-
-
-def load_topology(path: str) -> HarmonicTopology:
-    """Read a topology record file written by dump_topology."""
-    constants = None
-    rows = {"bond": ([], [], []), "angle": ([], [], []), "dihedral": ([], [], [])}
-    widths = {"bond": (2, 1), "angle": (3, 2), "dihedral": (4, 3)}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            kind = fields[0]
-            try:
-                if kind == "constants" and len(fields) == 5:
-                    constants = (float(fields[1]), float(fields[2]),
-                                 float(fields[3]), bool(int(fields[4])))
-                elif kind in rows:
-                    na, no = widths[kind]
-                    if len(fields) != 1 + na + 3 * no + 1:
-                        raise ValueError("wrong field count")
-                    idx = tuple(int(x) for x in fields[1:1 + na])
-                    off = np.array([int(x) for x in fields[1 + na:1 + na + 3 * no]],
-                                   int).reshape(no, 3)
-                    ref = float(fields[-1])
-                    rows[kind][0].append(idx)
-                    rows[kind][1].append(off)
-                    rows[kind][2].append(ref)
-                else:
-                    raise ParseError(f"unrecognized record {kind!r}", path, ln)
-            except ValueError:
-                raise ParseError(f"malformed record {line!r}", path, ln)
-    if constants is None:
-        raise ParseError("missing constants record", path)
-    k_r, k_theta, k_phi, incl = constants
-    return HarmonicTopology(
-        bonds=np.array(rows["bond"][0], int).reshape(-1, 2),
-        bond_offsets=np.array(rows["bond"][1], int).reshape(-1, 1, 3),
-        bond_r0=np.array(rows["bond"][2]),
-        angles=np.array(rows["angle"][0], int).reshape(-1, 3),
-        angle_offsets=np.array(rows["angle"][1], int).reshape(-1, 2, 3),
-        angle_theta0=np.array(rows["angle"][2]),
-        dihedrals=np.array(rows["dihedral"][0], int).reshape(-1, 4),
-        dihedral_offsets=np.array(rows["dihedral"][1], int).reshape(-1, 3, 3),
-        dihedral_phi0=np.array(rows["dihedral"][2]),
-        k_r=k_r, k_theta=k_theta, k_phi=k_phi, include_dihedrals=incl)

@@ -227,26 +227,3 @@ def make_pe_crystal(spec: PeCrystalSpec) -> AtomicStructure:
 
     cell = CellTensor(np.diag([spec.nx * spec.c, spec.ny * spec.a, spec.nz * spec.b]))
     return AtomicStructure(positions=np.array(positions), species=species, cell=cell)
-
-
-def tile_structure(structure: AtomicStructure, counts: tuple[int, int, int]) -> AtomicStructure:
-    """Replicate a periodic structure into an (nx, ny, nz) supercell."""
-    if structure.cell is None:
-        raise InputError("tiling requires a periodic structure")
-    nx, ny, nz = counts
-    if min(nx, ny, nz) < 1:
-        raise InputError("tile counts must be >= 1")
-    m = structure.cell.matrix
-    positions, species, fixed, ratios = [], [], [], []
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                shift = ix * m[0] + iy * m[1] + iz * m[2]
-                positions.append(structure.positions + shift)
-                species.extend(structure.species)
-                fixed.append(structure.fixed)
-                ratios.append(structure.volume_ratios)
-    cell = CellTensor(m * np.array([nx, ny, nz])[:, None], structure.cell.periodic)
-    return AtomicStructure(positions=np.vstack(positions), species=species,
-                           cell=cell, fixed=np.vstack(fixed),
-                           volume_ratios=np.concatenate(ratios))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import GeometryError, InputError, InstabilityError, NumericalError
+from .errors import InputError, InstabilityError, NumericalError
 from .periodic import ImageSet, paired_separations
 from .species import PerAtomVdwState
 from .structure import AtomicStructure
@@ -105,26 +105,6 @@ def _radial(r2, inv_s, slope=False):
     if not slope:
         return a, b
     return a, b, (4.0 * derf * inv_s**4 - 5.0 * a) / r2
-
-
-def dipole_tensor(structure: AtomicStructure, states: list[PerAtomVdwState],
-                  cfg: MbdModelConfig, i: int, j: int, image=None) -> np.ndarray:
-    """Regularized dipole tensor between atoms i and j [Bohr^-3].
-
-    ``image`` is a Cartesian lattice translation [A] added to atom j.
-    """
-    t = np.zeros(3) if image is None else np.asarray(image, dtype=float)
-    if i == j and np.allclose(t, 0.0):
-        raise GeometryError("dipole tensor of an atom with itself requires a nonzero image")
-    diff = structure.positions[i] - (structure.positions[j] + t)
-    r_ang = float(np.linalg.norm(diff))
-    if r_ang < structure.overlap_guard:
-        raise GeometryError(
-            f"atoms {i} and {j} at {r_ang:.4f} A are below the overlap guard")
-    d = diff / BOHR_ANGSTROM
-    sigma_ij = np.hypot(states[i].sigma, states[j].sigma)
-    a, b = _radial(d @ d, 1.0 / (cfg.beta * sigma_ij))
-    return -(a * np.outer(d, d) + b * np.eye(3))
 
 
 def sym_eigen(a: np.ndarray, vectors: bool = True):

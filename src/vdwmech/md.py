@@ -8,7 +8,7 @@ temperature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class MdConfig:
     runup_steps: int = 0
     seed: int = 0
     sample_interval: int = 1
-    store_positions: bool = False   # keep sampled positions (memory!)
 
     def __post_init__(self):
         if self.timestep <= 0:
@@ -58,8 +57,6 @@ class MdResult:
     total_energies: np.ndarray       # eV, sampled
     temperatures: np.ndarray         # K, sampled
     seed: int
-    positions_samples: np.ndarray | None = None
-    velocities_initial: np.ndarray | None = None
 
 
 def maxwell_boltzmann_velocities(structure, temperature, rng):
@@ -74,13 +71,6 @@ def maxwell_boltzmann_velocities(structure, temperature, rng):
 
 def _temperature(ke, n_dof):
     return 2.0 * ke / (KB_EV * n_dof) if n_dof else 0.0
-
-
-def kinetic_temperature(structure, velocities) -> float:
-    free = structure.free_mask()
-    ke = 0.5 * KE_AMU_A2_FS2_EV * float(
-        np.sum(structure.masses[:, None] * np.where(free, velocities, 0.0) ** 2))
-    return _temperature(ke, int(free.sum()))
 
 
 def run_md(structure: AtomicStructure, model, cfg: MdConfig,
@@ -106,7 +96,6 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     pos0 = pos.copy()
     vel = maxwell_boltzmann_velocities(structure, cfg.temperature, rng) \
         if velocities is None else np.where(free, np.asarray(velocities, float), 0.0)
-    vel0 = vel.copy()
 
     (e_tot0, _, _), forces = model.energy_and_forces(structure)
     e_ref = e_tot0 + 0.5 * KE_AMU_A2_FS2_EV * float(np.sum(masses * vel**2))
@@ -122,7 +111,6 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     fixed_any = structure.fixed.any(axis=1)
 
     times, energies, temps = [], [], []
-    pos_samples = [] if cfg.store_positions else None
     disp_sum = np.zeros((n, 3))
     disp_sq = np.zeros((n, 3))
     react_sum = np.zeros(3)
@@ -165,8 +153,6 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
                 disp_sq += d * d
                 react_sum += forces[fixed_any].sum(axis=0) if fixed_any.any() else 0.0
                 n_prod += 1
-            if pos_samples is not None:
-                pos_samples.append(pos.copy())
 
     if n_prod:
         mean_d = disp_sum / n_prod
@@ -190,6 +176,4 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
         total_energies=np.array(energies),
         temperatures=np.array(temps),
         seed=cfg.seed,
-        positions_samples=np.array(pos_samples) if pos_samples else None,
-        velocities_initial=vel0,
     )

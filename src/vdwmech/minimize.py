@@ -10,8 +10,10 @@ force-field preconditioner as in Packwood et al., J. Chem. Phys. 144,
 Trial steps move no atom more than ``initial_step``.  A trial that raises
 the energy, or that the geometry or the model refuses, is rejected and
 the step along the same direction halved, so accepted energies never
-increase.  Relaxed cell components take their gradients from central
-finite differences of the total energy under the affine cell remap.
+increase.  Once halving leaves no trial step longer than _STEP_FLOOR,
+the relaxation stops unconverged.  Relaxed cell components take their
+gradients from central finite differences of the total energy under the
+affine cell remap.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .structure import AtomicStructure
 _MEMORY = 10        # L-BFGS step pairs kept
 _MU = 0.05          # eV/A^2, stiffness of directions no bonded term reaches
 _CELL_FD_STEP = 1e-3  # A
+_STEP_FLOOR = 1e-9    # A, shortest trial step worth evaluating
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,12 @@ def _cell_gradient(structure, model, components):
     return g
 
 
+def _longest(step, n3):
+    """Largest atomic displacement or cell-component change of a step [A]."""
+    return np.concatenate([np.linalg.norm(step[:n3].reshape(-1, 3), axis=1),
+                           np.abs(step[n3:])]).max(initial=0.0)
+
+
 def _direction(g, h0, memory):
     """-H g by the L-BFGS two-loop recursion."""
     q = g.copy()
@@ -90,8 +99,9 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
     """Relax free atomic components (and optionally cell components) until
     the largest force falls below the tolerance.
 
-    Returns converged=False when the trial-step budget runs out; the best
-    state reached so far is still returned.
+    Returns converged=False when the trial-step budget runs out or no
+    trial step longer than _STEP_FLOOR lowers the energy; the best state
+    reached so far is still returned.
     """
     relax_cell = tuple(relax_cell)
     n3 = 3 * len(structure)
@@ -122,9 +132,7 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
             and iterations < cfg.max_iterations:
         if step is None:
             step = _direction(g, h0, memory)
-            longest = np.concatenate([np.linalg.norm(step[:n3].reshape(-1, 3), axis=1),
-                                      np.abs(step[n3:])]).max()
-            step *= min(1.0, cfg.initial_step / longest)
+            step *= min(1.0, cfg.initial_step / _longest(step, n3))
         iterations += 1
         try:
             # overlapping atoms, an inverted cell or a region the model
@@ -140,6 +148,8 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
         if uphill:
             rejected += 1
             step = 0.5 * step
+            if _longest(step, n3) <= _STEP_FLOOR:
+                break
             continue
         y = t_g - g
         if step @ y > 0:

@@ -41,10 +41,10 @@ class PwModelConfig:
         if self.cutoff is not None and self.cutoff <= 0:
             raise InputError("cutoff must be positive")
 
-    def effective_cutoff(self, n_atoms: int) -> float | None:
+    def effective_cutoff(self, n: int) -> float | None:
         if self.cutoff is not None:
             return self.cutoff
-        return _AUTO_CUTOFF_A if n_atoms > _AUTO_CUTOFF_NATOMS else None
+        return _AUTO_CUTOFF_A if n > _AUTO_CUTOFF_NATOMS else None
 
 
 def fermi_damping(r, s_vdw, d):
@@ -56,13 +56,6 @@ def fermi_damping(r, s_vdw, d):
         raise InputError("s_vdw and d must be positive")
     out = expit(d * (r / s_vdw - 1.0))
     return float(out) if out.ndim == 0 else out
-
-
-def combine_c6(state_i: PerAtomVdwState, state_j: PerAtomVdwState) -> float:
-    """Combination rule for the pair coefficient C6_ij [Ha*Bohr^6]."""
-    ci, cj = state_i.c6_eff, state_j.c6_eff
-    ai, aj = state_i.alpha0_eff, state_j.alpha0_eff
-    return 2.0 * ci * cj / ((aj / ai) * ci + (ai / aj) * cj)
 
 
 def pw_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
@@ -81,7 +74,8 @@ def pw_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
     if n < 2 and images is None:
         return 0.0, np.zeros((n, 3)) if forces else None
     c6, alpha, rv = np.array([(s.c6_eff, s.alpha0_eff, s.rvdw_eff) for s in states]).T
-    # combine_c6 for all pairs, as 2 p_i p_j / (q_i + q_j), p = C6/alpha, q = p/alpha
+    # the combination rule C6_ij = 2 C6_i C6_j / (a_j/a_i C6_i + a_i/a_j C6_j) for
+    # all pairs, as 2 p_i p_j / (q_i + q_j), p = C6/alpha, q = p/alpha
     p = c6 / alpha
     c6ij = np.outer(p, 2.0 * p) / np.add.outer(p / alpha, p / alpha)
     d_over_s = (cfg.d / cfg.gamma) / np.add.outer(rv, rv)

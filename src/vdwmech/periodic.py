@@ -12,6 +12,7 @@ from .structure import AtomicStructure, CellTensor
 from .units import BOHR_ANGSTROM, EV_A3_GPA
 
 _FAR = 1e30  # Bohr; masks the self pairs of the home image without inf * 0 = nan
+_STRAIN_STEP = 1e-5  # central-difference strain of cell_stress
 
 
 @dataclass(frozen=True)
@@ -91,23 +92,9 @@ def generate_images(cell: CellTensor | None, shells: int) -> ImageSet:
 
 @dataclass(frozen=True)
 class StressTensor:
-    """Symmetric Cauchy stress [GPa] with its principal decomposition."""
+    """Symmetric Cauchy stress [GPa]."""
 
-    sigma: np.ndarray             # (3, 3) GPa
-    principal_values: np.ndarray  # descending
-    principal_axes: np.ndarray    # columns are principal directions
-
-    @classmethod
-    def from_matrix(cls, sigma: np.ndarray) -> "StressTensor":
-        sigma = np.asarray(sigma, dtype=float)
-        sym = 0.5 * (sigma + sigma.T)
-        vals, vecs = np.linalg.eigh(sym)
-        order = np.argsort(vals)[::-1]
-        return cls(sym, vals[order], vecs[:, order])
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.sigma))
+    sigma: np.ndarray  # (3, 3) GPa
 
 
 def apply_deformation(structure: AtomicStructure, gradient: np.ndarray) -> AtomicStructure:
@@ -150,12 +137,12 @@ def relaxable_components(cell: CellTensor, driven: tuple[int, int] | None,
     return comps
 
 
-def cell_stress(structure: AtomicStructure, energy_fn, strain_step: float = 1e-5) -> StressTensor:
+def cell_stress(structure: AtomicStructure, energy_fn) -> StressTensor:
     """Cauchy stress from central finite differences of the total energy
-    under affine strain.
+    under affine strain of _STRAIN_STEP.
 
     ``energy_fn(structure) -> eV``.  Requires a 3-D periodic cell; the
-    result is symmetrized and returned in GPa.
+    result is symmetric and in GPa.
     """
     cell = structure.cell
     if cell is None or not all(cell.periodic):
@@ -169,7 +156,7 @@ def cell_stress(structure: AtomicStructure, energy_fn, strain_step: float = 1e-5
                 eps[a, a] = 1.0
             else:
                 eps[a, b] = eps[b, a] = 0.5
-            ep = energy_fn(apply_deformation(structure, np.eye(3) + strain_step * eps))
-            em = energy_fn(apply_deformation(structure, np.eye(3) - strain_step * eps))
-            sigma[a, b] = sigma[b, a] = (ep - em) / (2.0 * strain_step * V)
-    return StressTensor.from_matrix(sigma * EV_A3_GPA)
+            ep = energy_fn(apply_deformation(structure, np.eye(3) + _STRAIN_STEP * eps))
+            em = energy_fn(apply_deformation(structure, np.eye(3) - _STRAIN_STEP * eps))
+            sigma[a, b] = sigma[b, a] = (ep - em) / (2.0 * _STRAIN_STEP * V)
+    return StressTensor(sigma * EV_A3_GPA)

@@ -19,7 +19,6 @@ from .periodic import apply_cell_strain, cell_stress, relaxable_components
 from .structure import AtomicStructure
 from .units import EV_A3_GPA
 
-CNT_WALL_THICKNESS = 3.4  # A, assumed monolayer wall thickness
 _INCREMENT_FLOOR = 1e-15  # remainders of a step this small are dropped
 
 
@@ -41,12 +40,10 @@ class LoadingProtocol:
     axis: int = 2
     component: tuple[int, int] = (0, 0)        # cell-strain mode
     cell_mode: str = "fixed-others"
-    relax_diagonal_only: bool = True
     max_increment_halvings: int = 4
     reference_length: float | None = None      # strain normalization [A]
     face_area: float | None = None             # A^2, reaction stress
     compute_stress: bool = False               # periodic runs
-    strain_step: float = 1e-5
     perturbation: float = 0.0                  # A, seeded one-time noise
     perturbation_seed: int = 0
     record_structures: bool = True
@@ -115,12 +112,13 @@ def run_quasistatic(structure: AtomicStructure, model,
 
     relax_cell = ()
     if protocol.kind == "cell-strain" and protocol.cell_mode == "relaxed-others":
-        relax_cell = tuple(relaxable_components(
-            structure.cell, protocol.component, protocol.relax_diagonal_only))
+        relax_cell = tuple(relaxable_components(structure.cell, protocol.component))
 
     cur = _perturb(structure, protocol)
     if protocol.kind == "cell-strain":
-        u0 = structure.cell.matrix[protocol.component]
+        # engineering strain: the change of the driven component over the
+        # initial length of its cell row
+        u0 = float(np.linalg.norm(structure.cell.matrix[protocol.component[0]]))
     result = QuasistaticResult(records=[])
     applied = 0.0
     prev_sig = prev_eps = None
@@ -168,7 +166,7 @@ def run_quasistatic(structure: AtomicStructure, model,
         else:
             strain = applied / u0
             if protocol.compute_stress:
-                sigma = cell_stress(cur, model.energy, protocol.strain_step).sigma
+                sigma = cell_stress(cur, model.energy).sigma
                 a, b = protocol.component
                 sigma_drive = float(sigma[a, b])
 
@@ -190,19 +188,3 @@ def run_quasistatic(structure: AtomicStructure, model,
 
     result.final = cur
     return result
-
-
-def cnt_face_area(radius: float, wall_thickness: float = CNT_WALL_THICKNESS) -> float:
-    """Nanotube cross-section: circumference times assumed wall thickness [A^2]."""
-    if radius <= 0:
-        raise InputError("radius must be positive")
-    return 2.0 * np.pi * radius * wall_thickness
-
-
-def face_reaction_stress(records: list[StepRecord], face_area: float) -> np.ndarray:
-    """Per-step |reaction| / face_area in GPa."""
-    if face_area <= 0:
-        raise InputError("face area must be positive")
-    if not records:
-        raise InputError("no records")
-    return np.array([abs(r.reaction) / face_area * EV_A3_GPA for r in records])

@@ -7,7 +7,7 @@ and processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,10 +132,6 @@ class AtomicStructure:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.positions)
-
     def with_positions(self, positions, check_overlap: bool = True) -> "AtomicStructure":
         """Copy with new positions.
 
@@ -155,9 +151,6 @@ class AtomicStructure:
     def with_cell(self, cell: CellTensor | None) -> "AtomicStructure":
         return replace(self, cell=cell)
 
-    def translated(self, shift) -> "AtomicStructure":
-        return self.with_positions(self.positions + np.asarray(shift, float))
-
     def free_mask(self) -> np.ndarray:
         """(N, 3) True where the component is free to move."""
         return ~self.fixed
@@ -176,17 +169,3 @@ def minimum_image(d: np.ndarray, cell: CellTensor) -> np.ndarray:
     shift = np.zeros_like(frac)
     shift[..., axes] = np.round(frac[..., axes])
     return d - shift @ m
-
-
-def distance(structure: AtomicStructure, i: int, j: int, image=None) -> float:
-    """Distance |R_i - (R_j + image)| in Angstrom.
-
-    ``image`` is an optional Cartesian lattice translation added to atom j.
-    """
-    n = len(structure)
-    if not (0 <= i < n and 0 <= j < n):
-        raise InputError(f"atom index out of range for {n} atoms: ({i}, {j})")
-    rj = structure.positions[j]
-    if image is not None:
-        rj = rj + np.asarray(image, dtype=float)
-    return float(np.linalg.norm(structure.positions[i] - rj))

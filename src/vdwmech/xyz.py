@@ -17,6 +17,8 @@ from .errors import ParseError
 from .structure import AtomicStructure, CellTensor
 
 _KV_RE = re.compile(r'(\w+)=(?:"([^"]*)"|(\S+))')
+# widths of the columns the reader uses; species and pos are required
+_WIDTHS = {"species": 1, "pos": 3, "volume_ratio": 1, "fixed": 3}
 
 
 def _parse_comment(comment: str, path, ln):
@@ -45,11 +47,17 @@ def _parse_comment(comment: str, path, ln):
         if len(parts) % 3:
             raise ParseError("malformed Properties schema", path, ln)
         for k in range(0, len(parts), 3):
-            name, _, width = parts[k], parts[k + 1], parts[k + 2]
+            name = parts[k]
             try:
-                columns.append((name, int(width)))
+                width = int(parts[k + 2])
             except ValueError:
                 raise ParseError("malformed Properties schema", path, ln)
+            if width < 1 or width != _WIDTHS.get(name, width):
+                raise ParseError(f"Properties column {name!r} has width {width}", path, ln)
+            columns.append((name, width))
+        for name in ("species", "pos"):
+            if name not in dict(columns):
+                raise ParseError(f"Properties schema has no {name!r} column", path, ln)
     return cell, columns
 
 

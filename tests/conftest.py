@@ -36,6 +36,16 @@ def fd_hessian(forces_fn, structure, h=1e-5):
     return out
 
 
+def torsion_angle(structure, i, j, k, l):
+    """Signed torsion about the j-k bond [rad], in (-pi, pi]: the angle
+    between the parts of R_i - R_j and R_l - R_k normal to the bond."""
+    p = structure.positions
+    axis = (p[k] - p[j]) / np.linalg.norm(p[k] - p[j])
+    v = p[i] - p[j] - np.dot(p[i] - p[j], axis) * axis
+    w = p[l] - p[k] - np.dot(p[l] - p[k], axis) * axis
+    return float(np.arctan2(np.dot(np.cross(axis, v), w), np.dot(v, w)))
+
+
 def jacobi_eigenvalues(a, sweeps=60):
     """Independent cyclic Jacobi eigensolver for symmetric matrices."""
     a = np.array(a, dtype=float)
@@ -193,6 +203,21 @@ def brute_force_mbd_matrix(structure, states, cfg, images=None):
     c4[idx, :, idx, :] += omega[:, None, None] ** 2 * np.eye(3)
     c = c4.reshape(3 * n, 3 * n)
     return 0.5 * (c + c.T)
+
+
+def dipole_tensor(structure, states, cfg, i, j, image=(0.0, 0.0, 0.0)):
+    """Damped dipole tensor T_ij [Bohr^-3] between atom i and atom j
+    shifted by the Cartesian ``image`` [A]: the off-diagonal 3x3 block of
+    the library's MBD matrix for the open pair {R_i, R_j + image}, divided
+    by K_ij = omega_i omega_j sqrt(alpha_i alpha_j)."""
+    from vdwmech.mbd import assemble_mbd_matrix
+
+    pair = AtomicStructure(
+        positions=[structure.positions[i], structure.positions[j] + np.asarray(image, float)],
+        species=[structure.species[i], structure.species[j]])
+    si, sj = states[i], states[j]
+    c = assemble_mbd_matrix(pair, [si, sj], cfg)
+    return c[:3, 3:] / (si.omega * sj.omega * np.sqrt(si.alpha0_eff * sj.alpha0_eff))
 
 
 def two_oscillator_energy(states, r_ang, beta):

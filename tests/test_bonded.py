@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import fd_forces, fd_hessian
-from vdwmech.bonded import (HarmonicTopology, bond_angle, detect_topology,
-                            dihedral_angle, dump_topology, harmonic_energy,
-                            harmonic_hessian, load_topology)
+from conftest import fd_forces, fd_hessian, torsion_angle
+from vdwmech.bonded import (HarmonicTopology, detect_topology, harmonic_energy,
+                            harmonic_hessian)
 from vdwmech.errors import (DegenerateGeometryError, InputError, TopologyError)
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                                 make_pe_crystal, make_swcnt)
@@ -155,8 +154,10 @@ def test_dihedral_toggle():
     s = _pe_fragment(perturb=0.05, seed=9)
     topo = detect_topology(_pe_fragment())
     e_with = harmonic_energy(s, topo)[0]
-    e_without = harmonic_energy(s, topo.without_dihedrals())[0]
-    phi = np.array([dihedral_angle(s, *d) for d in topo.dihedrals])
+    no_torsions = detect_topology(_pe_fragment(), include_dihedrals=False)
+    assert len(no_torsions.dihedrals) == 0
+    e_without = harmonic_energy(s, no_torsions)[0]
+    phi = np.array([torsion_angle(s, *d) for d in topo.dihedrals])
     dphi = np.pi - np.mod(np.pi - (phi - topo.dihedral_phi0), 2 * np.pi)
     assert e_with - e_without == pytest.approx(
         0.5 * topo.k_phi * np.sum(dphi**2), rel=1e-10)
@@ -171,7 +172,7 @@ def test_dihedral_wrap():
     # phi ~ -3.04: deviation wraps to ~0.24 rad, not ~6.04
     pos = [[0, 1.0, 0.3], [0, 0, 0], [1.5, 0, 0], [1.5, 1.0, -0.1]]
     s = AtomicStructure(positions=pos, species=["C"] * 4)
-    phi = dihedral_angle(s, 0, 1, 2, 3)
+    phi = torsion_angle(s, 0, 1, 2, 3)
     d = phi - 3.0
     wrapped = np.pi - np.mod(np.pi - d, 2 * np.pi)
     assert abs(wrapped) < np.pi
@@ -183,14 +184,13 @@ def test_dihedral_wrap():
 def test_degenerate_dihedral_raises():
     pos = [[0, 1.0, 0], [0, 0, 0], [1.5, 0, 0], [3.0, 0, 0]]
     s = AtomicStructure(positions=pos, species=["C"] * 4)
-    with pytest.raises(DegenerateGeometryError):
-        dihedral_angle(s, 0, 1, 2, 3)
     topo = HarmonicTopology(
         bonds=np.zeros((0, 2), int), bond_r0=np.zeros(0),
         angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
         dihedrals=np.array([[0, 1, 2, 3]]), dihedral_phi0=np.array([0.5]))
-    with pytest.raises(DegenerateGeometryError):
-        harmonic_energy(s, topo, forces=True)
+    for forces in (False, True):
+        with pytest.raises(DegenerateGeometryError):
+            harmonic_energy(s, topo, forces=forces)
 
 
 def test_detect_skips_undefined_dihedrals():
@@ -222,22 +222,6 @@ def test_topology_validation():
     small = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     with pytest.raises(InputError):
         harmonic_energy(small, topo)
-
-
-def test_dump_load_round_trip(tmp_path):
-    s = _pe_fragment()
-    topo = detect_topology(s)
-    path = tmp_path / "topo.txt"
-    dump_topology(topo, str(path))
-    back = load_topology(str(path))
-    assert np.array_equal(back.bonds, topo.bonds)
-    assert np.allclose(back.bond_r0, topo.bond_r0, atol=0)
-    assert np.array_equal(back.angles, topo.angles)
-    assert np.allclose(back.angle_theta0, topo.angle_theta0, atol=0)
-    assert np.array_equal(back.dihedrals, topo.dihedrals)
-    assert np.allclose(back.dihedral_phi0, topo.dihedral_phi0, atol=0)
-    assert back.k_r == topo.k_r and back.include_dihedrals == topo.include_dihedrals
-    assert harmonic_energy(s, back)[0] == harmonic_energy(s, topo)[0]
 
 
 def test_periodic_image_bonds():

@@ -106,6 +106,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     xyz.write_text('2\nLattice="0 0 0 0 0 0 0 0 10" pbc="F F T"\nC 0 0 0\nC 0 0 1.5\n')
     assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw"]) == 1
     assert "singular" in capsys.readouterr().err
+    # so is a Properties schema without a species column
+    xyz = tmp_path / "schema.xyz"
+    xyz.write_text("2\nProperties=pos:R:3\n0 0 0\n0 0 1.5\n")
+    assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw"]) == 1
+    assert "kind=ParseError" in capsys.readouterr().err
 
 
 def test_cli_manifest_reproduces_run(tmp_path, capsys):

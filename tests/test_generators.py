@@ -5,7 +5,6 @@ from vdwmech.errors import InputError
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, cap_indices,
                                 cnt_radius, make_chain_pair, make_pe_crystal,
                                 make_swcnt, upper_chain_indices)
-from vdwmech.structure import distance
 
 
 def test_chain_pair_capped_counts():
@@ -22,7 +21,7 @@ def test_chain_pair_capped_counts():
 def test_chain_pair_minimal():
     s = make_chain_pair(ChainSpec(1, 1, 1.2, 5.0))
     assert len(s) == 2
-    assert distance(s, 0, 1) == pytest.approx(5.0)
+    assert np.linalg.norm(s.positions[1] - s.positions[0]) == pytest.approx(5.0)
 
 
 def test_chain_length_arithmetic():

@@ -5,7 +5,7 @@ from vdwmech.bonded import detect_topology
 from vdwmech.composite import CompositeModel
 from vdwmech.errors import InputError, IntegrationError
 from vdwmech.generators import ChainSpec, make_chain_pair
-from vdwmech.md import MdConfig, kinetic_temperature, run_md
+from vdwmech.md import MdConfig, run_md
 from vdwmech.structure import AtomicStructure
 
 
@@ -78,13 +78,16 @@ def test_fixed_atoms_do_not_move_and_reactions_recorded():
 
 
 def test_kinetic_temperature_counts_free_dof():
-    s = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "C"],
-                        fixed=[[True, True, True], [False, False, False]])
-    v = np.array([[0.0, 0, 0], [0.01, 0, 0]])
-    t = kinetic_temperature(s, v)
     from vdwmech.units import KB_EV, KE_AMU_A2_FS2_EV
-    ke = 0.5 * KE_AMU_A2_FS2_EV * 12.011 * 0.01**2
-    assert t == pytest.approx(2 * ke / (KB_EV * 3))
+    start, model = _diatomic()
+    s = AtomicStructure(positions=start.positions, species=start.species,
+                        fixed=[[True, True, True], [False, False, False]])
+    cfg = MdConfig(timestep=0.5, temperature=0.0, total_steps=5, thermostat="none")
+    res = run_md(s, model, cfg, velocities=[[0.02, 0, 0], [0.01, 0.005, 0]])
+    v = res.velocities
+    assert np.all(v[0] == 0.0) and np.any(v[1] != 0.0)
+    ke = 0.5 * KE_AMU_A2_FS2_EV * 12.011 * np.sum(v**2)
+    assert res.temperatures[-1] == pytest.approx(2 * ke / (KB_EV * 3))
 
 
 def test_blow_up_detection():

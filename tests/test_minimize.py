@@ -84,6 +84,17 @@ def test_iteration_budget_reports_nonconvergence():
     assert res.max_force > 1e-12
 
 
+def test_no_descent_stops_early():
+    # a vdW-only chain pair has no repulsion, so past some point no trial
+    # step lowers the energy; the halved steps reach the floor long before
+    # the trial budget runs out
+    s = make_chain_pair(ChainSpec(6, 6, gap=4.0))
+    res = minimize(s, CompositeModel(vdw="pw"), MinimizerConfig(max_iterations=2000))
+    assert not res.converged
+    assert res.iterations <= 300
+    assert res.max_force > 1e-3
+
+
 def test_cell_relax_rejects_overlapping_trial_cell():
     # bonded terms plus damped dispersion have no repulsion between the
     # chains, so the relaxed cell shrinks until a trial cell overlaps atoms;

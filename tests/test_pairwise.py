@@ -4,7 +4,7 @@ import pytest
 from conftest import (brute_force_pw, brute_force_pw_energy, fd_forces, random_cluster,
                       random_rotation)
 from vdwmech.errors import GeometryError, InputError
-from vdwmech.pairwise import PwModelConfig, combine_c6, fermi_damping, pw_energy
+from vdwmech.pairwise import PwModelConfig, fermi_damping, pw_energy
 from vdwmech.periodic import generate_images
 from vdwmech.species import VdwSpeciesParams, scale_vdw_params, states_for
 from vdwmech.structure import AtomicStructure, CellTensor
@@ -44,17 +44,28 @@ def test_fermi_preconditions():
         fermi_damping(1.0, 4.0, -2.0)
 
 
+def _far_pair_c6(state_i, state_j, r_ang=100.0):
+    """-E R^6 [Ha Bohr^6] of a pair so far apart that the damping is
+    exactly 1, i.e. the combined C6_ij."""
+    cfg = PwModelConfig()
+    s = AtomicStructure(positions=[[0, 0, 0], [r_ang, 0, 0]], species=["C", "C"])
+    s_vdw = cfg.gamma * (state_i.rvdw_eff + state_j.rvdw_eff)
+    assert fermi_damping(r_ang / BOHR_ANGSTROM, s_vdw, cfg.d) == 1.0
+    e = pw_energy(s, [state_i, state_j], cfg)[0]
+    return -e / HARTREE_EV * (r_ang / BOHR_ANGSTROM) ** 6
+
+
 def test_combine_c6_identical_atoms():
     a = _state(4.0, 2.0, 3.0)
-    assert combine_c6(a, a) == pytest.approx(4.0)
+    assert _far_pair_c6(a, a) == pytest.approx(4.0)
 
 
 def test_combine_c6_hand_value():
     # (C6=2, a=1) with (C6=2, a=2) -> 8/5
     x = _state(2.0, 1.0, 3.0)
     y = _state(2.0, 2.0, 3.0)
-    assert combine_c6(x, y) == pytest.approx(1.6, rel=1e-12)
-    assert combine_c6(y, x) == pytest.approx(combine_c6(x, y), rel=1e-12)
+    assert _far_pair_c6(x, y) == pytest.approx(1.6, rel=1e-12)
+    assert _far_pair_c6(y, x) == pytest.approx(_far_pair_c6(x, y), rel=1e-12)
 
 
 def test_energy_empty_and_single():
@@ -114,7 +125,7 @@ def test_invariance_under_rigid_motion(rng):
     cfg = PwModelConfig()
     s = random_cluster(rng, 8)
     e0 = pw_energy(s, states_for(s), cfg)[0]
-    t = s.translated([5.0, -2.0, 1.0])
+    t = s.with_positions(s.positions + [5.0, -2.0, 1.0])
     assert pw_energy(t, states_for(t), cfg)[0] == pytest.approx(e0, abs=1e-12)
     q = random_rotation(rng)
     r = s.with_positions(s.positions @ q.T)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from vdwmech.errors import InputError
 from vdwmech.generators import (ChainSpec, PeCrystalSpec, cap_indices,
                                 make_chain_pair, make_pe_crystal)
 from vdwmech.minimize import MinimizerConfig, minimize
-from vdwmech.quasistatic import (LoadingProtocol, cnt_face_area,
-                                 face_reaction_stress, run_quasistatic)
+from vdwmech.quasistatic import LoadingProtocol, run_quasistatic
 from vdwmech.records import emit_records
 from vdwmech.units import EV_A3_GPA
 
@@ -124,6 +125,25 @@ def test_cell_strain_protocol_records_stress():
     assert result.final.cell.matrix[1, 1] == pytest.approx(7.44)
 
 
+def test_shear_cell_strain_normalizes_by_row_length():
+    # component (0, 1) of an orthogonal cell starts at 0; the strain is
+    # the change over |a_0|
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    model = CompositeModel(topology=detect_topology(s))
+    protocol = LoadingProtocol(
+        kind="cell-strain", increment=0.02, step_count=2, component=(0, 1),
+        minimizer=MinimizerConfig(force_tolerance=5e-3), compute_stress=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_quasistatic(s, model, protocol)
+    a0 = np.linalg.norm(s.cell.matrix[0])
+    for r in result.records:
+        assert r.strain == pytest.approx(r.applied / a0, rel=1e-12)
+        assert np.isfinite(r.strain)
+    assert result.records[-1].strain == pytest.approx(0.04 / a0, rel=1e-6)
+    assert np.isfinite(result.records[-1].stiffness)
+
+
 def test_protocol_validation():
     with pytest.raises(InputError):
         LoadingProtocol(kind="squeeze", increment=0.1, step_count=1)
@@ -138,28 +158,6 @@ def test_protocol_validation():
         LoadingProtocol(kind="displacement", increment=0.1, step_count=1)
 
 
-def test_face_area_and_reaction_stress():
-    assert cnt_face_area(5.42) == pytest.approx(2 * np.pi * 5.42 * 3.4)
-    assert cnt_face_area(5.42) == pytest.approx(115.8, abs=0.1)
-
-    from vdwmech.quasistatic import StepRecord
-    recs = [StepRecord(step=i, applied=0.1 * i, strain=None, e_total=0.0,
-                       e_bonded=0.0, e_vdw=0.0, reaction=2.0 * 0.1 * i,
-                       sigma=None, sigma_drive=None, stiffness=None,
-                       converged=True) for i in range(1, 4)]
-    sig = face_reaction_stress(recs, 100.0)
-    assert sig[0] == pytest.approx(abs(recs[0].reaction) / 100.0 * EV_A3_GPA)
-    # constant-slope force trace -> constant stiffness (slope/area)
-    d = np.diff(sig) / 0.1
-    assert np.allclose(d, d[0])
-    zero = [StepRecord(step=1, applied=0.0, strain=None, e_total=0.0,
-                       e_bonded=0.0, e_vdw=0.0, reaction=0.0, sigma=None,
-                       sigma_drive=None, stiffness=None, converged=True)]
-    assert face_reaction_stress(zero, 50.0)[0] == 0.0
-    with pytest.raises(InputError):
-        face_reaction_stress(recs, 0.0)
-
-
 def test_emit_records_csv(tmp_path):
     s, model, driven = _chain_system(n=4)
     protocol = LoadingProtocol(
@@ -167,6 +165,8 @@ def test_emit_records_csv(tmp_path):
         axis=1, minimizer=MinimizerConfig(force_tolerance=5e-3),
         reference_length=10.0, face_area=20.0)
     result = run_quasistatic(s, model, protocol)
+    for r in result.records:
+        assert r.sigma_drive == abs(r.reaction) / 20.0 * EV_A3_GPA
     path = tmp_path / "records.csv"
     emit_records(result.records, str(path))
     lines = path.read_text().splitlines()

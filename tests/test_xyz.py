@@ -53,6 +53,26 @@ def test_singular_lattice_rejected(tmp_path):
             read_xyz(str(path))
 
 
+def test_malformed_properties_schema_rejected(tmp_path):
+    # a missing species or pos column, or a known column of the wrong width
+    path = tmp_path / "schema.xyz"
+    for schema, line, what in (
+            ("pos:R:3", "0 0 0", "species"),
+            ("species:S:1", "C", "pos"),
+            ("species:S:1:pos:R:2", "C 0 0", "pos"),
+            ("species:S:2:pos:R:3", "C C 0 0 0", "species"),
+            ("species:S:1:pos:R:3:volume_ratio:R:2", "C 0 0 0 1 1", "volume_ratio"),
+            ("species:S:1:pos:R:3:fixed:I:2", "C 0 0 0 1 0", "fixed"),
+            ("species:S:1:pos:R:3:charge:R:0", "C 0 0 0", "charge")):
+        path.write_text(f"1\nProperties={schema}\n{line}\n")
+        with pytest.raises(ParseError, match=f"'{what}'") as e:
+            read_xyz(str(path))
+        assert ":2:" in str(e.value)
+    # columns the reader does not use are skipped
+    path.write_text("1\nProperties=species:S:1:charge:R:2:pos:R:3\nC 7 8 1 2 3\n")
+    assert read_xyz(str(path)).positions.tolist() == [[1.0, 2.0, 3.0]]
+
+
 def test_missing_volume_ratio_defaults(tmp_path):
     path = tmp_path / "plain.xyz"
     path.write_text("2\ncomment\nC 0 0 0\nC 2 0 0\n")
