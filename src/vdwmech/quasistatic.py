@@ -59,6 +59,8 @@ class LoadingProtocol:
             raise InputError("displacement protocol needs a driven selection")
         if self.cell_mode not in ("fixed-others", "relaxed-others"):
             raise InputError(f"unknown cell mode {self.cell_mode!r}")
+        if self.face_area is not None and self.face_area <= 0:
+            raise InputError("face_area must be positive")
 
 
 @dataclass

@@ -158,6 +158,36 @@ def test_protocol_validation():
         LoadingProtocol(kind="displacement", increment=0.1, step_count=1)
 
 
+def test_face_area_and_reaction_stress():
+    s, model, driven = _chain_system(n=4)
+
+    def run(face_area):
+        protocol = LoadingProtocol(
+            kind="displacement", increment=-0.3, step_count=3, driven=driven,
+            axis=1, minimizer=MinimizerConfig(force_tolerance=5e-3),
+            reference_length=10.0, face_area=face_area)
+        return run_quasistatic(s, model, protocol).records
+
+    recs = run(100.0)
+    for r in recs:
+        assert r.sigma_drive == pytest.approx(abs(r.reaction) / 100.0 * EV_A3_GPA)
+    # stiffness is the finite difference of sigma_drive over strain
+    for prev, cur in zip(recs, recs[1:]):
+        assert cur.stiffness == pytest.approx(
+            (cur.sigma_drive - prev.sigma_drive) / (cur.strain - prev.strain))
+    assert recs[0].stiffness is None
+    # halving the face area doubles the reaction stress
+    for r, h in zip(recs, run(50.0)):
+        assert h.reaction == r.reaction
+        assert h.sigma_drive == pytest.approx(2.0 * r.sigma_drive)
+    # no face area: no reaction stress and no stiffness
+    assert all(r.sigma_drive is None and r.stiffness is None for r in run(None))
+    for bad in (0.0, -1.0):
+        with pytest.raises(InputError):
+            LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
+                            driven=driven, face_area=bad)
+
+
 def test_emit_records_csv(tmp_path):
     s, model, driven = _chain_system(n=4)
     protocol = LoadingProtocol(
