@@ -20,8 +20,8 @@ from .periodic import (ImageSet, StressTensor, apply_cell_strain, cell_stress,
                        generate_images)
 from .quasistatic import (LoadingProtocol, QuasistaticResult, StepRecord,
                           run_quasistatic)
-from .species import (PerAtomVdwState, VdwSpeciesParams, load_species_params,
-                      scale_vdw_params, states_for)
+from .species import (VdwSpeciesParams, VdwStates, load_species_params,
+                      states_for)
 from .structure import AtomicStructure, CellTensor
 from .xyz import read_xyz, write_xyz
 

@@ -224,9 +224,9 @@ def _cmd_md(args):
     structure = _read_input(cfg)
     model = build_model(cfg, structure)
     mdcfg = MdConfig(timestep=cfg["md.timestep"], temperature=cfg["md.temperature"],
-                     total_steps=cfg["md.steps"], thermostat=cfg["md.thermostat"],
-                     friction=cfg["md.friction"], runup_steps=cfg["md.runup"],
-                     seed=cfg["seed"], sample_interval=cfg["md.sample_interval"])
+                     total_steps=cfg["md.steps"], friction=cfg["md.friction"],
+                     runup_steps=cfg["md.runup"], seed=cfg["seed"],
+                     sample_interval=cfg["md.sample_interval"])
     result = run_md(structure, model, mdcfg)
     out = cfg["io.output"]
     if not out:

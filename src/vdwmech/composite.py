@@ -16,7 +16,7 @@ from .errors import InputError
 from .mbd import MbdModelConfig
 from .pairwise import PwModelConfig
 from .periodic import ImageSet, generate_images
-from .species import VdwSpeciesParams, load_species_params, states_for
+from .species import states_for
 from .structure import AtomicStructure
 
 VDW_KINDS = ("none", "pw", "mbd")
@@ -32,7 +32,6 @@ class CompositeModel:
                  vdw: str = "none",
                  pw_cfg: PwModelConfig | None = None,
                  mbd_cfg: MbdModelConfig | None = None,
-                 species_table: dict[str, VdwSpeciesParams] | None = None,
                  shells: int | None = None):
         if vdw not in VDW_KINDS:
             raise InputError(f"vdw must be one of {VDW_KINDS}, got {vdw!r}")
@@ -42,7 +41,6 @@ class CompositeModel:
         self.vdw = vdw
         self.pw_cfg = pw_cfg or PwModelConfig()
         self.mbd_cfg = mbd_cfg or MbdModelConfig()
-        self.species_table = species_table
         self.shells = shells
         self._states_key = None
         self._states = None
@@ -52,9 +50,7 @@ class CompositeModel:
     def _states_for(self, structure):
         key = (structure.species, structure.volume_ratios.tobytes())
         if key != self._states_key:
-            if self.species_table is None:
-                self.species_table = load_species_params()
-            self._states = states_for(structure, self.species_table)
+            self._states = states_for(structure)
             self._states_key = key
         return self._states
 

@@ -99,7 +99,6 @@ SCHEMA = {
     "protocol.max_increment_halvings": ("int", 4, None),
     "md.timestep": ("float", 1.0, None),
     "md.temperature": ("float", 300.0, None),
-    "md.thermostat": ("str", "langevin", ("none", "langevin")),
     "md.friction": ("float", 0.01, None),
     "md.steps": ("int", 1000, None),
     "md.runup": ("int", 0, None),

@@ -45,7 +45,7 @@ from scipy.special import erf
 
 from .errors import InputError, InstabilityError, NumericalError
 from .periodic import ImageSet, paired_separations
-from .species import PerAtomVdwState
+from .species import VdwStates
 from .structure import AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
 
@@ -164,15 +164,13 @@ def _pair_params(structure, states, cfg):
     """Frequencies omega_i, couplings K_ij and inverse widths 1/s_ij."""
     if len(states) != len(structure):
         raise InputError("one vdW state per atom required")
-    omega = np.array([s.omega for s in states])
-    alpha = np.array([s.alpha0_eff for s in states])
-    sigma = np.array([s.sigma for s in states])
+    omega, alpha, sigma = states.omega, states.alpha0_eff, states.sigma
     coupling = np.outer(omega, omega) * np.sqrt(np.outer(alpha, alpha))
     inv_s = 1.0 / (cfg.beta * np.sqrt(sigma[:, None] ** 2 + sigma[None, :] ** 2))
     return omega, coupling, inv_s
 
 
-def assemble_mbd_matrix(structure: AtomicStructure, states: list[PerAtomVdwState],
+def assemble_mbd_matrix(structure: AtomicStructure, states: VdwStates,
                         cfg: MbdModelConfig, images: ImageSet | None = None
                         ) -> np.ndarray:
     """The 3N x 3N coupled-oscillator matrix [Ha^2], exactly symmetric.
@@ -213,7 +211,7 @@ def _assemble(structure, images, omega, coupling, inv_s):
     return c
 
 
-def mbd_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
+def mbd_energy(structure: AtomicStructure, states: VdwStates,
                cfg: MbdModelConfig, images: ImageSet | None = None,
                forces: bool = False) -> tuple[float, np.ndarray | None]:
     """Many-body dispersion energy [eV] and, with ``forces``, the analytic

@@ -1,8 +1,9 @@
-"""Molecular dynamics: velocity Verlet, optionally with a Langevin thermostat.
+"""Molecular dynamics: Langevin dynamics by the BAOAB splitting.
 
-Langevin integration uses the BAOAB splitting (one force evaluation per
-step).  Units: positions A, time fs, masses amu, energies eV.  Fixed
-structure components are excluded from integration and from the kinetic
+One force evaluation per step.  With zero friction the O step leaves the
+velocities unchanged and the step is exactly velocity Verlet (NVE).
+Units: positions A, time fs, masses amu, energies eV.  Fixed structure
+components are excluded from integration and from the kinetic
 temperature.
 """
 
@@ -16,16 +17,13 @@ from .errors import GeometryError, InputError, IntegrationError
 from .structure import AtomicStructure
 from .units import ACC_EV_A_AMU, KB_EV, KE_AMU_A2_FS2_EV
 
-THERMOSTATS = ("none", "langevin")
-
 
 @dataclass(frozen=True)
 class MdConfig:
     timestep: float                 # fs
     temperature: float              # K
     total_steps: int
-    thermostat: str = "langevin"
-    friction: float = 0.01          # 1/fs, Langevin only
+    friction: float = 0.01          # 1/fs; 0 gives NVE
     runup_steps: int = 0
     seed: int = 0
     sample_interval: int = 1
@@ -35,8 +33,8 @@ class MdConfig:
             raise InputError("timestep must be positive")
         if self.temperature < 0:
             raise InputError("temperature must be >= 0")
-        if self.thermostat not in THERMOSTATS:
-            raise InputError(f"thermostat must be one of {THERMOSTATS}")
+        if not self.friction >= 0:
+            raise InputError("friction must be >= 0")
         if self.total_steps < 1 or self.runup_steps < 0:
             raise InputError("bad step counts")
         if self.sample_interval < 1:
@@ -101,12 +99,10 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     e_ref = e_tot0 + 0.5 * KE_AMU_A2_FS2_EV * float(np.sum(masses * vel**2))
 
     dt = cfg.timestep
-    langevin = cfg.thermostat == "langevin"
-    if langevin:
-        c1 = np.exp(-cfg.friction * dt)
-        c2 = np.sqrt(max(0.0, 1.0 - c1 * c1))
-        v_std = np.sqrt(KB_EV * cfg.temperature * ACC_EV_A_AMU / structure.masses)[:, None]
-        noise_scale = c2 * v_std * free_f
+    c1 = np.exp(-cfg.friction * dt)
+    c2 = np.sqrt(max(0.0, 1.0 - c1 * c1))
+    v_std = np.sqrt(KB_EV * cfg.temperature * ACC_EV_A_AMU / structure.masses)[:, None]
+    noise_scale = c2 * v_std * free_f
 
     fixed_any = structure.fixed.any(axis=1)
 
@@ -123,12 +119,9 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     a = accel(forces)
     for step in range(1, cfg.total_steps + 1):
         vel = vel + 0.5 * dt * a
-        if langevin:
-            pos = pos + 0.5 * dt * vel
-            vel = c1 * vel + noise_scale * rng.standard_normal((n, 3))
-            pos = pos + 0.5 * dt * vel
-        else:
-            pos = pos + dt * vel
+        pos = pos + 0.5 * dt * vel
+        vel = c1 * vel + noise_scale * rng.standard_normal((n, 3))
+        pos = pos + 0.5 * dt * vel
         cur = cur.with_positions(pos, check_overlap=False)
         try:
             (e_pot, _, _), forces = model.energy_and_forces(cur)

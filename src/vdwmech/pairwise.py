@@ -18,7 +18,7 @@ from scipy.special import expit
 
 from .errors import InputError
 from .periodic import ImageSet, paired_separations
-from .species import PerAtomVdwState
+from .species import VdwStates
 from .structure import AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
 
@@ -58,7 +58,7 @@ def fermi_damping(r, s_vdw, d):
     return float(out) if out.ndim == 0 else out
 
 
-def pw_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
+def pw_energy(structure: AtomicStructure, states: VdwStates,
               cfg: PwModelConfig, images: ImageSet | None = None,
               forces: bool = False) -> tuple[float, np.ndarray | None]:
     """Pairwise dispersion energy [eV] and, with ``forces``, the analytic
@@ -73,7 +73,7 @@ def pw_energy(structure: AtomicStructure, states: list[PerAtomVdwState],
         raise InputError("one vdW state per atom required")
     if n < 2 and images is None:
         return 0.0, np.zeros((n, 3)) if forces else None
-    c6, alpha, rv = np.array([(s.c6_eff, s.alpha0_eff, s.rvdw_eff) for s in states]).T
+    c6, alpha, rv = states.c6_eff, states.alpha0_eff, states.rvdw_eff
     # the combination rule C6_ij = 2 C6_i C6_j / (a_j/a_i C6_i + a_i/a_j C6_j) for
     # all pairs, as 2 p_i p_j / (q_i + q_j), p = C6/alpha, q = p/alpha
     p = c6 / alpha

@@ -10,17 +10,21 @@ the Hirshfeld-style volume ratio:
 
 The characteristic oscillator frequency uses the free-atom values,
 omega = 4 C6 / (3 alpha^2), and is therefore independent of the ratio.
+The file named by the VDWMECH_VDW_PARAMS environment variable replaces the
+packaged table.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
+import numpy as np
+
 from .errors import InputError, ParseError
-from .structure import AtomicStructure
+from .structure import AtomicStructure, _frozen
 
 PARAMS_ENV_VAR = "VDWMECH_VDW_PARAMS"
 
@@ -40,28 +44,22 @@ class VdwSpeciesParams:
 
 
 @dataclass(frozen=True)
-class PerAtomVdwState:
-    """Environment-scaled dispersion parameters of a single atom [a.u.]."""
+class VdwStates:
+    """Environment-scaled dispersion parameters, one (N,) array per field
+    [a.u.], read-only."""
 
-    c6_eff: float       # Ha * Bohr^6
-    alpha0_eff: float   # Bohr^3
-    rvdw_eff: float     # Bohr
-    omega: float        # Ha
-    sigma: float        # Bohr
+    c6_eff: np.ndarray      # Ha * Bohr^6
+    alpha0_eff: np.ndarray  # Bohr^3
+    rvdw_eff: np.ndarray    # Bohr
+    omega: np.ndarray       # Ha
+    sigma: np.ndarray       # Bohr
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
 
-def scale_vdw_params(params: VdwSpeciesParams, ratio: float) -> PerAtomVdwState:
-    """Scale free-atom values by a volume ratio and derive omega and sigma."""
-    if not ratio > 0:
-        raise InputError(f"volume ratio must be positive, got {ratio}")
-    alpha0_eff = params.alpha0_free * ratio
-    return PerAtomVdwState(
-        c6_eff=params.c6_free * ratio**2,
-        alpha0_eff=alpha0_eff,
-        rvdw_eff=params.rvdw_free * ratio ** (1.0 / 3.0),
-        omega=4.0 * params.c6_free / (3.0 * params.alpha0_free**2),
-        sigma=(math.sqrt(2.0 / (9.0 * math.pi)) * alpha0_eff) ** (1.0 / 3.0),
-    )
+    def __len__(self) -> int:
+        return len(self.c6_eff)
 
 
 def parse_species_table(text: str, path: str | None = None) -> dict[str, VdwSpeciesParams]:
@@ -87,14 +85,10 @@ def parse_species_table(text: str, path: str | None = None) -> dict[str, VdwSpec
     return table
 
 
-def load_species_params(path: str | None = None) -> dict[str, VdwSpeciesParams]:
-    """Load the species table.
-
-    Resolution order: explicit ``path`` argument, the VDWMECH_VDW_PARAMS
-    environment variable, then the packaged defaults.
-    """
-    if path is None:
-        path = os.environ.get(PARAMS_ENV_VAR)
+def load_species_params() -> dict[str, VdwSpeciesParams]:
+    """Load the species table: the file named by the VDWMECH_VDW_PARAMS
+    environment variable if it is set, otherwise the packaged defaults."""
+    path = os.environ.get(PARAMS_ENV_VAR)
     if path is None:
         text = resources.files("vdwmech.data").joinpath("ts_params.txt").read_text()
         return parse_species_table(text, "ts_params.txt")
@@ -102,14 +96,22 @@ def load_species_params(path: str | None = None) -> dict[str, VdwSpeciesParams]:
         return parse_species_table(fh.read(), path)
 
 
-def states_for(structure: AtomicStructure,
-               table: dict[str, VdwSpeciesParams] | None = None) -> list[PerAtomVdwState]:
-    """Per-atom scaled dispersion states for a structure."""
-    if table is None:
-        table = load_species_params()
-    states = []
-    for sym, ratio in zip(structure.species, structure.volume_ratios):
-        if sym not in table:
-            raise InputError(f"no dispersion parameters for element {sym!r}")
-        states.append(scale_vdw_params(table[sym], float(ratio)))
-    return states
+def states_for(structure: AtomicStructure) -> VdwStates:
+    """Per-atom scaled dispersion states for a structure, from the species
+    table and the structure's volume ratios."""
+    table = load_species_params()
+    elements, which = np.unique(np.array(structure.species, dtype=str), return_inverse=True)
+    missing = [str(e) for e in elements if e not in table]
+    if missing:
+        raise InputError(f"no dispersion parameters for element {missing[0]!r}")
+    c6, alpha, rvdw = np.array([(table[e].c6_free, table[e].alpha0_free, table[e].rvdw_free)
+                                for e in elements]).reshape(-1, 3)[which].T
+    ratio = structure.volume_ratios
+    alpha_eff = alpha * ratio
+    return VdwStates(
+        c6_eff=c6 * ratio**2,
+        alpha0_eff=alpha_eff,
+        rvdw_eff=rvdw * ratio ** (1.0 / 3.0),
+        omega=4.0 * c6 / (3.0 * alpha**2),
+        sigma=(math.sqrt(2.0 / (9.0 * math.pi)) * alpha_eff) ** (1.0 / 3.0),
+    )

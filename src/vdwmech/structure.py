@@ -43,6 +43,8 @@ class CellTensor:
             raise InputError(f"cell matrix must be 3x3, got {m.shape}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))
+        if not np.all(np.isfinite(m)):
+            raise InputError("cell matrix has non-finite entries")
         # every full-matrix inverse (minimum image, strain) needs all three
         # rows independent, the non-periodic ones included
         if not abs(np.linalg.det(m)) > 1e-12 * np.prod(np.linalg.norm(m, axis=1)):
@@ -81,6 +83,8 @@ class AtomicStructure:
         species = tuple(str(s) for s in self.species)
         if len(species) != n:
             raise InputError(f"{n} positions but {len(species)} species")
+        if not np.all(np.isfinite(pos)):
+            raise InputError("positions must be finite")
 
         if self.masses is None:
             try:
@@ -91,8 +95,8 @@ class AtomicStructure:
             masses = np.asarray(self.masses, dtype=float).reshape(-1)
         if len(masses) != n:
             raise InputError(f"{n} positions but {len(masses)} masses")
-        if n and not np.all(masses > 0):
-            raise InputError("masses must be positive")
+        if n and not np.all((masses > 0) & np.isfinite(masses)):
+            raise InputError("masses must be positive and finite")
 
         fixed = np.zeros((n, 3), bool) if self.fixed is None \
             else np.asarray(self.fixed, dtype=bool).reshape(-1, 3)
@@ -103,8 +107,8 @@ class AtomicStructure:
             else np.asarray(self.volume_ratios, dtype=float).reshape(-1)
         if len(ratios) != n:
             raise InputError(f"{n} positions but {len(ratios)} volume ratios")
-        if n and not np.all(ratios > 0):
-            raise InputError("volume ratios must be positive")
+        if n and not np.all((ratios > 0) & np.isfinite(ratios)):
+            raise InputError("volume ratios must be positive and finite")
 
         object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "species", species)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vdwmech.species import PARAMS_ENV_VAR, states_for
 from vdwmech.structure import AtomicStructure
 
 
@@ -84,10 +85,10 @@ def brute_force_pw_energy(structure, states, d, gamma):
     for i in range(n):
         for j in range(i + 1, n):
             r = np.sqrt(np.sum((pos[i] - pos[j]) ** 2))
-            ci, cj = states[i].c6_eff, states[j].c6_eff
-            ai, aj = states[i].alpha0_eff, states[j].alpha0_eff
+            ci, cj = states.c6_eff[i], states.c6_eff[j]
+            ai, aj = states.alpha0_eff[i], states.alpha0_eff[j]
             c6 = 2.0 * ci * cj / ((aj / ai) * ci + (ai / aj) * cj)
-            s = gamma * (states[i].rvdw_eff + states[j].rvdw_eff)
+            s = gamma * (states.rvdw_eff[i] + states.rvdw_eff[j])
             f = 1.0 / (1.0 + np.exp(-d * (r / s - 1.0)))
             e -= f * c6 / r**6
     return e * ha
@@ -128,9 +129,7 @@ def brute_force_pw(structure, states, cfg, images=None):
     if cutoff is not None:
         keep = r_ang <= cutoff
         ii, jj, d, r_ang = ii[keep], jj[keep], d[keep], r_ang[keep]
-    c6 = np.array([s.c6_eff for s in states])
-    alpha = np.array([s.alpha0_eff for s in states])
-    rv = np.array([s.rvdw_eff for s in states])
+    c6, alpha, rv = states.c6_eff, states.alpha0_eff, states.rvdw_eff
     r = r_ang / BOHR_ANGSTROM
     c6ij = 2.0 * c6[ii] * c6[jj] / (
         (alpha[jj] / alpha[ii]) * c6[ii] + (alpha[ii] / alpha[jj]) * c6[jj])
@@ -172,9 +171,7 @@ def brute_force_mbd_matrix(structure, states, cfg, images=None):
     from vdwmech.units import BOHR_ANGSTROM
 
     n = len(structure)
-    omega = np.array([s.omega for s in states])
-    alpha = np.array([s.alpha0_eff for s in states])
-    sigma = np.array([s.sigma for s in states])
+    omega, alpha, sigma = states.omega, states.alpha0_eff, states.sigma
     coupling = np.outer(omega, omega) * np.sqrt(np.outer(alpha, alpha))
     s_pair = cfg.beta * np.sqrt(sigma[:, None] ** 2 + sigma[None, :] ** 2)
 
@@ -205,7 +202,7 @@ def brute_force_mbd_matrix(structure, states, cfg, images=None):
     return 0.5 * (c + c.T)
 
 
-def dipole_tensor(structure, states, cfg, i, j, image=(0.0, 0.0, 0.0)):
+def dipole_tensor(structure, cfg, i, j, image=(0.0, 0.0, 0.0)):
     """Damped dipole tensor T_ij [Bohr^-3] between atom i and atom j
     shifted by the Cartesian ``image`` [A]: the off-diagonal 3x3 block of
     the library's MBD matrix for the open pair {R_i, R_j + image}, divided
@@ -214,10 +211,11 @@ def dipole_tensor(structure, states, cfg, i, j, image=(0.0, 0.0, 0.0)):
 
     pair = AtomicStructure(
         positions=[structure.positions[i], structure.positions[j] + np.asarray(image, float)],
-        species=[structure.species[i], structure.species[j]])
-    si, sj = states[i], states[j]
-    c = assemble_mbd_matrix(pair, [si, sj], cfg)
-    return c[:3, 3:] / (si.omega * sj.omega * np.sqrt(si.alpha0_eff * sj.alpha0_eff))
+        species=[structure.species[i], structure.species[j]],
+        volume_ratios=structure.volume_ratios[[i, j]])
+    st = states_for(pair)
+    c = assemble_mbd_matrix(pair, st, cfg)
+    return c[:3, 3:] / (np.prod(st.omega) * np.sqrt(np.prod(st.alpha0_eff)))
 
 
 def two_oscillator_energy(states, r_ang, beta):
@@ -228,20 +226,20 @@ def two_oscillator_energy(states, r_ang, beta):
     """
     bohr = 0.529177
     ha = 27.211386
-    s1, s2 = states
+    w1, w2 = states.omega
     r = r_ang / bohr
-    sig = beta * np.sqrt(s1.sigma**2 + s2.sigma**2)
+    sig = beta * np.sqrt(np.sum(states.sigma**2))
     gp, gpp = tensor_scalars(np.array([r]), sig)
     t_par = -float(gpp[0])
     t_perp = -float(gp[0]) / r
-    k = s1.omega * s2.omega * np.sqrt(s1.alpha0_eff * s2.alpha0_eff)
-    mean = 0.5 * (s1.omega**2 + s2.omega**2)
-    delta = 0.5 * (s1.omega**2 - s2.omega**2)
+    k = w1 * w2 * np.sqrt(np.prod(states.alpha0_eff))
+    mean = 0.5 * (w1**2 + w2**2)
+    delta = 0.5 * (w1**2 - w2**2)
     e = 0.0
     for t in (t_par, t_perp, t_perp):
         disc = np.sqrt(delta**2 + (k * t) ** 2)
         e += 0.5 * (np.sqrt(mean + disc) + np.sqrt(mean - disc))
-    return (e - 1.5 * (s1.omega + s2.omega)) * ha
+    return (e - 1.5 * (w1 + w2)) * ha
 
 
 def random_cluster(rng, n, symbols=("C", "H"), min_dist=1.5, box=8.0):
@@ -263,6 +261,17 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] *= -1
     return q
+
+
+@pytest.fixture
+def use_table(tmp_path, monkeypatch):
+    """Replace the species table for one test: call it with the table's
+    text; it is installed through the VDWMECH_VDW_PARAMS variable."""
+    def install(text):
+        path = tmp_path / "vdw_params.txt"
+        path.write_text(text)
+        monkeypatch.setenv(PARAMS_ENV_VAR, str(path))
+    return install
 
 
 @pytest.fixture

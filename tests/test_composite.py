@@ -92,6 +92,14 @@ def test_states_cache_tracks_ratio_changes():
     assert abs(e2) < abs(e1)  # smaller ratios, weaker dispersion
 
 
+def test_custom_species_table_reaches_the_model(use_table):
+    s = make_chain_pair(ChainSpec(2, 2, 1.2, 8.0))
+    assert set(s.species) == {"C"}
+    e_default = CompositeModel(vdw="pw").energy(s)
+    use_table("C 93.2 12.0 3.59\n")  # twice the packaged C6 of carbon
+    assert CompositeModel(vdw="pw").energy(s) == pytest.approx(2.0 * e_default, rel=1e-12)
+
+
 def test_small_evaluations_do_not_load_scipy_linalg():
     # scipy.linalg adds ~6.5 MB resident; only large MBD matrices need it,
     # and the minimizer's preconditioner is inverted with numpy

@@ -111,6 +111,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     xyz.write_text("2\nProperties=pos:R:3\n0 0 0\n0 0 1.5\n")
     assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw"]) == 1
     assert "kind=ParseError" in capsys.readouterr().err
+    # and so is a non-finite coordinate
+    for value in ("nan", "inf"):
+        xyz = tmp_path / f"{value}.xyz"
+        xyz.write_text(f"2\n\nC 0 0 0\nC {value} 0 1.5\n")
+        assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw"]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 def test_cli_manifest_reproduces_run(tmp_path, capsys):

@@ -6,13 +6,9 @@ from conftest import (brute_force_pw, brute_force_pw_energy, fd_forces, random_c
 from vdwmech.errors import GeometryError, InputError
 from vdwmech.pairwise import PwModelConfig, fermi_damping, pw_energy
 from vdwmech.periodic import generate_images
-from vdwmech.species import VdwSpeciesParams, scale_vdw_params, states_for
+from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM, HARTREE_EV
-
-
-def _state(c6, alpha, rvdw, ratio=1.0):
-    return scale_vdw_params(VdwSpeciesParams("X", c6, alpha, rvdw), ratio)
 
 
 def test_fermi_midpoint():
@@ -44,45 +40,45 @@ def test_fermi_preconditions():
         fermi_damping(1.0, 4.0, -2.0)
 
 
-def _far_pair_c6(state_i, state_j, r_ang=100.0):
+def _far_pair_c6(species, r_ang=100.0):
     """-E R^6 [Ha Bohr^6] of a pair so far apart that the damping is
     exactly 1, i.e. the combined C6_ij."""
     cfg = PwModelConfig()
-    s = AtomicStructure(positions=[[0, 0, 0], [r_ang, 0, 0]], species=["C", "C"])
-    s_vdw = cfg.gamma * (state_i.rvdw_eff + state_j.rvdw_eff)
+    s = AtomicStructure(positions=[[0, 0, 0], [r_ang, 0, 0]], species=species)
+    st = states_for(s)
+    s_vdw = cfg.gamma * (st.rvdw_eff[0] + st.rvdw_eff[1])
     assert fermi_damping(r_ang / BOHR_ANGSTROM, s_vdw, cfg.d) == 1.0
-    e = pw_energy(s, [state_i, state_j], cfg)[0]
+    e = pw_energy(s, st, cfg)[0]
     return -e / HARTREE_EV * (r_ang / BOHR_ANGSTROM) ** 6
 
 
-def test_combine_c6_identical_atoms():
-    a = _state(4.0, 2.0, 3.0)
-    assert _far_pair_c6(a, a) == pytest.approx(4.0)
+def test_combine_c6_identical_atoms(use_table):
+    use_table("C 4.0 2.0 3.0\n")
+    assert _far_pair_c6(["C", "C"]) == pytest.approx(4.0)
 
 
-def test_combine_c6_hand_value():
+def test_combine_c6_hand_value(use_table):
     # (C6=2, a=1) with (C6=2, a=2) -> 8/5
-    x = _state(2.0, 1.0, 3.0)
-    y = _state(2.0, 2.0, 3.0)
-    assert _far_pair_c6(x, y) == pytest.approx(1.6, rel=1e-12)
-    assert _far_pair_c6(y, x) == pytest.approx(_far_pair_c6(x, y), rel=1e-12)
+    use_table("C 2.0 1.0 3.0\nH 2.0 2.0 3.0\n")
+    assert _far_pair_c6(["C", "H"]) == pytest.approx(1.6, rel=1e-12)
+    assert _far_pair_c6(["H", "C"]) == pytest.approx(_far_pair_c6(["C", "H"]), rel=1e-12)
 
 
 def test_energy_empty_and_single():
     cfg = PwModelConfig()
     s0 = AtomicStructure(positions=np.zeros((0, 3)), species=[])
-    assert pw_energy(s0, [], cfg)[0] == 0.0
+    assert pw_energy(s0, states_for(s0), cfg)[0] == 0.0
     s1 = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     assert pw_energy(s1, states_for(s1), cfg)[0] == 0.0
     assert np.all(pw_energy(s1, states_for(s1), cfg, forces=True)[1] == 0.0)
 
 
-def test_two_atom_undamped_value():
+def test_two_atom_undamped_value(use_table):
     # C6 = 1 Ha Bohr^6 at R = 2 Bohr with f ~ 1 -> -1/64 Ha
-    st = _state(1.0, 1.0, 1e-3)  # tiny radius pushes the damping to 1
+    use_table("C 1.0 1.0 1e-3\n")  # tiny radius pushes the damping to 1
     r_ang = 2.0 * BOHR_ANGSTROM
     s = AtomicStructure(positions=[[0, 0, 0], [r_ang, 0, 0]], species=["C", "C"])
-    e = pw_energy(s, [st, st], PwModelConfig())[0]
+    e = pw_energy(s, states_for(s), PwModelConfig())[0]
     assert e / HARTREE_EV == pytest.approx(-1.0 / 64.0, rel=1e-9)
 
 
@@ -134,11 +130,10 @@ def test_invariance_under_rigid_motion(rng):
 
 def test_energy_negative_and_decaying(rng):
     cfg = PwModelConfig()
-    st = _state(46.6, 12.0, 3.59)
     vals = []
     for r in np.linspace(4.0, 12.0, 12):
         s = AtomicStructure(positions=[[0, 0, 0], [r, 0, 0]], species=["C", "C"])
-        vals.append(pw_energy(s, [st, st], cfg)[0])
+        vals.append(pw_energy(s, states_for(s), cfg)[0])
     vals = np.array(vals)
     assert np.all(vals < 0)
     assert np.all(np.diff(np.abs(vals)) < 0)  # |E| decreases with R
@@ -154,18 +149,19 @@ def test_overlap_guard_in_energy():
 
 
 def test_cutoff():
-    st = _state(46.6, 12.0, 3.59)
     s = AtomicStructure(positions=[[0, 0, 0], [30.0, 0, 0]], species=["C", "C"])
-    full = pw_energy(s, [st, st], PwModelConfig())[0]
-    cut = pw_energy(s, [st, st], PwModelConfig(cutoff=20.0))[0]
+    st = states_for(s)
+    full = pw_energy(s, st, PwModelConfig())[0]
+    cut = pw_energy(s, st, PwModelConfig(cutoff=20.0))[0]
     assert full < 0
     assert cut == 0.0
 
 
 def test_state_length_mismatch():
     s = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "C"])
+    one = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     with pytest.raises(InputError):
-        pw_energy(s, [], PwModelConfig())
+        pw_energy(s, states_for(one), PwModelConfig())
 
 
 TRICLINIC = CellTensor(np.array([[6.0, 0.0, 0.0], [1.5, 6.5, 0.0], [-1.0, 1.2, 7.0]]))

@@ -3,58 +3,63 @@ import pytest
 
 from vdwmech.errors import InputError, ParseError
 from vdwmech.species import (PARAMS_ENV_VAR, VdwSpeciesParams,
-                             load_species_params, parse_species_table,
-                             scale_vdw_params, states_for)
+                             load_species_params, parse_species_table, states_for)
 from vdwmech.structure import AtomicStructure
 
-
-def test_omega_direct_substitution():
-    p = VdwSpeciesParams("X", c6_free=4.0 / 3.0, alpha0_free=1.0, rvdw_free=1.0)
-    st = scale_vdw_params(p, 1.0)
-    assert st.omega == pytest.approx(16.0 / 9.0, rel=1e-12)
+CARBON = (46.6, 12.0, 3.59)  # the packaged C6, alpha0 and R_vdW of carbon
 
 
-def test_sigma_hand_value():
+def _states(ratios):
+    """States of a carbon row of atoms 3 A apart with the given volume ratios."""
+    n = len(ratios)
+    s = AtomicStructure(positions=[[3.0 * i, 0, 0] for i in range(n)],
+                        species=["C"] * n, volume_ratios=ratios)
+    return states_for(s)
+
+
+def test_omega_direct_substitution(use_table):
+    use_table(f"C {4.0 / 3.0!r} 1.0 1.0\n")
+    st = _states([1.0])
+    assert st.omega[0] == pytest.approx(16.0 / 9.0, rel=1e-12)
+
+
+def test_sigma_hand_value(use_table):
     # alpha_eff = 1 Bohr^3 -> sigma = (sqrt(2/(9 pi)))^(1/3) = 0.6431 Bohr
-    p = VdwSpeciesParams("X", c6_free=1.0, alpha0_free=1.0, rvdw_free=1.0)
-    st = scale_vdw_params(p, 1.0)
-    assert st.sigma == pytest.approx(0.6431, abs=1e-4)
+    use_table("C 1.0 1.0 1.0\n")
+    assert _states([1.0]).sigma[0] == pytest.approx(0.6431, abs=1e-4)
 
 
 def test_identity_scaling():
-    p = VdwSpeciesParams("C", 46.6, 12.0, 3.59)
-    st = scale_vdw_params(p, 1.0)
-    assert st.c6_eff == p.c6_free
-    assert st.alpha0_eff == p.alpha0_free
-    assert st.rvdw_eff == p.rvdw_free
+    st = _states([1.0])
+    c6, alpha, rvdw = CARBON
+    assert st.c6_eff[0] == c6
+    assert st.alpha0_eff[0] == alpha
+    assert st.rvdw_eff[0] == rvdw
 
 
 def test_scaling_relations():
-    p = VdwSpeciesParams("C", 46.6, 12.0, 3.59)
-    for ratio in (0.5, 0.9, 1.3):
-        st = scale_vdw_params(p, ratio)
-        assert st.c6_eff == pytest.approx(p.c6_free * ratio**2, rel=1e-12)
-        assert st.alpha0_eff == pytest.approx(p.alpha0_free * ratio, rel=1e-12)
-        assert st.rvdw_eff == pytest.approx(p.rvdw_free * ratio ** (1 / 3), rel=1e-12)
+    c6, alpha, rvdw = CARBON
+    ratios = np.array([0.5, 0.9, 1.3])
+    st = _states(ratios)
+    for k, ratio in enumerate(ratios):
+        assert st.c6_eff[k] == pytest.approx(c6 * ratio**2, rel=1e-12)
+        assert st.alpha0_eff[k] == pytest.approx(alpha * ratio, rel=1e-12)
+        assert st.rvdw_eff[k] == pytest.approx(rvdw * ratio ** (1 / 3), rel=1e-12)
         # omega uses free-atom values only
-        assert st.omega == pytest.approx(4 * p.c6_free / (3 * p.alpha0_free**2))
+        assert st.omega[k] == pytest.approx(4 * c6 / (3 * alpha**2))
 
 
 def test_monotone_in_ratio():
-    p = VdwSpeciesParams("C", 46.6, 12.0, 3.59)
-    ratios = np.linspace(0.2, 2.0, 25)
-    states = [scale_vdw_params(p, r) for r in ratios]
+    st = _states(np.linspace(0.2, 2.0, 25))
     for attr in ("c6_eff", "alpha0_eff", "rvdw_eff", "sigma"):
-        vals = [getattr(s, attr) for s in states]
-        assert all(b > a for a, b in zip(vals, vals[1:])), attr
+        assert np.all(np.diff(getattr(st, attr)) > 0), attr
 
 
 def test_invalid_inputs():
-    p = VdwSpeciesParams("C", 46.6, 12.0, 3.59)
     with pytest.raises(InputError):
-        scale_vdw_params(p, 0.0)
+        _states([0.0])
     with pytest.raises(InputError):
-        scale_vdw_params(p, -1.0)
+        _states([-1.0])
     with pytest.raises(InputError):
         VdwSpeciesParams("C", -46.6, 12.0, 3.59)
 
@@ -85,7 +90,14 @@ def test_states_for_uses_ratios():
     s = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "C"],
                         volume_ratios=[1.0, 0.8])
     st = states_for(s)
-    assert st[1].alpha0_eff == pytest.approx(st[0].alpha0_eff * 0.8)
-    s2 = AtomicStructure(positions=[[0, 0, 0]], species=["Ne"])
-    with pytest.raises(InputError):
+    assert len(st) == 2
+    assert st.alpha0_eff[1] == pytest.approx(st.alpha0_eff[0] * 0.8)
+    with pytest.raises(ValueError):
+        st.c6_eff[0] = 1.0  # the arrays are read-only
+    mixed = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0], [6, 0, 0]],
+                            species=["C", "H", "C"])
+    assert states_for(mixed).c6_eff.tolist() == [46.6, 6.5, 46.6]
+    s2 = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "Ne"])
+    with pytest.raises(InputError, match="'Ne'"):
         states_for(s2)
+    assert len(states_for(AtomicStructure(positions=np.zeros((0, 3)), species=[]))) == 0

@@ -14,6 +14,15 @@ def test_field_validation():
         AtomicStructure(positions=[[0, 0, 0]], species=["C"], volume_ratios=[0.0])
     with pytest.raises(InputError):
         AtomicStructure(positions=[[0, 0, 0]], species=["Xx"])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="finite"):
+            AtomicStructure(positions=[[0, 0, bad]], species=["C"])
+        with pytest.raises(InputError, match="finite"):
+            AtomicStructure(positions=[[0, 0, 0]], species=["C"], masses=[abs(bad)])
+        with pytest.raises(InputError, match="finite"):
+            AtomicStructure(positions=[[0, 0, 0]], species=["C"], volume_ratios=[abs(bad)])
+        with pytest.raises(InputError, match="non-finite"):
+            CellTensor(np.diag([5.0, 5.0, bad]))
 
 
 def test_overlap_guard():
