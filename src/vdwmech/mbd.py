@@ -33,6 +33,21 @@ S + S^T, which makes C exactly symmetric.  The forces use the same
 pairing: the gradient of the (i, j, -t) term is minus that of (j, i, t),
 so the sum over partners becomes row sums minus column sums.
 
+Both passes allocate their (N, N) buffers once and overwrite them image
+by image.  Where R/s >= 7 they skip erf and exp: erf(R/s) is exactly 1
+there, and the Gaussian terms are below 3e-18 of the terms they are added
+to, under half an ulp, so leaving them out cannot change a bit.
+
+Memory, counted in dense 3N x 3N arrays (M); N x N buffers come on top.
+Assembly holds the seven (N, N) sums (7/9 M) and then C (1 M).  The
+staged eigensolve (see sym_eigen) copies C once into a working array
+that it reduces in place, so besides C it holds at most three: the
+working array, the eigenvectors and dstevd's workspace; the
+back-transformation then runs in place on the eigenvectors.  For forces,
+the eigenvectors are scaled in place into v and W = v v^T is formed
+(2 M); K W fills six (N, N) arrays (2/3 M), and v and W are released
+before the image pass of the forces.
+
 All internal math is in Hartree atomic units.
 """
 
@@ -51,12 +66,16 @@ from .units import BOHR_ANGSTROM, HARTREE_EV
 
 EIG_FLOOR = 1e-12  # Ha^2; eigenvalues below -EIG_FLOOR are an instability
 _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+# R/s from which the Gaussian terms of the radial factors are dropped
+_FAR_ZETA = 7.0
 # the unique Cartesian components (a, b) of a symmetric 3x3 block
 _COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 # Matrices from this size on are diagonalized through scipy's LAPACK stages,
-# which skip the eigenvectors when only eigenvalues are needed.  Loading
-# scipy.linalg adds about 6.5 MB of resident memory, a fixed cost that only
-# pays off once the matrix itself is larger (order 1024 and up).
+# which skip the eigenvectors when only eigenvalues are needed and reduce
+# one working copy in place: with vectors they peak at three matrices
+# besides the input, where numpy's eigh holds four.  Loading scipy.linalg
+# adds about 6.5 MB of resident memory, a fixed cost that only pays off
+# once the matrix itself is larger (order 1024 and up).
 _STAGED_MIN_BYTES = 8 * 2**20
 
 
@@ -78,33 +97,60 @@ class MbdModelConfig:
     shell_energy_tol: float = 1e-5  # eV
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise InputError("beta must be positive")
-        if self.replica_shells < 0:
+        if not self.replica_shells >= 0:
             raise InputError("replica_shells must be >= 0")
+        if not self.shell_energy_tol >= 0:
+            raise InputError("shell_energy_tol must be >= 0")
 
 
-def _radial(r2, inv_s, slope=False):
-    """Radial factors of the damped dipole tensor T(d) = -(A d d^T + B I).
+def _image_pass(structure, images, inv_s, slope=False):
+    """paired_separations with the radial factors of each image.
 
-    With g(R) = erf(R/s)/R: B = g'/R and A = B'/R = (g'' - g'/R)/R^2, from
-    squared distances ``r2`` [Bohr^2]; ``inv_s`` = 1/s broadcasts against
-    it.  ``slope=True`` also returns A'/R, which the forces need.  In the
-    far field A -> 3/R^5 and B -> -1/R^3.
+    Yields (home, d, a, b, s): the separations and, as (N, N) arrays, the
+    factors A and B of the damped dipole tensor T(d) = -(A d d^T + B I)
+    and, with ``slope``, A'/R (otherwise None).  With g(R) = erf(R/s)/R:
+    B = g'/R and A = B'/R = (g'' - g'/R)/R^2; in the far field A -> 3/R^5
+    and B -> -1/R^3.  ``inv_s`` is the (N, N) array 1/s.  Every array is a
+    buffer that the next image overwrites, so callers may scale it in place.
     """
-    r = np.sqrt(r2)
-    zeta = r * inv_s
-    # erf is exactly 1 from zeta = 5.93 on, and a Gaussian below e^-700
-    # cannot change a sum with the 1/R terms; skipping the one and capping
-    # the other keeps far images off the slow underflow paths
-    e = erf(zeta) if zeta.min() < 6.0 else 1.0
-    gauss = np.exp(-np.minimum(zeta * zeta, 700.0))
-    derf = _TWO_OVER_SQRT_PI * inv_s * gauss  # d erf(R/s) / dR
-    b = (derf - e / r) / r2
-    a = -(3.0 * b + 2.0 * derf * inv_s**2) / r2
-    if not slope:
-        return a, b
-    return a, b, (4.0 * derf * inv_s**4 - 5.0 * a) / r2
+    n = len(structure)
+    # per-pair factors of the Gaussian terms; d erf(R/s)/dR = g_scale exp(-(R/s)^2)
+    g_scale = _TWO_OVER_SQRT_PI * inv_s
+    a_scale = 2.0 * inv_s**2
+    s_scale = 4.0 * inv_s**4 if slope else None
+    r, zeta, e, g = np.empty((4, n, n))
+    near = np.empty((n, n), dtype=bool)
+    for home, d, r2 in paired_separations(structure, images):
+        np.sqrt(r2, out=r)
+        np.multiply(r, inv_s, out=zeta)
+        # erf and exp only where R/s < _FAR_ZETA; beyond it they cannot change a bit
+        np.less(zeta, _FAR_ZETA, out=near)
+        z = zeta[near]
+        e.fill(1.0)
+        e[near] = erf(z)
+        z *= z
+        np.negative(z, out=z)
+        g.fill(0.0)
+        g[near] = np.exp(z, out=z)
+        g *= g_scale  # d erf(R/s) / dR
+        # B = (derf - erf/R) / R^2, into e
+        e /= r
+        np.subtract(g, e, out=e)
+        e /= r2
+        # A = -(3 B + 2 derf / s^2) / R^2, into r
+        np.multiply(e, 3.0, out=r)
+        np.multiply(g, a_scale, out=zeta)
+        r += zeta
+        np.negative(r, out=r)
+        r /= r2
+        if slope:  # A'/R = (4 derf / s^4 - 5 A) / R^2, into zeta
+            np.multiply(g, s_scale, out=zeta)
+            np.multiply(r, 5.0, out=g)
+            zeta -= g
+            zeta /= r2
+        yield home, d, r, e, zeta if slope else None
 
 
 def sym_eigen(a: np.ndarray, vectors: bool = True):
@@ -113,18 +159,27 @@ def sym_eigen(a: np.ndarray, vectors: bool = True):
     Returns (eigenvalues ascending, orthonormal eigenvectors as columns),
     or the eigenvalues alone when ``vectors`` is false.  The eigenvalues
     are the same to the last bit in both modes, so an energy-only call
-    and an energy-and-forces call agree exactly.
+    and an energy-and-forces call agree exactly.  ``a`` is not modified.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
     if a.size:
-        scale = max(1.0, float(a.max()), -float(a.min()))
+        lo, hi = float(a.min()), float(a.max())  # NaN propagates through both
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InputError("matrix has non-finite entries")
+        scale = max(1.0, hi, -lo)
         asym = a - a.T
         if float(np.abs(asym, out=asym).max()) > 1e-10 * scale:
             raise InputError("matrix is not symmetric within 1e-10")
+        del asym  # not kept through the solve
     if a.nbytes >= _STAGED_MIN_BYTES and len(a) > 1:
-        return _staged_eigen(a, vectors)
+        work = np.array(a, order="F")
+        # from CPython 3.11 on, a caller that passed a temporary (as
+        # mbd_energy does) keeps no reference of its own, so this frees
+        # the input for the rest of the solve
+        del a
+        return _staged_eigen(work, vectors)
     # numpy's eigvalsh and eigh use different tridiagonal solvers, so both
     # modes run eigh to get the same eigenvalues
     try:
@@ -134,16 +189,18 @@ def sym_eigen(a: np.ndarray, vectors: bool = True):
     return (vals, vecs) if vectors else vals
 
 
-def _staged_eigen(a, vectors):
-    """The stages of LAPACK's dsyevd: one tridiagonal reduction, the
-    eigenvalues of the tridiagonal by dsterf and, for vectors, divide and
-    conquer and the back-transformation.  The eigenvalues come from dsterf
-    in both modes, and without vectors only the first two stages run."""
+def _staged_eigen(work, vectors):
+    """The stages of LAPACK's dsyevd on ``work``, a Fortran-ordered copy
+    that is reduced in place: one tridiagonal reduction, the eigenvalues of
+    the tridiagonal by dsterf and, for vectors, divide and conquer and the
+    back-transformation.  The eigenvalues come from dsterf in both modes,
+    and without vectors only the first two stages run."""
     from scipy.linalg import lapack
 
-    n = len(a)
-    work, info = lapack.dsytrd_lwork(n, lower=1)
-    red, diag, off, tau, info = lapack.dsytrd(a, lower=1, lwork=int(work))
+    n = len(work)
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    red, diag, off, tau, info = lapack.dsytrd(work, lower=1, lwork=int(lwork),
+                                              overwrite_a=1)
     vals, info = lapack.dsterf(diag, off)
     if info:
         raise NumericalError(f"eigenvalues failed to converge (dsterf info {info})")
@@ -153,11 +210,34 @@ def _staged_eigen(a, vectors):
     if info:
         raise NumericalError(f"eigenvectors failed to converge (dstevd info {info})")
     # below its first row, the reduction holds the Householder vectors in
-    # the layout of a QR factorization
-    back, _, info = lapack.dormqr("L", "N", red[1:, :-1], tau, vecs[1:],
-                                 lwork=64 * (n + 65))
-    vecs[1:] = back
+    # the layout of a QR factorization, and they act on rows 1: of vecs;
+    # both blocks move to the front of their buffers, where dormqr takes
+    # them without a copy and overwrites the eigenvectors
+    top = vecs[0].copy()
+    lapack.dormqr("L", "N", _drop_first_row(red[:, :-1]), tau, _drop_first_row(vecs),
+                  lwork=64 * (n + 65), overwrite_c=1)
+    _restore_first_row(vecs, top)
     return vals, vecs
+
+
+def _drop_first_row(x):
+    """Rows 1: of the Fortran-ordered (m, k) array ``x``, moved in place to
+    the front of its buffer and returned as a Fortran-ordered view.  Each
+    column moves toward the front, onto columns already moved."""
+    m, k = x.shape
+    flat = x.reshape(-1, order="F")
+    for j in range(k):
+        flat[j * (m - 1):(j + 1) * (m - 1)] = flat[j * m + 1:(j + 1) * m]
+    return flat[:(m - 1) * k].reshape(m - 1, k, order="F")
+
+
+def _restore_first_row(x, row):
+    """Undo _drop_first_row on ``x`` and put ``row`` back as its first row."""
+    m, k = x.shape
+    flat = x.reshape(-1, order="F")
+    for j in reversed(range(k)):
+        flat[j * m + 1:(j + 1) * m] = flat[j * (m - 1):(j + 1) * (m - 1)]
+    x[0] = row
 
 
 def _pair_params(structure, states, cfg):
@@ -187,22 +267,27 @@ def _assemble(structure, images, omega, coupling, inv_s):
     """assemble_mbd_matrix from the _pair_params of the states."""
     n = len(structure)
     paired = images is not None and len(images) > 1
+    # C goes below the temporaries on the heap, so the space they free
+    # stays in one block that the eigensolve's arrays can reuse
+    c4 = np.empty((n, 3, n, 3))
     # sum_t A d_a d_b in _COMPONENTS order, then sum_t B; with paired images
     # the sum is added to its transpose, so the home image weighs 1/2
     acc = np.zeros((7, n, n))
-    for home, d, r2 in paired_separations(structure, images):
-        a, b = _radial(r2, inv_s)
+    t = np.empty((n, n))
+    for home, d, a, b, _ in _image_pass(structure, images, inv_s):
         if home and paired:
             a *= 0.5
             b *= 0.5
         for c, (p, q) in enumerate(_COMPONENTS):
-            acc[c] += a * d[p] * d[q]
+            np.multiply(a, d[p], out=t)
+            t *= d[q]
+            acc[c] += t
         acc[6] += b
     if paired:
-        acc = acc + acc.transpose(0, 2, 1)
+        for s in acc:
+            s += s.T  # numpy buffers the overlapping transpose
     acc *= -coupling
     acc[:3] += acc[6]
-    c4 = np.empty((n, 3, n, 3))
     for c, (p, q) in enumerate(_COMPONENTS):
         c4[:, p, :, q] = acc[c]
         c4[:, q, :, p] = acc[c]
@@ -225,12 +310,22 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
     if n == 0 or (n == 1 and images is None):
         return 0.0, np.zeros((n, 3)) if forces else None
     omega, coupling, inv_s = _pair_params(structure, states, cfg)
+    # C goes in as a temporary, which sym_eigen can release once copied
     eig = sym_eigen(_assemble(structure, images, omega, coupling, inv_s), vectors=forces)
-    lam, vecs = eig if forces else (eig, None)
+    lam, v = eig if forces else (eig, None)
+    del eig  # v holds the only reference to the eigenvectors
     _check_spectrum(lam, need_positive=forces)
     e_ha = 0.5 * np.sum(np.sqrt(np.clip(lam, 0.0, None))) - 1.5 * np.sum(omega)
-    f = _trace_forces(structure, images, lam, vecs, coupling, inv_s) if forces else None
-    return float(e_ha) * HARTREE_EV, f
+    if not forces:
+        return float(e_ha) * HARTREE_EV, None
+    # W = C^(-1/2) = v v^T with v = vecs lam^(-1/4), scaled in place; v v^T
+    # runs as a symmetric rank-k update
+    v *= lam**-0.25
+    w = v @ v.T
+    del v
+    kw = _coupled_blocks(w, coupling)
+    del w
+    return float(e_ha) * HARTREE_EV, _trace_forces(structure, images, kw, inv_s)
 
 
 def _check_spectrum(lam, need_positive=False):
@@ -242,39 +337,52 @@ def _check_spectrum(lam, need_positive=False):
             "geometry is outside the model's validity", mode_index=k)
 
 
-def _coupled_inverse_sqrt(lam, vecs, coupling):
-    """K_ij times the symmetric part of each 3x3 block of W = C^(-1/2), as
-    six (N, N) arrays in _COMPONENTS order."""
+def _coupled_blocks(w, coupling):
+    """K_ij times the symmetric part of each 3x3 block of W, as a (6, N, N)
+    array in _COMPONENTS order."""
     n = len(coupling)
-    v = vecs * lam**-0.25
-    w = (v @ v.T).reshape(n, 3, n, 3)  # v v^T runs as a symmetric rank-k update
-    return np.array([0.5 * coupling * (w[:, p, :, q] + w[:, q, :, p])
-                     for p, q in _COMPONENTS])
+    w = w.reshape(n, 3, n, 3)
+    kw = np.empty((6, n, n))
+    for c, (p, q) in enumerate(_COMPONENTS):
+        np.add(w[:, p, :, q], w[:, q, :, p], out=kw[c])
+        kw[c] *= coupling
+    kw *= 0.5
+    return kw
 
 
-def _trace_forces(structure, images, lam, vecs, coupling, inv_s):
+def _trace_forces(structure, images, kw, inv_s):
     n = len(structure)
     # dT is symmetric in (a, b), so the trace needs only the symmetric part
     # of each W block: 1/4 Tr[W dC] = 1/4 sum K_ij W_ij : dT(d_ij)
-    kw = _coupled_inverse_sqrt(lam, vecs, coupling)
     xx, yy, zz, xy, xz, yz = kw
+    rows = ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
     ktr = xx + yy + zz
     # minus the gradient of K W : T with respect to d; the home image weighs
     # 1/2 because its row and column sums are equal and opposite
     acc = np.zeros((3, n, n))
-    for home, d, r2 in paired_separations(structure, images):
-        a, _, slope = _radial(r2, inv_s, slope=True)
+    u = np.empty((3, n, n))
+    h = np.empty((n, n))
+    t = np.empty((n, n))
+    for home, d, a, _, slope in _image_pass(structure, images, inv_s, slope=True):
         if home:
             a *= 0.5
             slope *= 0.5
-        dx, dy, dz = d
-        u = (xx * dx + xy * dy + xz * dz,
-             xy * dx + yy * dy + yz * dz,
-             xz * dx + yz * dy + zz * dz)
-        h = slope * (dx * u[0] + dy * u[1] + dz * u[2]) + a * ktr
-        a2 = 2.0 * a
+        for uc, row in zip(u, rows):  # u = (K W) d
+            np.multiply(row[0], d[0], out=uc)
+            for k in (1, 2):
+                uc += np.multiply(row[k], d[k], out=t)
+        # h = slope d.u + A Tr(K W), and the gradient is h d + 2 A u
+        np.multiply(d[0], u[0], out=h)
+        for k in (1, 2):
+            h += np.multiply(d[k], u[k], out=t)
+        h *= slope
+        h += np.multiply(a, ktr, out=t)
+        a *= 2.0
         for c in range(3):
-            acc[c] += h * d[c] + a2 * u[c]
+            np.multiply(h, d[c], out=t)
+            u[c] *= a
+            t += u[c]
+            acc[c] += t
     # F_k = -1/2 sum_{j, images} K dT . W  (in Ha/Bohr); the (j, k, -t)
     # terms are the column sums of the half set
     forces = 0.5 * (acc.sum(axis=2) - acc.sum(axis=1)).T

@@ -29,9 +29,9 @@ class MdConfig:
     sample_interval: int = 1
 
     def __post_init__(self):
-        if self.timestep <= 0:
+        if not self.timestep > 0:
             raise InputError("timestep must be positive")
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise InputError("temperature must be >= 0")
         if not self.friction >= 0:
             raise InputError("friction must be >= 0")

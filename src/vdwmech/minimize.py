@@ -41,9 +41,9 @@ class MinimizerConfig:
     initial_step: float = 0.20      # A, displacement cap per trial step
 
     def __post_init__(self):
-        if self.force_tolerance <= 0:
+        if not self.force_tolerance > 0:
             raise InputError("force_tolerance must be positive")
-        if self.initial_step <= 0:
+        if not self.initial_step > 0:
             raise InputError("initial_step must be positive")
 
 

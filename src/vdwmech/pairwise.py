@@ -36,9 +36,9 @@ class PwModelConfig:
     cutoff: float | None = None
 
     def __post_init__(self):
-        if self.d <= 0 or self.gamma <= 0:
+        if not (self.d > 0 and self.gamma > 0):
             raise InputError("damping parameters must be positive")
-        if self.cutoff is not None and self.cutoff <= 0:
+        if self.cutoff is not None and not self.cutoff > 0:
             raise InputError("cutoff must be positive")
 
     def effective_cutoff(self, n: int) -> float | None:

@@ -49,10 +49,11 @@ def paired_separations(structure: AtomicStructure, images: ImageSet | None):
 
     Yields (home, d, r2) per image: d = R_i - (R_j + t) as a (3, N, N)
     array [Bohr] and r2 = |d|^2, with the self pairs of the home image
-    pushed far away.  Sums over all images follow from these: a paired
-    image stands for both of its members, and the home image for half of
-    its symmetric pair sum.  Raises GeometryError when a pair is closer
-    than the structure's overlap guard.
+    pushed far away.  d and r2 are allocated once and overwritten by the
+    next image.  Sums over all images follow from these: a paired image
+    stands for both of its members, and the home image for half of its
+    symmetric pair sum.  Raises GeometryError when a pair is closer than
+    the structure's overlap guard.
     """
     if images is None:
         trans = np.zeros((1, 3))
@@ -63,9 +64,12 @@ def paired_separations(structure: AtomicStructure, images: ImageSet | None):
         trans = images.translations[np.concatenate([home, images.half_set()])] / BOHR_ANGSTROM
     pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
     guard2 = (structure.overlap_guard / BOHR_ANGSTROM) ** 2
+    n = len(structure)
+    d = np.empty((3, n, n))
+    r2 = np.empty((n, n))
     for k, t in enumerate(trans):
-        d = pos_t[:, :, None] - (pos_t + t[:, None])[:, None, :]
-        r2 = np.einsum("kij,kij->ij", d, d)
+        np.subtract(pos_t[:, :, None], (pos_t + t[:, None])[:, None, :], out=d)
+        np.einsum("kij,kij->ij", d, d, out=r2)
         if k == 0:
             np.fill_diagonal(r2, _FAR * _FAR)
         if r2.min() < guard2:

@@ -21,6 +21,14 @@ def _pair(r_ang, species=("C", "C")):
     return s, states_for(s)
 
 
+def test_config_rejects_out_of_range_and_nan():
+    for kw in ({"beta": np.nan}, {"beta": 0.0}, {"replica_shells": -1},
+               {"shell_energy_tol": -1.0}, {"shell_energy_tol": np.nan}):
+        with pytest.raises(InputError):
+            MbdModelConfig(**kw)
+    assert MbdModelConfig(shell_energy_tol=0.0).shell_energy_tol == 0.0
+
+
 # ---------------------------------------------------------------- dipole tensor
 
 def test_dipole_tensor_far_limit():
@@ -114,7 +122,9 @@ def test_sym_eigen_values_do_not_depend_on_vectors(rng, monkeypatch, staged):
     for n in (1, 2, 30):
         m = rng.standard_normal((n, n))
         a = m + m.T
+        keep = a.copy()
         assert np.array_equal(sym_eigen(a, vectors=False), sym_eigen(a)[0])
+        assert np.array_equal(a, keep)  # the input is left as it was
         vals, vecs = sym_eigen(a)
         assert np.linalg.norm((vecs * vals) @ vecs.T - a) / np.linalg.norm(a) < 1e-10
         assert np.abs(vecs @ vecs.T - np.eye(n)).max() < 1e-10
@@ -124,6 +134,18 @@ def test_sym_eigen_rejects_nonsymmetric(rng):
     m = rng.standard_normal((5, 5))
     with pytest.raises(InputError):
         sym_eigen(m + 1.0)
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_sym_eigen_rejects_non_finite(monkeypatch, staged):
+    if staged:
+        monkeypatch.setattr(mbd, "_STAGED_MIN_BYTES", 0)
+    for value in (np.nan, np.inf, -np.inf):
+        a = np.eye(6)
+        a[0, 1] = a[1, 0] = value
+        for vectors in (False, True):
+            with pytest.raises(InputError, match="non-finite"):
+                sym_eigen(a, vectors=vectors)
 
 
 # ------------------------------------------------------------ matrix assembly
@@ -181,6 +203,30 @@ def test_matrix_matches_brute_force_oracle(rng):
         ref = brute_force_mbd_matrix(s, st, CFG, img)
         assert np.array_equal(c, c.T)
         assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_far_field_rule_matches_brute_force_oracle():
+    """Pairs at R/s >= 7 skip erf and exp; here the home image mixes near
+    and far pairs and every other image is far."""
+    chain = CellTensor(np.diag([20.0, 30.0, 30.0]), periodic=(True, False, False))
+    s = AtomicStructure(positions=[[0.0, 0, 0], [1.5, 0.3, 0], [9.0, 0, 0.4]],
+                        species=["C", "H", "C"], cell=chain)
+    st = states_for(s)
+    img = generate_images(chain, 2)
+    sig = st.sigma
+    width = CFG.beta * np.sqrt(sig[:, None] ** 2 + sig[None, :] ** 2) * BOHR_ANGSTROM
+    for t in img.translations:
+        r = np.linalg.norm(s.positions[:, None] - s.positions[None] - t, axis=-1)
+        zeta = r / width
+        if not t.any():
+            zeta = zeta[~np.eye(3, dtype=bool)]
+            assert zeta.min() < mbd._FAR_ZETA <= zeta.max()
+        else:
+            assert zeta.min() >= mbd._FAR_ZETA
+    c = assemble_mbd_matrix(s, st, CFG, img)
+    ref = brute_force_mbd_matrix(s, st, CFG, img)
+    assert np.array_equal(c, c.T)
+    assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_overlap_error_names_home_cell_or_translation():
@@ -266,6 +312,15 @@ def test_instability_error_names_mode():
 # -------------------------------------------------------------------- forces
 
 def test_forces_match_finite_differences(rng):
+    s = random_cluster(rng, 8)
+    st = states_for(s)
+    f = mbd_energy(s, st, CFG, forces=True)[1]
+    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG)[0], s)
+    assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_staged_forces_match_finite_differences(rng, monkeypatch):
+    monkeypatch.setattr(mbd, "_STAGED_MIN_BYTES", 0)
     s = random_cluster(rng, 8)
     st = states_for(s)
     f = mbd_energy(s, st, CFG, forces=True)[1]
@@ -384,3 +439,29 @@ def test_periodic_energy_and_forces_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_staged_energy_and_forces_memory_bounded(monkeypatch):
+    """The staged eigensolve reduces one working copy of C in place and
+    back-transforms in place, and W is released before the image pass:
+    an e+f call peaks at about four 3N x 3N arrays (three where CPython
+    frees the caller's C during the solve), where the copying kernel
+    held six."""
+    import tracemalloc
+
+    from scipy.linalg import lapack  # noqa: F401  (loaded outside the trace)
+
+    from vdwmech.generators import CntSpec, make_swcnt
+
+    monkeypatch.setattr(mbd, "_STAGED_MIN_BYTES", 0)
+    s = make_swcnt(CntSpec(4, 4, 6))
+    st = states_for(s)
+    matrix_bytes = (3 * len(s)) ** 2 * 8
+    mbd_energy(s, st, CFG, forces=True)  # warm-up
+    tracemalloc.start()
+    try:
+        mbd_energy(s, st, CFG, forces=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * matrix_bytes

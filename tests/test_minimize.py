@@ -3,6 +3,7 @@ import pytest
 
 from vdwmech.bonded import detect_topology
 from vdwmech.composite import CompositeModel
+from vdwmech.errors import InputError
 from vdwmech.generators import ChainSpec, make_chain_pair
 from vdwmech.minimize import MinimizerConfig, minimize
 from vdwmech.structure import AtomicStructure
@@ -12,6 +13,13 @@ def _diatomic_model():
     ref = AtomicStructure(positions=[[0, 0, 0], [1.5, 0, 0]], species=["C", "C"])
     topo = detect_topology(ref)
     return CompositeModel(topology=topo), ref
+
+
+def test_config_rejects_nonpositive_and_nan():
+    for kw in ({"force_tolerance": np.nan}, {"force_tolerance": 0.0},
+               {"initial_step": np.nan}, {"initial_step": -0.1}):
+        with pytest.raises(InputError):
+            MinimizerConfig(**kw)
 
 
 def test_stretched_diatomic_relaxes_to_reference():

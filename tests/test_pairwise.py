@@ -31,6 +31,13 @@ def test_fermi_monotone_and_bounded(rng):
     assert fermi_damping(1e3, 3.3, 15.0) == 1.0  # saturates to the limit
 
 
+def test_config_rejects_nonpositive_and_nan():
+    for kw in ({"d": np.nan}, {"gamma": np.nan}, {"cutoff": np.nan},
+               {"d": 0.0}, {"gamma": -1.0}, {"cutoff": 0.0}):
+        with pytest.raises(InputError):
+            PwModelConfig(**kw)
+
+
 def test_fermi_preconditions():
     with pytest.raises(InputError):
         fermi_damping(-1.0, 4.0, 20.0)

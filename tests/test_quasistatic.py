@@ -147,7 +147,7 @@ def test_shear_cell_strain_normalizes_by_row_length():
 def test_protocol_validation():
     with pytest.raises(InputError):
         LoadingProtocol(kind="squeeze", increment=0.1, step_count=1)
-    for increment in (0.0, 1e-16):
+    for increment in (0.0, 1e-16, np.nan):
         with pytest.raises(InputError):
             LoadingProtocol(kind="displacement", increment=increment, step_count=1,
                             driven=(0,))
@@ -156,6 +156,11 @@ def test_protocol_validation():
                         driven=(0,))
     with pytest.raises(InputError):
         LoadingProtocol(kind="displacement", increment=0.1, step_count=1)
+    for kw in ({"face_area": np.nan}, {"reference_length": -1.0},
+               {"reference_length": 0.0}, {"reference_length": np.nan}):
+        with pytest.raises(InputError):
+            LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
+                            driven=(0,), **kw)
 
 
 def test_face_area_and_reaction_stress():
