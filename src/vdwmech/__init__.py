@@ -16,8 +16,7 @@ from .mbd import MbdModelConfig, assemble_mbd_matrix, mbd_energy, sym_eigen
 from .md import MdConfig, MdResult, run_md
 from .minimize import MinimizerConfig, MinimizeResult, minimize
 from .pairwise import PwModelConfig, fermi_damping, pw_energy
-from .periodic import (ImageSet, StressTensor, apply_cell_strain, cell_stress,
-                       generate_images)
+from .periodic import StressTensor, apply_cell_strain, cell_stress
 from .quasistatic import (LoadingProtocol, QuasistaticResult, StepRecord,
                           run_quasistatic)
 from .species import (VdwSpeciesParams, VdwStates, load_species_params,

@@ -18,11 +18,12 @@ smooth under cell strain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError, TopologyError
+from .periodic import _lattice_offsets
 from .structure import AtomicStructure
 
 K_R_DEFAULT = 35.0505      # eV/A^2
@@ -103,10 +104,6 @@ class HarmonicTopology:
                 (self.angle_theta0 > 0) & (self.angle_theta0 < np.pi + 1e-12)):
             raise InputError("angle references must lie in (0, pi]")
 
-    @property
-    def n_terms(self):
-        return len(self.bonds), len(self.angles), len(self.dihedrals)
-
 
 def _cellmat(structure):
     return structure.cell.matrix if structure.cell is not None else None
@@ -180,17 +177,15 @@ def _neighbor_table(structure, cutoffs):
         cut[(b, a)] = c
         maxcut = max(maxcut, c)
 
-    offsets = [(0, 0, 0)]
     cm = _cellmat(structure)
+    reach = [0, 0, 0]
     if cm is not None:
-        reach = []
-        for ax in range(3):
-            if structure.cell.periodic[ax]:
-                height = np.linalg.norm(cm[ax])
-                reach.append(int(np.ceil(maxcut / height)))
-            else:
-                reach.append(0)
-        offsets = list(product(*(range(-r, r + 1) for r in reach)))
+        # a bond of length <= maxcut spans at most maxcut / h_a lattice
+        # planes along axis a, where h_a = 1 / |column a of cm^-1| is the
+        # plane spacing; a skewed cell row is longer than h_a
+        height = 1.0 / np.linalg.norm(np.linalg.inv(cm), axis=0)
+        reach = [int(np.ceil(maxcut / h)) if p else 0
+                 for h, p in zip(height, structure.cell.periodic)]
 
     # species-pair cutoff matrix; pairs without a cutoff never bond
     symbols = sorted(set(structure.species))
@@ -205,10 +200,8 @@ def _neighbor_table(structure, cutoffs):
     neighbors = [[] for _ in range(n)]
     bonds = []
     pos = structure.positions
-    for off in offsets:
+    for off in _lattice_offsets(reach):
         zero = off == (0, 0, 0)
-        if not zero and not off > (0, 0, 0):
-            continue
         t = np.asarray(off, float) @ cm if cm is not None else np.zeros(3)
         dist = np.linalg.norm(pos[:, None, :] - (pos[None, :, :] + t), axis=-1)
         hit = (cutmat >= 0) & (dist <= cutmat)

@@ -3,8 +3,8 @@
 The total energy follows the range-separation split E = E_bonded + E_vdW.
 For periodic structures the model resolves a replica shell count once (by
 per-cell energy convergence) and keeps it fixed, so forces stay smooth
-along a loading path; translations are regenerated from the current cell
-at every evaluation.
+along a loading path; the kernels take the shell count and build the
+translations from the current cell at every evaluation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from . import pairwise as _pw
 from .errors import InputError
 from .mbd import MbdModelConfig
 from .pairwise import PwModelConfig
-from .periodic import ImageSet, generate_images
 from .species import states_for
 from .structure import AtomicStructure
 
@@ -37,6 +36,8 @@ class CompositeModel:
             raise InputError(f"vdw must be one of {VDW_KINDS}, got {vdw!r}")
         if topology is None and vdw == "none":
             raise InputError("model needs a bonded term, a vdW term, or both")
+        if shells is not None and not shells >= 0:
+            raise InputError(f"shells must be >= 0, got {shells}")
         self.topology = topology
         self.vdw = vdw
         self.pw_cfg = pw_cfg or PwModelConfig()
@@ -66,10 +67,10 @@ class CompositeModel:
             tol, max_shells = self.mbd_cfg.shell_energy_tol, self.mbd_cfg.replica_shells
         else:
             tol, max_shells = _PW_SHELL_TOL_EV, _PW_MAX_SHELLS
-        prev = self._evaluate(structure, False, generate_images(structure.cell, 0))[0][2]
+        prev = self._evaluate(structure, False, 0)[0][2]
         shells = 0
         for s in range(1, max_shells + 1):
-            cur = self._evaluate(structure, False, generate_images(structure.cell, s))[0][2]
+            cur = self._evaluate(structure, False, s)[0][2]
             shells = s
             if abs(cur - prev) < tol:
                 break
@@ -77,19 +78,13 @@ class CompositeModel:
         self.shells = shells
         return shells
 
-    def images_for(self, structure: AtomicStructure) -> ImageSet | None:
-        if structure.cell is None or not structure.cell.periodic_axes():
-            return None
-        if self.shells is None:
-            self.resolve_shells(structure)
-        return generate_images(structure.cell, self.shells)
-
     # -- evaluation --------------------------------------------------------
 
-    def _evaluate(self, structure, forces, images=None):
+    def _evaluate(self, structure, forces, shells=None):
         """((total, bonded, vdW), forces or None) in eV and eV/A.
 
-        ``images`` defaults to the model's pinned shells (images_for).
+        ``shells`` defaults to the model's pinned shell count, which the
+        first periodic structure resolves (0 until then).
         """
         e_bond, f = 0.0, None
         if self.topology is not None:
@@ -98,9 +93,12 @@ class CompositeModel:
         if self.vdw != "none":
             kernel, cfg = ((_pw.pw_energy, self.pw_cfg) if self.vdw == "pw"
                            else (_mbd.mbd_energy, self.mbd_cfg))
-            if images is None:
-                images = self.images_for(structure)
-            e_vdw, f_vdw = kernel(structure, self._states_for(structure), cfg, images, forces)
+            if shells is None:
+                if (self.shells is None and structure.cell is not None
+                        and structure.cell.periodic_axes()):
+                    self.resolve_shells(structure)
+                shells = self.shells or 0
+            e_vdw, f_vdw = kernel(structure, self._states_for(structure), cfg, shells, forces)
             f = f_vdw if f is None else f + f_vdw
         return (e_bond + e_vdw, e_bond, e_vdw), f
 

@@ -26,10 +26,11 @@ Assembly and forces visit the lattice images one at a time and keep only
 -K_ij (A d d^T + B I), where K_ij = omega_i omega_j sqrt(alpha_i alpha_j)
 and A, B are radial scalars of |d|.  Assembly therefore accumulates the
 six unique products sum_t A d_a d_b and sum_t B as (N, N) arrays and
-expands them into the (3N, 3N) layout once, at the end.  Image sets are
-closed under negation and C_ij(-t) = C_ji(t)^T, so only the home image and
-one image of each +-t pair are visited: the paired part S enters as
-S + S^T, which makes C exactly symmetric.  The forces use the same
+expands them into the (3N, 3N) layout once, at the end.  The lattice
+images within ``shells`` cells come in +-t pairs and C_ij(-t) =
+C_ji(t)^T, so only the home image and one image of each pair are visited
+(periodic.paired_separations): the paired part S enters as S + S^T,
+which makes C exactly symmetric.  The forces use the same
 pairing: the gradient of the (i, j, -t) term is minus that of (j, i, t),
 so the sum over partners becomes row sums minus column sums.
 
@@ -59,7 +60,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import InputError, InstabilityError, NumericalError
-from .periodic import ImageSet, paired_separations
+from .periodic import paired_separations
 from .species import VdwStates
 from .structure import AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
@@ -97,15 +98,15 @@ class MbdModelConfig:
     shell_energy_tol: float = 1e-5  # eV
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise InputError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise InputError("beta must be positive and finite")
         if not self.replica_shells >= 0:
             raise InputError("replica_shells must be >= 0")
-        if not self.shell_energy_tol >= 0:
-            raise InputError("shell_energy_tol must be >= 0")
+        if not 0 <= self.shell_energy_tol < np.inf:
+            raise InputError("shell_energy_tol must be finite and >= 0")
 
 
-def _image_pass(structure, images, inv_s, slope=False):
+def _image_pass(structure, shells, inv_s, slope=False):
     """paired_separations with the radial factors of each image.
 
     Yields (home, d, a, b, s): the separations and, as (N, N) arrays, the
@@ -122,7 +123,7 @@ def _image_pass(structure, images, inv_s, slope=False):
     s_scale = 4.0 * inv_s**4 if slope else None
     r, zeta, e, g = np.empty((4, n, n))
     near = np.empty((n, n), dtype=bool)
-    for home, d, r2 in paired_separations(structure, images):
+    for home, d, r2 in paired_separations(structure, shells):
         np.sqrt(r2, out=r)
         np.multiply(r, inv_s, out=zeta)
         # erf and exp only where R/s < _FAR_ZETA; beyond it they cannot change a bit
@@ -251,33 +252,34 @@ def _pair_params(structure, states, cfg):
 
 
 def assemble_mbd_matrix(structure: AtomicStructure, states: VdwStates,
-                        cfg: MbdModelConfig, images: ImageSet | None = None
-                        ) -> np.ndarray:
+                        cfg: MbdModelConfig, shells: int = 0) -> np.ndarray:
     """The 3N x 3N coupled-oscillator matrix [Ha^2], exactly symmetric.
 
-    Periodic images are lattice-summed into every block, including the
-    self-image terms on the diagonal.
+    The images within ``shells`` cells along the periodic axes are
+    lattice-summed into every block, including the self-image terms on the
+    diagonal.
     """
     if len(structure) < 1:
         raise InputError("assemble_mbd_matrix requires at least one atom")
-    return _assemble(structure, images, *_pair_params(structure, states, cfg))
+    return _assemble(structure, shells, *_pair_params(structure, states, cfg))
 
 
-def _assemble(structure, images, omega, coupling, inv_s):
+def _assemble(structure, shells, omega, coupling, inv_s):
     """assemble_mbd_matrix from the _pair_params of the states."""
     n = len(structure)
-    paired = images is not None and len(images) > 1
     # C goes below the temporaries on the heap, so the space they free
     # stays in one block that the eigensolve's arrays can reuse
     c4 = np.empty((n, 3, n, 3))
-    # sum_t A d_a d_b in _COMPONENTS order, then sum_t B; with paired images
-    # the sum is added to its transpose, so the home image weighs 1/2
+    # sum_t A d_a d_b in _COMPONENTS order, then sum_t B; the sum is added
+    # to its transpose, so the home image weighs 1/2
     acc = np.zeros((7, n, n))
     t = np.empty((n, n))
-    for home, d, a, b, _ in _image_pass(structure, images, inv_s):
-        if home and paired:
+    paired = False
+    for home, d, a, b, _ in _image_pass(structure, shells, inv_s):
+        if home:
             a *= 0.5
             b *= 0.5
+        paired = not home
         for c, (p, q) in enumerate(_COMPONENTS):
             np.multiply(a, d[p], out=t)
             t *= d[q]
@@ -286,7 +288,9 @@ def _assemble(structure, images, omega, coupling, inv_s):
     if paired:
         for s in acc:
             s += s.T  # numpy buffers the overlapping transpose
-    acc *= -coupling
+    # without paired images the home sum is symmetric on its own, so its
+    # halving is undone through the coupling (exact) instead of a transpose
+    acc *= (-1.0 if paired else -2.0) * coupling
     acc[:3] += acc[6]
     for c, (p, q) in enumerate(_COMPONENTS):
         c4[:, p, :, q] = acc[c]
@@ -297,7 +301,7 @@ def _assemble(structure, images, omega, coupling, inv_s):
 
 
 def mbd_energy(structure: AtomicStructure, states: VdwStates,
-               cfg: MbdModelConfig, images: ImageSet | None = None,
+               cfg: MbdModelConfig, shells: int = 0,
                forces: bool = False) -> tuple[float, np.ndarray | None]:
     """Many-body dispersion energy [eV] and, with ``forces``, the analytic
     trace-formula forces [eV/A], shape (N, 3), otherwise None.
@@ -307,11 +311,11 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
     only a non-negative one.
     """
     n = len(structure)
-    if n == 0 or (n == 1 and images is None):
+    if n == 0 or (n == 1 and shells == 0):
         return 0.0, np.zeros((n, 3)) if forces else None
     omega, coupling, inv_s = _pair_params(structure, states, cfg)
     # C goes in as a temporary, which sym_eigen can release once copied
-    eig = sym_eigen(_assemble(structure, images, omega, coupling, inv_s), vectors=forces)
+    eig = sym_eigen(_assemble(structure, shells, omega, coupling, inv_s), vectors=forces)
     lam, v = eig if forces else (eig, None)
     del eig  # v holds the only reference to the eigenvectors
     _check_spectrum(lam, need_positive=forces)
@@ -325,7 +329,7 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
     del v
     kw = _coupled_blocks(w, coupling)
     del w
-    return float(e_ha) * HARTREE_EV, _trace_forces(structure, images, kw, inv_s)
+    return float(e_ha) * HARTREE_EV, _trace_forces(structure, shells, kw, inv_s)
 
 
 def _check_spectrum(lam, need_positive=False):
@@ -350,7 +354,7 @@ def _coupled_blocks(w, coupling):
     return kw
 
 
-def _trace_forces(structure, images, kw, inv_s):
+def _trace_forces(structure, shells, kw, inv_s):
     n = len(structure)
     # dT is symmetric in (a, b), so the trace needs only the symmetric part
     # of each W block: 1/4 Tr[W dC] = 1/4 sum K_ij W_ij : dT(d_ij)
@@ -363,7 +367,7 @@ def _trace_forces(structure, images, kw, inv_s):
     u = np.empty((3, n, n))
     h = np.empty((n, n))
     t = np.empty((n, n))
-    for home, d, a, _, slope in _image_pass(structure, images, inv_s, slope=True):
+    for home, d, a, _, slope in _image_pass(structure, shells, inv_s, slope=True):
         if home:
             a *= 0.5
             slope *= 0.5

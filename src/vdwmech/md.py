@@ -29,12 +29,12 @@ class MdConfig:
     sample_interval: int = 1
 
     def __post_init__(self):
-        if not self.timestep > 0:
-            raise InputError("timestep must be positive")
-        if not self.temperature >= 0:
-            raise InputError("temperature must be >= 0")
-        if not self.friction >= 0:
-            raise InputError("friction must be >= 0")
+        if not 0 < self.timestep < np.inf:
+            raise InputError("timestep must be positive and finite")
+        if not 0 <= self.temperature < np.inf:
+            raise InputError("temperature must be finite and >= 0")
+        if not 0 <= self.friction < np.inf:
+            raise InputError("friction must be finite and >= 0")
         if self.total_steps < 1 or self.runup_steps < 0:
             raise InputError("bad step counts")
         if self.sample_interval < 1:

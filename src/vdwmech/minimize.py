@@ -41,10 +41,10 @@ class MinimizerConfig:
     initial_step: float = 0.20      # A, displacement cap per trial step
 
     def __post_init__(self):
-        if not self.force_tolerance > 0:
-            raise InputError("force_tolerance must be positive")
-        if not self.initial_step > 0:
-            raise InputError("initial_step must be positive")
+        if not 0 < self.force_tolerance < np.inf:
+            raise InputError("force_tolerance must be positive and finite")
+        if not 0 < self.initial_step < np.inf:
+            raise InputError("initial_step must be positive and finite")
 
 
 @dataclass

@@ -17,14 +17,10 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InputError
-from .periodic import ImageSet, paired_separations
+from .periodic import paired_separations
 from .species import VdwStates
 from .structure import AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
-
-# no cutoff below this size unless one is configured
-_AUTO_CUTOFF_NATOMS = 2000
-_AUTO_CUTOFF_A = 40.0
 
 
 @dataclass(frozen=True)
@@ -36,15 +32,10 @@ class PwModelConfig:
     cutoff: float | None = None
 
     def __post_init__(self):
-        if not (self.d > 0 and self.gamma > 0):
-            raise InputError("damping parameters must be positive")
-        if self.cutoff is not None and not self.cutoff > 0:
-            raise InputError("cutoff must be positive")
-
-    def effective_cutoff(self, n: int) -> float | None:
-        if self.cutoff is not None:
-            return self.cutoff
-        return _AUTO_CUTOFF_A if n > _AUTO_CUTOFF_NATOMS else None
+        if not (0 < self.d < np.inf and 0 < self.gamma < np.inf):
+            raise InputError("damping parameters must be positive and finite")
+        if self.cutoff is not None and not 0 < self.cutoff < np.inf:
+            raise InputError("cutoff must be positive and finite")
 
 
 def fermi_damping(r, s_vdw, d):
@@ -59,19 +50,19 @@ def fermi_damping(r, s_vdw, d):
 
 
 def pw_energy(structure: AtomicStructure, states: VdwStates,
-              cfg: PwModelConfig, images: ImageSet | None = None,
+              cfg: PwModelConfig, shells: int = 0,
               forces: bool = False) -> tuple[float, np.ndarray | None]:
     """Pairwise dispersion energy [eV] and, with ``forces``, the analytic
     forces -dE/dR [eV/A], shape (N, 3), otherwise None.
 
-    One pass over the home image and one image of each +-t pair, with
-    (N, N) arrays per image; images extend the sum periodically, and pairs
-    beyond the cutoff get zero weight.
+    One pass over the home image and one image of each +-t pair within
+    ``shells`` cells along the periodic axes (see paired_separations), with
+    (N, N) arrays per image; pairs beyond ``cfg.cutoff`` get zero weight.
     """
     n = len(structure)
     if n != len(states):
         raise InputError("one vdW state per atom required")
-    if n < 2 and images is None:
+    if n == 0 or (n == 1 and shells == 0):
         return 0.0, np.zeros((n, 3)) if forces else None
     c6, alpha, rv = states.c6_eff, states.alpha0_eff, states.rvdw_eff
     # the combination rule C6_ij = 2 C6_i C6_j / (a_j/a_i C6_i + a_i/a_j C6_j) for
@@ -79,15 +70,14 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
     p = c6 / alpha
     c6ij = np.outer(p, 2.0 * p) / np.add.outer(p / alpha, p / alpha)
     d_over_s = (cfg.d / cfg.gamma) / np.add.outer(rv, rv)
-    cutoff = cfg.effective_cutoff(n)
     e_ha = 0.0
     f_ha = np.zeros((3, n))
-    for home, d, r2 in paired_separations(structure, images):
+    for home, d, r2 in paired_separations(structure, shells):
         r = np.sqrt(r2)
         damp = expit(d_over_s * r - cfg.d)
         e6 = c6ij / (r2 * r2 * r2)
-        if cutoff is not None:
-            e6[r > cutoff / BOHR_ANGSTROM] = 0.0
+        if cfg.cutoff is not None:
+            e6[r > cfg.cutoff / BOHR_ANGSTROM] = 0.0
         # the home image holds each pair twice
         e_ha -= (0.5 if home else 1.0) * np.vdot(damp, e6)
         if forces:

@@ -15,53 +15,39 @@ _FAR = 1e30  # Bohr; masks the self pairs of the home image without inf * 0 = na
 _STRAIN_STEP = 1e-5  # central-difference strain of cell_stress
 
 
-@dataclass(frozen=True)
-class ImageSet:
-    """Cartesian lattice translations, one per periodic image.
+def _lattice_offsets(reach) -> list[tuple[int, int, int]]:
+    """Integer lattice offsets o with |o_a| <= reach[a], one of each +-o pair.
 
-    Contains the zero translation exactly once and is closed under
-    negation.  ``shell_index`` is the Chebyshev shell of each translation.
+    Returns the zero offset first, then the lexicographically positive
+    member of each pair, ordered by Chebyshev shell max |o_a| and
+    lexicographically within a shell.  The pairs are chosen on the integer
+    offsets, so the choice does not depend on the shape of the cell.
     """
-
-    translations: np.ndarray   # (M, 3) [A]
-    shell_index: np.ndarray    # (M,) int
-
-    def __len__(self):
-        return len(self.translations)
-
-    def half_set(self) -> np.ndarray:
-        """Indices of one translation from each +-t pair, home image excluded.
-
-        A translation is kept when its first nonzero Cartesian component is
-        positive.  Negation flips that sign exactly, so each pair is picked
-        once.
-        """
-        t = self.translations
-        lead = t[np.arange(len(t)), np.argmax(t != 0.0, axis=1)]
-        half = np.flatnonzero(lead > 0.0)
-        if 2 * len(half) + 1 != len(t):
-            raise InputError("image set is not closed under negation")
-        return half
+    box = product(*(range(-r, r + 1) for r in reach))
+    half = sorted((o for o in box if o > (0, 0, 0)), key=lambda o: (max(map(abs, o)), o))
+    return [(0, 0, 0)] + half
 
 
-def paired_separations(structure: AtomicStructure, images: ImageSet | None):
+def paired_separations(structure: AtomicStructure, shells: int = 0):
     """Difference vectors over the home image, then one image of each +-t pair.
 
-    Yields (home, d, r2) per image: d = R_i - (R_j + t) as a (3, N, N)
-    array [Bohr] and r2 = |d|^2, with the self pairs of the home image
-    pushed far away.  d and r2 are allocated once and overwritten by the
-    next image.  Sums over all images follow from these: a paired image
-    stands for both of its members, and the home image for half of its
-    symmetric pair sum.  Raises GeometryError when a pair is closer than
-    the structure's overlap guard.
+    The images are the lattice translations t with at most ``shells`` cells
+    along each periodic axis.  Yields (home, d, r2) per image: d = R_i -
+    (R_j + t) as a (3, N, N) array [Bohr] and r2 = |d|^2, with the self
+    pairs of the home image pushed far away.  d and r2 are allocated once
+    and overwritten by the next image.  Sums over all images follow from
+    these: a paired image stands for both of its members, and the home
+    image for half of its symmetric pair sum.  Raises GeometryError when a
+    pair is closer than the structure's overlap guard.
     """
-    if images is None:
+    if shells < 0:
+        raise InputError(f"shells must be >= 0, got {shells}")
+    cell = structure.cell
+    if cell is None:
         trans = np.zeros((1, 3))
     else:
-        home = np.flatnonzero(images.shell_index == 0)
-        if len(home) != 1:
-            raise InputError(f"image set has {len(home)} home images (shell 0), expected 1")
-        trans = images.translations[np.concatenate([home, images.half_set()])] / BOHR_ANGSTROM
+        offsets = np.array(_lattice_offsets([shells if p else 0 for p in cell.periodic]))
+        trans = (offsets @ cell.matrix) / BOHR_ANGSTROM
     pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
     guard2 = (structure.overlap_guard / BOHR_ANGSTROM) ** 2
     n = len(structure)
@@ -78,20 +64,6 @@ def paired_separations(structure: AtomicStructure, images: ImageSet | None):
                      f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
             raise GeometryError(f"atoms {i} and {j} {where} are below the overlap guard")
         yield k == 0, d, r2
-
-
-def generate_images(cell: CellTensor | None, shells: int) -> ImageSet:
-    """All integer lattice combinations with max |index| <= shells along
-    periodic directions."""
-    if shells < 0:
-        raise InputError(f"shells must be >= 0, got {shells}")
-    if cell is None:
-        return ImageSet(np.zeros((1, 3)), np.zeros(1, dtype=int))
-    ranges = [range(-shells, shells + 1) if p else range(0, 1) for p in cell.periodic]
-    idx = np.array(sorted(product(*ranges), key=lambda t: (max(abs(c) for c in t), t)))
-    trans = idx @ cell.matrix
-    shell = np.max(np.abs(idx), axis=1)
-    return ImageSet(trans.astype(float), shell.astype(int))
 
 
 @dataclass(frozen=True)

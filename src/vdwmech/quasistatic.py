@@ -51,18 +51,19 @@ class LoadingProtocol:
     def __post_init__(self):
         if self.kind not in ("displacement", "cell-strain"):
             raise InputError(f"unknown protocol kind {self.kind!r}")
-        if not abs(self.increment) > _INCREMENT_FLOOR:
-            raise InputError(f"increment must exceed {_INCREMENT_FLOOR} in magnitude")
+        if not _INCREMENT_FLOOR < abs(self.increment) < np.inf:
+            raise InputError(f"increment must be finite and exceed {_INCREMENT_FLOOR} "
+                             "in magnitude")
         if self.step_count < 1:
             raise InputError("step_count must be >= 1")
         if self.kind == "displacement" and not len(self.driven):
             raise InputError("displacement protocol needs a driven selection")
         if self.cell_mode not in ("fixed-others", "relaxed-others"):
             raise InputError(f"unknown cell mode {self.cell_mode!r}")
-        if self.face_area is not None and not self.face_area > 0:
-            raise InputError("face_area must be positive")
-        if self.reference_length is not None and not self.reference_length > 0:
-            raise InputError("reference_length must be positive")
+        if self.face_area is not None and not 0 < self.face_area < np.inf:
+            raise InputError("face_area must be positive and finite")
+        if self.reference_length is not None and not 0 < self.reference_length < np.inf:
+            raise InputError("reference_length must be positive and finite")
 
 
 @dataclass

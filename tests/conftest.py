@@ -94,13 +94,26 @@ def brute_force_pw_energy(structure, states, d, gamma):
     return e * ha
 
 
-def brute_force_pw(structure, states, cfg, images=None):
+def lattice_box(structure, shells):
+    """Every lattice translation [A] with at most ``shells`` cells along each
+    periodic axis: the full +-t box, written out without the library's
+    choice of one image per +-t pair.  A structure without a cell gets the
+    zero translation alone."""
+    from itertools import product
+
+    cell = structure.cell
+    if cell is None:
+        return np.zeros((1, 3))
+    axes = [range(-shells, shells + 1) if p else range(1) for p in cell.periodic]
+    return np.array(list(product(*axes)), float) @ cell.matrix
+
+
+def brute_force_pw(structure, states, cfg, shells=0):
     """Pairwise energy [eV] and forces [eV/A] from flattened per-term arrays.
 
-    Every unordered (pair, image) term is listed once: home pairs i < j,
-    then all (i, j) for one image of each +-t pair, the representative
-    being the translation whose first nonzero rounded component is
-    positive.  Forces are scattered term by term with bincount.
+    Every ordered (i, j, t) term over the full box of ``shells`` is listed,
+    with i != j in the home image, and weighs 1/2.  Forces are scattered
+    term by term with bincount.
     """
     from scipy.special import expit
 
@@ -109,25 +122,19 @@ def brute_force_pw(structure, states, cfg, images=None):
 
     pos = structure.positions
     n = len(pos)
-    iu, ju = np.triu_indices(n, k=1)
-    terms = [(iu, ju, pos[iu] - pos[ju])]
-    if images is not None:
-        nz = images.translations[images.shell_index > 0]
-        key = np.round(nz / max(1e-9, np.abs(nz).max() or 1.0), 9) if len(nz) else nz
-        ii, jj = (a.ravel() for a in np.mgrid[0:n, 0:n])
-        for t, k in zip(nz, key):
-            lead = k[np.flatnonzero(k)[0]]
-            if lead > 0:
-                terms.append((ii, jj, pos[ii] - (pos[jj] + t)))
+    ii, jj = (a.ravel() for a in np.mgrid[0:n, 0:n])
+    terms = []
+    for t in lattice_box(structure, shells):
+        keep = (ii != jj) | t.any()
+        terms.append((ii[keep], jj[keep], pos[ii[keep]] - (pos[jj[keep]] + t)))
     ii = np.concatenate([t[0] for t in terms])
     jj = np.concatenate([t[1] for t in terms])
     d = np.concatenate([t[2] for t in terms])
     r_ang = np.linalg.norm(d, axis=1)
     if len(r_ang) and r_ang.min() < structure.overlap_guard:
         raise GeometryError("pair below the overlap guard")
-    cutoff = cfg.effective_cutoff(n)
-    if cutoff is not None:
-        keep = r_ang <= cutoff
+    if cfg.cutoff is not None:
+        keep = r_ang <= cfg.cutoff
         ii, jj, d, r_ang = ii[keep], jj[keep], d[keep], r_ang[keep]
     c6, alpha, rv = states.c6_eff, states.alpha0_eff, states.rvdw_eff
     r = r_ang / BOHR_ANGSTROM
@@ -135,9 +142,9 @@ def brute_force_pw(structure, states, cfg, images=None):
         (alpha[jj] / alpha[ii]) * c6[ii] + (alpha[ii] / alpha[jj]) * c6[jj])
     s_vdw = cfg.gamma * (rv[ii] + rv[jj])
     f = expit(cfg.d * (r / s_vdw - 1.0))
-    energy = -np.sum(f * c6ij / r**6) * HARTREE_EV
+    energy = -0.5 * np.sum(f * c6ij / r**6) * HARTREE_EV
     dedr = -c6ij / r**6 * (f * (1.0 - f) * cfg.d / s_vdw - 6.0 * f / r)
-    w = dedr / r
+    w = 0.5 * dedr / r
     forces = np.zeros((n, 3))
     for c in range(3):
         contrib = w * d[:, c] / BOHR_ANGSTROM
@@ -161,11 +168,12 @@ def tensor_scalars(r, s):
     return gp, gpp
 
 
-def brute_force_mbd_matrix(structure, states, cfg, images=None):
+def brute_force_mbd_matrix(structure, states, cfg, shells=0):
     """3N x 3N MBD matrix [Ha^2] from full (N, N, 3, 3) blocks per image.
 
-    Visits every image, including both members of each +-t pair, builds
-    each 3x3 block explicitly and symmetrizes at the end.
+    Visits every image of the full box of ``shells``, including both
+    members of each +-t pair, builds each 3x3 block explicitly and
+    symmetrizes at the end.
     """
     from vdwmech.errors import GeometryError
     from vdwmech.units import BOHR_ANGSTROM
@@ -179,8 +187,7 @@ def brute_force_mbd_matrix(structure, states, cfg, images=None):
     guard = structure.overlap_guard / BOHR_ANGSTROM
     c4 = np.zeros((n, 3, n, 3))
     idx = np.arange(n)
-    trans = np.zeros((1, 3)) if images is None else images.translations
-    for t in trans / BOHR_ANGSTROM:
+    for t in lattice_box(structure, shells) / BOHR_ANGSTROM:
         diff = pos[:, None, :] - (pos[None, :, :] + t)
         r = np.linalg.norm(diff, axis=-1)
         if np.allclose(t, 0.0):

@@ -29,7 +29,7 @@ def _pe_fragment(perturb=0.0, seed=3):
 def test_detect_linear_chain():
     s = _linear_chain(3)
     topo = detect_topology(s)
-    assert topo.n_terms == (2, 1, 0)
+    assert (len(topo.bonds), len(topo.angles), len(topo.dihedrals)) == (2, 1, 0)
     assert topo.bond_r0 == pytest.approx([1.2, 1.2])
     assert topo.angle_theta0[0] == pytest.approx(np.pi)
 
@@ -37,7 +37,7 @@ def test_detect_linear_chain():
 def test_detect_single_atom():
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     topo = detect_topology(s)
-    assert topo.n_terms == (0, 0, 0)
+    assert (len(topo.bonds), len(topo.angles), len(topo.dihedrals)) == (0, 0, 0)
     assert harmonic_energy(s, topo)[0] == 0.0
     assert np.all(harmonic_energy(s, topo, forces=True)[1] == 0.0)
 
@@ -64,7 +64,7 @@ def test_valence_guard():
 def test_reference_geometry_is_minimum():
     s = _pe_fragment()
     topo = detect_topology(s)
-    assert topo.n_terms[2] > 0
+    assert len(topo.dihedrals) > 0
     assert harmonic_energy(s, topo)[0] == pytest.approx(0.0, abs=1e-20)
     assert np.abs(harmonic_energy(s, topo, forces=True)[1]).max() < 1e-10
 
@@ -235,6 +235,22 @@ def test_periodic_image_bonds():
     assert topo.bond_r0 == pytest.approx([1.5, 1.5])
     moved = s.with_positions([[0.05, 0, 0], [1.6, 0, 0]])
     assert harmonic_energy(moved, topo)[0] > 0
+
+
+def test_skewed_cell_bonds_match_reduced_cell():
+    """A skewed basis of the same lattice finds the same 1.2 A bond, at
+    offset (2, -1, 0) instead of (0, 1, 0)."""
+    from vdwmech.structure import CellTensor
+    bonds = []
+    for b in ([0.1, 1.2, 0.0], [4.1, 1.2, 0.0]):
+        cell = CellTensor(np.array([[2.0, 0, 0], b, [0, 0, 10.0]]),
+                          periodic=(True, True, False))
+        topo = detect_topology(AtomicStructure(positions=[[0.0, 0, 0]], species=["C"],
+                                               cell=cell))
+        bonds.append((topo.bond_offsets.tolist(), topo.bond_r0))
+    assert bonds[0][0] == [[[0, 1, 0]]]
+    assert bonds[1][0] == [[[2, -1, 0]]]
+    assert bonds[1][1] == pytest.approx(bonds[0][1], abs=1e-12)
 
 
 def test_single_atom_periodic_chain_strain_response():

@@ -6,7 +6,6 @@ from vdwmech.composite import CompositeModel
 from vdwmech.errors import InputError
 from vdwmech.generators import ChainSpec, PeCrystalSpec, make_chain_pair, make_pe_crystal
 from vdwmech.mbd import MbdModelConfig
-from vdwmech.periodic import generate_images
 
 
 def test_total_is_sum_of_components():
@@ -49,6 +48,8 @@ def test_requires_some_component():
         CompositeModel(topology=None, vdw="none")
     with pytest.raises(InputError):
         CompositeModel(topology=None, vdw="maybe")
+    with pytest.raises(InputError, match="shells"):
+        CompositeModel(vdw="pw", shells=-1)
 
 
 def test_vdw_only_model():
@@ -69,8 +70,8 @@ def test_shell_resolution_periodic():
     from vdwmech.mbd import mbd_energy
     from vdwmech.species import states_for
     st = states_for(s)
-    e1 = mbd_energy(s, st, model.mbd_cfg, generate_images(s.cell, shells))[0]
-    e2 = mbd_energy(s, st, model.mbd_cfg, generate_images(s.cell, shells + 1))[0]
+    e1 = mbd_energy(s, st, model.mbd_cfg, shells)[0]
+    e2 = mbd_energy(s, st, model.mbd_cfg, shells + 1)[0]
     assert abs(e2 - e1) < 1e-4 or shells == 4
 
 
@@ -78,7 +79,10 @@ def test_nonperiodic_shells_zero():
     s = make_chain_pair(ChainSpec(3, 3, 1.2, 8.0))
     model = CompositeModel(vdw="pw")
     assert model.resolve_shells(s) == 0
-    assert model.images_for(s) is None
+    # evaluating an open structure pins no shell count for a later periodic one
+    fresh = CompositeModel(vdw="pw")
+    fresh.energy(s)
+    assert fresh.shells is None
 
 
 def test_states_cache_tracks_ratio_changes():

@@ -117,13 +117,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         xyz.write_text(f"2\n\nC 0 0 0\nC {value} 0 1.5\n")
         assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw"]) == 1
         assert "finite" in capsys.readouterr().err
-    # a NaN setting fails the range check of its config
+    # a non-finite setting fails the range check of its config
     s = make_chain_pair(ChainSpec(3, 3, 1.2, 6.0))
     xyz = tmp_path / "pair.xyz"
     write_xyz(s, str(xyz))
-    assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw",
-                "--set", "model.pw_d=nan"]) == 1
-    assert "damping parameters must be positive" in capsys.readouterr().err
+    for value in ("nan", "inf"):
+        assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw",
+                    "--set", f"model.pw_d={value}"]) == 1
+        assert "damping parameters must be positive" in capsys.readouterr().err
 
 
 def test_cli_manifest_reproduces_run(tmp_path, capsys):

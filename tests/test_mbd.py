@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import (brute_force_mbd_matrix, dipole_tensor, fd_forces,
-                      jacobi_eigenvalues, random_cluster, random_rotation,
+                      jacobi_eigenvalues, lattice_box, random_cluster, random_rotation,
                       two_oscillator_energy)
 from vdwmech import mbd
 from vdwmech.errors import (GeometryError, InputError, InstabilityError)
 from vdwmech.mbd import MbdModelConfig, assemble_mbd_matrix, mbd_energy, sym_eigen
 from vdwmech.generators import PeCrystalSpec, make_pe_crystal
-from vdwmech.periodic import ImageSet, generate_images
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM
@@ -22,8 +21,9 @@ def _pair(r_ang, species=("C", "C")):
 
 
 def test_config_rejects_out_of_range_and_nan():
-    for kw in ({"beta": np.nan}, {"beta": 0.0}, {"replica_shells": -1},
-               {"shell_energy_tol": -1.0}, {"shell_energy_tol": np.nan}):
+    for kw in ({"beta": np.nan}, {"beta": np.inf}, {"beta": 0.0}, {"replica_shells": -1},
+               {"shell_energy_tol": -1.0}, {"shell_energy_tol": np.nan},
+               {"shell_energy_tol": np.inf}):
         with pytest.raises(InputError):
             MbdModelConfig(**kw)
     assert MbdModelConfig(shell_energy_tol=0.0).shell_energy_tol == 0.0
@@ -184,23 +184,23 @@ TRICLINIC_PTS = np.array([[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]])
 
 def _matrix_cases(rng):
     s = random_cluster(rng, 8)
-    yield s, None
+    yield s, 0
     chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
     s = AtomicStructure(positions=[[0.3, 0, 0], [2.1, 1.0, 0.4], [3.9, -0.5, 1.1]],
                         species=["C", "H", "C"], cell=chain)
-    yield s, generate_images(chain, 3)
+    yield s, 3
     s = AtomicStructure(positions=TRICLINIC_PTS, species=["C", "H", "C"], cell=TRICLINIC)
-    yield s, generate_images(TRICLINIC, 1)
-    yield s, generate_images(TRICLINIC, 2)
+    yield s, 1
+    yield s, 2
     s = AtomicStructure(positions=[[0.2, 0.1, 0.3]], species=["C"], cell=TRICLINIC)
-    yield s, generate_images(TRICLINIC, 2)
+    yield s, 2
 
 
 def test_matrix_matches_brute_force_oracle(rng):
-    for s, img in _matrix_cases(rng):
+    for s, shells in _matrix_cases(rng):
         st = states_for(s)
-        c = assemble_mbd_matrix(s, st, CFG, img)
-        ref = brute_force_mbd_matrix(s, st, CFG, img)
+        c = assemble_mbd_matrix(s, st, CFG, shells)
+        ref = brute_force_mbd_matrix(s, st, CFG, shells)
         assert np.array_equal(c, c.T)
         assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -212,10 +212,9 @@ def test_far_field_rule_matches_brute_force_oracle():
     s = AtomicStructure(positions=[[0.0, 0, 0], [1.5, 0.3, 0], [9.0, 0, 0.4]],
                         species=["C", "H", "C"], cell=chain)
     st = states_for(s)
-    img = generate_images(chain, 2)
     sig = st.sigma
     width = CFG.beta * np.sqrt(sig[:, None] ** 2 + sig[None, :] ** 2) * BOHR_ANGSTROM
-    for t in img.translations:
+    for t in lattice_box(s, 2):
         r = np.linalg.norm(s.positions[:, None] - s.positions[None] - t, axis=-1)
         zeta = r / width
         if not t.any():
@@ -223,8 +222,8 @@ def test_far_field_rule_matches_brute_force_oracle():
             assert zeta.min() < mbd._FAR_ZETA <= zeta.max()
         else:
             assert zeta.min() >= mbd._FAR_ZETA
-    c = assemble_mbd_matrix(s, st, CFG, img)
-    ref = brute_force_mbd_matrix(s, st, CFG, img)
+    c = assemble_mbd_matrix(s, st, CFG, 2)
+    ref = brute_force_mbd_matrix(s, st, CFG, 2)
     assert np.array_equal(c, c.T)
     assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -234,21 +233,24 @@ def test_overlap_error_names_home_cell_or_translation():
     s = AtomicStructure(positions=[[0.0, 0, 0], [2.0, 0, 0]], species=["C", "C"], cell=cell)
     s = s.with_positions([[0.0, 0, 0], [0.05, 0, 0]], check_overlap=False)
     with pytest.raises(GeometryError, match="in the home cell"):
-        assemble_mbd_matrix(s, states_for(s), CFG, generate_images(cell, 1))
+        assemble_mbd_matrix(s, states_for(s), CFG, 1)
     s = s.with_positions([[0.0, 0, 0], [3.95, 0, 0]], check_overlap=False)
     with pytest.raises(GeometryError, match="at lattice translation"):
-        assemble_mbd_matrix(s, states_for(s), CFG, generate_images(cell, 1))
+        assemble_mbd_matrix(s, states_for(s), CFG, 1)
 
 
-def test_malformed_image_set_rejected():
-    s = AtomicStructure(positions=[[0.0, 0, 0], [3.0, 0, 0]], species=["C", "C"])
-    st = states_for(s)
-    two_homes = ImageSet(np.zeros((2, 3)), np.zeros(2, dtype=int))
-    one_sided = ImageSet(np.array([[0.0, 0, 0], [10.0, 0, 0], [20.0, 0, 0]]),
-                         np.array([0, 1, 2]))
-    for img in (two_homes, one_sided):
-        with pytest.raises(InputError):
-            assemble_mbd_matrix(s, st, CFG, img)
+def test_negative_shells_rejected():
+    """A negative shell count is an error, also without a cell, and never
+    an empty lattice sum."""
+    cell = CellTensor(np.diag([4.0, 30.0, 30.0]))
+    for c in (cell, None):
+        s = AtomicStructure(positions=[[0.0, 0, 0], [2.0, 0, 0]], species=["C", "C"], cell=c)
+        st = states_for(s)
+        for call in (lambda: mbd_energy(s, st, CFG, -1),
+                     lambda: mbd_energy(s, st, CFG, -1, forces=True),
+                     lambda: assemble_mbd_matrix(s, st, CFG, -1)):
+            with pytest.raises(InputError, match="shells"):
+                call()
 
 
 def test_eigenvalues_match_jacobi_oracle(rng):
@@ -339,9 +341,9 @@ def test_energy_and_forces_consistent(rng):
 
 
 def test_energy_only_equals_energy_and_forces(rng):
-    for s, img in list(_matrix_cases(rng))[:3]:
+    for s, shells in list(_matrix_cases(rng))[:3]:
         st = states_for(s)
-        assert mbd_energy(s, st, CFG, img)[0] == mbd_energy(s, st, CFG, img, forces=True)[0]
+        assert mbd_energy(s, st, CFG, shells)[0] == mbd_energy(s, st, CFG, shells, forces=True)[0]
 
 
 def test_two_atom_forces_collinear():
@@ -388,7 +390,7 @@ def test_periodic_shell_convergence():
     cell = CellTensor(np.diag([8.0, 30.0, 30.0]))
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"], cell=cell)
     st = states_for(s)
-    es = [mbd_energy(s, st, CFG, generate_images(cell, k))[0] for k in range(7)]
+    es = [mbd_energy(s, st, CFG, k)[0] for k in range(7)]
     diffs = [abs(b - a) for a, b in zip(es, es[1:])]
     assert es[1] != es[0]          # images contribute
     assert diffs[-1] < 1e-5        # converged within the shell budget
@@ -399,7 +401,7 @@ def test_periodic_self_image_terms_in_diagonal():
     cell = CellTensor(np.diag([4.0, 30.0, 30.0]))
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"], cell=cell)
     st = states_for(s)
-    c = assemble_mbd_matrix(s, st, CFG, generate_images(cell, 2))
+    c = assemble_mbd_matrix(s, st, CFG, 2)
     w2 = st.omega[0]**2
     assert np.abs(c - w2 * np.eye(3)).max() > 0.0
     assert np.all(sym_eigen(c)[0] > 0.0)
@@ -410,18 +412,18 @@ def test_periodic_forces_match_fd(rng):
     pts = np.array([[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]])
     s = AtomicStructure(positions=pts, species=["C", "H", "C"], cell=cell)
     st = states_for(s)
-    img = generate_images(cell, 1)
-    f = mbd_energy(s, st, CFG, img, forces=True)[1]
-    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, img)[0], s)
+    shells = 1
+    f = mbd_energy(s, st, CFG, shells, forces=True)[1]
+    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, shells)[0], s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 def test_triclinic_periodic_forces_match_fd():
     s = AtomicStructure(positions=TRICLINIC_PTS, species=["C", "H", "C"], cell=TRICLINIC)
     st = states_for(s)
-    img = generate_images(TRICLINIC, 2)
-    f = mbd_energy(s, st, CFG, img, forces=True)[1]
-    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, img)[0], s)
+    shells = 2
+    f = mbd_energy(s, st, CFG, shells, forces=True)[1]
+    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, shells)[0], s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
@@ -431,10 +433,9 @@ def test_periodic_energy_and_forces_memory_bounded():
 
     s = make_pe_crystal(PeCrystalSpec(2, 2, 2))
     st = states_for(s)
-    img = generate_images(s.cell, 2)
     tracemalloc.start()
     try:
-        mbd_energy(s, st, CFG, img, forces=True)
+        mbd_energy(s, st, CFG, 2, forces=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

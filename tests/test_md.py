@@ -104,7 +104,10 @@ def test_bad_configs():
         MdConfig(timestep=1.0, temperature=-5.0, total_steps=10)
     with pytest.raises(InputError):
         MdConfig(timestep=1.0, temperature=300.0, total_steps=10, friction=-0.1)
-    with pytest.raises(InputError):
-        MdConfig(timestep=np.nan, temperature=300.0, total_steps=10)
-    with pytest.raises(InputError):
-        MdConfig(timestep=1.0, temperature=np.nan, total_steps=10)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            MdConfig(timestep=bad, temperature=300.0, total_steps=10)
+        with pytest.raises(InputError):
+            MdConfig(timestep=1.0, temperature=bad, total_steps=10)
+        with pytest.raises(InputError):
+            MdConfig(timestep=1.0, temperature=300.0, total_steps=10, friction=bad)

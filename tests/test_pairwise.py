@@ -5,7 +5,6 @@ from conftest import (brute_force_pw, brute_force_pw_energy, fd_forces, random_c
                       random_rotation)
 from vdwmech.errors import GeometryError, InputError
 from vdwmech.pairwise import PwModelConfig, fermi_damping, pw_energy
-from vdwmech.periodic import generate_images
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM, HARTREE_EV
@@ -33,6 +32,7 @@ def test_fermi_monotone_and_bounded(rng):
 
 def test_config_rejects_nonpositive_and_nan():
     for kw in ({"d": np.nan}, {"gamma": np.nan}, {"cutoff": np.nan},
+               {"d": np.inf}, {"gamma": np.inf}, {"cutoff": np.inf},
                {"d": 0.0}, {"gamma": -1.0}, {"cutoff": 0.0}):
         with pytest.raises(InputError):
             PwModelConfig(**kw)
@@ -175,25 +175,25 @@ TRICLINIC = CellTensor(np.array([[6.0, 0.0, 0.0], [1.5, 6.5, 0.0], [-1.0, 1.2, 7
 
 
 def _oracle_cases(rng):
-    """(structure, images, config): open pair, 1-D chain, triclinic 3-D at
+    """(structure, shells, config): open pair, 1-D chain, triclinic 3-D at
     2 shells, and a cluster whose cutoff drops some pairs."""
     s = AtomicStructure(positions=[[0, 0, 0], [3.7, 0.4, -0.2]], species=["C", "H"])
-    yield s, None, PwModelConfig()
+    yield s, 0, PwModelConfig()
     chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
     s = AtomicStructure(positions=[[0.3, 0, 0], [2.1, 1.0, 0.4], [3.9, -0.5, 1.1]],
                         species=["C", "H", "C"], cell=chain)
-    yield s, generate_images(chain, 3), PwModelConfig()
+    yield s, 3, PwModelConfig()
     s = AtomicStructure(positions=[[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]],
                         species=["C", "H", "C"], cell=TRICLINIC)
-    yield s, generate_images(TRICLINIC, 2), PwModelConfig()
-    yield random_cluster(rng, 12), None, PwModelConfig(cutoff=5.0)
+    yield s, 2, PwModelConfig()
+    yield random_cluster(rng, 12), 0, PwModelConfig(cutoff=5.0)
 
 
 def test_energy_and_forces_match_flat_oracle(rng):
-    for s, img, cfg in _oracle_cases(rng):
+    for s, shells, cfg in _oracle_cases(rng):
         st = states_for(s)
-        e, f = pw_energy(s, st, cfg, img, forces=True)
-        e_ref, f_ref = brute_force_pw(s, st, cfg, img)
+        e, f = pw_energy(s, st, cfg, shells, forces=True)
+        e_ref, f_ref = brute_force_pw(s, st, cfg, shells)
         assert e == pytest.approx(e_ref, rel=1e-12)
         assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
 
@@ -201,10 +201,9 @@ def test_energy_and_forces_match_flat_oracle(rng):
 def test_periodic_forces_match_fd():
     s = AtomicStructure(positions=[[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]],
                         species=["C", "H", "C"], cell=TRICLINIC)
-    img = generate_images(TRICLINIC, 2)
     cfg = PwModelConfig()
-    f = pw_energy(s, states_for(s), cfg, img, forces=True)[1]
-    ref = fd_forces(lambda x: pw_energy(x, states_for(x), cfg, img)[0], s)
+    f = pw_energy(s, states_for(s), cfg, 2, forces=True)[1]
+    ref = fd_forces(lambda x: pw_energy(x, states_for(x), cfg, 2)[0], s)
     assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
@@ -212,7 +211,7 @@ def test_energy_only_equals_energy_and_forces(rng):
     chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
     periodic = AtomicStructure(positions=[[0.3, 0, 0], [2.1, 1.0, 0.4], [3.9, -0.5, 1.1]],
                                species=["C", "H", "C"], cell=chain)
-    for s, img in ((random_cluster(rng, 9), None), (periodic, generate_images(chain, 3))):
+    for s, shells in ((random_cluster(rng, 9), 0), (periodic, 3)):
         st = states_for(s)
-        assert pw_energy(s, st, PwModelConfig(), img)[0] == \
-            pw_energy(s, st, PwModelConfig(), img, forces=True)[0]
+        assert pw_energy(s, st, PwModelConfig(), shells)[0] == \
+            pw_energy(s, st, PwModelConfig(), shells, forces=True)[0]

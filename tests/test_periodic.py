@@ -1,66 +1,77 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from conftest import lattice_box
 from vdwmech.errors import InputError
-from vdwmech.periodic import (apply_cell_strain, cell_stress, generate_images,
-                              relaxable_components)
+from vdwmech.periodic import (_lattice_offsets, apply_cell_strain, cell_stress,
+                              paired_separations, relaxable_components)
 from vdwmech.structure import AtomicStructure, CellTensor
+from vdwmech.units import BOHR_ANGSTROM
+
+
+def _reaches():
+    """Reach per axis for 0 to 3 periodic axes and 0 to 2 shells."""
+    for periodic in product((False, True), repeat=3):
+        for shells in range(3):
+            yield periodic, [shells if p else 0 for p in periodic]
 
 
 def test_images_zero_shells():
-    cell = CellTensor(np.diag([2.0, 3.0, 4.0]))
-    img = generate_images(cell, 0)
-    assert len(img) == 1
-    assert np.all(img.translations == 0.0)
+    assert _lattice_offsets((0, 0, 0)) == [(0, 0, 0)]
 
 
 def test_images_1d_two_shells():
-    cell = CellTensor(np.diag([2.0, 3.0, 4.0]), periodic=(True, False, False))
-    img = generate_images(cell, 2)
-    assert len(img) == 5
-    xs = sorted(img.translations[:, 0])
-    assert xs == [-4.0, -2.0, 0.0, 2.0, 4.0]
+    assert _lattice_offsets((2, 0, 0)) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    assert _lattice_offsets((0, 0, 2)) == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
 
 
 def test_images_3d_one_shell():
-    cell = CellTensor(np.diag([2.0, 3.0, 4.0]))
-    img = generate_images(cell, 1)
-    assert len(img) == 27
+    offsets = _lattice_offsets((1, 1, 1))
+    assert len(offsets) == 1 + (27 - 1) // 2
+    # shell-major, lexicographic within a shell
+    assert _lattice_offsets((2, 0, 1))[:5] == [(0, 0, 0), (0, 0, 1), (1, 0, -1),
+                                               (1, 0, 0), (1, 0, 1)]
 
 
 def test_images_closed_under_negation():
-    cell = CellTensor(np.array([[2.0, 0.1, 0], [0, 3.0, 0.2], [0, 0, 4.0]]))
-    img = generate_images(cell, 2)
-    t = img.translations
-    zero_rows = np.where(np.all(t == 0.0, axis=1))[0]
-    assert len(zero_rows) == 1
-    for row in t:
-        assert np.any(np.all(np.isclose(t, -row, atol=1e-12), axis=1))
+    """The offsets and their negatives cover the box, each point once."""
+    for _, reach in _reaches():
+        offsets = _lattice_offsets(reach)
+        assert not set(offsets) & {tuple(-c for c in o) for o in offsets[1:]}
+        both = offsets + [tuple(-c for c in o) for o in offsets[1:]]
+        box = product(*(range(-r, r + 1) for r in reach))
+        assert sorted(both) == sorted(box)
 
 
 def test_image_set_invariants():
-    m = np.array([[2.0, 0.1, 0.3], [-0.4, 3.0, 0.2], [0.5, -0.7, 4.0]])
-    for periodic in ((True, False, False), (False, True, True), (True, True, True)):
-        for shells in (1, 2):
-            img = generate_images(CellTensor(m, periodic), shells)
-            t = img.translations
-            assert len(t) == (2 * shells + 1) ** sum(periodic)
-            home = np.flatnonzero(np.all(t == 0.0, axis=1))
-            assert home.tolist() == np.flatnonzero(img.shell_index == 0).tolist()
-            assert len(home) == 1
-            # closed under negation, exactly: -t is another row
-            partner = [np.flatnonzero(np.all(t == -row, axis=1)) for row in t]
-            assert all(len(p) == 1 for p in partner)
-            half = img.half_set()
-            assert home[0] not in half
-            picked = np.concatenate([half, [partner[k][0] for k in half]])
-            assert sorted(picked.tolist() + home.tolist()) == list(range(len(t)))
+    for periodic, reach in _reaches():
+        offsets = _lattice_offsets(reach)
+        s = max(reach)
+        assert len(offsets) == 1 + ((2 * s + 1) ** sum(periodic) - 1) // 2
+        assert offsets[0] == (0, 0, 0)
+        shell = [max(map(abs, o)) for o in offsets]
+        assert shell == sorted(shell)
 
 
 def test_images_count_grows_with_shells():
-    cell = CellTensor(np.diag([2.0, 3.0, 4.0]))
-    counts = [len(generate_images(cell, s)) for s in range(4)]
+    counts = [len(_lattice_offsets((s, s, s))) for s in range(4)]
     assert all(b > a for a, b in zip(counts, counts[1:]))
+
+
+def test_paired_separations_visit_one_image_of_each_pair():
+    """Under a sheared cell the same integer offsets are visited, home first."""
+    cell = CellTensor(np.array([[4.0, 0.0, 0.0], [-3.9, 4.0, 0.0], [0.0, 0.0, 30.0]]),
+                      periodic=(True, True, False))
+    s = AtomicStructure(positions=[[0.5, 0.5, 0.5]], species=["C"], cell=cell)
+    seen = [(home, -d[:, 0, 0].copy()) for home, d, _ in paired_separations(s, 2)]
+    offsets = np.array(_lattice_offsets((2, 2, 0)))
+    assert [home for home, _ in seen] == [True] + [False] * (len(offsets) - 1)
+    t = np.array([d for _, d in seen]) * BOHR_ANGSTROM
+    assert np.allclose(t, offsets @ cell.matrix, atol=1e-12)
+    with pytest.raises(InputError, match="shells"):
+        next(paired_separations(s, -1))
 
 
 def test_strain_zero_delta_identity():
@@ -124,7 +135,7 @@ def _pair_energy_fn(eps=0.01, sigma=3.0, shells=2):
     dispersion modules."""
     def energy(structure):
         # per-cell energy: 1/2 sum over ordered pairs and images
-        img = generate_images(structure.cell, shells).translations
+        img = lattice_box(structure, shells)
         pos = structure.positions
         n = len(pos)
         e = 0.0
@@ -145,7 +156,7 @@ def _pair_virial(structure, eps=0.01, sigma=3.0, shells=2):
     """Analytic virial stress for the same toy potential [GPa]."""
     from vdwmech.units import EV_A3_GPA
     cell = structure.cell
-    img = generate_images(cell, shells).translations
+    img = lattice_box(structure, shells)
     pos = structure.positions
     n = len(pos)
     sig = np.zeros((3, 3))

@@ -147,7 +147,7 @@ def test_shear_cell_strain_normalizes_by_row_length():
 def test_protocol_validation():
     with pytest.raises(InputError):
         LoadingProtocol(kind="squeeze", increment=0.1, step_count=1)
-    for increment in (0.0, 1e-16, np.nan):
+    for increment in (0.0, 1e-16, np.nan, np.inf, -np.inf):
         with pytest.raises(InputError):
             LoadingProtocol(kind="displacement", increment=increment, step_count=1,
                             driven=(0,))
@@ -156,8 +156,9 @@ def test_protocol_validation():
                         driven=(0,))
     with pytest.raises(InputError):
         LoadingProtocol(kind="displacement", increment=0.1, step_count=1)
-    for kw in ({"face_area": np.nan}, {"reference_length": -1.0},
-               {"reference_length": 0.0}, {"reference_length": np.nan}):
+    for kw in ({"face_area": np.nan}, {"face_area": np.inf}, {"reference_length": -1.0},
+               {"reference_length": 0.0}, {"reference_length": np.nan},
+               {"reference_length": np.inf}):
         with pytest.raises(InputError):
             LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
                             driven=(0,), **kw)
