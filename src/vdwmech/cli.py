@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: generate, energy, forces, relax, quasistatic, md, chain-sweep.
-Every run resolves its configuration (file plus ``--set key=value``
-overrides), writes a manifest next to the output, and exits 0 on success,
-1 on validation errors, 2 on numerical/convergence errors.
+Every run takes one path through ``cli``: it resolves the configuration
+(file plus ``--set key=value`` overrides) once, and before any work it
+rejects a missing output path and writes ``<output>.manifest``.  Exit
+codes: 0 on success, 1 on validation and file errors, 2 on
+numerical/convergence errors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .minimize import MinimizerConfig, minimize
 from .pairwise import PwModelConfig
 from .periodic import relaxable_components
 from .quasistatic import LoadingProtocol, run_quasistatic
-from .records import emit_chain_sweep, emit_md_stats, emit_records
+from .records import emit_chain_sweep, emit_forces, emit_md_stats, emit_records
 from .structure import AtomicStructure
 from .xyz import read_xyz, write_xyz
 
@@ -40,25 +42,37 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_config(args) -> RunConfig:
+def _resolve_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
     for item in args.set or []:
         if "=" not in item:
             raise InputError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         cfg.set(key.strip(), value)
-    if getattr(args, "input", None):
+    if args.input:
         cfg.set("io.input", args.input)
-    if getattr(args, "output", None):
+    if args.output:
         cfg.set("io.output", args.output)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.set("seed", str(args.seed))
     return cfg
 
 
-def _write_manifest(cfg: RunConfig, output: str):
-    if output:
-        cfg.dump(output + ".manifest")
+def _pw_config(cfg: RunConfig) -> PwModelConfig:
+    return PwModelConfig(d=cfg["model.pw_d"], gamma=cfg["model.pw_gamma"],
+                         cutoff=cfg["model.pw_cutoff"])
+
+
+def _mbd_config(cfg: RunConfig) -> MbdModelConfig:
+    return MbdModelConfig(beta=cfg["model.mbd_beta"],
+                          replica_shells=cfg["model.mbd_shells"],
+                          shell_energy_tol=cfg["model.mbd_shell_tol"])
+
+
+def _minimizer_config(cfg: RunConfig) -> MinimizerConfig:
+    return MinimizerConfig(force_tolerance=cfg["relax.force_tolerance"],
+                           max_iterations=cfg["relax.max_iterations"],
+                           initial_step=cfg["relax.initial_step"])
 
 
 def build_model(cfg: RunConfig, structure: AtomicStructure) -> CompositeModel:
@@ -68,20 +82,16 @@ def build_model(cfg: RunConfig, structure: AtomicStructure) -> CompositeModel:
             structure, k_r=cfg["model.k_r"], k_theta=cfg["model.k_theta"],
             k_phi=cfg["model.k_phi"],
             include_dihedrals=cfg["model.include_dihedrals"])
-    return CompositeModel(
-        topology=topo, vdw=cfg["model.vdw"],
-        pw_cfg=PwModelConfig(d=cfg["model.pw_d"], gamma=cfg["model.pw_gamma"],
-                             cutoff=cfg["model.pw_cutoff"]),
-        mbd_cfg=MbdModelConfig(beta=cfg["model.mbd_beta"],
-                               replica_shells=cfg["model.mbd_shells"],
-                               shell_energy_tol=cfg["model.mbd_shell_tol"]))
+    return CompositeModel(topology=topo, vdw=cfg["model.vdw"],
+                          pw_cfg=_pw_config(cfg), mbd_cfg=_mbd_config(cfg))
 
 
-def _read_input(cfg) -> AtomicStructure:
+def _read_system(cfg: RunConfig) -> tuple[AtomicStructure, CompositeModel]:
     path = cfg["io.input"]
     if not path:
         raise InputError("io.input (or --input) is required")
-    return read_xyz(path)
+    structure = read_xyz(path)
+    return structure, build_model(cfg, structure)
 
 
 def _driven_indices(structure, cfg) -> tuple[int, ...]:
@@ -100,8 +110,7 @@ def _driven_indices(structure, cfg) -> tuple[int, ...]:
     return tuple(fully_fixed[keep])
 
 
-def _cmd_generate(args):
-    cfg = _load_config(args)
+def _cmd_generate(cfg: RunConfig):
     kind = cfg["generate.kind"]
     if kind == "chain-pair":
         spec = ChainSpec(cfg["generate.n_upper"], cfg["generate.n_lower"],
@@ -117,84 +126,53 @@ def _cmd_generate(args):
         spec = PeCrystalSpec(cfg["generate.nx"], cfg["generate.ny"], cfg["generate.nz"])
         structure = make_pe_crystal(spec)
     out = cfg["io.output"]
-    if not out:
-        raise InputError("io.output (or --output) is required")
     write_xyz(structure, out)
-    _write_manifest(cfg, out)
     print(f"wrote {len(structure)} atoms to {out}")
-    return 0
 
 
-def _cmd_energy(args):
-    cfg = _load_config(args)
-    structure = _read_input(cfg)
-    model = build_model(cfg, structure)
+def _cmd_energy(cfg: RunConfig):
+    structure, model = _read_system(cfg)
     total, bonded, vdw = model.energy_components(structure)
     print(f"e_total_eV {total:.10e}")
     print(f"e_bonded_eV {bonded:.10e}")
     print(f"e_vdw_eV {vdw:.10e}")
-    _write_manifest(cfg, cfg["io.output"])
-    return 0
 
 
-def _cmd_forces(args):
-    cfg = _load_config(args)
-    structure = _read_input(cfg)
-    model = build_model(cfg, structure)
+def _cmd_forces(cfg: RunConfig):
+    structure, model = _read_system(cfg)
     forces = model.energy_and_forces(structure)[1]
-    out = cfg["io.output"]
-    if out:
-        with open(out, "w") as fh:
-            fh.write("atom,species,fx_eV_per_A,fy_eV_per_A,fz_eV_per_A\n")
-            for i, (sym, f) in enumerate(zip(structure.species, forces)):
-                fh.write(f"{i},{sym},{f[0]:.10e},{f[1]:.10e},{f[2]:.10e}\n")
-        _write_manifest(cfg, out)
+    if cfg["io.output"]:
+        emit_forces(structure, forces, cfg["io.output"])
     else:
         for i, f in enumerate(forces):
             print(f"{i} {f[0]:.10e} {f[1]:.10e} {f[2]:.10e}")
     print(f"max_force_eV_per_A {np.abs(forces).max():.10e}")
-    return 0
 
 
-def _cmd_relax(args):
-    cfg = _load_config(args)
-    structure = _read_input(cfg)
-    model = build_model(cfg, structure)
-    mcfg = MinimizerConfig(force_tolerance=cfg["relax.force_tolerance"],
-                           max_iterations=cfg["relax.max_iterations"],
-                           initial_step=cfg["relax.initial_step"])
+def _cmd_relax(cfg: RunConfig):
+    structure, model = _read_system(cfg)
     relax_cell = ()
     if cfg["relax.cell"] != "none":
         if structure.cell is None:
             raise InputError("relax.cell requires a periodic structure")
         relax_cell = tuple(relaxable_components(
             structure.cell, None, diagonal_only=cfg["relax.cell"] == "diagonal"))
-    res = minimize(structure, model, mcfg, relax_cell=relax_cell)
-    out = cfg["io.output"]
-    if not out:
-        raise InputError("io.output (or --output) is required")
-    write_xyz(res.structure, out)
-    _write_manifest(cfg, out)
+    res = minimize(structure, model, _minimizer_config(cfg), relax_cell=relax_cell)
+    write_xyz(res.structure, cfg["io.output"])
     print(f"converged {int(res.converged)} iterations {res.iterations} "
           f"evaluations {res.evaluations} rejected {res.rejected} "
           f"max_force_eV_per_A {res.max_force:.3e} energy_eV {res.energy:.10e}")
     if not res.converged:
         raise NumericalError(
             f"relaxation did not converge in {res.iterations} iterations")
-    return 0
 
 
-def _cmd_quasistatic(args):
-    cfg = _load_config(args)
-    structure = _read_input(cfg)
-    model = build_model(cfg, structure)
-    mcfg = MinimizerConfig(force_tolerance=cfg["relax.force_tolerance"],
-                           max_iterations=cfg["relax.max_iterations"],
-                           initial_step=cfg["relax.initial_step"])
+def _cmd_quasistatic(cfg: RunConfig):
+    structure, model = _read_system(cfg)
     kind = cfg["protocol.kind"]
     protocol = LoadingProtocol(
         kind=kind, increment=cfg["protocol.increment"],
-        step_count=cfg["protocol.steps"], minimizer=mcfg,
+        step_count=cfg["protocol.steps"], minimizer=_minimizer_config(cfg),
         driven=_driven_indices(structure, cfg) if kind == "displacement" else (),
         axis=_AXES[cfg["protocol.axis"]],
         component=_COMPONENTS[cfg["protocol.component"]],
@@ -208,42 +186,30 @@ def _cmd_quasistatic(args):
         record_structures=False)
     result = run_quasistatic(structure, model, protocol)
     out = cfg["io.output"]
-    if not out:
-        raise InputError("io.output (or --output) is required")
     emit_records(result.records, out)
     write_xyz(result.final, out + ".final.xyz")
-    _write_manifest(cfg, out)
     print(f"steps {len(result.records)} halted {int(result.halted)}")
     if result.halted:
         raise NumericalError("quasistatic run halted on a non-converged step")
-    return 0
 
 
-def _cmd_md(args):
-    cfg = _load_config(args)
-    structure = _read_input(cfg)
-    model = build_model(cfg, structure)
+def _cmd_md(cfg: RunConfig):
+    structure, model = _read_system(cfg)
     mdcfg = MdConfig(timestep=cfg["md.timestep"], temperature=cfg["md.temperature"],
                      total_steps=cfg["md.steps"], friction=cfg["md.friction"],
                      runup_steps=cfg["md.runup"], seed=cfg["seed"],
                      sample_interval=cfg["md.sample_interval"])
     result = run_md(structure, model, mdcfg)
     out = cfg["io.output"]
-    if not out:
-        raise InputError("io.output (or --output) is required")
     emit_md_stats(result, out)
     write_xyz(result.structure, out + ".final.xyz")
-    _write_manifest(cfg, out)
     print(f"mean_temperature_K {result.mean_temperature:.3f} "
           f"samples {len(result.times)} seed {result.seed}")
-    return 0
 
 
-def _cmd_chain_sweep(args):
-    cfg = _load_config(args)
-    pw_model = CompositeModel(vdw="pw", pw_cfg=PwModelConfig(
-        d=cfg["model.pw_d"], gamma=cfg["model.pw_gamma"], cutoff=cfg["model.pw_cutoff"]))
-    mbd_model = CompositeModel(vdw="mbd", mbd_cfg=MbdModelConfig(beta=cfg["model.mbd_beta"]))
+def _cmd_chain_sweep(cfg: RunConfig):
+    pw_model = CompositeModel(vdw="pw", pw_cfg=_pw_config(cfg))
+    mbd_model = CompositeModel(vdw="mbd", mbd_cfg=_mbd_config(cfg))
     rows = []
     for nc1 in cfg["sweep.nc1_values"]:
         for h in cfg["sweep.h_values"]:
@@ -256,12 +222,8 @@ def _cmd_chain_sweep(args):
             rows.append({"h": h, "nc1": int(nc1), "f_pw": f_pw, "f_mbd": f_mbd,
                          "ratio": abs(f_mbd) / abs(f_pw)})
     out = cfg["io.output"]
-    if not out:
-        raise InputError("io.output (or --output) is required")
     emit_chain_sweep(rows, out)
-    _write_manifest(cfg, out)
     print(f"wrote {len(rows)} sweep points to {out}")
-    return 0
 
 
 _COMMANDS = {
@@ -273,6 +235,7 @@ _COMMANDS = {
     "md": _cmd_md,
     "chain-sweep": _cmd_chain_sweep,
 }
+_WRITES_OUTPUT = ("generate", "relax", "quasistatic", "md", "chain-sweep")
 
 
 def _build_parser() -> _Parser:
@@ -292,22 +255,26 @@ def _build_parser() -> _Parser:
 
 
 def cli(argv=None) -> int:
+    """Run one subcommand: resolve the config, require ``io.output`` where
+    the command writes files, write the manifest, then run the command."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if not args.command:
             raise InputError("missing subcommand")
-        return _COMMANDS[args.command](args)
-    except InputError as e:
+        cfg = _resolve_config(args)
+        out = cfg["io.output"]
+        if args.command in _WRITES_OUTPUT and not out:
+            raise InputError("io.output (or --output) is required")
+        if out:
+            cfg.dump(out + ".manifest")
+        _COMMANDS[args.command](cfg)
+        return 0
+    except (VdwmechError, OSError) as e:
         print(f'error: kind={type(e).__name__} message="{e}"', file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return 1
-    except NumericalError as e:
-        print(f'error: kind={type(e).__name__} message="{e}"', file=sys.stderr)
-        return 2
-    except VdwmechError as e:
-        print(f'error: kind={type(e).__name__} message="{e}"', file=sys.stderr)
-        return 1
+        if isinstance(e, InputError):
+            print(parser.format_usage(), file=sys.stderr, end="")
+        return 2 if isinstance(e, NumericalError) else 1
 
 
 def main():

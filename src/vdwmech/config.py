@@ -9,7 +9,14 @@ exactly.
 
 from __future__ import annotations
 
+from .bonded import K_PHI_DEFAULT, K_R_DEFAULT, K_THETA_DEFAULT
+from .composite import VDW_KINDS
 from .errors import InputError, ParseError
+from .mbd import MbdModelConfig as _Mbd
+from .md import MdConfig as _Md
+from .minimize import MinimizerConfig as _Min
+from .pairwise import PwModelConfig as _Pw
+from .quasistatic import LoadingProtocol as _Load
 
 _NONE = ("none", "null", "")
 
@@ -52,20 +59,21 @@ def _fmt(kind, value):
     return str(value)
 
 
-# key -> (type, default, allowed-values or None)
+# key -> (type, default, allowed-values or None); a key that mirrors a library
+# field with a default takes it (generate.* keep the paper's capped geometries)
 SCHEMA = {
     "model.bonded": ("bool", True, None),
-    "model.vdw": ("str", "none", ("none", "pw", "mbd")),
+    "model.vdw": ("str", "none", VDW_KINDS),
     "model.include_dihedrals": ("bool", True, None),
-    "model.k_r": ("float", 35.0505, None),
-    "model.k_theta": ("float", 6.6069, None),
-    "model.k_phi": ("float", 0.5361, None),
-    "model.pw_d": ("float", 20.0, None),
-    "model.pw_gamma": ("float", 0.94, None),
-    "model.pw_cutoff": ("optfloat", None, None),
-    "model.mbd_beta": ("float", 1.0, None),
-    "model.mbd_shells": ("int", 3, None),
-    "model.mbd_shell_tol": ("float", 1e-5, None),
+    "model.k_r": ("float", K_R_DEFAULT, None),
+    "model.k_theta": ("float", K_THETA_DEFAULT, None),
+    "model.k_phi": ("float", K_PHI_DEFAULT, None),
+    "model.pw_d": ("float", _Pw.d, None),
+    "model.pw_gamma": ("float", _Pw.gamma, None),
+    "model.pw_cutoff": ("optfloat", _Pw.cutoff, None),
+    "model.mbd_beta": ("float", _Mbd.beta, None),
+    "model.mbd_shells": ("int", _Mbd.replica_shells, None),
+    "model.mbd_shell_tol": ("float", _Mbd.shell_energy_tol, None),
     "generate.kind": ("str", "chain-pair", ("chain-pair", "swcnt", "pe-crystal")),
     "generate.n_upper": ("int", 28, None),
     "generate.n_lower": ("int", 28, None),
@@ -80,9 +88,9 @@ SCHEMA = {
     "generate.nx": ("int", 1, None),
     "generate.ny": ("int", 1, None),
     "generate.nz": ("int", 1, None),
-    "relax.force_tolerance": ("float", 1e-3, None),
-    "relax.max_iterations": ("int", 5000, None),
-    "relax.initial_step": ("float", 0.1, None),
+    "relax.force_tolerance": ("float", _Min.force_tolerance, None),
+    "relax.max_iterations": ("int", _Min.max_iterations, None),
+    "relax.initial_step": ("float", _Min.initial_step, None),
     "relax.cell": ("str", "none", ("none", "diagonal", "all")),
     "protocol.kind": ("str", "displacement", ("displacement", "cell-strain")),
     "protocol.axis": ("str", "z", ("x", "y", "z")),
@@ -90,19 +98,19 @@ SCHEMA = {
     "protocol.steps": ("int", 10, None),
     "protocol.driven": ("str", "fixed-max", ("fixed-all", "fixed-max", "fixed-min")),
     "protocol.component": ("str", "xx", ("xx", "yy", "zz", "xy", "xz", "yz")),
-    "protocol.cell_mode": ("str", "fixed-others", ("fixed-others", "relaxed-others")),
-    "protocol.reference_length": ("optfloat", None, None),
-    "protocol.face_area": ("optfloat", None, None),
-    "protocol.compute_stress": ("bool", False, None),
-    "protocol.perturbation": ("float", 0.0, None),
-    "protocol.perturbation_seed": ("int", 0, None),
-    "protocol.max_increment_halvings": ("int", 4, None),
+    "protocol.cell_mode": ("str", _Load.cell_mode, ("fixed-others", "relaxed-others")),
+    "protocol.reference_length": ("optfloat", _Load.reference_length, None),
+    "protocol.face_area": ("optfloat", _Load.face_area, None),
+    "protocol.compute_stress": ("bool", _Load.compute_stress, None),
+    "protocol.perturbation": ("float", _Load.perturbation, None),
+    "protocol.perturbation_seed": ("int", _Load.perturbation_seed, None),
+    "protocol.max_increment_halvings": ("int", _Load.max_increment_halvings, None),
     "md.timestep": ("float", 1.0, None),
     "md.temperature": ("float", 300.0, None),
-    "md.friction": ("float", 0.01, None),
+    "md.friction": ("float", _Md.friction, None),
     "md.steps": ("int", 1000, None),
-    "md.runup": ("int", 0, None),
-    "md.sample_interval": ("int", 1, None),
+    "md.runup": ("int", _Md.runup_steps, None),
+    "md.sample_interval": ("int", _Md.sample_interval, None),
     "sweep.h_values": ("floats", (6.0, 8.0, 10.0, 14.0, 20.0), None),
     "sweep.nc1_values": ("ints", (10, 50, 100, 200), None),
     "sweep.nc2": ("int", 200, None),

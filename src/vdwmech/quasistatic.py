@@ -43,7 +43,7 @@ class LoadingProtocol:
     max_increment_halvings: int = 4
     reference_length: float | None = None      # strain normalization [A]
     face_area: float | None = None             # A^2, reaction stress
-    compute_stress: bool = False               # periodic runs
+    compute_stress: bool = False               # cell-strain, 3-D periodic cell
     perturbation: float = 0.0                  # A, seeded one-time noise
     perturbation_seed: int = 0
     record_structures: bool = True
@@ -112,8 +112,11 @@ def _apply_displacement(structure, protocol, amount):
 def run_quasistatic(structure: AtomicStructure, model,
                     protocol: LoadingProtocol) -> QuasistaticResult:
     """Run the loading protocol; one StepRecord per protocol step."""
-    if protocol.kind == "cell-strain" and structure.cell is None:
-        raise InputError("cell-strain protocol needs a periodic structure")
+    if protocol.kind == "cell-strain":
+        if structure.cell is None:
+            raise InputError("cell-strain protocol needs a periodic structure")
+        if protocol.compute_stress and not all(structure.cell.periodic):
+            raise InputError("compute_stress requires a fully periodic cell")
 
     relax_cell = ()
     if protocol.kind == "cell-strain" and protocol.cell_mode == "relaxed-others":

@@ -6,6 +6,7 @@ from vdwmech.config import RunConfig
 from vdwmech.errors import InputError
 from vdwmech.composite import CompositeModel
 from vdwmech.generators import ChainSpec, make_chain_pair, upper_chain_indices
+from vdwmech.minimize import MinimizerConfig
 from vdwmech.xyz import read_xyz, write_xyz
 
 
@@ -13,6 +14,8 @@ def test_config_defaults_and_types():
     cfg = RunConfig()
     assert cfg["model.vdw"] == "none"
     assert cfg["model.mbd_beta"] == 1.0
+    # keys that mirror a library field take its default
+    assert cfg["relax.initial_step"] == MinimizerConfig().initial_step == 0.2
     cfg.set("model.vdw", "mbd")
     cfg.set("md.steps", "500")
     assert cfg["md.steps"] == 500
@@ -204,3 +207,66 @@ def test_cli_quasistatic_runs(tmp_path, capsys):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} must not run")
+    return refuse
+
+
+def test_cli_requires_output_before_any_work(tmp_path, capsys, monkeypatch):
+    import vdwmech.cli as cli_mod
+
+    for name in ("minimize", "run_quasistatic", "run_md", "make_chain_pair"):
+        monkeypatch.setattr(cli_mod, name, _refuse(name))
+    xyz = tmp_path / "in.xyz"
+    write_xyz(make_chain_pair(ChainSpec(3, 3, 1.2, 6.0)), str(xyz))
+    for argv in (["generate"], ["chain-sweep"],
+                 ["relax", "--input", str(xyz)],
+                 ["quasistatic", "--input", str(xyz)],
+                 ["md", "--input", str(xyz), "--set", "model.vdw=pw"]):
+        assert cli(argv) == 1, argv
+        assert "io.output (or --output) is required" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [xyz]
+
+
+def test_cli_file_errors_exit_1(tmp_path, capsys, monkeypatch):
+    import vdwmech.cli as cli_mod
+
+    xyz = tmp_path / "in.xyz"
+    write_xyz(make_chain_pair(ChainSpec(3, 3, 1.2, 6.0)), str(xyz))
+    missing = str(tmp_path / "missing")
+
+    def fails(argv):
+        assert cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "error: kind=FileNotFoundError" in err and "Traceback" not in err
+        assert missing in err
+
+    fails(["energy", "--input", missing])
+    fails(["energy", "--input", str(xyz), "--config", missing])
+    monkeypatch.setenv("VDWMECH_VDW_PARAMS", missing)
+    fails(["energy", "--input", str(xyz), "--set", "model.vdw=pw"])
+    monkeypatch.delenv("VDWMECH_VDW_PARAMS")
+    # an unwritable output fails at the manifest, before the first MD step
+    monkeypatch.setattr(cli_mod, "run_md", _refuse("run_md"))
+    fails(["md", "--input", str(xyz), "--output", missing + "/md.csv"])
+
+
+def test_cli_failed_run_keeps_manifest(tmp_path, capsys):
+    xyz = tmp_path / "in.xyz"
+    write_xyz(make_chain_pair(ChainSpec(4, 4, 1.2, 6.0)), str(xyz))
+    # the manifest is written before the input is read
+    out = tmp_path / "md.csv"
+    assert cli(["md", "--input", str(tmp_path / "missing.xyz"),
+                "--output", str(out)]) == 1
+    assert RunConfig.load(str(out) + ".manifest")["io.output"] == str(out)
+    assert not out.exists()
+    # a relaxation that does not converge writes its state and exits 2
+    relaxed = tmp_path / "relaxed.xyz"
+    assert cli(["relax", "--input", str(xyz), "--output", str(relaxed),
+                "--set", "model.vdw=pw", "--set", "relax.max_iterations=1",
+                "--set", "relax.force_tolerance=1e-9"]) == 2
+    assert "kind=NumericalError" in capsys.readouterr().err
+    assert relaxed.exists() and (tmp_path / "relaxed.xyz.manifest").exists()

@@ -6,8 +6,8 @@ import pytest
 from vdwmech.bonded import detect_topology
 from vdwmech.composite import CompositeModel
 from vdwmech.errors import InputError
-from vdwmech.generators import (ChainSpec, PeCrystalSpec, cap_indices,
-                                make_chain_pair, make_pe_crystal)
+from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, cap_indices,
+                                make_chain_pair, make_pe_crystal, make_swcnt)
 from vdwmech.minimize import MinimizerConfig, minimize
 from vdwmech.quasistatic import LoadingProtocol, run_quasistatic
 from vdwmech.records import emit_records
@@ -144,7 +144,7 @@ def test_shear_cell_strain_normalizes_by_row_length():
     assert np.isfinite(result.records[-1].stiffness)
 
 
-def test_protocol_validation():
+def test_protocol_validation(monkeypatch):
     with pytest.raises(InputError):
         LoadingProtocol(kind="squeeze", increment=0.1, step_count=1)
     for increment in (0.0, 1e-16, np.nan, np.inf, -np.inf):
@@ -162,6 +162,18 @@ def test_protocol_validation():
         with pytest.raises(InputError):
             LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
                             driven=(0,), **kw)
+    # stress needs a 3-D periodic cell; an axial tube is refused before any relaxation
+    import vdwmech.quasistatic as qs_mod
+
+    def no_relax(*args, **kwargs):
+        raise AssertionError("minimize called before the stress check")
+
+    monkeypatch.setattr(qs_mod, "minimize", no_relax)
+    tube = make_swcnt(CntSpec(4, 4, 4), axial_period=True)
+    protocol = LoadingProtocol(kind="cell-strain", increment=0.01, step_count=1,
+                               component=(2, 2), compute_stress=True)
+    with pytest.raises(InputError, match="fully periodic"):
+        run_quasistatic(tube, CompositeModel(vdw="pw"), protocol)
 
 
 def test_face_area_and_reaction_stress():
