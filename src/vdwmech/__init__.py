@@ -15,7 +15,7 @@ from .generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
 from .mbd import MbdModelConfig, assemble_mbd_matrix, mbd_energy, sym_eigen
 from .md import MdConfig, MdResult, run_md
 from .minimize import MinimizerConfig, MinimizeResult, minimize
-from .pairwise import PwModelConfig, fermi_damping, pw_energy
+from .pairwise import PwModelConfig, pw_energy
 from .periodic import StressTensor, apply_cell_strain, cell_stress
 from .quasistatic import (LoadingProtocol, QuasistaticResult, StepRecord,
                           run_quasistatic)

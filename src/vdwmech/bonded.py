@@ -103,6 +103,9 @@ class HarmonicTopology:
         if len(self.angle_theta0) and not np.all(
                 (self.angle_theta0 > 0) & (self.angle_theta0 < np.pi + 1e-12)):
             raise InputError("angle references must lie in (0, pi]")
+        for name in ("k_r", "k_theta", "k_phi"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def _cellmat(structure):

@@ -76,14 +76,17 @@ def _minimizer_config(cfg: RunConfig) -> MinimizerConfig:
 
 
 def build_model(cfg: RunConfig, structure: AtomicStructure) -> CompositeModel:
+    """The configured model, with its replica shells resolved on ``structure``."""
     topo = None
     if cfg["model.bonded"]:
         topo = detect_topology(
             structure, k_r=cfg["model.k_r"], k_theta=cfg["model.k_theta"],
             k_phi=cfg["model.k_phi"],
             include_dihedrals=cfg["model.include_dihedrals"])
-    return CompositeModel(topology=topo, vdw=cfg["model.vdw"],
-                          pw_cfg=_pw_config(cfg), mbd_cfg=_mbd_config(cfg))
+    model = CompositeModel(topology=topo, vdw=cfg["model.vdw"],
+                           pw_cfg=_pw_config(cfg), mbd_cfg=_mbd_config(cfg))
+    model.resolve_shells(structure)
+    return model
 
 
 def _read_system(cfg: RunConfig) -> tuple[AtomicStructure, CompositeModel]:

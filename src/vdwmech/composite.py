@@ -1,10 +1,10 @@
 """Composite energy model: bonded harmonic term plus one dispersion model.
 
 The total energy follows the range-separation split E = E_bonded + E_vdW.
-For periodic structures the model resolves a replica shell count once (by
-per-cell energy convergence) and keeps it fixed, so forces stay smooth
-along a loading path; the kernels take the shell count and build the
-translations from the current cell at every evaluation.
+A periodic structure needs a replica shell count, passed as ``shells`` or
+fixed by ``resolve_shells`` on the input structure (an InputError if
+neither).  The count stays fixed, so forces stay smooth along a loading
+path; the kernels build the translations from the current cell.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ VDW_KINDS = ("none", "pw", "mbd")
 
 _PW_SHELL_TOL_EV = 1e-7
 _PW_MAX_SHELLS = 6
+
+
+def _periodic(structure) -> bool:
+    return structure.cell is not None and bool(structure.cell.periodic_axes())
 
 
 class CompositeModel:
@@ -55,50 +59,45 @@ class CompositeModel:
             self._states_key = key
         return self._states
 
+    def _vdw_term(self):
+        """(kernel, config, shell energy tolerance [eV], shell cap) of the
+        vdW term."""
+        if self.vdw == "pw":
+            return _pw.pw_energy, self.pw_cfg, _PW_SHELL_TOL_EV, _PW_MAX_SHELLS
+        cfg = self.mbd_cfg
+        return _mbd.mbd_energy, cfg, cfg.shell_energy_tol, cfg.replica_shells
+
     def resolve_shells(self, structure: AtomicStructure) -> int:
-        """Pick and pin the replica shell count by per-cell energy convergence."""
-        if structure.cell is None or not structure.cell.periodic_axes():
-            self.shells = 0
-            return 0
-        if self.vdw == "none":
-            self.shells = 0
-            return 0
-        if self.vdw == "mbd":
-            tol, max_shells = self.mbd_cfg.shell_energy_tol, self.mbd_cfg.replica_shells
-        else:
-            tol, max_shells = _PW_SHELL_TOL_EV, _PW_MAX_SHELLS
-        prev = self._evaluate(structure, False, 0)[0][2]
+        """Pick and pin the replica shell count by per-cell vdW energy
+        convergence; 0 for an open structure or a model without vdW."""
         shells = 0
-        for s in range(1, max_shells + 1):
-            cur = self._evaluate(structure, False, s)[0][2]
-            shells = s
-            if abs(cur - prev) < tol:
-                break
-            prev = cur
+        if self.vdw != "none" and _periodic(structure):
+            kernel, cfg, tol, max_shells = self._vdw_term()
+            states = self._states_for(structure)
+            prev = kernel(structure, states, cfg, 0)[0]
+            for shells in range(1, max_shells + 1):
+                cur = kernel(structure, states, cfg, shells)[0]
+                if abs(cur - prev) < tol:
+                    break
+                prev = cur
         self.shells = shells
         return shells
 
     # -- evaluation --------------------------------------------------------
 
-    def _evaluate(self, structure, forces, shells=None):
-        """((total, bonded, vdW), forces or None) in eV and eV/A.
-
-        ``shells`` defaults to the model's pinned shell count, which the
-        first periodic structure resolves (0 until then).
-        """
+    def _evaluate(self, structure, forces):
+        """((total, bonded, vdW), forces or None) in eV and eV/A."""
+        if self.vdw != "none" and self.shells is None and _periodic(structure):
+            raise InputError("periodic structure without a replica shell count: "
+                             "call resolve_shells(structure) or pass shells=n")
         e_bond, f = 0.0, None
         if self.topology is not None:
             e_bond, f = _bonded.harmonic_energy(structure, self.topology, forces)
         e_vdw = 0.0
         if self.vdw != "none":
-            kernel, cfg = ((_pw.pw_energy, self.pw_cfg) if self.vdw == "pw"
-                           else (_mbd.mbd_energy, self.mbd_cfg))
-            if shells is None:
-                if (self.shells is None and structure.cell is not None
-                        and structure.cell.periodic_axes()):
-                    self.resolve_shells(structure)
-                shells = self.shells or 0
-            e_vdw, f_vdw = kernel(structure, self._states_for(structure), cfg, shells, forces)
+            kernel, cfg, _, _ = self._vdw_term()
+            e_vdw, f_vdw = kernel(structure, self._states_for(structure), cfg,
+                                  self.shells or 0, forces)
             f = f_vdw if f is None else f + f_vdw
         return (e_bond + e_vdw, e_bond, e_vdw), f
 

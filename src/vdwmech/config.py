@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .bonded import K_PHI_DEFAULT, K_R_DEFAULT, K_THETA_DEFAULT
 from .composite import VDW_KINDS
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, read_text
 from .mbd import MbdModelConfig as _Mbd
 from .md import MdConfig as _Md
 from .minimize import MinimizerConfig as _Min
@@ -157,16 +157,15 @@ class RunConfig:
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         cfg = cls()
-        with open(path) as fh:
-            for ln, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"expected 'key = value', got {raw!r}", path, ln)
-                key, value = (part.strip() for part in line.split("=", 1))
-                try:
-                    cfg.set(key, value)
-                except InputError as e:
-                    raise ParseError(str(e), path, ln)
+        for ln, raw in enumerate(read_text(path).splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError(f"expected 'key = value', got {raw!r}", path, ln)
+            key, value = (part.strip() for part in line.split("=", 1))
+            try:
+                cfg.set(key, value)
+            except InputError as e:
+                raise ParseError(str(e), path, ln)
         return cfg

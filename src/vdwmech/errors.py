@@ -3,7 +3,8 @@
 Input-side problems (bad values, bad files, bad geometry) derive from
 InputError; failures of the numerics (eigensolvers, unstable spectra,
 diverging integration) derive from NumericalError.  The CLI maps the two
-branches to exit codes 1 and 2.
+branches to exit codes 1 and 2.  ``read_text`` reads every input file, so
+a file that is not UTF-8 is a ParseError.
 """
 
 
@@ -41,6 +42,15 @@ class ParseError(InputError):
         super().__init__(message)
         self.path = path
         self.line = line
+
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; undecodable bytes are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})", path) from None
 
 
 class NumericalError(VdwmechError, RuntimeError):

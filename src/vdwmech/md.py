@@ -82,6 +82,10 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     n = len(structure)
     if n == 0:
         raise InputError("cannot run MD on an empty structure")
+    if velocities is not None:
+        velocities = np.asarray(velocities, float)
+        if velocities.shape != (n, 3) or not np.all(np.isfinite(velocities)):
+            raise InputError(f"velocities must be a finite ({n}, 3) array")
     rng = np.random.default_rng(cfg.seed)
     free = structure.free_mask()
     # fixed components keep exactly zero velocity: their accelerations and
@@ -93,7 +97,7 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     pos = structure.positions.copy()
     pos0 = pos.copy()
     vel = maxwell_boltzmann_velocities(structure, cfg.temperature, rng) \
-        if velocities is None else np.where(free, np.asarray(velocities, float), 0.0)
+        if velocities is None else np.where(free, velocities, 0.0)
 
     (e_tot0, _, _), forces = model.energy_and_forces(structure)
     e_ref = e_tot0 + 0.5 * KE_AMU_A2_FS2_EV * float(np.sum(masses * vel**2))
@@ -147,15 +151,11 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
                 react_sum += forces[fixed_any].sum(axis=0) if fixed_any.any() else 0.0
                 n_prod += 1
 
-    if n_prod:
-        mean_d = disp_sum / n_prod
-        var = np.maximum(disp_sq / n_prod - mean_d**2, 0.0)
-        std_d = np.sqrt(var)
-        react = react_sum / n_prod
-    else:
-        mean_d = np.zeros((n, 3))
-        std_d = np.zeros((n, 3))
-        react = np.zeros(3)
+    # without production samples the sums are 0, and so are the statistics
+    m = max(n_prod, 1)
+    mean_d = disp_sum / m
+    std_d = np.sqrt(np.maximum(disp_sq / m - mean_d**2, 0.0))
+    react = react_sum / m
 
     prod_temps = [t for tm, t in zip(times, temps) if tm > cfg.runup_steps * dt]
     return MdResult(

@@ -38,17 +38,6 @@ class PwModelConfig:
             raise InputError("cutoff must be positive and finite")
 
 
-def fermi_damping(r, s_vdw, d):
-    """Fermi-type damping 1 / (1 + exp(-d (r/s_vdw - 1))); in (0, 1)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise InputError("distance must be non-negative")
-    if not s_vdw > 0 or not d > 0:
-        raise InputError("s_vdw and d must be positive")
-    out = expit(d * (r / s_vdw - 1.0))
-    return float(out) if out.ndim == 0 else out
-
-
 def pw_energy(structure: AtomicStructure, states: VdwStates,
               cfg: PwModelConfig, shells: int = 0,
               forces: bool = False) -> tuple[float, np.ndarray | None]:

@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, read_text
 from .structure import AtomicStructure, _frozen
 
 PARAMS_ENV_VAR = "VDWMECH_VDW_PARAMS"
@@ -92,8 +92,7 @@ def load_species_params() -> dict[str, VdwSpeciesParams]:
     if path is None:
         text = resources.files("vdwmech.data").joinpath("ts_params.txt").read_text()
         return parse_species_table(text, "ts_params.txt")
-    with open(path) as fh:
-        return parse_species_table(fh.read(), path)
+    return parse_species_table(read_text(path), path)
 
 
 def states_for(structure: AtomicStructure) -> VdwStates:

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 from .structure import AtomicStructure, CellTensor
 
 _KV_RE = re.compile(r'(\w+)=(?:"([^"]*)"|(\S+))')
@@ -63,8 +63,7 @@ def _parse_comment(comment: str, path, ln):
 
 def read_xyz(path: str) -> AtomicStructure:
     """Read one extended-XYZ frame."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("empty file", path, 1)
     try:
@@ -116,7 +115,7 @@ def read_xyz(path: str) -> AtomicStructure:
         fixed=np.array(fixed, bool) if fixed else None)
 
 
-def write_xyz(structure: AtomicStructure, path: str, comment: str = "") -> None:
+def write_xyz(structure: AtomicStructure, path: str) -> None:
     """Write one extended-XYZ frame, always including ratio and fix columns."""
     with open(path, "w") as fh:
         fh.write(f"{len(structure)}\n")
@@ -126,8 +125,6 @@ def write_xyz(structure: AtomicStructure, path: str, comment: str = "") -> None:
             pbc = " ".join("T" if p else "F" for p in structure.cell.periodic)
             parts.append(f'Lattice="{lat}" pbc="{pbc}"')
         parts.append("Properties=species:S:1:pos:R:3:volume_ratio:R:1:fixed:I:3")
-        if comment:
-            parts.append(comment)
         fh.write(" ".join(parts) + "\n")
         for sym, p, vr, fx in zip(structure.species, structure.positions,
                                   structure.volume_ratios, structure.fixed):

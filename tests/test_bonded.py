@@ -218,6 +218,15 @@ def test_topology_validation():
                          angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
                          dihedrals=np.zeros((0, 4), int), dihedral_phi0=np.zeros(0))
     s = AtomicStructure(positions=[[0, 0, 0], [1.5, 0, 0]], species=["C", "C"])
+    for name in ("k_r", "k_theta", "k_phi"):
+        for bad in (np.nan, np.inf, -np.inf, -5.0):
+            with pytest.raises(InputError, match=name):
+                detect_topology(s, **{name: bad})
+    with pytest.raises(InputError, match="k_r"):
+        HarmonicTopology(bonds=np.array([[0, 1]]), bond_r0=np.array([1.0]),
+                         angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
+                         dihedrals=np.zeros((0, 4), int), dihedral_phi0=np.zeros(0),
+                         k_r=np.nan)
     topo = detect_topology(s)
     small = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     with pytest.raises(InputError):

@@ -6,6 +6,7 @@ from vdwmech.composite import CompositeModel
 from vdwmech.errors import InputError
 from vdwmech.generators import ChainSpec, PeCrystalSpec, make_chain_pair, make_pe_crystal
 from vdwmech.mbd import MbdModelConfig
+from vdwmech.periodic import cell_stress
 
 
 def test_total_is_sum_of_components():
@@ -82,7 +83,30 @@ def test_nonperiodic_shells_zero():
     # evaluating an open structure pins no shell count for a later periodic one
     fresh = CompositeModel(vdw="pw")
     fresh.energy(s)
+    with pytest.raises(InputError, match="resolve_shells"):
+        fresh.energy(make_pe_crystal(PeCrystalSpec(1, 1, 1)))
+
+
+def test_periodic_vdw_needs_a_shell_count():
+    pe = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    with pytest.raises(InputError, match="resolve_shells"):
+        CompositeModel(vdw="pw").energy(pe)
+    # not even a strained copy of the input fixes the count
+    fresh = CompositeModel(topology=detect_topology(pe), vdw="mbd")
+    with pytest.raises(InputError, match="resolve_shells"):
+        cell_stress(pe, fresh.energy)
     assert fresh.shells is None
+
+
+def test_bonded_only_periodic_needs_no_shell_count():
+    pe = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    model = CompositeModel(topology=detect_topology(pe))
+    moved = pe.with_positions(pe.positions + 0.01 * np.sin(np.arange(3 * len(pe)))
+                              .reshape(-1, 3))
+    (total, bonded, vdw_e), f = model.energy_and_forces(moved)
+    assert total == bonded > 0 and vdw_e == 0.0
+    assert f.shape == (len(pe), 3)
+    assert model.shells is None
 
 
 def test_states_cache_tracks_ratio_changes():

@@ -3,9 +3,10 @@ import pytest
 
 from vdwmech.cli import cli
 from vdwmech.config import RunConfig
-from vdwmech.errors import InputError
+from vdwmech.errors import InputError, ParseError
 from vdwmech.composite import CompositeModel
-from vdwmech.generators import ChainSpec, make_chain_pair, upper_chain_indices
+from vdwmech.generators import (ChainSpec, PeCrystalSpec, make_chain_pair, make_pe_crystal,
+                                upper_chain_indices)
 from vdwmech.minimize import MinimizerConfig
 from vdwmech.xyz import read_xyz, write_xyz
 
@@ -270,3 +271,56 @@ def test_cli_failed_run_keeps_manifest(tmp_path, capsys):
                 "--set", "relax.force_tolerance=1e-9"]) == 2
     assert "kind=NumericalError" in capsys.readouterr().err
     assert relaxed.exists() and (tmp_path / "relaxed.xyz.manifest").exists()
+
+
+def test_cli_resolves_shells_on_the_input(tmp_path, capsys, monkeypatch):
+    # a load run fixes the replica shells on the input, not on its
+    # perturbed and strained first trial state
+    xyz = tmp_path / "pe.xyz"
+    write_xyz(make_pe_crystal(PeCrystalSpec(1, 1, 1)), str(xyz))
+    seen = []
+    resolve = CompositeModel.resolve_shells
+
+    def spy(self, structure):
+        seen.append(structure)
+        return resolve(self, structure)
+
+    monkeypatch.setattr(CompositeModel, "resolve_shells", spy)
+    rc = cli(["quasistatic", "--input", str(xyz), "--output", str(tmp_path / "qs.csv"),
+              "--set", "model.vdw=mbd", "--set", "model.mbd_shells=1",
+              "--set", "protocol.kind=cell-strain", "--set", "protocol.steps=1",
+              "--set", "protocol.increment=0.05", "--set", "protocol.perturbation=0.01",
+              "--set", "relax.max_iterations=2"])
+    assert rc in (0, 2), capsys.readouterr().err
+    pe = read_xyz(str(xyz))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].positions, pe.positions)
+    assert np.array_equal(seen[0].cell.matrix, pe.cell.matrix)
+
+
+def test_non_utf8_config_is_a_parse_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"model.vdw = pw  # \xff\n")
+    with pytest.raises(ParseError, match="UTF-8") as e:
+        RunConfig.load(str(path))
+    assert str(path) in str(e.value)
+
+
+def test_cli_rejects_bad_input_without_traceback(tmp_path, capsys, monkeypatch):
+    xyz = tmp_path / "in.xyz"
+    write_xyz(make_chain_pair(ChainSpec(3, 3, 1.2, 6.0)), str(xyz))
+    # force constants that are not finite and >= 0
+    for value in ("nan", "inf", "-5"):
+        assert cli(["energy", "--input", str(xyz), "--set", f"model.k_r={value}"]) == 1
+        err = capsys.readouterr().err
+        assert "error: kind=InputError" in err and "k_r" in err
+    # a file that is not UTF-8, in each of the three places a file is read
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    monkeypatch.setenv("VDWMECH_VDW_PARAMS", str(bad))
+    for argv in (["energy", "--input", str(bad)],
+                 ["energy", "--input", str(xyz), "--config", str(bad)],
+                 ["energy", "--input", str(xyz), "--set", "model.vdw=pw"]):
+        assert cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "error: kind=ParseError" in err and str(bad) in err

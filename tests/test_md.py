@@ -111,3 +111,14 @@ def test_bad_configs():
             MdConfig(timestep=1.0, temperature=bad, total_steps=10)
         with pytest.raises(InputError):
             MdConfig(timestep=1.0, temperature=300.0, total_steps=10, friction=bad)
+
+
+def test_bad_velocities_rejected():
+    s = make_chain_pair(ChainSpec(3, 3, 1.2, 6.0))
+    model = CompositeModel(topology=detect_topology(s))
+    cfg = MdConfig(timestep=1.0, temperature=0.0, total_steps=10)
+    nan_v = np.zeros((len(s), 3))
+    nan_v[2, 1] = np.nan
+    for v in (np.zeros((3, 3)), np.zeros(3 * len(s)), nan_v, np.full((len(s), 3), np.inf)):
+        with pytest.raises(InputError, match="velocities"):
+            run_md(s, model, cfg, velocities=v)

@@ -1,33 +1,14 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import (brute_force_pw, brute_force_pw_energy, fd_forces, random_cluster,
                       random_rotation)
 from vdwmech.errors import GeometryError, InputError
-from vdwmech.pairwise import PwModelConfig, fermi_damping, pw_energy
+from vdwmech.pairwise import PwModelConfig, pw_energy
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM, HARTREE_EV
-
-
-def test_fermi_midpoint():
-    assert fermi_damping(4.0, 4.0, 20.0) == pytest.approx(0.5)
-
-
-def test_fermi_limits():
-    assert fermi_damping(1e6, 4.0, 20.0) == pytest.approx(1.0)
-    # hand evaluation at r = 0
-    assert fermi_damping(0.0, 4.0, 20.0) == pytest.approx(1.0 / (1.0 + np.exp(20.0)))
-    assert fermi_damping(0.0, 4.0, 20.0) == pytest.approx(2.06e-9, rel=5e-3)
-
-
-def test_fermi_monotone_and_bounded(rng):
-    # strict interior of (0, 1) before double precision saturates
-    r = np.sort(rng.uniform(0, 6.0, 50))
-    f = fermi_damping(r, 3.3, 15.0)
-    assert np.all((f > 0) & (f < 1))
-    assert np.all(np.diff(f) > 0)
-    assert fermi_damping(1e3, 3.3, 15.0) == 1.0  # saturates to the limit
 
 
 def test_config_rejects_nonpositive_and_nan():
@@ -38,15 +19,6 @@ def test_config_rejects_nonpositive_and_nan():
             PwModelConfig(**kw)
 
 
-def test_fermi_preconditions():
-    with pytest.raises(InputError):
-        fermi_damping(-1.0, 4.0, 20.0)
-    with pytest.raises(InputError):
-        fermi_damping(1.0, 0.0, 20.0)
-    with pytest.raises(InputError):
-        fermi_damping(1.0, 4.0, -2.0)
-
-
 def _far_pair_c6(species, r_ang=100.0):
     """-E R^6 [Ha Bohr^6] of a pair so far apart that the damping is
     exactly 1, i.e. the combined C6_ij."""
@@ -54,7 +26,7 @@ def _far_pair_c6(species, r_ang=100.0):
     s = AtomicStructure(positions=[[0, 0, 0], [r_ang, 0, 0]], species=species)
     st = states_for(s)
     s_vdw = cfg.gamma * (st.rvdw_eff[0] + st.rvdw_eff[1])
-    assert fermi_damping(r_ang / BOHR_ANGSTROM, s_vdw, cfg.d) == 1.0
+    assert expit(cfg.d * (r_ang / BOHR_ANGSTROM / s_vdw - 1.0)) == 1.0
     e = pw_energy(s, st, cfg)[0]
     return -e / HARTREE_EV * (r_ang / BOHR_ANGSTROM) ** 6
 

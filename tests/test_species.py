@@ -101,3 +101,12 @@ def test_states_for_uses_ratios():
     with pytest.raises(InputError, match="'Ne'"):
         states_for(s2)
     assert len(states_for(AtomicStructure(positions=np.zeros((0, 3)), species=[]))) == 0
+
+
+def test_non_utf8_table_is_a_parse_error(tmp_path, monkeypatch):
+    custom = tmp_path / "params.txt"
+    custom.write_bytes(b"C 40.0 10.0 3.5 # \xff\n")
+    monkeypatch.setenv(PARAMS_ENV_VAR, str(custom))
+    with pytest.raises(ParseError, match="UTF-8") as e:
+        load_species_params()
+    assert str(custom) in str(e.value)

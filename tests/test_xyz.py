@@ -114,3 +114,11 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path.write_text('1\nLattice="1 2 3"\nC 0 0 0\n')
     with pytest.raises(ParseError):
         read_xyz(str(path))
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.xyz"
+    path.write_bytes(b"1\ncomment \xff\nC 0 0 0\n")
+    with pytest.raises(ParseError, match="UTF-8") as e:
+        read_xyz(str(path))
+    assert str(path) in str(e.value)
