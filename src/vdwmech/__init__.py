@@ -12,15 +12,14 @@ from .errors import (GeometryError, InputError, InstabilityError,
                      TopologyError, VdwmechError)
 from .generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                          make_pe_crystal, make_swcnt)
-from .mbd import MbdModelConfig, assemble_mbd_matrix, mbd_energy, sym_eigen
+from .mbd import MbdModelConfig, mbd_energy, sym_eigen
 from .md import MdConfig, MdResult, run_md
 from .minimize import MinimizerConfig, MinimizeResult, minimize
 from .pairwise import PwModelConfig, pw_energy
 from .periodic import StressTensor, apply_cell_strain, cell_stress
 from .quasistatic import (LoadingProtocol, QuasistaticResult, StepRecord,
                           run_quasistatic)
-from .species import (VdwSpeciesParams, VdwStates, load_species_params,
-                      states_for)
+from .species import VdwStates, load_species_params, states_for
 from .structure import AtomicStructure, CellTensor
 from .xyz import read_xyz, write_xyz
 

@@ -30,7 +30,9 @@ K_R_DEFAULT = 35.0505      # eV/A^2
 K_THETA_DEFAULT = 6.6069   # eV/rad^2
 K_PHI_DEFAULT = 0.5361     # eV/rad^2
 
-DEFAULT_BOND_CUTOFFS = {("C", "C"): 1.8, ("C", "H"): 1.3}
+# bond cutoffs [A] per species pair, listed in both orders; pairs that are
+# not listed never bond
+BOND_CUTOFFS = {("C", "C"): 1.8, ("C", "H"): 1.3, ("H", "C"): 1.3}
 
 # chemical sanity guard: max coordination before detection fails
 _MAX_BONDS = {"C": 4, "H": 1}
@@ -168,17 +170,10 @@ def _dihedral_geometry(pi_, pj, pk, pl):
 
 # -------------------------------------------------------------- detection
 
-def _neighbor_table(structure, cutoffs):
+def _neighbor_table(structure):
     """Per-atom neighbor entries [(j, offset int-tuple), ...] and the bond list."""
     n = len(structure)
-    cut = {}
-    maxcut = 0.0
-    for (a, b), c in cutoffs.items():
-        if c <= 0:
-            raise InputError("bond cutoffs must be positive")
-        cut[(a, b)] = c
-        cut[(b, a)] = c
-        maxcut = max(maxcut, c)
+    maxcut = max(BOND_CUTOFFS.values())
 
     cm = _cellmat(structure)
     reach = [0, 0, 0]
@@ -195,7 +190,7 @@ def _neighbor_table(structure, cutoffs):
     code = {s: k for k, s in enumerate(symbols)}
     codes = np.array([code[s] for s in structure.species])
     table = np.full((len(symbols), len(symbols)), -1.0)
-    for (a, b), c in cut.items():
+    for (a, b), c in BOND_CUTOFFS.items():
         if a in code and b in code:
             table[code[a], code[b]] = c
     cutmat = table[codes[:, None], codes[None, :]]
@@ -219,21 +214,18 @@ def _neighbor_table(structure, cutoffs):
 
 
 def detect_topology(structure: AtomicStructure,
-                    bond_cutoffs: dict[tuple[str, str], float] | None = None,
                     k_r: float = K_R_DEFAULT, k_theta: float = K_THETA_DEFAULT,
                     k_phi: float = K_PHI_DEFAULT,
                     include_dihedrals: bool = True) -> HarmonicTopology:
-    """Detect bonds/angles/dihedrals from distance cutoffs and capture the
-    reference geometry from the input structure.
+    """Detect bonds/angles/dihedrals from the BOND_CUTOFFS distances and
+    capture the reference geometry from the input structure.
 
     Periodic bonds are found through explicit images, so cells smaller
     than twice the cutoff (one chain repeat, say) still get both bonds.
     Dihedrals whose reference torsion is undefined (collinear inner angle,
     as in straight chains) are skipped.
     """
-    if bond_cutoffs is None:
-        bond_cutoffs = DEFAULT_BOND_CUTOFFS
-    neighbors, bonds = _neighbor_table(structure, bond_cutoffs)
+    neighbors, bonds = _neighbor_table(structure)
     n = len(structure)
 
     for i, nb in enumerate(neighbors):

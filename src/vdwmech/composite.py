@@ -15,6 +15,7 @@ from . import pairwise as _pw
 from .errors import InputError
 from .mbd import MbdModelConfig
 from .pairwise import PwModelConfig
+from .periodic import check_shells
 from .species import states_for
 from .structure import AtomicStructure
 
@@ -40,8 +41,8 @@ class CompositeModel:
             raise InputError(f"vdw must be one of {VDW_KINDS}, got {vdw!r}")
         if topology is None and vdw == "none":
             raise InputError("model needs a bonded term, a vdW term, or both")
-        if shells is not None and not shells >= 0:
-            raise InputError(f"shells must be >= 0, got {shells}")
+        if shells is not None:
+            check_shells(shells)
         self.topology = topology
         self.vdw = vdw
         self.pw_cfg = pw_cfg or PwModelConfig()

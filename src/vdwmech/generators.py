@@ -58,25 +58,20 @@ class CntSpec:
 
 @dataclass(frozen=True)
 class PeCrystalSpec:
-    """Supercell of the 2-chain orthorhombic polyethylene cell.
+    """Supercell of the 2-chain orthorhombic polyethylene cell, whose
+    lattice is fixed by PE_A, PE_B, PE_C and PE_SETTING_ANGLE.
 
     The chain axis is mapped onto Cartesian x (the Nx direction), so the
-    x lattice parameter is the chain repeat ``c``.
+    x lattice parameter is the chain repeat PE_C.
     """
 
     nx: int = 1
     ny: int = 1
     nz: int = 1
-    a: float = PE_A
-    b: float = PE_B
-    c: float = PE_C
-    setting_angle: float = PE_SETTING_ANGLE
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
             raise InputError("supercell counts must be >= 1")
-        if min(self.a, self.b, self.c) <= 0:
-            raise InputError("lattice parameters must be positive")
 
 
 def make_chain_pair(spec: ChainSpec) -> AtomicStructure:
@@ -192,9 +187,9 @@ def make_swcnt(spec: CntSpec, fixed_end_layers: int = 0,
 def make_pe_crystal(spec: PeCrystalSpec) -> AtomicStructure:
     """Herringbone polyethylene supercell; 12 atoms per unit cell.
 
-    Chains run along x; cell = diag(nx*c, ny*a, nz*b).
+    Chains run along x; cell = diag(nx*PE_C, ny*PE_A, nz*PE_B).
     """
-    half = spec.c / 2.0
+    half = PE_C / 2.0
     dz_c = np.sqrt(max(CC_PE**2 - half**2, 1e-12)) / 2.0  # zigzag half-amplitude
 
     def chain_cell(origin_yz, angle):
@@ -213,17 +208,17 @@ def make_pe_crystal(spec: PeCrystalSpec) -> AtomicStructure:
                 atoms.append(("H", h))
         return atoms
 
-    unit = chain_cell((0.25 * spec.a, 0.25 * spec.b), spec.setting_angle) + \
-        chain_cell((0.75 * spec.a, 0.75 * spec.b), -spec.setting_angle)
+    unit = chain_cell((0.25 * PE_A, 0.25 * PE_B), PE_SETTING_ANGLE) + \
+        chain_cell((0.75 * PE_A, 0.75 * PE_B), -PE_SETTING_ANGLE)
 
     species, positions = [], []
     for ix in range(spec.nx):
         for iy in range(spec.ny):
             for iz in range(spec.nz):
-                shift = np.array([ix * spec.c, iy * spec.a, iz * spec.b])
+                shift = np.array([ix * PE_C, iy * PE_A, iz * PE_B])
                 for sym, p in unit:
                     species.append(sym)
                     positions.append(p + shift)
 
-    cell = CellTensor(np.diag([spec.nx * spec.c, spec.ny * spec.a, spec.nz * spec.b]))
+    cell = CellTensor(np.diag([spec.nx * PE_C, spec.ny * PE_A, spec.nz * PE_B]))
     return AtomicStructure(positions=np.array(positions), species=species, cell=cell)

@@ -60,7 +60,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import InputError, InstabilityError, NumericalError
-from .periodic import paired_separations
+from .periodic import check_shells, paired_separations
 from .species import VdwStates
 from .structure import AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
@@ -100,8 +100,7 @@ class MbdModelConfig:
     def __post_init__(self):
         if not 0 < self.beta < np.inf:
             raise InputError("beta must be positive and finite")
-        if not self.replica_shells >= 0:
-            raise InputError("replica_shells must be >= 0")
+        check_shells(self.replica_shells)
         if not 0 <= self.shell_energy_tol < np.inf:
             raise InputError("shell_energy_tol must be finite and >= 0")
 
@@ -170,10 +169,13 @@ def sym_eigen(a: np.ndarray, vectors: bool = True):
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InputError("matrix has non-finite entries")
         scale = max(1.0, hi, -lo)
-        asym = a - a.T
-        if float(np.abs(asym, out=asym).max()) > 1e-10 * scale:
-            raise InputError("matrix is not symmetric within 1e-10")
-        del asym  # not kept through the solve
+        # rows i: i + step against the matching columns, from the diagonal
+        # on, so the temporary is a block of rows (about 1 MB), not a matrix
+        step = max(1, 2**17 // len(a))
+        for i in range(0, len(a), step):
+            asym = a[i:i + step, i:] - a[i:, i:i + step].T
+            if float(np.abs(asym, out=asym).max()) > 1e-10 * scale:
+                raise InputError("matrix is not symmetric within 1e-10")
     if a.nbytes >= _STAGED_MIN_BYTES and len(a) > 1:
         work = np.array(a, order="F")
         # from CPython 3.11 on, a caller that passed a temporary (as
@@ -251,21 +253,11 @@ def _pair_params(structure, states, cfg):
     return omega, coupling, inv_s
 
 
-def assemble_mbd_matrix(structure: AtomicStructure, states: VdwStates,
-                        cfg: MbdModelConfig, shells: int = 0) -> np.ndarray:
-    """The 3N x 3N coupled-oscillator matrix [Ha^2], exactly symmetric.
-
-    The images within ``shells`` cells along the periodic axes are
-    lattice-summed into every block, including the self-image terms on the
-    diagonal.
-    """
-    if len(structure) < 1:
-        raise InputError("assemble_mbd_matrix requires at least one atom")
-    return _assemble(structure, shells, *_pair_params(structure, states, cfg))
-
-
 def _assemble(structure, shells, omega, coupling, inv_s):
-    """assemble_mbd_matrix from the _pair_params of the states."""
+    """The 3N x 3N coupled-oscillator matrix [Ha^2], exactly symmetric, from
+    the _pair_params of the states.  The images within ``shells`` cells
+    along the periodic axes are lattice-summed into every block, including
+    the self-image terms on the diagonal."""
     n = len(structure)
     # C goes below the temporaries on the heap, so the space they free
     # stays in one block that the eigensolve's arrays can reuse

@@ -39,6 +39,8 @@ class MdConfig:
             raise InputError("bad step counts")
         if self.sample_interval < 1:
             raise InputError("sample_interval must be >= 1")
+        if not self.seed >= 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -49,22 +51,11 @@ class MdResult:
     velocities: np.ndarray
     mean_displacement: np.ndarray    # (N, 3) time-averaged r - r_initial [A]
     std_displacement: np.ndarray     # (N, 3)
-    mean_fixed_reaction: np.ndarray  # (3,) time-averaged model force on fixed atoms [eV/A]
     mean_temperature: float          # K
     times: np.ndarray                # fs, sampled
     total_energies: np.ndarray       # eV, sampled
     temperatures: np.ndarray         # K, sampled
     seed: int
-
-
-def maxwell_boltzmann_velocities(structure, temperature, rng):
-    """Per-component thermal velocities [A/fs]; fixed components get zero."""
-    n = len(structure)
-    if temperature <= 0 or n == 0:
-        return np.zeros((n, 3))
-    std = np.sqrt(KB_EV * temperature * ACC_EV_A_AMU / structure.masses)
-    v = rng.standard_normal((n, 3)) * std[:, None]
-    return np.where(structure.free_mask(), v, 0.0)
 
 
 def _temperature(ke, n_dof):
@@ -75,8 +66,9 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
            velocities: np.ndarray | None = None) -> MdResult:
     """Integrate the equations of motion for cfg.total_steps.
 
-    Statistics (displacement means/stds, reaction on the fixed set, mean
-    temperature) cover the production phase, i.e. steps after
+    Without ``velocities``, free components start from Maxwell-Boltzmann
+    velocities at cfg.temperature.  Statistics (displacement means/stds,
+    mean temperature) cover the production phase, i.e. steps after
     cfg.runup_steps, sampled every cfg.sample_interval.
     """
     n = len(structure)
@@ -93,11 +85,17 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     free_f = free.astype(float)
     n_dof = int(free.sum())
     masses = structure.masses[:, None]
+    # thermal velocity per component [A/fs]
+    v_std = np.sqrt(KB_EV * cfg.temperature * ACC_EV_A_AMU / structure.masses)[:, None]
 
     pos = structure.positions.copy()
     pos0 = pos.copy()
-    vel = maxwell_boltzmann_velocities(structure, cfg.temperature, rng) \
-        if velocities is None else np.where(free, velocities, 0.0)
+    if velocities is not None:
+        vel = np.where(free, velocities, 0.0)
+    elif cfg.temperature > 0:
+        vel = np.where(free, rng.standard_normal((n, 3)) * v_std, 0.0)
+    else:
+        vel = np.zeros((n, 3))
 
     (e_tot0, _, _), forces = model.energy_and_forces(structure)
     e_ref = e_tot0 + 0.5 * KE_AMU_A2_FS2_EV * float(np.sum(masses * vel**2))
@@ -105,15 +103,11 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     dt = cfg.timestep
     c1 = np.exp(-cfg.friction * dt)
     c2 = np.sqrt(max(0.0, 1.0 - c1 * c1))
-    v_std = np.sqrt(KB_EV * cfg.temperature * ACC_EV_A_AMU / structure.masses)[:, None]
     noise_scale = c2 * v_std * free_f
-
-    fixed_any = structure.fixed.any(axis=1)
 
     times, energies, temps = [], [], []
     disp_sum = np.zeros((n, 3))
     disp_sq = np.zeros((n, 3))
-    react_sum = np.zeros(3)
     n_prod = 0
 
     def accel(f):
@@ -148,14 +142,12 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
                 d = pos - pos0
                 disp_sum += d
                 disp_sq += d * d
-                react_sum += forces[fixed_any].sum(axis=0) if fixed_any.any() else 0.0
                 n_prod += 1
 
     # without production samples the sums are 0, and so are the statistics
     m = max(n_prod, 1)
     mean_d = disp_sum / m
     std_d = np.sqrt(np.maximum(disp_sq / m - mean_d**2, 0.0))
-    react = react_sum / m
 
     prod_temps = [t for tm, t in zip(times, temps) if tm > cfg.runup_steps * dt]
     return MdResult(
@@ -163,7 +155,6 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
         velocities=vel,
         mean_displacement=mean_d,
         std_displacement=std_d,
-        mean_fixed_reaction=react,
         mean_temperature=float(np.mean(prod_temps)) if prod_temps else 0.0,
         times=np.array(times),
         total_energies=np.array(energies),

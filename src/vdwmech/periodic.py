@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .structure import AtomicStructure, CellTensor
+from .structure import OVERLAP_GUARD, AtomicStructure, CellTensor
 from .units import BOHR_ANGSTROM, EV_A3_GPA
 
 _FAR = 1e30  # Bohr; masks the self pairs of the home image without inf * 0 = nan
@@ -28,6 +29,12 @@ def _lattice_offsets(reach) -> list[tuple[int, int, int]]:
     return [(0, 0, 0)] + half
 
 
+def check_shells(shells) -> None:
+    """InputError unless ``shells`` is an integer (numpy ones too) >= 0."""
+    if not isinstance(shells, numbers.Integral) or shells < 0:
+        raise InputError(f"shells must be an integer >= 0, got {shells!r}")
+
+
 def paired_separations(structure: AtomicStructure, shells: int = 0):
     """Difference vectors over the home image, then one image of each +-t pair.
 
@@ -38,10 +45,9 @@ def paired_separations(structure: AtomicStructure, shells: int = 0):
     and overwritten by the next image.  Sums over all images follow from
     these: a paired image stands for both of its members, and the home
     image for half of its symmetric pair sum.  Raises GeometryError when a
-    pair is closer than the structure's overlap guard.
+    pair is closer than the overlap guard.
     """
-    if shells < 0:
-        raise InputError(f"shells must be >= 0, got {shells}")
+    check_shells(shells)
     cell = structure.cell
     if cell is None:
         trans = np.zeros((1, 3))
@@ -49,7 +55,7 @@ def paired_separations(structure: AtomicStructure, shells: int = 0):
         offsets = np.array(_lattice_offsets([shells if p else 0 for p in cell.periodic]))
         trans = (offsets @ cell.matrix) / BOHR_ANGSTROM
     pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
-    guard2 = (structure.overlap_guard / BOHR_ANGSTROM) ** 2
+    guard2 = (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2
     n = len(structure)
     d = np.empty((3, n, n))
     r2 = np.empty((n, n))
@@ -74,8 +80,15 @@ class StressTensor:
 
 
 def apply_deformation(structure: AtomicStructure, gradient: np.ndarray) -> AtomicStructure:
-    """Apply a homogeneous deformation gradient F to cell and positions."""
+    """Apply a homogeneous deformation gradient F to cell and positions.
+
+    F must keep the orientation (det F > 0), else GeometryError: a cell
+    mapped through det F <= 0 is inverted or flat, with its atoms mirrored.
+    """
     F = np.asarray(gradient, dtype=float)
+    if not np.linalg.det(F) > 0:
+        raise GeometryError("deformation gradient has det F <= 0: the cell would "
+                            "invert or collapse")
     cell = structure.cell
     if cell is not None:
         cell = CellTensor(cell.matrix @ F.T, cell.periodic)
@@ -94,8 +107,6 @@ def apply_cell_strain(structure: AtomicStructure, component: tuple[int, int],
     old = structure.cell.matrix
     new = old.copy()
     new[a, b] += delta
-    if all(structure.cell.periodic) and np.linalg.det(new) <= 0:
-        raise GeometryError("strain produced a non-positive cell determinant")
     # the deformation gradient F with new = old F^T
     return apply_deformation(structure, np.linalg.solve(old, new).T)
 

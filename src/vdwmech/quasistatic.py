@@ -58,6 +58,12 @@ class LoadingProtocol:
             raise InputError("step_count must be >= 1")
         if self.kind == "displacement" and not len(self.driven):
             raise InputError("displacement protocol needs a driven selection")
+        if self.axis not in range(3):
+            raise InputError(f"axis must be 0, 1 or 2, got {self.axis!r}")
+        if len(self.component) != 2 or any(c not in range(3) for c in self.component):
+            raise InputError(f"component must be two indices in 0..2, got {self.component!r}")
+        if not self.perturbation_seed >= 0:
+            raise InputError(f"perturbation_seed must be >= 0, got {self.perturbation_seed}")
         if self.cell_mode not in ("fixed-others", "relaxed-others"):
             raise InputError(f"unknown cell mode {self.cell_mode!r}")
         if self.face_area is not None and not 0 < self.face_area < np.inf:
@@ -112,6 +118,10 @@ def _apply_displacement(structure, protocol, amount):
 def run_quasistatic(structure: AtomicStructure, model,
                     protocol: LoadingProtocol) -> QuasistaticResult:
     """Run the loading protocol; one StepRecord per protocol step."""
+    if protocol.kind == "displacement":
+        driven = np.asarray(protocol.driven)
+        if not np.all((driven >= 0) & (driven < len(structure))):
+            raise InputError(f"driven atom indices must lie in 0..{len(structure) - 1}")
     if protocol.kind == "cell-strain":
         if structure.cell is None:
             raise InputError("cell-strain protocol needs a periodic structure")

@@ -30,20 +30,6 @@ PARAMS_ENV_VAR = "VDWMECH_VDW_PARAMS"
 
 
 @dataclass(frozen=True)
-class VdwSpeciesParams:
-    """Free-atom reference values for one element [a.u.]."""
-
-    element: str
-    c6_free: float        # Ha * Bohr^6
-    alpha0_free: float    # Bohr^3
-    rvdw_free: float      # Bohr
-
-    def __post_init__(self):
-        if self.c6_free <= 0 or self.alpha0_free <= 0 or self.rvdw_free <= 0:
-            raise InputError(f"non-positive free-atom parameter for {self.element!r}")
-
-
-@dataclass(frozen=True)
 class VdwStates:
     """Environment-scaled dispersion parameters, one (N,) array per field
     [a.u.], read-only."""
@@ -62,10 +48,12 @@ class VdwStates:
         return len(self.c6_eff)
 
 
-def parse_species_table(text: str, path: str | None = None) -> dict[str, VdwSpeciesParams]:
+def parse_species_table(text: str,
+                        path: str | None = None) -> dict[str, tuple[float, float, float]]:
     """Parse the parameter table: one ``symbol c6 alpha0 rvdw`` row per
-    element, '#' starts a comment."""
-    table: dict[str, VdwSpeciesParams] = {}
+    element, '#' starts a comment.  Maps each symbol to its free-atom
+    (C6 [Ha Bohr^6], alpha0 [Bohr^3], R_vdW [Bohr])."""
+    table = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -75,17 +63,17 @@ def parse_species_table(text: str, path: str | None = None) -> dict[str, VdwSpec
             raise ParseError(f"expected 4 columns, got {len(fields)}", path, ln)
         sym = fields[0]
         try:
-            c6, alpha, rvdw = (float(x) for x in fields[1:])
+            values = tuple(float(x) for x in fields[1:])
         except ValueError:
             raise ParseError(f"non-numeric parameter in {raw!r}", path, ln)
-        try:
-            table[sym] = VdwSpeciesParams(sym, c6, alpha, rvdw)
-        except InputError as e:
-            raise ParseError(str(e), path, ln)
+        if not all(0 < v < math.inf for v in values):
+            raise ParseError(f"free-atom parameters for {sym!r} must be positive "
+                             "and finite", path, ln)
+        table[sym] = values
     return table
 
 
-def load_species_params() -> dict[str, VdwSpeciesParams]:
+def load_species_params() -> dict[str, tuple[float, float, float]]:
     """Load the species table: the file named by the VDWMECH_VDW_PARAMS
     environment variable if it is set, otherwise the packaged defaults."""
     path = os.environ.get(PARAMS_ENV_VAR)
@@ -103,8 +91,7 @@ def states_for(structure: AtomicStructure) -> VdwStates:
     missing = [str(e) for e in elements if e not in table]
     if missing:
         raise InputError(f"no dispersion parameters for element {missing[0]!r}")
-    c6, alpha, rvdw = np.array([(table[e].c6_free, table[e].alpha0_free, table[e].rvdw_free)
-                                for e in elements]).reshape(-1, 3)[which].T
+    c6, alpha, rvdw = np.array([table[e] for e in elements]).reshape(-1, 3)[which].T
     ratio = structure.volume_ratios
     alpha_eff = alpha * ratio
     return VdwStates(

@@ -7,7 +7,7 @@ and processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ ATOMIC_MASSES = {
     "S": 32.06, "Cl": 35.45, "Ar": 39.948,
 }
 
-DEFAULT_OVERLAP_GUARD = 0.1  # A
+OVERLAP_GUARD = 0.1  # A, the closest that two atoms (or images) may come
 
 
 def _frozen(a, dtype=float):
@@ -61,8 +61,8 @@ class CellTensor:
 
 @dataclass(frozen=True)
 class AtomicStructure:
-    """Positions [A], species, masses [amu], optional cell, constraints and
-    Hirshfeld-style volume ratios.
+    """Positions [A], species, optional cell, constraints and Hirshfeld-style
+    volume ratios; ``masses`` [amu] follow from the species.
 
     ``fixed`` is an (N, 3) boolean mask; True freezes that Cartesian
     component.  ``volume_ratios`` scale the free-atom dispersion parameters
@@ -71,11 +71,10 @@ class AtomicStructure:
 
     positions: np.ndarray
     species: tuple[str, ...]
-    masses: np.ndarray = None
     cell: CellTensor | None = None
     fixed: np.ndarray = None
     volume_ratios: np.ndarray = None
-    overlap_guard: float = DEFAULT_OVERLAP_GUARD
+    masses: np.ndarray = field(init=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3)
@@ -86,17 +85,10 @@ class AtomicStructure:
         if not np.all(np.isfinite(pos)):
             raise InputError("positions must be finite")
 
-        if self.masses is None:
-            try:
-                masses = np.array([ATOMIC_MASSES[s] for s in species])
-            except KeyError as e:
-                raise InputError(f"unknown element {e.args[0]!r}; provide masses explicitly")
-        else:
-            masses = np.asarray(self.masses, dtype=float).reshape(-1)
-        if len(masses) != n:
-            raise InputError(f"{n} positions but {len(masses)} masses")
-        if n and not np.all((masses > 0) & np.isfinite(masses)):
-            raise InputError("masses must be positive and finite")
+        try:
+            masses = np.array([ATOMIC_MASSES[s] for s in species], dtype=float)
+        except KeyError as e:
+            raise InputError(f"unknown element {e.args[0]!r}")
 
         fixed = np.zeros((n, 3), bool) if self.fixed is None \
             else np.asarray(self.fixed, dtype=bool).reshape(-1, 3)
@@ -119,7 +111,7 @@ class AtomicStructure:
 
     def _check_overlap(self):
         n = len(self)
-        if n < 2 or self.overlap_guard <= 0:
+        if n < 2:
             return
         d = self.positions[:, None, :] - self.positions[None, :, :]
         if self.cell is not None and self.cell.periodic_axes():
@@ -127,11 +119,11 @@ class AtomicStructure:
         r = np.linalg.norm(d, axis=-1)
         np.fill_diagonal(r, np.inf)
         rmin = float(r.min())
-        if rmin < self.overlap_guard:
+        if rmin < OVERLAP_GUARD:
             i, j = np.unravel_index(int(r.argmin()), r.shape)
             raise GeometryError(
                 f"atoms {i} and {j} are {rmin:.4f} A apart "
-                f"(overlap guard {self.overlap_guard} A)")
+                f"(overlap guard {OVERLAP_GUARD} A)")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -145,8 +137,7 @@ class AtomicStructure:
         if check_overlap:
             return replace(self, positions=np.asarray(positions, dtype=float))
         new = object.__new__(AtomicStructure)
-        for name in ("species", "masses", "cell", "fixed", "volume_ratios",
-                     "overlap_guard"):
+        for name in ("species", "masses", "cell", "fixed", "volume_ratios"):
             object.__setattr__(new, name, getattr(self, name))
         object.__setattr__(new, "positions",
                            _frozen(np.asarray(positions, dtype=float).reshape(-1, 3)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vdwmech.species import PARAMS_ENV_VAR, states_for
-from vdwmech.structure import AtomicStructure
+from vdwmech.structure import OVERLAP_GUARD, AtomicStructure
 
 
 def fd_forces(energy_fn, structure, h=1e-4):
@@ -131,7 +131,7 @@ def brute_force_pw(structure, states, cfg, shells=0):
     jj = np.concatenate([t[1] for t in terms])
     d = np.concatenate([t[2] for t in terms])
     r_ang = np.linalg.norm(d, axis=1)
-    if len(r_ang) and r_ang.min() < structure.overlap_guard:
+    if len(r_ang) and r_ang.min() < OVERLAP_GUARD:
         raise GeometryError("pair below the overlap guard")
     if cfg.cutoff is not None:
         keep = r_ang <= cfg.cutoff
@@ -184,7 +184,7 @@ def brute_force_mbd_matrix(structure, states, cfg, shells=0):
     s_pair = cfg.beta * np.sqrt(sigma[:, None] ** 2 + sigma[None, :] ** 2)
 
     pos = structure.positions / BOHR_ANGSTROM
-    guard = structure.overlap_guard / BOHR_ANGSTROM
+    guard = OVERLAP_GUARD / BOHR_ANGSTROM
     c4 = np.zeros((n, 3, n, 3))
     idx = np.arange(n)
     for t in lattice_box(structure, shells) / BOHR_ANGSTROM:
@@ -209,19 +209,24 @@ def brute_force_mbd_matrix(structure, states, cfg, shells=0):
     return 0.5 * (c + c.T)
 
 
+def mbd_matrix(structure, states, cfg, shells=0):
+    """The library's 3N x 3N MBD matrix [Ha^2], from its private assembly."""
+    from vdwmech import mbd
+
+    return mbd._assemble(structure, shells, *mbd._pair_params(structure, states, cfg))
+
+
 def dipole_tensor(structure, cfg, i, j, image=(0.0, 0.0, 0.0)):
     """Damped dipole tensor T_ij [Bohr^-3] between atom i and atom j
     shifted by the Cartesian ``image`` [A]: the off-diagonal 3x3 block of
     the library's MBD matrix for the open pair {R_i, R_j + image}, divided
     by K_ij = omega_i omega_j sqrt(alpha_i alpha_j)."""
-    from vdwmech.mbd import assemble_mbd_matrix
-
     pair = AtomicStructure(
         positions=[structure.positions[i], structure.positions[j] + np.asarray(image, float)],
         species=[structure.species[i], structure.species[j]],
         volume_ratios=structure.volume_ratios[[i, j]])
     st = states_for(pair)
-    c = assemble_mbd_matrix(pair, st, cfg)
+    c = mbd_matrix(pair, st, cfg)
     return c[:3, 3:] / (np.prod(st.omega) * np.sqrt(np.prod(st.alpha0_eff)))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_forces, fd_hessian, torsion_angle
+from vdwmech import bonded
 from vdwmech.bonded import (HarmonicTopology, detect_topology, harmonic_energy,
                             harmonic_hessian)
 from vdwmech.errors import (DegenerateGeometryError, InputError, TopologyError)
@@ -54,11 +55,13 @@ def test_detect_swcnt_bond_count():
     assert len(open_topo.bonds) == 960 - 16
 
 
-def test_valence_guard():
+def test_valence_guard(monkeypatch):
+    monkeypatch.setattr(bonded, "BOND_CUTOFFS",
+                        {("H", "C"): 1.2, ("C", "H"): 1.2, ("H", "H"): 1.2})
     pos = [[0, 0, 0], [1.0, 0, 0], [-1.0, 0, 0]]
     s = AtomicStructure(positions=pos, species=["H", "C", "C"])
     with pytest.raises(TopologyError):
-        detect_topology(s, bond_cutoffs={("H", "C"): 1.2, ("H", "H"): 1.2})
+        detect_topology(s)
 
 
 def test_reference_geometry_is_minimum():
@@ -77,11 +80,12 @@ def test_bond_energy_hand_value():
     assert harmonic_energy(stretched, topo)[0] == pytest.approx(0.17525, rel=1e-4)
 
 
-def test_angle_energy_hand_value():
+def test_angle_energy_hand_value(monkeypatch):
+    monkeypatch.setattr(bonded, "BOND_CUTOFFS", {("C", "C"): 1.2})
     theta0 = 1.9
     pos = [[np.cos(theta0), np.sin(theta0), 0], [0, 0, 0], [1.0, 0, 0]]
     s = AtomicStructure(positions=pos, species=["C", "C", "C"])
-    topo = detect_topology(s, bond_cutoffs={("C", "C"): 1.2})
+    topo = detect_topology(s)
     theta1 = theta0 + 0.1
     bent = s.with_positions(
         [[np.cos(theta1), np.sin(theta1), 0], [0, 0, 0], [1.0, 0, 0]])

@@ -49,8 +49,10 @@ def test_requires_some_component():
         CompositeModel(topology=None, vdw="none")
     with pytest.raises(InputError):
         CompositeModel(topology=None, vdw="maybe")
-    with pytest.raises(InputError, match="shells"):
-        CompositeModel(vdw="pw", shells=-1)
+    for bad in (-1, 1.5):
+        with pytest.raises(InputError, match="shells"):
+            CompositeModel(vdw="pw", shells=bad)
+    assert CompositeModel(vdw="pw", shells=np.int64(2)).shells == 2
 
 
 def test_vdw_only_model():

@@ -129,6 +129,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw",
                     "--set", f"model.pw_d={value}"]) == 1
         assert "damping parameters must be positive" in capsys.readouterr().err
+    # a negative seed is refused by the config that takes it, not by numpy
+    capped = tmp_path / "capped.xyz"
+    write_xyz(make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True)), str(capped))
+    assert cli(["md", "--input", str(capped), "--output", str(tmp_path / "md.csv"),
+                "--seed", "-1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert cli(["quasistatic", "--input", str(capped), "--output", str(tmp_path / "q.csv"),
+                "--set", "protocol.perturbation_seed=-1", "--set", "protocol.perturbation=0.01",
+                "--set", "protocol.axis=y"]) == 1
+    assert "perturbation_seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_manifest_reproduces_run(tmp_path, capsys):

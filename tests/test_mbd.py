@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import (brute_force_mbd_matrix, dipole_tensor, fd_forces,
-                      jacobi_eigenvalues, lattice_box, random_cluster, random_rotation,
-                      two_oscillator_energy)
+                      jacobi_eigenvalues, lattice_box, mbd_matrix, random_cluster,
+                      random_rotation, two_oscillator_energy)
 from vdwmech import mbd
 from vdwmech.errors import (GeometryError, InputError, InstabilityError)
-from vdwmech.mbd import MbdModelConfig, assemble_mbd_matrix, mbd_energy, sym_eigen
+from vdwmech.mbd import MbdModelConfig, mbd_energy, sym_eigen
 from vdwmech.generators import PeCrystalSpec, make_pe_crystal
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
@@ -22,6 +22,7 @@ def _pair(r_ang, species=("C", "C")):
 
 def test_config_rejects_out_of_range_and_nan():
     for kw in ({"beta": np.nan}, {"beta": np.inf}, {"beta": 0.0}, {"replica_shells": -1},
+               {"replica_shells": 1.5},
                {"shell_energy_tol": -1.0}, {"shell_energy_tol": np.nan},
                {"shell_energy_tol": np.inf}):
         with pytest.raises(InputError):
@@ -153,7 +154,7 @@ def test_sym_eigen_rejects_non_finite(monkeypatch, staged):
 def test_single_atom_matrix():
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     st = states_for(s)
-    c = assemble_mbd_matrix(s, st, CFG)
+    c = mbd_matrix(s, st, CFG)
     w2 = st.omega[0]**2
     assert np.allclose(c, w2 * np.eye(3))
     assert np.allclose(sym_eigen(c)[0], w2)
@@ -161,7 +162,7 @@ def test_single_atom_matrix():
 
 def test_decoupling_limit():
     s, st = _pair(5000.0)
-    lam, _ = sym_eigen(assemble_mbd_matrix(s, st, CFG))
+    lam, _ = sym_eigen(mbd_matrix(s, st, CFG))
     w2 = st.omega[0]**2
     assert np.abs(lam - w2).max() < 1e-8 * w2
 
@@ -169,7 +170,7 @@ def test_decoupling_limit():
 def test_matrix_invariants(rng):
     s = random_cluster(rng, 6)
     st = states_for(s)
-    c = assemble_mbd_matrix(s, st, CFG)
+    c = mbd_matrix(s, st, CFG)
     assert np.abs(c - c.T).max() < 1e-12
     lam, vecs = sym_eigen(c)
     assert np.abs(vecs @ vecs.T - np.eye(len(lam))).max() < 1e-10
@@ -199,7 +200,7 @@ def _matrix_cases(rng):
 def test_matrix_matches_brute_force_oracle(rng):
     for s, shells in _matrix_cases(rng):
         st = states_for(s)
-        c = assemble_mbd_matrix(s, st, CFG, shells)
+        c = mbd_matrix(s, st, CFG, shells)
         ref = brute_force_mbd_matrix(s, st, CFG, shells)
         assert np.array_equal(c, c.T)
         assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -222,7 +223,7 @@ def test_far_field_rule_matches_brute_force_oracle():
             assert zeta.min() < mbd._FAR_ZETA <= zeta.max()
         else:
             assert zeta.min() >= mbd._FAR_ZETA
-    c = assemble_mbd_matrix(s, st, CFG, 2)
+    c = mbd_matrix(s, st, CFG, 2)
     ref = brute_force_mbd_matrix(s, st, CFG, 2)
     assert np.array_equal(c, c.T)
     assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -233,31 +234,33 @@ def test_overlap_error_names_home_cell_or_translation():
     s = AtomicStructure(positions=[[0.0, 0, 0], [2.0, 0, 0]], species=["C", "C"], cell=cell)
     s = s.with_positions([[0.0, 0, 0], [0.05, 0, 0]], check_overlap=False)
     with pytest.raises(GeometryError, match="in the home cell"):
-        assemble_mbd_matrix(s, states_for(s), CFG, 1)
+        mbd_matrix(s, states_for(s), CFG, 1)
     s = s.with_positions([[0.0, 0, 0], [3.95, 0, 0]], check_overlap=False)
     with pytest.raises(GeometryError, match="at lattice translation"):
-        assemble_mbd_matrix(s, states_for(s), CFG, 1)
+        mbd_matrix(s, states_for(s), CFG, 1)
 
 
 def test_negative_shells_rejected():
-    """A negative shell count is an error, also without a cell, and never
-    an empty lattice sum."""
+    """A negative or non-integral shell count is an error, also without a
+    cell, and never an empty lattice sum; numpy integers pass."""
     cell = CellTensor(np.diag([4.0, 30.0, 30.0]))
     for c in (cell, None):
         s = AtomicStructure(positions=[[0.0, 0, 0], [2.0, 0, 0]], species=["C", "C"], cell=c)
         st = states_for(s)
-        for call in (lambda: mbd_energy(s, st, CFG, -1),
-                     lambda: mbd_energy(s, st, CFG, -1, forces=True),
-                     lambda: assemble_mbd_matrix(s, st, CFG, -1)):
-            with pytest.raises(InputError, match="shells"):
-                call()
+        for bad in (-1, 1.5):
+            for call in (lambda: mbd_energy(s, st, CFG, bad),
+                         lambda: mbd_energy(s, st, CFG, bad, forces=True),
+                         lambda: mbd_matrix(s, st, CFG, bad)):
+                with pytest.raises(InputError, match="shells"):
+                    call()
+        assert mbd_energy(s, st, CFG, np.int64(1)) == mbd_energy(s, st, CFG, 1)
 
 
 def test_eigenvalues_match_jacobi_oracle(rng):
     for n in (3, 6, 10):
         s = random_cluster(rng, n)
         st = states_for(s)
-        c = assemble_mbd_matrix(s, st, CFG)
+        c = mbd_matrix(s, st, CFG)
         ref = jacobi_eigenvalues(c)
         assert np.abs(sym_eigen(c)[0] - ref).max() < 1e-10
 
@@ -401,7 +404,7 @@ def test_periodic_self_image_terms_in_diagonal():
     cell = CellTensor(np.diag([4.0, 30.0, 30.0]))
     s = AtomicStructure(positions=[[0, 0, 0]], species=["C"], cell=cell)
     st = states_for(s)
-    c = assemble_mbd_matrix(s, st, CFG, 2)
+    c = mbd_matrix(s, st, CFG, 2)
     w2 = st.omega[0]**2
     assert np.abs(c - w2 * np.eye(3)).max() > 0.0
     assert np.all(sym_eigen(c)[0] > 0.0)

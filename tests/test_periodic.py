@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import lattice_box
-from vdwmech.errors import InputError
-from vdwmech.periodic import (_lattice_offsets, apply_cell_strain, cell_stress,
+from vdwmech.errors import GeometryError, InputError
+from vdwmech.generators import CntSpec, make_swcnt
+from vdwmech.periodic import (_lattice_offsets, apply_cell_strain, apply_deformation, cell_stress,
                               paired_separations, relaxable_components)
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM
@@ -108,10 +109,24 @@ def test_strain_errors():
     s2 = AtomicStructure(positions=[[1, 1, 1]], species=["C"],
                          cell=CellTensor(np.diag([5.0, 5.0, 5.0])))
     with pytest.raises(InputError):
-        apply_cell_strain(s2, (0, 0), delta=-6.0)  # negative determinant
+        apply_cell_strain(s2, (0, 0), delta=-6.0)  # inverts the cell
     nocell = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     with pytest.raises(InputError):
         apply_cell_strain(nocell, (0, 0), delta=0.1)
+    # a remap with det F <= 0 is refused whichever axes are periodic
+    tube = make_swcnt(CntSpec(4, 4, 3), axial_period=True)
+    length = tube.cell.matrix[2, 2]
+    for delta in (-2.0 * length, -length):  # mirrors, flattens
+        with pytest.raises(GeometryError):
+            apply_cell_strain(tube, (2, 2), delta=delta)
+    assert apply_cell_strain(tube, (2, 2), delta=0.1).cell.matrix[2, 2] == \
+        pytest.approx(length + 0.1)
+    with pytest.raises(GeometryError):
+        apply_deformation(nocell, np.diag([-1.0, 1.0, 1.0]))
+    # a left-handed cell keeps its orientation under a small strain
+    left = AtomicStructure(positions=[[1, 1, 1]], species=["C"],
+                           cell=CellTensor(np.diag([5.0, 5.0, -5.0])))
+    assert apply_cell_strain(left, (0, 0), delta=0.1).cell.matrix[0, 0] == pytest.approx(5.1)
 
 
 def test_relaxable_components():

@@ -174,6 +174,19 @@ def test_protocol_validation(monkeypatch):
                                component=(2, 2), compute_stress=True)
     with pytest.raises(InputError, match="fully periodic"):
         run_quasistatic(tube, CompositeModel(vdw="pw"), protocol)
+    # axis and component index Cartesian directions; seeds are non-negative
+    for kw in ({"axis": 3}, {"axis": -1}, {"component": (3, 0)}, {"component": (0, -1)},
+               {"component": (0,)}, {"perturbation_seed": -1}):
+        with pytest.raises(InputError):
+            LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
+                            driven=(0,), **kw)
+    # driven atoms must exist, and are checked before any relaxation
+    pair = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))
+    for driven in ((100,), (len(pair),), (-1,)):
+        protocol = LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
+                                   driven=driven)
+        with pytest.raises(InputError, match="driven atom indices"):
+            run_quasistatic(pair, CompositeModel(vdw="pw"), protocol)
 
 
 def test_face_area_and_reaction_stress():

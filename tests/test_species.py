@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vdwmech.errors import InputError, ParseError
-from vdwmech.species import (PARAMS_ENV_VAR, VdwSpeciesParams,
-                             load_species_params, parse_species_table, states_for)
+from vdwmech.species import (PARAMS_ENV_VAR, load_species_params, parse_species_table,
+                             states_for)
 from vdwmech.structure import AtomicStructure
 
 CARBON = (46.6, 12.0, 3.59)  # the packaged C6, alpha0 and R_vdW of carbon
@@ -60,15 +60,15 @@ def test_invalid_inputs():
         _states([0.0])
     with pytest.raises(InputError):
         _states([-1.0])
-    with pytest.raises(InputError):
-        VdwSpeciesParams("C", -46.6, 12.0, 3.59)
+    with pytest.raises(ParseError, match=r"table.txt:2: .*'C'.*positive"):
+        parse_species_table("H 6.5 4.5 3.1\nC -46.6 12.0 3.59\n", "table.txt")
 
 
 def test_parameter_table_parsing(tmp_path):
     text = "# comment\nC 46.6 12.0 3.59 # inline\nH 6.5 4.5 3.1\n"
     table = parse_species_table(text)
     assert set(table) == {"C", "H"}
-    assert table["C"].alpha0_free == 12.0
+    assert table["C"] == (46.6, 12.0, 3.59)
     with pytest.raises(ParseError):
         parse_species_table("C 46.6 12.0\n")
     with pytest.raises(ParseError):
@@ -82,7 +82,7 @@ def test_load_defaults_and_env_override(tmp_path, monkeypatch):
     custom.write_text("C 40.0 10.0 3.5\n")
     monkeypatch.setenv(PARAMS_ENV_VAR, str(custom))
     table = load_species_params()
-    assert table["C"].c6_free == 40.0
+    assert table["C"] == (40.0, 10.0, 3.5)
     assert "H" not in table
 
 
