@@ -42,13 +42,14 @@ _DIHEDRAL_COLLINEAR_TOL = 1e-6
 _STRAIGHT_TOL = 1e-6  # rad, angle references closer to pi are straight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicTopology:
     """Bond/angle/dihedral lists with per-term reference geometry.
 
-    Offsets are integer lattice translations applied to the non-reference
-    atoms of a term (bond: atom j; angle: atoms i, k about center j;
-    dihedral: atoms i, k, l about j).  All zero for non-periodic systems.
+    Offsets are integer lattice translations, one row per term atom, so an
+    atom sits at R + offset @ cell.  A term sees only differences, and
+    detect_topology leaves the row of the atom each term is measured from
+    zero (bond: i; angle and dihedral: j).  None means all zero.
     """
 
     bonds: np.ndarray           # (B, 2) int
@@ -57,9 +58,9 @@ class HarmonicTopology:
     angle_theta0: np.ndarray    # (A,) rad
     dihedrals: np.ndarray       # (D, 4) int
     dihedral_phi0: np.ndarray   # (D,) rad
-    bond_offsets: np.ndarray | None = None       # (B, 3) int
-    angle_offsets: np.ndarray | None = None      # (A, 2, 3) int
-    dihedral_offsets: np.ndarray | None = None   # (D, 3, 3) int
+    bond_offsets: np.ndarray | None = None       # (B, 2, 3) int
+    angle_offsets: np.ndarray | None = None      # (A, 3, 3) int
+    dihedral_offsets: np.ndarray | None = None   # (D, 4, 3) int
     k_r: float = K_R_DEFAULT
     k_theta: float = K_THETA_DEFAULT
     k_phi: float = K_PHI_DEFAULT
@@ -74,27 +75,17 @@ class HarmonicTopology:
         setarr("angle_theta0", self.angle_theta0, float, (-1,))
         setarr("dihedrals", self.dihedrals, int, (-1, 4))
         setarr("dihedral_phi0", self.dihedral_phi0, float, (-1,))
-        for name, count, width in (("bond_offsets", len(self.bonds), 1),
-                                   ("angle_offsets", len(self.angles), 2),
-                                   ("dihedral_offsets", len(self.dihedrals), 3)):
-            val = getattr(self, name)
-            if val is None:
-                val = np.zeros((count, width, 3), int)
-            setarr(name, val, int, (count, width, 3))
-
-        # atoms carrying the offsets, per term kind (the other atom is the
-        # zero-offset reference)
-        layouts = {"bond": [1], "angle": [0, 2], "dihedral": [0, 2, 3]}
-        for arr, offs, ref, what in (
-                (self.bonds, self.bond_offsets, self.bond_r0, "bond"),
-                (self.angles, self.angle_offsets, self.angle_theta0, "angle"),
-                (self.dihedrals, self.dihedral_offsets, self.dihedral_phi0, "dihedral")):
+        for what, arr, ref in (("bond", self.bonds, self.bond_r0),
+                               ("angle", self.angles, self.angle_theta0),
+                               ("dihedral", self.dihedrals, self.dihedral_phi0)):
             if len(arr) != len(ref):
                 raise InputError(f"{what} index and reference lists differ in length")
+            offs = getattr(self, what + "_offsets")
+            if offs is None:
+                offs = np.zeros(arr.shape + (3,), int)
+            setarr(what + "_offsets", offs, int, arr.shape + (3,))
             # atom instances (index, lattice offset) must be distinct
-            inst = np.zeros((len(arr), arr.shape[1], 4), int)
-            inst[:, :, 0] = arr
-            inst[:, layouts[what], 1:] = offs
+            inst = np.concatenate([arr[:, :, None], getattr(self, what + "_offsets")], axis=2)
             for a, b in combinations(range(arr.shape[1]), 2):
                 dup = np.all(inst[:, a] == inst[:, b], axis=1)
                 if dup.any():
@@ -129,15 +120,13 @@ def _cross(a, b):
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _term_positions(pos_t, cm, atoms, offsets, ref):
-    """(3, T) positions of each atom column of the terms ``atoms``; every
-    column but ``ref`` carries one row of lattice ``offsets``."""
-    cols = list(pos_t.take(atoms.T, axis=1).swapaxes(0, 1))
+def _term_positions(pos_t, cm, atoms, offsets):
+    """(3, T) positions of each atom column of the terms ``atoms``, each
+    shifted by its row of lattice ``offsets``."""
+    cols = pos_t.take(atoms.T, axis=1).swapaxes(0, 1)
     if cm is not None:
-        carriers = [c for c in range(len(cols)) if c != ref]
-        for o, c in enumerate(carriers):
-            cols[c] = cols[c] + cm.T @ offsets[:, o].T
-    return cols
+        cols = cols + (offsets @ cm).transpose(1, 2, 0)
+    return list(cols)
 
 
 def _angle_geometry(u, w):
@@ -239,7 +228,7 @@ def detect_topology(structure: AtomicStructure,
     for j in range(n):
         for (a, ta), (b, tb) in combinations(sorted(neighbors[j]), 2):
             angles.append((a, j, b))
-            angle_offs.append((ta, tb))
+            angle_offs.append((ta, (0, 0, 0), tb))
 
     dihedrals, dihedral_offs = [], []
     if include_dihedrals:
@@ -252,21 +241,20 @@ def detect_topology(structure: AtomicStructure,
                     if (l, tl_j) == (j, (0, 0, 0)) or (l, tl_j) == (i, ti):
                         continue
                     dihedrals.append((i, j, k, l))
-                    dihedral_offs.append((ti, tk, tl_j))
+                    dihedral_offs.append((ti, (0, 0, 0), tk, tl_j))
 
     # reference geometry of all terms at once; undefined torsions are dropped
     pos_t = np.ascontiguousarray(structure.positions.T)
     cm = _cellmat(structure)
     bond_idx = np.array([(i, j) for i, j, _ in bonds], int).reshape(-1, 2)
-    bond_offs = np.array([o for _, _, o in bonds], int).reshape(-1, 1, 3)
-    pi_, pj = _term_positions(pos_t, cm, bond_idx, bond_offs, 0)
+    bond_offs = np.array([((0, 0, 0), o) for _, _, o in bonds], int).reshape(-1, 2, 3)
+    pi_, pj = _term_positions(pos_t, cm, bond_idx, bond_offs)
     angles = np.array(angles, int).reshape(-1, 3)
-    angle_offs = np.array(angle_offs, int).reshape(-1, 2, 3)
-    ai, aj, ak = _term_positions(pos_t, cm, angles, angle_offs, 1)
+    angle_offs = np.array(angle_offs, int).reshape(-1, 3, 3)
+    ai, aj, ak = _term_positions(pos_t, cm, angles, angle_offs)
     dihedrals = np.array(dihedrals, int).reshape(-1, 4)
-    dihedral_offs = np.array(dihedral_offs, int).reshape(-1, 3, 3)
-    phi0, bad, _ = _dihedral_geometry(
-        *_term_positions(pos_t, cm, dihedrals, dihedral_offs, 1))
+    dihedral_offs = np.array(dihedral_offs, int).reshape(-1, 4, 3)
+    phi0, bad, _ = _dihedral_geometry(*_term_positions(pos_t, cm, dihedrals, dihedral_offs))
     return HarmonicTopology(
         bonds=bond_idx, bond_offsets=bond_offs,
         bond_r0=np.sqrt(_dot(pi_ - pj, pi_ - pj)),
@@ -296,7 +284,7 @@ def _harmonic(structure, topo, weight=None):
     e = 0.0
     grads = {}
     if len(topo.bonds):
-        pi_, pj = _term_positions(pos_t, cm, topo.bonds, topo.bond_offsets, 0)
+        pi_, pj = _term_positions(pos_t, cm, topo.bonds, topo.bond_offsets)
         d = pi_ - pj
         r = np.sqrt(_dot(d, d))
         dr = r - topo.bond_r0
@@ -305,7 +293,7 @@ def _harmonic(structure, topo, weight=None):
             g = (weight(topo.k_r, dr) / r) * d
             grads["bond"] = (topo.bonds.T, (g, -g))
     if len(topo.angles):
-        pi_, pj, pk = _term_positions(pos_t, cm, topo.angles, topo.angle_offsets, 1)
+        pi_, pj, pk = _term_positions(pos_t, cm, topo.angles, topo.angle_offsets)
         u = pi_ - pj
         w = pk - pj
         theta, sin_uw, dot_uw = _angle_geometry(u, w)
@@ -323,7 +311,7 @@ def _harmonic(structure, topo, weight=None):
     if len(topo.dihedrals):
         phi, bad, (b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj) = \
             _dihedral_geometry(*_term_positions(pos_t, cm, topo.dihedrals,
-                                                topo.dihedral_offsets, 1))
+                                                topo.dihedral_offsets))
         if bad.any():
             w = int(np.argmax(bad))
             raise DegenerateGeometryError(
@@ -372,7 +360,7 @@ def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.n
         grads["angle"] = (atoms, [np.where(straight, 0.0, gs) for gs in g])
         pi_, pj, pk = _term_positions(np.ascontiguousarray(structure.positions.T),
                                       _cellmat(structure), topo.angles[straight],
-                                      topo.angle_offsets[straight], 1)
+                                      topo.angle_offsets[straight])
         u, w = pi_ - pj, pk - pj
         ru, rw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
         root_k = np.sqrt(topo.k_theta)

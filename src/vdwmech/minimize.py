@@ -45,6 +45,8 @@ class MinimizerConfig:
             raise InputError("force_tolerance must be positive and finite")
         if not 0 < self.initial_step < np.inf:
             raise InputError("initial_step must be positive and finite")
+        if not self.max_iterations >= 0:
+            raise InputError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
 
 @dataclass

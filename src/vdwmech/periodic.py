@@ -68,7 +68,9 @@ def paired_separations(structure: AtomicStructure, shells: int = 0):
             i, j = np.argwhere(r2 < guard2)[0]
             where = ("in the home cell" if k == 0 else "at lattice translation "
                      f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
-            raise GeometryError(f"atoms {i} and {j} {where} are below the overlap guard")
+            raise GeometryError(f"atoms {i} and {j} {where} are "
+                                f"{np.sqrt(r2[i, j]) * BOHR_ANGSTROM:.4f} A apart "
+                                f"(overlap guard {OVERLAP_GUARD} A)")
         yield k == 0, d, r2
 
 

@@ -58,6 +58,11 @@ class LoadingProtocol:
             raise InputError("step_count must be >= 1")
         if self.kind == "displacement" and not len(self.driven):
             raise InputError("displacement protocol needs a driven selection")
+        if len(set(self.driven)) != len(self.driven):
+            raise InputError(f"driven atom indices repeat: {tuple(self.driven)}")
+        if not self.max_increment_halvings >= 0:
+            raise InputError("max_increment_halvings must be >= 0, "
+                             f"got {self.max_increment_halvings}")
         if self.axis not in range(3):
             raise InputError(f"axis must be 0, 1 or 2, got {self.axis!r}")
         if len(self.component) != 2 or any(c not in range(3) for c in self.component):
@@ -107,11 +112,8 @@ def _perturb(structure, protocol):
 
 
 def _apply_displacement(structure, protocol, amount):
-    driven = np.asarray(protocol.driven, int)
-    if not structure.fixed[driven].all():
-        raise InputError("driven atoms must be fully fixed")
     pos = structure.positions.copy()
-    pos[driven, protocol.axis] += amount
+    pos[np.asarray(protocol.driven, int), protocol.axis] += amount
     return structure.with_positions(pos)
 
 
@@ -122,6 +124,8 @@ def run_quasistatic(structure: AtomicStructure, model,
         driven = np.asarray(protocol.driven)
         if not np.all((driven >= 0) & (driven < len(structure))):
             raise InputError(f"driven atom indices must lie in 0..{len(structure) - 1}")
+        if not structure.fixed[driven].all():
+            raise InputError("driven atoms must be fully fixed")
     if protocol.kind == "cell-strain":
         if structure.cell is None:
             raise InputError("cell-strain protocol needs a periodic structure")

@@ -29,7 +29,7 @@ from .structure import AtomicStructure, _frozen
 PARAMS_ENV_VAR = "VDWMECH_VDW_PARAMS"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VdwStates:
     """Environment-scaled dispersion parameters, one (N,) array per field
     [a.u.], read-only."""

@@ -2,7 +2,8 @@
 
 AtomicStructure and CellTensor are immutable value objects: every array is
 frozen after validation, so instances can be shared freely between threads
-and processes.
+and processes.  They compare and hash by identity: a numpy field has no
+single truth value for a generated ``==`` to return.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GeometryError, InputError
+from .errors import InputError
 
 # standard atomic weights [amu]
 ATOMIC_MASSES = {
@@ -30,7 +31,7 @@ def _frozen(a, dtype=float):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellTensor:
     """3x3 tensor of translation vectors (rows) plus per-direction periodicity."""
 
@@ -45,7 +46,7 @@ class CellTensor:
         object.__setattr__(self, "periodic", tuple(bool(p) for p in self.periodic))
         if not np.all(np.isfinite(m)):
             raise InputError("cell matrix has non-finite entries")
-        # every full-matrix inverse (minimum image, strain) needs all three
+        # every full-matrix inverse (overlap guard, strain) needs all three
         # rows independent, the non-periodic ones included
         if not abs(np.linalg.det(m)) > 1e-12 * np.prod(np.linalg.norm(m, axis=1)):
             raise InputError("cell vectors are linearly dependent (singular cell matrix)")
@@ -59,7 +60,7 @@ class CellTensor:
         return abs(float(np.linalg.det(self.matrix)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicStructure:
     """Positions [A], species, optional cell, constraints and Hirshfeld-style
     volume ratios; ``masses`` [amu] follow from the species.
@@ -110,20 +111,21 @@ class AtomicStructure:
         self._check_overlap()
 
     def _check_overlap(self):
-        n = len(self)
-        if n < 2:
+        from .periodic import paired_separations  # periodic imports this module
+
+        if len(self) < 2:
             return
-        d = self.positions[:, None, :] - self.positions[None, :, :]
+        # wrapped into the cell on the periodic axes, a pair is at most one
+        # cell apart along each, so one shell holds the image found by
+        # rounding the fractional separation per axis (the nearest one unless
+        # the cell is skewed); an error names the image of the wrapped atoms
+        shells, pos = 0, self.positions
         if self.cell is not None and self.cell.periodic_axes():
-            d = minimum_image(d, self.cell)
-        r = np.linalg.norm(d, axis=-1)
-        np.fill_diagonal(r, np.inf)
-        rmin = float(r.min())
-        if rmin < OVERLAP_GUARD:
-            i, j = np.unravel_index(int(r.argmin()), r.shape)
-            raise GeometryError(
-                f"atoms {i} and {j} are {rmin:.4f} A apart "
-                f"(overlap guard {OVERLAP_GUARD} A)")
+            m = self.cell.matrix
+            shells = 1
+            pos = pos - (np.floor(pos @ np.linalg.inv(m)) * self.cell.periodic) @ m
+        for _ in paired_separations(self.with_positions(pos, check_overlap=False), shells):
+            pass
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -149,18 +151,3 @@ class AtomicStructure:
     def free_mask(self) -> np.ndarray:
         """(N, 3) True where the component is free to move."""
         return ~self.fixed
-
-
-def minimum_image(d: np.ndarray, cell: CellTensor) -> np.ndarray:
-    """Wrap displacement vectors into the minimum-image convention.
-
-    ``d`` has shape (..., 3); only periodic directions are wrapped.
-    """
-    axes = cell.periodic_axes()
-    if not axes:
-        return d
-    m = cell.matrix
-    frac = d @ np.linalg.inv(m)
-    shift = np.zeros_like(frac)
-    shift[..., axes] = np.round(frac[..., axes])
-    return d - shift @ m

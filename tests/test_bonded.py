@@ -261,9 +261,22 @@ def test_skewed_cell_bonds_match_reduced_cell():
         topo = detect_topology(AtomicStructure(positions=[[0.0, 0, 0]], species=["C"],
                                                cell=cell))
         bonds.append((topo.bond_offsets.tolist(), topo.bond_r0))
-    assert bonds[0][0] == [[[0, 1, 0]]]
-    assert bonds[1][0] == [[[2, -1, 0]]]
+    assert bonds[0][0] == [[[0, 0, 0], [0, 1, 0]]]
+    assert bonds[1][0] == [[[0, 0, 0], [2, -1, 0]]]
     assert bonds[1][1] == pytest.approx(bonds[0][1], abs=1e-12)
+
+
+def test_detected_offsets_leave_reference_atoms_at_home():
+    """One offset row per term atom; the atom a term is measured from (bond
+    i, angle and dihedral j) sits in the home cell."""
+    topo = detect_topology(make_pe_crystal(PeCrystalSpec(1, 1, 1)))
+    assert topo.bond_offsets.shape == (len(topo.bonds), 2, 3)
+    assert topo.angle_offsets.shape == (len(topo.angles), 3, 3)
+    assert topo.dihedral_offsets.shape == (len(topo.dihedrals), 4, 3)
+    assert not topo.bond_offsets[:, 0].any()
+    assert not topo.angle_offsets[:, 1].any()
+    assert not topo.dihedral_offsets[:, 1].any()
+    assert topo.bond_offsets.any() and topo.angle_offsets.any() and topo.dihedral_offsets.any()
 
 
 def test_single_atom_periodic_chain_strain_response():

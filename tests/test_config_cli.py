@@ -139,6 +139,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                 "--set", "protocol.perturbation_seed=-1", "--set", "protocol.perturbation=0.01",
                 "--set", "protocol.axis=y"]) == 1
     assert "perturbation_seed must be >= 0" in capsys.readouterr().err
+    # a negative iteration budget is an input error, not a failed relaxation
+    assert cli(["relax", "--input", str(capped), "--output", str(tmp_path / "r.xyz"),
+                "--set", "relax.max_iterations=-1"]) == 1
+    assert "max_iterations must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_manifest_reproduces_run(tmp_path, capsys):

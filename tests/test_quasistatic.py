@@ -176,16 +176,20 @@ def test_protocol_validation(monkeypatch):
         run_quasistatic(tube, CompositeModel(vdw="pw"), protocol)
     # axis and component index Cartesian directions; seeds are non-negative
     for kw in ({"axis": 3}, {"axis": -1}, {"component": (3, 0)}, {"component": (0, -1)},
-               {"component": (0,)}, {"perturbation_seed": -1}):
+               {"component": (0,)}, {"perturbation_seed": -1}, {"max_increment_halvings": -3}):
         with pytest.raises(InputError):
             LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
                             driven=(0,), **kw)
-    # driven atoms must exist, and are checked before any relaxation
+    # a repeated driven atom would count twice in the reaction
+    with pytest.raises(InputError, match="repeat"):
+        LoadingProtocol(kind="displacement", increment=0.1, step_count=1, driven=(10, 10))
+    # driven atoms must exist and be fully fixed, and are checked before any relaxation
     pair = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))
-    for driven in ((100,), (len(pair),), (-1,)):
+    for driven, match in (((100,), "driven atom indices"), ((len(pair),), "driven atom indices"),
+                          ((-1,), "driven atom indices"), ((0, 10), "fully fixed")):
         protocol = LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
                                    driven=driven)
-        with pytest.raises(InputError, match="driven atom indices"):
+        with pytest.raises(InputError, match=match):
             run_quasistatic(pair, CompositeModel(vdw="pw"), protocol)
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ def test_overlap_guard_respects_periodic_images():
                         species=["C", "C"], cell=cell)
 
 
+def test_overlap_guard_reaches_unwrapped_images():
+    """Atoms two, or half a million, cells apart still overlap through an
+    image, named by atoms and distance; the guard wraps them into the cell
+    and visits one shell, so far-out atoms are checked as fast."""
+    for a, cells in ((3.0, 2), (2.0, 500_000)):
+        cell = CellTensor(np.diag([a, a, a]))
+        start = time.perf_counter()
+        with pytest.raises(GeometryError, match=r"atoms 0 and 1 .* are 0\.0200 A apart"):
+            AtomicStructure(positions=[[0, 0, 0], [cells * a + 0.02, 0, 0]],
+                            species=["C", "C"], cell=cell)
+        s = AtomicStructure(positions=[[0, 0, 0], [cells * a + a / 2, 0, 0]],
+                            species=["C", "C"], cell=cell)
+        assert len(s) == 2
+        assert time.perf_counter() - start < 1.0
+
+
 def test_empty_and_defaults():
     s = AtomicStructure(positions=np.zeros((0, 3)), species=[])
     assert len(s) == 0
@@ -59,6 +77,19 @@ def test_rigid_translation_preserves_distances(rng):
         for j in range(6):
             assert np.linalg.norm(t.positions[i] - t.positions[j]) == pytest.approx(
                 np.linalg.norm(s.positions[i] - s.positions[j]), abs=1e-12)
+
+
+def test_value_objects_compare_by_identity():
+    """Array-holding value objects neither raise on == nor on hash(), and
+    two equal-valued instances stay distinct."""
+    from vdwmech.bonded import detect_topology
+    from vdwmech.species import states_for
+    s = AtomicStructure(positions=[[0, 0, 0], [1.5, 0, 0]], species=["C", "C"],
+                        cell=CellTensor(np.diag([3.0, 20.0, 20.0])))
+    for obj, twin in ((s, s.with_positions(s.positions)), (s.cell, CellTensor(s.cell.matrix)),
+                      (detect_topology(s), detect_topology(s)), (states_for(s), states_for(s))):
+        assert obj == obj and obj != twin
+        assert len({obj, twin, obj}) == 2
 
 
 def test_cell_validation():
