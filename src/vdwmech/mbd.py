@@ -37,7 +37,11 @@ so the sum over partners becomes row sums minus column sums.
 Both passes allocate their (N, N) buffers once and overwrite them image
 by image.  Where R/s >= 7 they skip erf and exp: erf(R/s) is exactly 1
 there, and the Gaussian terms are below 3e-18 of the terms they are added
-to, under half an ulp, so leaving them out cannot change a bit.
+to, under half an ulp, so leaving them out cannot change a bit.  An image
+with no pair below R/s = 7 is far as a whole and skips the gather, erf,
+exp and scatter altogether.  erf is evaluated in numpy on the near pairs
+only, with the rational approximations of Cephes ndtr.c (W. J. Cody,
+Math. Comp. 23, 631 (1969)); it is within 2 ulp of scipy's erf.
 
 Memory, counted in dense 3N x 3N arrays (M); N x N buffers come on top.
 Assembly holds the seven (N, N) sums (7/9 M) and then C (1 M).  The
@@ -57,7 +61,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InputError, InstabilityError, NumericalError
 from .periodic import check_shells, paired_separations
@@ -71,12 +74,27 @@ _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 _FAR_ZETA = 7.0
 # the unique Cartesian components (a, b) of a symmetric 3x3 block
 _COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# Cephes ndtr.c coefficients, highest power first: erf(z) = z T(z^2) / U(z^2)
+# for z <= 1 and 1 - exp(-z^2) P(z) / Q(z) for 1 < z < 8; U and Q are monic
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
 # Matrices from this size on are diagonalized through scipy's LAPACK stages,
 # which skip the eigenvectors when only eigenvalues are needed and reduce
 # one working copy in place: with vectors they peak at three matrices
 # besides the input, where numpy's eigh holds four.  Loading scipy.linalg
-# adds about 6.5 MB of resident memory, a fixed cost that only pays off
-# once the matrix itself is larger (order 1024 and up).
+# adds about 28 MB of resident memory (numpy alone peaks at 27 MB, with
+# scipy.linalg.lapack at 55 MB).  At order 1024 that pays off in time, not
+# memory: an energy-only solve takes half as long (0.15 s against 0.30 s on
+# one thread) and saves 21 MB of peak; the memory saving passes the import
+# from about order 1200 without vectors and order 2200 with them.
 _STAGED_MIN_BYTES = 8 * 2**20
 
 
@@ -105,6 +123,31 @@ class MbdModelConfig:
             raise InputError("shell_energy_tol must be finite and >= 0")
 
 
+def _horner(x, coeffs):
+    """The polynomial with ``coeffs`` (highest power first) at x, in place."""
+    p = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        p *= x
+        p += c
+    return p
+
+
+def _erf(z, gauss):
+    """erf(z) for 0 <= z < 8, given gauss = exp(-z^2), with the operation
+    order of Cephes ndtr.c: 1 - gauss P(z) / Q(z), and z T(z^2) / U(z^2)
+    where z <= 1."""
+    out = _horner(z, _ERFC_P)
+    out *= gauss
+    out /= _horner(z, _ERFC_Q)
+    np.subtract(1.0, out, out=out)
+    low = z <= 1.0
+    if low.any():  # rare: bonded neighbors already sit above R/s = 1
+        x = z[low]
+        x2 = x * x
+        out[low] = x * _horner(x2, _ERF_T) / _horner(x2, _ERF_U)
+    return out
+
+
 def _image_pass(structure, shells, inv_s, slope=False):
     """paired_separations with the radial factors of each image.
 
@@ -127,13 +170,15 @@ def _image_pass(structure, shells, inv_s, slope=False):
         np.multiply(r, inv_s, out=zeta)
         # erf and exp only where R/s < _FAR_ZETA; beyond it they cannot change a bit
         np.less(zeta, _FAR_ZETA, out=near)
-        z = zeta[near]
         e.fill(1.0)
-        e[near] = erf(z)
-        z *= z
-        np.negative(z, out=z)
         g.fill(0.0)
-        g[near] = np.exp(z, out=z)
+        if near.any():
+            z = zeta[near]
+            gauss = np.multiply(z, z)
+            np.negative(gauss, out=gauss)
+            np.exp(gauss, out=gauss)
+            e[near] = _erf(z, gauss)
+            g[near] = gauss
         g *= g_scale  # d erf(R/s) / dR
         # B = (derf - erf/R) / R^2, into e
         e /= r

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError
 from .periodic import paired_separations
@@ -36,6 +35,16 @@ class PwModelConfig:
             raise InputError("damping parameters must be positive and finite")
         if self.cutoff is not None and not 0 < self.cutoff < np.inf:
             raise InputError("cutoff must be positive and finite")
+
+
+def _damping(x, d):
+    """The Fermi damping 1 / (1 + exp(d - x)) of x = (d/s) R, in place on x.
+    Where exp overflows, inf gives the exact limit 0, without a warning."""
+    np.subtract(d, x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def pw_energy(structure: AtomicStructure, states: VdwStates,
@@ -63,7 +72,7 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
     f_ha = np.zeros((3, n))
     for home, d, r2 in paired_separations(structure, shells):
         r = np.sqrt(r2)
-        damp = expit(d_over_s * r - cfg.d)
+        damp = _damping(d_over_s * r, cfg.d)
         e6 = c6ij / (r2 * r2 * r2)
         if cfg.cutoff is not None:
             e6[r > cfg.cutoff / BOHR_ANGSTROM] = 0.0

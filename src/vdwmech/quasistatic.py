@@ -9,6 +9,7 @@ halts with the failing record flagged.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,9 @@ class LoadingProtocol:
             raise InputError("step_count must be >= 1")
         if self.kind == "displacement" and not len(self.driven):
             raise InputError("displacement protocol needs a driven selection")
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                   for i in self.driven):
+            raise InputError(f"driven atom indices must be integers, got {tuple(self.driven)!r}")
         if len(set(self.driven)) != len(self.driven):
             raise InputError(f"driven atom indices repeat: {tuple(self.driven)}")
         if not self.max_increment_halvings >= 0:

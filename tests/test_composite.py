@@ -131,8 +131,10 @@ def test_custom_species_table_reaches_the_model(use_table):
 
 
 def test_small_evaluations_do_not_load_scipy_linalg():
-    # scipy.linalg adds ~6.5 MB resident; only large MBD matrices need it,
-    # and the minimizer's preconditioner is inverted with numpy
+    # scipy.linalg adds ~28 MB resident (numpy alone peaks at ~27 MB); only
+    # MBD matrices of order 1024 and up need it, and the minimizer's
+    # preconditioner is inverted with numpy.  The kernels compute erf and the
+    # Fermi damping with numpy, so scipy.special is never loaded.
     import os
     import subprocess
     import sys
@@ -141,13 +143,19 @@ def test_small_evaluations_do_not_load_scipy_linalg():
     import vdwmech
     code = (
         "import sys\n"
-        "from vdwmech import (ChainSpec, CompositeModel, MinimizerConfig, detect_topology,\n"
-        "                     make_chain_pair, minimize)\n"
+        "import vdwmech\n"
+        "special = ['scipy.special' in sys.modules]\n"
+        "from vdwmech import (ChainSpec, CompositeModel, MinimizerConfig, PeCrystalSpec,\n"
+        "                     detect_topology, make_chain_pair, make_pe_crystal, minimize)\n"
         "s = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))\n"
         "for vdw in ('mbd', 'pw'):\n"
         "    minimize(s, CompositeModel(topology=detect_topology(s), vdw=vdw), MinimizerConfig())\n"
-        "print('scipy.linalg' in sys.modules)\n")
+        "print('scipy.linalg' in sys.modules)\n"
+        "special.append('scipy.special' in sys.modules)\n"
+        "CompositeModel(vdw='mbd', shells=1).energy(make_pe_crystal(PeCrystalSpec(1, 1, 1)))\n"
+        "special.append('scipy.special' in sys.modules)\n"
+        "print(special)\n")
     src = str(Path(vdwmech.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "[False, False, False]"]

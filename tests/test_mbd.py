@@ -206,9 +206,20 @@ def test_matrix_matches_brute_force_oracle(rng):
         assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def test_erf_matches_scipy_within_two_ulp():
+    from scipy.special import erf
+
+    z = np.concatenate([np.linspace(0.0, 8.0, 400_001, endpoint=False),
+                        np.logspace(-300, 0, 3001)])
+    ref = erf(z)
+    got = mbd._erf(z, np.exp(-z * z))
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+
+
 def test_far_field_rule_matches_brute_force_oracle():
     """Pairs at R/s >= 7 skip erf and exp; here the home image mixes near
-    and far pairs and every other image is far."""
+    and far pairs and every other image is far as a whole, so it skips
+    erf and exp altogether; the forces check the slope on both kinds."""
     chain = CellTensor(np.diag([20.0, 30.0, 30.0]), periodic=(True, False, False))
     s = AtomicStructure(positions=[[0.0, 0, 0], [1.5, 0.3, 0], [9.0, 0, 0.4]],
                         species=["C", "H", "C"], cell=chain)
@@ -227,6 +238,9 @@ def test_far_field_rule_matches_brute_force_oracle():
     ref = brute_force_mbd_matrix(s, st, CFG, 2)
     assert np.array_equal(c, c.T)
     assert np.abs(c - ref).max() <= 1e-14 * np.abs(ref).max()
+    _, f = mbd_energy(s, st, CFG, 2, forces=True)
+    ref = fd_forces(lambda x: mbd_energy(x, states_for(x), CFG, 2)[0], s)
+    assert np.abs(f - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
 def test_overlap_error_names_home_cell_or_translation():

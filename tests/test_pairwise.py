@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from conftest import (brute_force_pw, brute_force_pw_energy, fd_forces, random_cluster,
                       random_rotation)
+from vdwmech import pairwise
 from vdwmech.errors import GeometryError, InputError
 from vdwmech.pairwise import PwModelConfig, pw_energy
 from vdwmech.species import states_for
@@ -17,6 +20,23 @@ def test_config_rejects_nonpositive_and_nan():
                {"d": 0.0}, {"gamma": -1.0}, {"cutoff": 0.0}):
         with pytest.raises(InputError):
             PwModelConfig(**kw)
+
+
+def test_damping_matches_expit():
+    x = np.linspace(0.0, 60.0, 100_001)
+    for d in (6.0, 20.0, 1000.0):
+        ref = expit(x - d)
+        assert np.all(np.abs(pairwise._damping(x.copy(), d) - ref) <= 1e-15 * ref)
+
+
+def test_steep_damping_at_short_range_is_zero_without_warning():
+    # exp(d - (d/s) R) overflows here; the damping is then exactly 0
+    s = AtomicStructure(positions=[[0, 0, 0], [0.2, 0, 0]], species=["C", "C"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e, f = pw_energy(s, states_for(s), PwModelConfig(d=1000.0), forces=True)
+    # the masked self pairs of the home image leave ~1e-177 eV
+    assert abs(e) < 1e-150 and not f.any()
 
 
 def _far_pair_c6(species, r_ang=100.0):

@@ -183,6 +183,12 @@ def test_protocol_validation(monkeypatch):
     # a repeated driven atom would count twice in the reaction
     with pytest.raises(InputError, match="repeat"):
         LoadingProtocol(kind="displacement", increment=0.1, step_count=1, driven=(10, 10))
+    # floats and bools are not atom indices; numpy integers are
+    for driven in ((10.5,), (True,), (10.0, 11.0)):
+        with pytest.raises(InputError, match="must be integers"):
+            LoadingProtocol(kind="displacement", increment=0.1, step_count=1, driven=driven)
+    LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
+                    driven=(np.int64(10), np.int32(11)))
     # driven atoms must exist and be fully fixed, and are checked before any relaxation
     pair = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))
     for driven, match in (((100,), "driven atom indices"), ((len(pair),), "driven atom indices"),
