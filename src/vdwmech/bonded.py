@@ -68,7 +68,7 @@ class HarmonicTopology:
     def __post_init__(self):
         def setarr(name, value, dtype, shape):
             object.__setattr__(self, name,
-                               np.asarray(value, dtype).reshape(shape))
+                               np.ascontiguousarray(value, dtype).reshape(shape))
         setarr("bonds", self.bonds, int, (-1, 2))
         setarr("bond_r0", self.bond_r0, float, (-1,))
         setarr("angles", self.angles, int, (-1, 3))
@@ -160,7 +160,9 @@ def _dihedral_geometry(pi_, pj, pk, pl):
 # -------------------------------------------------------------- detection
 
 def _neighbor_table(structure):
-    """Per-atom neighbor entries [(j, offset int-tuple), ...] and the bond list."""
+    """Bonds (B, 2), their offsets (B, 3), the degrees (N,), and the neighbor
+    table as atom instances (index, offset), (N, D, 4) padded to the largest
+    degree D.  Bond (i, j, o) lists (j, o) for i, then (i, -o) for j."""
     n = len(structure)
     maxcut = max(BOND_CUTOFFS.values())
 
@@ -174,32 +176,33 @@ def _neighbor_table(structure):
         reach = [int(np.ceil(maxcut / h)) if p else 0
                  for h, p in zip(height, structure.cell.periodic)]
 
-    # species-pair cutoff matrix; pairs without a cutoff never bond
-    symbols = sorted(set(structure.species))
-    code = {s: k for k, s in enumerate(symbols)}
-    codes = np.array([code[s] for s in structure.species])
-    table = np.full((len(symbols), len(symbols)), -1.0)
-    for (a, b), c in BOND_CUTOFFS.items():
-        if a in code and b in code:
-            table[code[a], code[b]] = c
-    cutmat = table[codes[:, None], codes[None, :]]
+    # squared species-pair cutoffs; pairs without a cutoff (-1) never bond
+    symbols, codes = np.unique(np.asarray(structure.species, str), return_inverse=True)
+    cut = np.array([[BOND_CUTOFFS.get((a, b), -1.0) for b in symbols] for a in symbols])
+    cut = np.where(cut > 0, cut * cut, -1.0).reshape(len(symbols), len(symbols))
+    cut2 = cut[codes[:, None], codes]
 
-    neighbors = [[] for _ in range(n)]
-    bonds = []
+    found = []
     pos = structure.positions
     for off in _lattice_offsets(reach):
-        zero = off == (0, 0, 0)
         t = np.asarray(off, float) @ cm if cm is not None else np.zeros(3)
-        dist = np.linalg.norm(pos[:, None, :] - (pos[None, :, :] + t), axis=-1)
-        hit = (cutmat >= 0) & (dist <= cutmat)
-        if zero:
+        d2 = sum((pos[:, None, c] - (pos[None, :, c] + t[c]))**2 for c in range(3))
+        hit = d2 <= cut2
+        if off == (0, 0, 0):
             hit &= np.tri(n, n, -1, dtype=bool).T  # i < j only
-        for i, j in np.argwhere(hit):
-            i, j = int(i), int(j)
-            bonds.append((i, j, off))
-            neighbors[i].append((j, off))
-            neighbors[j].append((i, tuple(-x for x in off)))
-    return neighbors, bonds
+        i, j = np.nonzero(hit)
+        found.append((np.stack([i, j], axis=1), np.full((len(i), 3), off)))
+    bonds, offs = (np.concatenate(parts) for parts in zip(*found))
+
+    # entry 2b is (i -> j, +o) of bond b, entry 2b + 1 is (j -> i, -o)
+    owner = bonds.ravel()
+    order = np.argsort(owner, kind="stable")
+    degree = np.bincount(owner, minlength=n)
+    slot = np.arange(len(order)) - np.repeat(np.cumsum(degree) - degree, degree)
+    entries = np.concatenate([bonds[:, ::-1, None], np.stack([offs, -offs], axis=1)], axis=2)
+    table = np.zeros((n, degree.max(initial=0), 4), int)
+    table[owner[order], slot] = entries.reshape(-1, 4)[order]
+    return bonds, offs, degree, table
 
 
 def detect_topology(structure: AtomicStructure,
@@ -213,50 +216,56 @@ def detect_topology(structure: AtomicStructure,
     than twice the cutoff (one chain repeat, say) still get both bonds.
     Dihedrals whose reference torsion is undefined (collinear inner angle,
     as in straight chains) are skipped.
+
+    Term order: bonds by lattice offset, then row-major (i, j); angles by
+    centre, then its neighbor pairs sorted by (index, offset); dihedrals by
+    bond j-k, then the neighbors of j and of k in the order of their bonds.
     """
-    neighbors, bonds = _neighbor_table(structure)
-    n = len(structure)
+    bonds, bond_off, degree, table = _neighbor_table(structure)
+    n, width = table.shape[:2]
 
-    for i, nb in enumerate(neighbors):
-        limit = _MAX_BONDS.get(structure.species[i])
-        if limit is not None and len(nb) > limit:
-            raise TopologyError(
-                f"atom {i} ({structure.species[i]}) has {len(nb)} bonds "
-                f"(limit {limit}); check the geometry or cutoffs")
+    species = np.asarray(structure.species, str)
+    limit = np.select([species == s for s in _MAX_BONDS], list(_MAX_BONDS.values()), np.inf)
+    over = degree > limit
+    if over.any():
+        i = int(np.argmax(over))
+        raise TopologyError(
+            f"atom {i} ({species[i]}) has {degree[i]} bonds "
+            f"(limit {int(limit[i])}); check the geometry or cutoffs")
 
-    angles, angle_offs = [], []
-    for j in range(n):
-        for (a, ta), (b, tb) in combinations(sorted(neighbors[j]), 2):
-            angles.append((a, j, b))
-            angle_offs.append((ta, (0, 0, 0), tb))
+    # atom instances (index, offset) of each centre's sorted neighbors,
+    # padding last, and of each atom at home
+    pad = np.arange(width) >= degree[:, None]
+    keys = np.concatenate([table[..., ::-1], pad[..., None]], axis=2)
+    ranked = np.take_along_axis(table, np.lexsort(np.moveaxis(keys, 2, 0))[..., None], axis=1)
+    home = np.arange(n)[:, None] * [1, 0, 0, 0]
+    p, q = np.triu_indices(width, 1)
+    angles = np.stack(np.broadcast_arrays(ranked[:, p], home[:, None], ranked[:, q]),
+                      axis=2)[q < degree[:, None]]
 
-    dihedrals, dihedral_offs = [], []
-    if include_dihedrals:
-        for (j, k, tk) in bonds:
-            for (i, ti) in neighbors[j]:
-                if (i, ti) == (k, tk):
-                    continue
-                for (l, tl) in neighbors[k]:
-                    tl_j = tuple(a + b for a, b in zip(tk, tl))
-                    if (l, tl_j) == (j, (0, 0, 0)) or (l, tl_j) == (i, ti):
-                        continue
-                    dihedrals.append((i, j, k, l))
-                    dihedral_offs.append((ti, (0, 0, 0), tk, tl_j))
+    # i-j-k-l over each bond j-k, then the neighbors i of j and l of k (l
+    # shifted by k's offset), as (B, D, D, 4, 4) instances, all distinct
+    jb, kb = bonds.T
+    k = np.concatenate([bonds[:, 1:], bond_off], axis=1)
+    quads = np.stack(np.broadcast_arrays(
+        table[jb][:, :, None], home[jb][:, None, None], k[:, None, None],
+        (table[kb] + (k * [0, 1, 1, 1])[:, None])[:, None]), axis=3)
+    keep = ~pad[jb][:, :, None] & ~pad[kb][:, None] & bool(include_dihedrals)
+    for a, b in ((0, 2), (3, 1), (3, 0)):
+        keep &= np.any(quads[..., a, :] != quads[..., b, :], axis=-1)
+    quads = quads[keep]
+    angles, angle_offs = angles[..., 0], angles[..., 1:]
+    dihedrals, dihedral_offs = quads[..., 0], quads[..., 1:]
 
     # reference geometry of all terms at once; undefined torsions are dropped
     pos_t = np.ascontiguousarray(structure.positions.T)
     cm = _cellmat(structure)
-    bond_idx = np.array([(i, j) for i, j, _ in bonds], int).reshape(-1, 2)
-    bond_offs = np.array([((0, 0, 0), o) for _, _, o in bonds], int).reshape(-1, 2, 3)
-    pi_, pj = _term_positions(pos_t, cm, bond_idx, bond_offs)
-    angles = np.array(angles, int).reshape(-1, 3)
-    angle_offs = np.array(angle_offs, int).reshape(-1, 3, 3)
+    bond_offs = np.stack([np.zeros_like(bond_off), bond_off], axis=1)
+    pi_, pj = _term_positions(pos_t, cm, bonds, bond_offs)
     ai, aj, ak = _term_positions(pos_t, cm, angles, angle_offs)
-    dihedrals = np.array(dihedrals, int).reshape(-1, 4)
-    dihedral_offs = np.array(dihedral_offs, int).reshape(-1, 4, 3)
     phi0, bad, _ = _dihedral_geometry(*_term_positions(pos_t, cm, dihedrals, dihedral_offs))
     return HarmonicTopology(
-        bonds=bond_idx, bond_offsets=bond_offs,
+        bonds=bonds, bond_offsets=bond_offs,
         bond_r0=np.sqrt(_dot(pi_ - pj, pi_ - pj)),
         angles=angles, angle_offsets=angle_offs,
         angle_theta0=_angle_geometry(ai - aj, ak - aj)[0],

@@ -90,12 +90,8 @@ def make_chain_pair(spec: ChainSpec) -> AtomicStructure:
     fixed = [np.zeros((spec.n_lower + spec.n_upper, 3), bool)]
 
     if spec.hydrogen_caps:
-        caps = []
-        for pos in (lower, upper):
-            left = pos[0] + np.array([-CH_CAP, 0.0, 0.0])
-            right = pos[-1] + np.array([CH_CAP, 0.0, 0.0])
-            caps.extend([left, right])
-        positions.append(np.array(caps))
+        ends = np.array([lower[0], lower[-1], upper[0], upper[-1]])
+        positions.append(ends + np.array([[-CH_CAP, 0.0, 0.0], [CH_CAP, 0.0, 0.0]] * 2))
         species += ["H"] * 4
         fixed.append(np.ones((4, 3), bool))
 
@@ -134,7 +130,7 @@ def make_swcnt(spec: CntSpec, fixed_end_layers: int = 0,
     acc = spec.bond_length
     a1 = acc * np.array([np.sqrt(3.0), 0.0])
     a2 = acc * np.array([np.sqrt(3.0) / 2.0, 1.5])
-    basis = [np.array([0.0, 0.0]), acc * np.array([np.sqrt(3.0) / 2.0, 0.5])]
+    basis = acc * np.array([[0.0, 0.0], [np.sqrt(3.0) / 2.0, 0.5]])
 
     ch = n * a1 + m * a2                       # chiral vector (circumference)
     gcd = np.gcd(2 * m + n, 2 * n + m)
@@ -146,26 +142,23 @@ def make_swcnt(spec: CntSpec, fixed_end_layers: int = 0,
     tv_hat = tv / tv_len
     radius = ch_len / (2.0 * np.pi)
 
-    pts = []
+    # lattice points i a1 + j a2 + b with fractional coordinates (u around, v
+    # along one unit) in [0, 1).  An array pass with a loose window keeps the
+    # few candidates; they get the exact test with a per-point np.dot, whose
+    # last bits an array product does not reproduce
     span = abs(t1) + abs(t2) + n + m + 2
-    for i in range(-span, span + 1):
-        for j in range(-span, span + 1):
-            for b in basis:
-                p = i * a1 + j * a2 + b
-                u = np.dot(p, ch_hat) / ch_len        # around, in [0, 1)
-                v = np.dot(p, tv_hat) / tv_len        # along one unit
-                if -1e-9 <= u < 1.0 - 1e-9 and -1e-9 <= v < 1.0 - 1e-9:
-                    pts.append((u, v))
-    pts.sort()
-    pts = np.array(pts)
+    ij = np.arange(-span, span + 1)
+    lattice = (ij[:, None, None, None] * a1 + ij[:, None, None] * a2 + basis).reshape(-1, 2)
+    loose = lattice @ np.stack([ch_hat / ch_len, tv_hat / tv_len], axis=1)
+    near = lattice[np.all((loose > -1e-6) & (loose < 1.0 + 1e-6), axis=1)]
+    uv = np.array([(np.dot(p, ch_hat) / ch_len, np.dot(p, tv_hat) / tv_len) for p in near])
+    uv = uv[np.all((uv >= -1e-9) & (uv < 1.0 - 1e-9), axis=1)]
+    u, v = uv[np.lexsort(uv.T[::-1])].T  # sorted by (u, v)
 
-    positions = []
-    for ring in range(spec.rings):
-        for u, v in pts:
-            phi = 2.0 * np.pi * u
-            z = (v + ring) * tv_len
-            positions.append((radius * np.cos(phi), radius * np.sin(phi), z))
-    positions = np.array(positions)
+    phi = 2.0 * np.pi * u
+    rings = np.arange(spec.rings)[:, None]
+    positions = np.stack(np.broadcast_arrays(radius * np.cos(phi), radius * np.sin(phi),
+                                             (v + rings) * tv_len), axis=-1).reshape(-1, 3)
 
     fixed = np.zeros((len(positions), 3), bool)
     if fixed_end_layers:
@@ -211,14 +204,9 @@ def make_pe_crystal(spec: PeCrystalSpec) -> AtomicStructure:
     unit = chain_cell((0.25 * PE_A, 0.25 * PE_B), PE_SETTING_ANGLE) + \
         chain_cell((0.75 * PE_A, 0.75 * PE_B), -PE_SETTING_ANGLE)
 
-    species, positions = [], []
-    for ix in range(spec.nx):
-        for iy in range(spec.ny):
-            for iz in range(spec.nz):
-                shift = np.array([ix * PE_C, iy * PE_A, iz * PE_B])
-                for sym, p in unit:
-                    species.append(sym)
-                    positions.append(p + shift)
+    shifts = np.array(list(np.ndindex(spec.nx, spec.ny, spec.nz))) * [PE_C, PE_A, PE_B]
+    positions = (np.array([p for _, p in unit]) + shifts[:, None]).reshape(-1, 3)
+    species = [sym for sym, _ in unit] * len(shifts)
 
     cell = CellTensor(np.diag([spec.nx * PE_C, spec.ny * PE_A, spec.nz * PE_B]))
-    return AtomicStructure(positions=np.array(positions), species=species, cell=cell)
+    return AtomicStructure(positions=positions, species=species, cell=cell)

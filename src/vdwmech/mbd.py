@@ -86,6 +86,9 @@ _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.463210564422
 _ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
+# held as 0-d arrays, which a ufunc takes without converting a Python float
+_ERF_T, _ERF_U, _ERFC_P, _ERFC_Q = ([np.array(c) for c in coeffs]
+                                    for coeffs in (_ERF_T, _ERF_U, _ERFC_P, _ERFC_Q))
 # Matrices from this size on are diagonalized through scipy's LAPACK stages,
 # which skip the eigenvectors when only eigenvalues are needed and reduce
 # one working copy in place: with vectors they peak at three matrices

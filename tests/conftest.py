@@ -275,6 +275,146 @@ def random_rotation(rng):
     return q
 
 
+
+def loop_topology(structure, include_dihedrals=True):
+    """Per-atom loop oracle of bonded.detect_topology: the same terms, in the
+    same order, with their reference geometry from the library's helpers.
+
+    Bonds come per lattice offset, row-major over (i, j) with i < j in the
+    home image; each bond appends (j, +offset) to atom i's neighbor list and
+    then (i, -offset) to atom j's.  Angles pair the sorted neighbors of each
+    centre; dihedrals run over bonds j-k, then the neighbors i of j and l of
+    k in list order.
+    """
+    from itertools import combinations
+
+    from vdwmech import bonded
+    from vdwmech.errors import TopologyError
+    from vdwmech.periodic import _lattice_offsets
+
+    n = len(structure)
+    cm = structure.cell.matrix if structure.cell is not None else None
+    reach = [0, 0, 0]
+    if cm is not None:
+        height = 1.0 / np.linalg.norm(np.linalg.inv(cm), axis=0)
+        reach = [int(np.ceil(max(bonded.BOND_CUTOFFS.values()) / h)) if p else 0
+                 for h, p in zip(height, structure.cell.periodic)]
+    symbols = sorted(set(structure.species))
+    code = {s: k for k, s in enumerate(symbols)}
+    codes = np.array([code[s] for s in structure.species])
+    table = np.full((len(symbols), len(symbols)), -1.0)
+    for (a, b), c in bonded.BOND_CUTOFFS.items():
+        if a in code and b in code:
+            table[code[a], code[b]] = c
+    cutmat = table[codes[:, None], codes[None, :]]
+
+    neighbors = [[] for _ in range(n)]
+    bonds = []
+    pos = structure.positions
+    for off in _lattice_offsets(reach):
+        t = np.asarray(off, float) @ cm if cm is not None else np.zeros(3)
+        dist = np.linalg.norm(pos[:, None, :] - (pos[None, :, :] + t), axis=-1)
+        hit = (cutmat >= 0) & (dist <= cutmat)
+        if off == (0, 0, 0):
+            hit &= np.tri(n, n, -1, dtype=bool).T
+        for i, j in np.argwhere(hit):
+            i, j = int(i), int(j)
+            bonds.append((i, j, off))
+            neighbors[i].append((j, off))
+            neighbors[j].append((i, tuple(-x for x in off)))
+
+    for i, nb in enumerate(neighbors):
+        limit = bonded._MAX_BONDS.get(structure.species[i])
+        if limit is not None and len(nb) > limit:
+            raise TopologyError(
+                f"atom {i} ({structure.species[i]}) has {len(nb)} bonds "
+                f"(limit {limit}); check the geometry or cutoffs")
+
+    angles, angle_offs = [], []
+    for j in range(n):
+        for (a, ta), (b, tb) in combinations(sorted(neighbors[j]), 2):
+            angles.append((a, j, b))
+            angle_offs.append((ta, (0, 0, 0), tb))
+
+    dihedrals, dihedral_offs = [], []
+    if include_dihedrals:
+        for (j, k, tk) in bonds:
+            for (i, ti) in neighbors[j]:
+                if (i, ti) == (k, tk):
+                    continue
+                for (l, tl) in neighbors[k]:
+                    tl_j = tuple(a + b for a, b in zip(tk, tl))
+                    if (l, tl_j) == (j, (0, 0, 0)) or (l, tl_j) == (i, ti):
+                        continue
+                    dihedrals.append((i, j, k, l))
+                    dihedral_offs.append((ti, (0, 0, 0), tk, tl_j))
+
+    pos_t = np.ascontiguousarray(pos.T)
+    bond_idx = np.array([(i, j) for i, j, _ in bonds], int).reshape(-1, 2)
+    bond_offs = np.array([((0, 0, 0), o) for _, _, o in bonds], int).reshape(-1, 2, 3)
+    pi_, pj = bonded._term_positions(pos_t, cm, bond_idx, bond_offs)
+    angles = np.array(angles, int).reshape(-1, 3)
+    angle_offs = np.array(angle_offs, int).reshape(-1, 3, 3)
+    ai, aj, ak = bonded._term_positions(pos_t, cm, angles, angle_offs)
+    dihedrals = np.array(dihedrals, int).reshape(-1, 4)
+    dihedral_offs = np.array(dihedral_offs, int).reshape(-1, 4, 3)
+    phi0, bad, _ = bonded._dihedral_geometry(
+        *bonded._term_positions(pos_t, cm, dihedrals, dihedral_offs))
+    return bonded.HarmonicTopology(
+        bonds=bond_idx, bond_offsets=bond_offs,
+        bond_r0=np.sqrt(bonded._dot(pi_ - pj, pi_ - pj)),
+        angles=angles, angle_offsets=angle_offs,
+        angle_theta0=bonded._angle_geometry(ai - aj, ak - aj)[0],
+        dihedrals=dihedrals[~bad], dihedral_offsets=dihedral_offs[~bad],
+        dihedral_phi0=phi0[~bad])
+
+
+def loop_swcnt(spec, fixed_end_layers=0):
+    """Per-point loop oracle of generators.make_swcnt: the positions, from
+    the lattice points whose fractional coordinates (u around, v along one
+    unit) fall in [0, 1), sorted by (u, v) and repeated ring by ring along
+    z, and the fixed mask of ``fixed_end_layers`` units at each end."""
+    n, m = spec.n, spec.m
+    acc = spec.bond_length
+    a1 = acc * np.array([np.sqrt(3.0), 0.0])
+    a2 = acc * np.array([np.sqrt(3.0) / 2.0, 1.5])
+    basis = [np.array([0.0, 0.0]), acc * np.array([np.sqrt(3.0) / 2.0, 0.5])]
+    ch = n * a1 + m * a2
+    gcd = np.gcd(2 * m + n, 2 * n + m)
+    t1, t2 = (2 * m + n) // gcd, -(2 * n + m) // gcd
+    tv = t1 * a1 + t2 * a2
+    ch_len = np.linalg.norm(ch)
+    tv_len = np.linalg.norm(tv)
+    ch_hat = ch / ch_len
+    tv_hat = tv / tv_len
+    radius = ch_len / (2.0 * np.pi)
+
+    pts = []
+    span = abs(t1) + abs(t2) + n + m + 2
+    for i in range(-span, span + 1):
+        for j in range(-span, span + 1):
+            for b in basis:
+                p = i * a1 + j * a2 + b
+                u = np.dot(p, ch_hat) / ch_len
+                v = np.dot(p, tv_hat) / tv_len
+                if -1e-9 <= u < 1.0 - 1e-9 and -1e-9 <= v < 1.0 - 1e-9:
+                    pts.append((u, v))
+    pts.sort()
+    positions = []
+    for ring in range(spec.rings):
+        for u, v in pts:
+            phi = 2.0 * np.pi * u
+            positions.append((radius * np.cos(phi), radius * np.sin(phi),
+                              (v + ring) * tv_len))
+    positions = np.array(positions)
+    fixed = np.zeros((len(positions), 3), bool)
+    if fixed_end_layers:
+        zmax = positions[:, 2].max()
+        low = positions[:, 2] < fixed_end_layers * tv_len - 1e-6
+        high = positions[:, 2] > zmax - fixed_end_layers * tv_len + 1e-6
+        fixed[low | high] = True
+    return positions, fixed
+
 @pytest.fixture
 def use_table(tmp_path, monkeypatch):
     """Replace the species table for one test: call it with the table's

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fd_forces, fd_hessian, torsion_angle
+from conftest import fd_forces, fd_hessian, loop_topology, torsion_angle
 from vdwmech import bonded
 from vdwmech.bonded import (HarmonicTopology, detect_topology, harmonic_energy,
                             harmonic_hessian)
@@ -41,6 +41,73 @@ def test_detect_single_atom():
     assert (len(topo.bonds), len(topo.angles), len(topo.dihedrals)) == (0, 0, 0)
     assert harmonic_energy(s, topo)[0] == 0.0
     assert np.all(harmonic_energy(s, topo, forces=True)[1] == 0.0)
+
+
+def test_detect_zero_atoms():
+    s = AtomicStructure(positions=np.zeros((0, 3)), species=[])
+    topo = detect_topology(s)
+    assert (len(topo.bonds), len(topo.angles), len(topo.dihedrals)) == (0, 0, 0)
+    e, f = harmonic_energy(s, topo, forces=True)
+    assert e == 0.0 and f.shape == (0, 3)
+
+
+def _graphene_sheet():
+    """Two-atom graphene cell on a skewed (60 degree) basis, periodic in-plane."""
+    from vdwmech.structure import CellTensor
+    a = np.sqrt(3.0) * 1.42
+    cell = CellTensor(np.array([[a, 0, 0], [a / 2, 1.5 * 1.42, 0], [0, 0, 10.0]]),
+                      periodic=(True, True, False))
+    return AtomicStructure(positions=[[0.0, 0, 0], [a / 2, 0.5 * 1.42, 0]],
+                           species=["C", "C"], cell=cell)
+
+
+def _three_ring():
+    """A C3 ring with a fourth carbon on one corner: i-j-k-i paths exist."""
+    pos = [[0.0, 0, 0], [1.5, 0, 0], [0.75, 1.5 * np.sqrt(0.75), 0], [-0.9, -0.525, 1.08]]
+    return AtomicStructure(positions=pos, species=["C"] * 4)
+
+
+_ORACLE_CASES = {
+    "three-ring": _three_ring,
+    "capped chain pair": lambda: make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)),
+    # bonds to the same neighbor through two opposite images
+    "PE 1x1x1": lambda: make_pe_crystal(PeCrystalSpec(1, 1, 1)),
+    "PE 2x2x2": lambda: make_pe_crystal(PeCrystalSpec(2, 2, 2)),
+    "SWCNT (8,8)x20 open": lambda: make_swcnt(CntSpec(8, 8, 20), fixed_end_layers=1),
+    "SWCNT (8,8)x20 axial": lambda: make_swcnt(CntSpec(8, 8, 20), axial_period=True),
+    "SWCNT (6,4)": lambda: make_swcnt(CntSpec(6, 4, 2), axial_period=True),
+    "skewed graphene cell": _graphene_sheet,
+}
+
+
+@pytest.mark.parametrize("dihedrals", [True, False])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_detection_matches_loop_oracle(case, dihedrals):
+    """The array-built bond graph gives the loop's terms in the loop's
+    order, with bit-identical reference geometry."""
+    s = _ORACLE_CASES[case]()
+    got = detect_topology(s, include_dihedrals=dihedrals)
+    ref = loop_topology(s, include_dihedrals=dihedrals)
+    assert len(ref.bonds) and len(ref.angles)
+    for name in ("bonds", "bond_offsets", "bond_r0", "angles", "angle_offsets",
+                 "angle_theta0", "dihedrals", "dihedral_offsets", "dihedral_phi0"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_over_coordination_message_matches_loop_oracle():
+    """Atom 2 is the first carbon with five bonds; atom 6 has five too."""
+    ring = 1.6 * np.stack([np.cos(np.arange(5) * 0.4 * np.pi),
+                           np.sin(np.arange(5) * 0.4 * np.pi), np.zeros(5)], axis=1)
+    pos = np.concatenate([ring[:2], [[0.0, 0, 0]], ring[2:],
+                          [[20.0, 0, 0]], ring + [20.0, 0, 0]])
+    s = AtomicStructure(positions=pos, species=["C"] * len(pos))
+    with pytest.raises(TopologyError) as ref:
+        loop_topology(s)
+    with pytest.raises(TopologyError) as got:
+        detect_topology(s)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("atom 2 (C) has 5 bonds (limit 4)")
 
 
 def test_detect_swcnt_bond_count():

@@ -73,6 +73,14 @@ def test_cli_energy_and_forces(tmp_path, capsys):
     assert len(lines) == len(s) + 1
 
 
+@pytest.mark.parametrize("vdw", ["pw", "mbd"])
+def test_cli_energy_of_zero_atoms(tmp_path, capsys, vdw):
+    xyz = tmp_path / "empty.xyz"
+    xyz.write_text("0\n\n")
+    assert cli(["energy", "--input", str(xyz), "--set", f"model.vdw={vdw}"]) == 0
+    assert "e_total_eV 0.0000000000e+00" in capsys.readouterr().out
+
+
 def test_cli_generate_and_relax(tmp_path, capsys):
     out = tmp_path / "chain.xyz"
     rc = cli(["generate", "--output", str(out),

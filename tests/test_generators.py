@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import loop_swcnt
 from vdwmech.errors import InputError
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, cap_indices,
                                 cnt_radius, make_chain_pair, make_pe_crystal,
@@ -103,6 +104,17 @@ def test_swcnt_unroll_round_trip():
                 ok = True
                 break
         assert ok, f"unrolled point {point} off the graphene lattice"
+
+
+@pytest.mark.parametrize("nm", [(8, 8), (10, 0), (6, 4), (12, 3)])
+def test_swcnt_matches_loop_oracle(nm):
+    """The array-built lattice gives the loop's positions to the bit, in the
+    same atom order, and the same fixed ends."""
+    spec = CntSpec(*nm, rings=3)
+    s = make_swcnt(spec, fixed_end_layers=1)
+    positions, fixed = loop_swcnt(spec, fixed_end_layers=1)
+    assert np.array_equal(s.positions, positions)
+    assert np.array_equal(s.fixed, fixed) and fixed.any()
 
 
 def test_cnt_spec_validation():
