@@ -149,7 +149,7 @@ def _cmd_forces(cfg: RunConfig):
     else:
         for i, f in enumerate(forces):
             print(f"{i} {f[0]:.10e} {f[1]:.10e} {f[2]:.10e}")
-    print(f"max_force_eV_per_A {np.abs(forces).max():.10e}")
+    print(f"max_force_eV_per_A {np.abs(forces).max(initial=0.0):.10e}")
 
 
 def _cmd_relax(cfg: RunConfig):

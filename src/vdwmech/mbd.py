@@ -21,37 +21,54 @@ Only forces need eigenvectors.  Energy-only calls on matrices of order
 1024 and up compute eigenvalues alone; both kinds of call return the same
 energy to the last bit (see sym_eigen).
 
-Assembly and forces visit the lattice images one at a time and keep only
-(N, N) arrays per image.  With d = R_i - R_j - t, the block of image t is
--K_ij (A d d^T + B I), where K_ij = omega_i omega_j sqrt(alpha_i alpha_j)
-and A, B are radial scalars of |d|.  Assembly therefore accumulates the
-six unique products sum_t A d_a d_b and sum_t B as (N, N) arrays and
-expands them into the (3N, 3N) layout once, at the end.  The lattice
-images within ``shells`` cells come in +-t pairs and C_ij(-t) =
-C_ji(t)^T, so only the home image and one image of each pair are visited
-(periodic.paired_separations): the paired part S enters as S + S^T,
-which makes C exactly symmetric.  The forces use the same
-pairing: the gradient of the (i, j, -t) term is minus that of (j, i, t),
-so the sum over partners becomes row sums minus column sums.
+The lattice images within ``shells`` cells come in +-t pairs and
+C_ij(-t) = C_ji(t)^T, so only the home image and one image of each pair
+enter, in the order of periodic.paired_separations: the paired part S
+enters as S + S^T, which makes C exactly symmetric.  The forces use the
+same pairing: the gradient of the (i, j, -t) term is minus that of
+(j, i, t), so the sum over partners becomes row sums minus column sums.
 
-Both passes allocate their (N, N) buffers once and overwrite them image
-by image.  Where R/s >= 7 they skip erf and exp: erf(R/s) is exactly 1
-there, and the Gaussian terms are below 3e-18 of the terms they are added
-to, under half an ulp, so leaving them out cannot change a bit.  An image
-with no pair below R/s = 7 is far as a whole and skips the gather, erf,
-exp and scatter altogether.  erf is evaluated in numpy on the near pairs
-only, with the rational approximations of Cephes ndtr.c (W. J. Cody,
-Math. Comp. 23, 631 (1969)); it is within 2 ulp of scipy's erf.
+With d = R_i - R_j - t, the block of image t is -K_ij (A d d^T + B I),
+where K_ij = omega_i omega_j sqrt(alpha_i alpha_j) and A, B are radial
+scalars of |d|.  Assembly accumulates the six unique sums sum_t A d_a d_b
+and sum_t B as (N, N) arrays and expands them into the (3N, 3N) layout
+once, at the end.  The home image (t = 0) is evaluated directly as (N, N)
+arrays, in both passes.  The translated images go through one pass, in
+assembly, as moments over t (see _lattice_pass): with d0 = R_i - R_j,
+each sum over t is a polynomial in d0 whose coefficients are the sums
+sum_t f(|d|) t_a t_b ..., and one matmul per block of atoms forms them
+over a stack of all the images.  An energy-and-forces call keeps from
+that pass the sums P_c = sum_t A d_c and Q_abc = sum_t (A'/R) d_a d_b d_c;
+the translated images' share of the trace forces is their contraction
+with K W, so the forces make no second pass over the images.
 
-Memory, counted in dense 3N x 3N arrays (M); N x N buffers come on top.
-Assembly holds the seven (N, N) sums (7/9 M) and then C (1 M).  The
-staged eigensolve (see sym_eigen) copies C once into a working array
-that it reduces in place, so besides C it holds at most three: the
-working array, the eigenvectors and dstevd's workspace; the
-back-transformation then runs in place on the eigenvectors.  For forces,
-the eigenvectors are scaled in place into v and W = v v^T is formed
-(2 M); K W fills six (N, N) arrays (2/3 M), and v and W are released
-before the image pass of the forces.
+Where R/s >= 7, erf(R/s) is exactly 1 and the Gaussian terms are below
+3e-18 of the terms they are added to, under half an ulp, so the far-field
+factors A = 3/R^5, B = -1/R^3 and A'/R = -15/R^7 are exact to the last
+bit.  The home image skips erf and exp there, and the stack of translated
+images takes these factors for every pair-image.  A translated pair-image
+below R/s = 7 is zeroed in the stack and evaluated exactly from d in a
+compact list instead: there |d| is small against d0 and t, and the
+moment expansion would cancel more digits than the lattice sums may lose
+(the tests hold them within 1e-14 of a direct sum, relative to the
+largest element of C).  erf is evaluated in numpy on the near pairs only,
+with the rational approximations of Cephes ndtr.c (W. J. Cody, Math.
+Comp. 23, 631 (1969)); it is within 2 ulp of scipy's erf.
+
+Memory, counted in dense 3N x 3N arrays (M = 9 N^2 doubles); N x N
+buffers come on top.  Assembly holds the seven (N, N) sums (7/9 M) and C
+(1 M).  The lattice pass adds two stacks of _STACK_BUDGET doubles (512
+KiB each, or one row of atoms over all images if that is more) and, for
+forces, the thirteen (N, N) sums P and Q (13/9 M).  P and Q are all that
+a periodic energy-and-forces call keeps across the eigensolve; an open
+structure keeps nothing.  The staged eigensolve (see sym_eigen) copies C
+once into a working array that it reduces in place, so besides C it
+holds at most three: the working array, the eigenvectors and dstevd's
+workspace; the back-transformation then runs in place on the
+eigenvectors.  For forces, the eigenvectors are scaled in place into v
+and W = v v^T is formed (2 M); K W fills six (N, N) arrays (2/3 M), and
+v and W are released before the force pass, P and Q before its home
+image.
 
 All internal math is in Hartree atomic units.
 """
@@ -63,9 +80,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InstabilityError, NumericalError
-from .periodic import check_shells, paired_separations
+from .periodic import _lattice_offsets, check_shells, paired_separations
 from .species import VdwStates
-from .structure import AtomicStructure
+from .structure import OVERLAP_GUARD, AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
 
 EIG_FLOOR = 1e-12  # Ha^2; eigenvalues below -EIG_FLOOR are an instability
@@ -74,6 +91,17 @@ _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 _FAR_ZETA = 7.0
 # the unique Cartesian components (a, b) of a symmetric 3x3 block
 _COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# the monomials t_a t_b ... of a translation up to degree 3, as sorted
+# index tuples, and the row of each in the lattice moments
+_MONOMIALS = ([()] + [(a,) for a in range(3)]
+              + [(a, b) for a in range(3) for b in range(a, 3)]
+              + [(a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3)])
+_ROW = {mono: k for k, mono in enumerate(_MONOMIALS)}
+# per cubic monomial (a, b, c): a, b, c and the rows of (b, c), (a, c), (a, b)
+_CUBIC = np.array([(*mono, _ROW[mono[1:]], _ROW[mono[::2]], _ROW[mono[:2]])
+                   for mono in _MONOMIALS[10:]]).T
+# elements of each stacked (images x pairs) array of the lattice pass
+_STACK_BUDGET = 2**16
 # Cephes ndtr.c coefficients, highest power first: erf(z) = z T(z^2) / U(z^2)
 # for z <= 1 and 1 - exp(-z^2) P(z) / Q(z) for 1 < z < 8; U and Q are monic
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
@@ -151,54 +179,153 @@ def _erf(z, gauss):
     return out
 
 
-def _image_pass(structure, shells, inv_s, slope=False):
-    """paired_separations with the radial factors of each image.
+def _radial(r2, inv_s, slope=False):
+    """The radial factors (A, B, A'/R) of the damped dipole tensor
+    T(d) = -(A d d^T + B I), from r2 = |d|^2 and the matching 1/s.
 
-    Yields (home, d, a, b, s): the separations and, as (N, N) arrays, the
-    factors A and B of the damped dipole tensor T(d) = -(A d d^T + B I)
-    and, with ``slope``, A'/R (otherwise None).  With g(R) = erf(R/s)/R:
-    B = g'/R and A = B'/R = (g'' - g'/R)/R^2; in the far field A -> 3/R^5
-    and B -> -1/R^3.  ``inv_s`` is the (N, N) array 1/s.  Every array is a
-    buffer that the next image overwrites, so callers may scale it in place.
+    Any array shape works; A'/R is None without ``slope``.  With
+    g(R) = erf(R/s)/R: B = g'/R and A = B'/R = (g'' - g'/R)/R^2; in the far
+    field A -> 3/R^5, B -> -1/R^3 and A'/R -> -15/R^7.  The returned
+    arrays are fresh, so callers may scale them in place.
     """
-    n = len(structure)
-    # per-pair factors of the Gaussian terms; d erf(R/s)/dR = g_scale exp(-(R/s)^2)
-    g_scale = _TWO_OVER_SQRT_PI * inv_s
-    a_scale = 2.0 * inv_s**2
-    s_scale = 4.0 * inv_s**4 if slope else None
-    r, zeta, e, g = np.empty((4, n, n))
-    near = np.empty((n, n), dtype=bool)
-    for home, d, r2 in paired_separations(structure, shells):
-        np.sqrt(r2, out=r)
-        np.multiply(r, inv_s, out=zeta)
-        # erf and exp only where R/s < _FAR_ZETA; beyond it they cannot change a bit
-        np.less(zeta, _FAR_ZETA, out=near)
-        e.fill(1.0)
-        g.fill(0.0)
-        if near.any():
-            z = zeta[near]
-            gauss = np.multiply(z, z)
-            np.negative(gauss, out=gauss)
-            np.exp(gauss, out=gauss)
-            e[near] = _erf(z, gauss)
-            g[near] = gauss
-        g *= g_scale  # d erf(R/s) / dR
-        # B = (derf - erf/R) / R^2, into e
-        e /= r
-        np.subtract(g, e, out=e)
-        e /= r2
-        # A = -(3 B + 2 derf / s^2) / R^2, into r
-        np.multiply(e, 3.0, out=r)
-        np.multiply(g, a_scale, out=zeta)
-        r += zeta
-        np.negative(r, out=r)
-        r /= r2
-        if slope:  # A'/R = (4 derf / s^4 - 5 A) / R^2, into zeta
-            np.multiply(g, s_scale, out=zeta)
-            np.multiply(r, 5.0, out=g)
-            zeta -= g
-            zeta /= r2
-        yield home, d, r, e, zeta if slope else None
+    r = np.sqrt(r2)
+    zeta = r * inv_s
+    # erf and exp only where R/s < _FAR_ZETA; beyond it they cannot change a bit
+    near = zeta < _FAR_ZETA
+    e = np.ones_like(r)
+    g = np.zeros_like(r)
+    if near.any():
+        z = zeta[near]
+        gauss = np.multiply(z, z)
+        np.negative(gauss, out=gauss)
+        np.exp(gauss, out=gauss)
+        e[near] = _erf(z, gauss)
+        g[near] = gauss
+    g *= _TWO_OVER_SQRT_PI * inv_s  # d erf(R/s) / dR
+    # B = (derf - erf/R) / R^2, into e
+    e /= r
+    np.subtract(g, e, out=e)
+    e /= r2
+    # A = -(3 B + 2 derf / s^2) / R^2, into r
+    np.multiply(e, 3.0, out=r)
+    np.multiply(g, 2.0 * inv_s**2, out=zeta)
+    r += zeta
+    np.negative(r, out=r)
+    r /= r2
+    if not slope:
+        return r, e, None
+    # A'/R = (4 derf / s^4 - 5 A) / R^2, into zeta
+    np.multiply(g, 4.0 * inv_s**4, out=zeta)
+    np.multiply(r, 5.0, out=g)
+    zeta -= g
+    zeta /= r2
+    return r, e, zeta
+
+
+def _home_image(structure, inv_s, slope=False):
+    """The separations d = R_i - R_j (3, N, N) [Bohr] of the home cell and
+    their _radial factors, with the self pairs pushed far away."""
+    _, d, r2 = next(paired_separations(structure, 0))  # the home image alone
+    return (d, *_radial(r2, inv_s, slope))
+
+
+def _lattice_pass(structure, shells, trans, inv_s, acc, forces):
+    """Adds the translated images ``trans`` to the seven assembly sums
+    ``acc`` (see _assemble).  With ``forces``, returns the (13, N, N) sums
+    that the forces need of them: P_c = sum_t A d_c, then
+    Q_abc = sum_t (A'/R) d_a d_b d_c in the order of the cubic _MONOMIALS.
+
+    Each sum is expanded in d0 = R_i - R_j over the moments of t, e.g.
+    sum_t A d_a d_b = d0_a P_b - d0_b sum_t A t_a + sum_t A t_a t_b.  The
+    images go in one stack per block of rows i: r^2 comes from one matmul
+    and the moments of each far-field factor from one more.  Pair-images
+    below R/s = _FAR_ZETA or the overlap guard get r^2 = inf in the stack,
+    which zeroes their factors, and are summed exactly from d afterwards.
+    """
+    n, m = len(structure), len(trans)
+    pos = structure.positions.T / BOHR_ANGSTROM
+    # r^2 = |d0|^2 - 2 t.d0 + |t|^2 = [-2 t, 1, |t|^2] . [d0, |d0|^2, 1]
+    lhs = np.hstack([-2.0 * trans, np.ones((m, 1)), np.einsum("ka,ka->k", trans, trans)[:, None]])
+    powers = np.array([np.prod(trans[:, list(mono)], axis=1) for mono in _MONOMIALS])
+    w_a = 3.0 * powers[:10]  # A = 3/R^5 on the far side
+    w_s = -15.0 * powers  # A'/R = -15/R^7
+    ia, ib, ic, bc, ac, ab = _CUBIC
+    guard2 = (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2
+    rows = max(1, _STACK_BUDGET // (m * n))
+    r2_buf, u_buf = np.empty((2, m * rows * n))
+    near_buf = np.empty(m * rows * n, dtype=bool)
+    rhs = np.ones((5, rows * n))
+    mom = np.empty((20 if forces else 10, rows * n))
+    pq = np.zeros((13, n, n)) if forces else None
+    near_pair, near_d = [], []
+    for i0 in range(0, n, rows):
+        i1 = min(n, i0 + rows)
+        k = (i1 - i0) * n
+        d0 = (pos[:, i0:i1, None] - pos[:, None, :]).reshape(3, k)
+        blk = acc[:, i0:i1].reshape(7, k)
+        r2, u = r2_buf[:m * k].reshape(m, k), u_buf[:m * k].reshape(m, k)
+        rhs[:3, :k] = d0
+        np.einsum("ap,ap->p", d0, d0, out=rhs[3, :k])
+        np.matmul(lhs, rhs[:, :k], out=r2)
+        far2 = np.maximum((_FAR_ZETA / inv_s[i0:i1].reshape(k)) ** 2, guard2)
+        is_near = np.less(r2, far2, out=near_buf[:m * k].reshape(m, k)).reshape(-1)
+        near = np.flatnonzero(is_near)
+        if len(near):
+            img, col = np.divmod(near, k)
+            near_pair.append(col + i0 * n)
+            near_d.append(d0[:, col] - trans[img].T)
+            r2.reshape(-1)[near] = np.inf  # zero far-field factors
+        # far-field factors 1/R^3, 1/R^5 and 1/R^7, in place
+        np.divide(1.0, r2, out=r2)
+        np.sqrt(r2, out=u)
+        u *= r2
+        b_sum = u.sum(axis=0)
+        u *= r2
+        sums = mom[:, :k]
+        np.matmul(w_a, u, out=sums[:10])
+        p_vec = d0 * sums[0]
+        p_vec -= sums[1:4]
+        for c, (p, q) in enumerate(_COMPONENTS):
+            blk[c] += d0[p] * p_vec[q] - d0[q] * sums[1 + p] + sums[_ROW[p, q]]
+        blk[6] -= b_sum
+        if forces:
+            u *= r2
+            np.matmul(w_s, u, out=sums)
+            pq_blk = pq[:, i0:i1].reshape(13, k)
+            pq_blk[:3] += p_vec
+            # sum_t S d_a d_b d_c with S = A'/R, expanded in d0 = (da, db, dc)
+            da, db, dc = d0[ia], d0[ib], d0[ic]
+            q3 = dc * sums[0]
+            q3 -= sums[1 + ic]
+            q3 *= db
+            q3 -= dc * sums[1 + ib]
+            q3 += sums[bc]
+            q3 *= da
+            rest = dc * sums[1 + ia]
+            rest -= sums[ac]
+            rest *= db
+            rest -= dc * sums[ab]
+            rest += sums[10:]
+            q3 -= rest
+            pq_blk[3:] += q3
+    del r2_buf, u_buf, near_buf, r2, u, is_near  # the stacks, before the near list
+    if not near_pair:
+        return pq
+    # the near list, exactly
+    pair, d = np.concatenate(near_pair), np.concatenate(near_d, axis=1)
+    del near_pair, near_d
+    r2 = np.einsum("ap,ap->p", d, d)
+    if r2.min() < guard2:
+        for _ in paired_separations(structure, shells):  # raises its GeometryError
+            pass
+    a, b, slope = _radial(r2, inv_s.reshape(-1)[pair], forces)
+    terms = [(s, a * d[p] * d[q]) for s, (p, q) in zip(acc, _COMPONENTS)] + [(acc[6], b)]
+    if forces:
+        terms += [(s, a * dc) for s, dc in zip(pq, d)]
+        terms += [(s, slope * d[p] * d[q] * d[r]) for s, p, q, r in zip(pq[3:], ia, ib, ic)]
+    for s, w in terms:
+        s += np.bincount(pair, w, minlength=n * n).reshape(n, n)
+    return pq
 
 
 def sym_eigen(a: np.ndarray, vectors: bool = True):
@@ -301,31 +428,41 @@ def _pair_params(structure, states, cfg):
     return omega, coupling, inv_s
 
 
-def _assemble(structure, shells, omega, coupling, inv_s):
+def _assemble(structure, shells, omega, coupling, inv_s, keep=None):
     """The 3N x 3N coupled-oscillator matrix [Ha^2], exactly symmetric, from
     the _pair_params of the states.  The images within ``shells`` cells
     along the periodic axes are lattice-summed into every block, including
-    the self-image terms on the diagonal."""
+    the self-image terms on the diagonal.  With a list ``keep``, what the
+    forces need of the translated images (see _lattice_pass) is appended
+    to it."""
     n = len(structure)
+    check_shells(shells)
+    cell = structure.cell
+    offsets = []  # one translation of each +-t pair, as paired_separations visits them
+    if cell is not None:
+        offsets = _lattice_offsets([shells if p else 0 for p in cell.periodic])[1:]
     # C goes below the temporaries on the heap, so the space they free
     # stays in one block that the eigensolve's arrays can reuse
     c4 = np.empty((n, 3, n, 3))
     # sum_t A d_a d_b in _COMPONENTS order, then sum_t B; the sum is added
     # to its transpose, so the home image weighs 1/2
     acc = np.zeros((7, n, n))
+    d, a, b, _ = _home_image(structure, inv_s)
+    a *= 0.5
+    b *= 0.5
     t = np.empty((n, n))
-    paired = False
-    for home, d, a, b, _ in _image_pass(structure, shells, inv_s):
-        if home:
-            a *= 0.5
-            b *= 0.5
-        paired = not home
-        for c, (p, q) in enumerate(_COMPONENTS):
-            np.multiply(a, d[p], out=t)
-            t *= d[q]
-            acc[c] += t
-        acc[6] += b
+    for c, (p, q) in enumerate(_COMPONENTS):
+        np.multiply(a, d[p], out=t)
+        t *= d[q]
+        acc[c] += t
+    acc[6] += b
+    del d, a, b, t
+    paired = bool(offsets)
     if paired:
+        trans = (np.array(offsets) @ cell.matrix) / BOHR_ANGSTROM  # Bohr
+        pq = _lattice_pass(structure, shells, trans, inv_s, acc, keep is not None)
+        if keep is not None:
+            keep.append(pq)
         for s in acc:
             s += s.T  # numpy buffers the overlapping transpose
     # without paired images the home sum is symmetric on its own, so its
@@ -355,7 +492,9 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
         return 0.0, np.zeros((n, 3)) if forces else None
     omega, coupling, inv_s = _pair_params(structure, states, cfg)
     # C goes in as a temporary, which sym_eigen can release once copied
-    eig = sym_eigen(_assemble(structure, shells, omega, coupling, inv_s), vectors=forces)
+    keep = [] if forces else None
+    eig = sym_eigen(_assemble(structure, shells, omega, coupling, inv_s, keep),
+                    vectors=forces)
     lam, v = eig if forces else (eig, None)
     del eig  # v holds the only reference to the eigenvectors
     _check_spectrum(lam, need_positive=forces)
@@ -369,7 +508,7 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
     del v
     kw = _coupled_blocks(w, coupling)
     del w
-    return float(e_ha) * HARTREE_EV, _trace_forces(structure, shells, kw, inv_s)
+    return float(e_ha) * HARTREE_EV, _trace_forces(structure, kw, inv_s, keep)
 
 
 def _check_spectrum(lam, need_positive=False):
@@ -394,7 +533,10 @@ def _coupled_blocks(w, coupling):
     return kw
 
 
-def _trace_forces(structure, shells, kw, inv_s):
+def _trace_forces(structure, kw, inv_s, keep):
+    """Forces [eV/A] from the _coupled_blocks ``kw`` of W and the list
+    ``keep`` that _assemble filled.  Its sums P and Q of the translated
+    images, if any, are popped and freed before the home image's pass."""
     n = len(structure)
     # dT is symmetric in (a, b), so the trace needs only the symmetric part
     # of each W block: 1/4 Tr[W dC] = 1/4 sum K_ij W_ij : dT(d_ij)
@@ -404,29 +546,40 @@ def _trace_forces(structure, shells, kw, inv_s):
     # minus the gradient of K W : T with respect to d; the home image weighs
     # 1/2 because its row and column sums are equal and opposite
     acc = np.zeros((3, n, n))
+    if keep:
+        # summed over the translated images, the gradient h d + 2 A u below
+        # is sum_ab (K W)_ab Q_abc + 2 (K W P)_c + Tr(K W) P_c
+        pq = keep.pop()
+        p_vec, q3 = pq[:3], pq[3:]
+        for c in range(3):
+            acc[c] += ktr * p_vec[c]
+            for b in range(3):
+                acc[c] += 2.0 * rows[c][b] * p_vec[b]
+                for a in range(3):
+                    acc[c] += rows[a][b] * q3[_ROW[tuple(sorted((a, b, c)))] - 10]
+        del pq, p_vec, q3
     u = np.empty((3, n, n))
     h = np.empty((n, n))
     t = np.empty((n, n))
-    for home, d, a, _, slope in _image_pass(structure, shells, inv_s, slope=True):
-        if home:
-            a *= 0.5
-            slope *= 0.5
-        for uc, row in zip(u, rows):  # u = (K W) d
-            np.multiply(row[0], d[0], out=uc)
-            for k in (1, 2):
-                uc += np.multiply(row[k], d[k], out=t)
-        # h = slope d.u + A Tr(K W), and the gradient is h d + 2 A u
-        np.multiply(d[0], u[0], out=h)
+    d, a, _, slope = _home_image(structure, inv_s, slope=True)
+    a *= 0.5
+    slope *= 0.5
+    for uc, row in zip(u, rows):  # u = (K W) d
+        np.multiply(row[0], d[0], out=uc)
         for k in (1, 2):
-            h += np.multiply(d[k], u[k], out=t)
-        h *= slope
-        h += np.multiply(a, ktr, out=t)
-        a *= 2.0
-        for c in range(3):
-            np.multiply(h, d[c], out=t)
-            u[c] *= a
-            t += u[c]
-            acc[c] += t
+            uc += np.multiply(row[k], d[k], out=t)
+    # h = slope d.u + A Tr(K W), and the gradient is h d + 2 A u
+    np.multiply(d[0], u[0], out=h)
+    for k in (1, 2):
+        h += np.multiply(d[k], u[k], out=t)
+    h *= slope
+    h += np.multiply(a, ktr, out=t)
+    a *= 2.0
+    for c in range(3):
+        np.multiply(h, d[c], out=t)
+        u[c] *= a
+        t += u[c]
+        acc[c] += t
     # F_k = -1/2 sum_{j, images} K dT . W  (in Ha/Bohr); the (j, k, -t)
     # terms are the column sums of the half set
     forces = 0.5 * (acc.sum(axis=2) - acc.sum(axis=1)).T

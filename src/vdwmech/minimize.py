@@ -112,7 +112,8 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
     p = _MU * np.eye(len(free))
     if model.topology is not None:
         p[:n3, :n3] += harmonic_hessian(structure, model.topology)
-    np.fill_diagonal(p[n3:, n3:], p.diagonal()[:n3].mean())
+    if n3:  # without atoms, the cell components keep _MU
+        np.fill_diagonal(p[n3:, n3:], p.diagonal()[:n3].mean())
     h0 = np.zeros_like(p)
     h0[np.ix_(free, free)] = np.linalg.inv(p[np.ix_(free, free)])
     evaluations = 0

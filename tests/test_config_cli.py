@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,10 +77,20 @@ def test_cli_energy_and_forces(tmp_path, capsys):
 
 @pytest.mark.parametrize("vdw", ["pw", "mbd"])
 def test_cli_energy_of_zero_atoms(tmp_path, capsys, vdw):
+    """energy, forces and relax on a file of zero atoms exit 0, and no
+    warning is raised on the way."""
     xyz = tmp_path / "empty.xyz"
     xyz.write_text("0\n\n")
-    assert cli(["energy", "--input", str(xyz), "--set", f"model.vdw={vdw}"]) == 0
-    assert "e_total_eV 0.0000000000e+00" in capsys.readouterr().out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli(["energy", "--input", str(xyz), "--set", f"model.vdw={vdw}"]) == 0
+        assert "e_total_eV 0.0000000000e+00" in capsys.readouterr().out
+        assert cli(["forces", "--input", str(xyz), "--set", f"model.vdw={vdw}"]) == 0
+        assert "max_force_eV_per_A 0.0000000000e+00" in capsys.readouterr().out
+        out = tmp_path / "relaxed.xyz"
+        assert cli(["relax", "--input", str(xyz), "--output", str(out),
+                    "--set", f"model.vdw={vdw}"]) == 0
+        assert capsys.readouterr().out.startswith("converged 1 iterations 0")
 
 
 def test_cli_generate_and_relax(tmp_path, capsys):
