@@ -18,13 +18,14 @@ smooth under cell strain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError, TopologyError
 from .periodic import _lattice_offsets
-from .structure import AtomicStructure
+from .structure import AtomicStructure, _frozen
 
 K_R_DEFAULT = 35.0505      # eV/A^2
 K_THETA_DEFAULT = 6.6069   # eV/rad^2
@@ -49,7 +50,9 @@ class HarmonicTopology:
     Offsets are integer lattice translations, one row per term atom, so an
     atom sits at R + offset @ cell.  A term sees only differences, and
     detect_topology leaves the row of the atom each term is measured from
-    zero (bond: i; angle and dihedral: j).  None means all zero.
+    zero (bond: i; angle and dihedral: j).  None means all zero.  The
+    arrays are read-only; the force scatter index and the largest atom
+    index are built on the first evaluation and kept.
     """
 
     bonds: np.ndarray           # (B, 2) int
@@ -67,8 +70,7 @@ class HarmonicTopology:
 
     def __post_init__(self):
         def setarr(name, value, dtype, shape):
-            object.__setattr__(self, name,
-                               np.ascontiguousarray(value, dtype).reshape(shape))
+            object.__setattr__(self, name, _frozen(value, dtype).reshape(shape))
         setarr("bonds", self.bonds, int, (-1, 2))
         setarr("bond_r0", self.bond_r0, float, (-1,))
         setarr("angles", self.angles, int, (-1, 3))
@@ -80,6 +82,9 @@ class HarmonicTopology:
                                ("dihedral", self.dihedrals, self.dihedral_phi0)):
             if len(arr) != len(ref):
                 raise InputError(f"{what} index and reference lists differ in length")
+            if len(arr) and arr.min() < 0:
+                raise InputError(f"{what} {arr[np.argmax(arr.min(axis=1) < 0)].tolist()} "
+                                 "has a negative atom index")
             offs = getattr(self, what + "_offsets")
             if offs is None:
                 offs = np.zeros(arr.shape + (3,), int)
@@ -99,6 +104,21 @@ class HarmonicTopology:
         for name in ("k_r", "k_theta", "k_phi"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise InputError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
+    @cached_property
+    def _max_index(self) -> int:
+        """The largest atom index of any term, -1 without terms."""
+        return max((int(arr.max()) for arr in (self.bonds, self.angles, self.dihedrals)
+                    if len(arr)), default=-1)
+
+    @cached_property
+    def _scatter_index(self) -> np.ndarray:
+        """(3, M) flat force components 3 i + c of the term atoms, in the
+        order harmonic_energy concatenates the gradients: bond, angle and
+        dihedral slots, each slot over its terms."""
+        atoms = [arr.T.ravel() for arr in (self.bonds, self.angles, self.dihedrals)
+                 if len(arr)]
+        return 3 * np.concatenate(atoms) + np.arange(3)[:, None]
 
 
 def _cellmat(structure):
@@ -190,7 +210,7 @@ def _neighbor_table(structure):
         hit = d2 <= cut2
         if off == (0, 0, 0):
             hit &= np.tri(n, n, -1, dtype=bool).T  # i < j only
-        i, j = np.nonzero(hit)
+        i, j = np.divmod(np.flatnonzero(hit), n)
         found.append((np.stack([i, j], axis=1), np.full((len(i), 3), off)))
     bonds, offs = (np.concatenate(parts) for parts in zip(*found))
 
@@ -347,9 +367,9 @@ def harmonic_energy(structure: AtomicStructure, topo: HarmonicTopology,
     n = len(structure)
     if not grads:
         return e, np.zeros((n, 3))
-    flat = 3 * np.concatenate([a.ravel() for a, _ in grads.values()]) + np.arange(3)[:, None]
     parts = np.concatenate([gs for _, g in grads.values() for gs in g], axis=1)
-    return e, np.bincount(flat.ravel(), weights=parts.ravel(), minlength=3 * n).reshape(n, 3)
+    return e, np.bincount(topo._scatter_index.ravel(), weights=parts.ravel(),
+                          minlength=3 * n).reshape(n, 3)
 
 
 def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.ndarray:
@@ -388,7 +408,6 @@ def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.n
 
 
 def _check_indices(structure, topo):
-    n = len(structure)
-    for arr in (topo.bonds, topo.angles, topo.dihedrals):
-        if len(arr) and (arr.min() < 0 or arr.max() >= n):
-            raise InputError("topology indices out of range for structure")
+    # indices are >= 0 by construction
+    if topo._max_index >= len(structure):
+        raise InputError("topology indices out of range for structure")

@@ -5,8 +5,11 @@ The energy is an additive sum over atom pairs (and periodic images),
     E = - sum_{pairs} f_damp(R) * C6_ij / R^6,
 
 with a Fermi-type damping switched on the scaled sum of effective vdW
-radii.  All internal math is in Hartree atomic units; energies come back
-in eV and forces in eV/A.
+radii.  The combined C6_ij and the radius sums R_vdW,i + R_vdW,j are
+(N, N) tables that VdwStates builds on first use and keeps, so a run that
+reuses one VdwStates (as CompositeModel does across MD and relaxation
+steps) builds them once.  All internal math is in Hartree atomic units;
+energies come back in eV and forces in eV/A.
 """
 
 from __future__ import annotations
@@ -62,29 +65,33 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
         raise InputError("one vdW state per atom required")
     if n == 0 or (n == 1 and shells == 0):
         return 0.0, np.zeros((n, 3)) if forces else None
-    c6, alpha, rv = states.c6_eff, states.alpha0_eff, states.rvdw_eff
-    # the combination rule C6_ij = 2 C6_i C6_j / (a_j/a_i C6_i + a_i/a_j C6_j) for
-    # all pairs, as 2 p_i p_j / (q_i + q_j), p = C6/alpha, q = p/alpha
-    p = c6 / alpha
-    c6ij = np.outer(p, 2.0 * p) / np.add.outer(p / alpha, p / alpha)
-    d_over_s = (cfg.d / cfg.gamma) / np.add.outer(rv, rv)
+    d_over_s = (cfg.d / cfg.gamma) / states.rvdw_pairs
+    cut = None if cfg.cutoff is None else cfg.cutoff / BOHR_ANGSTROM
     e_ha = 0.0
     f_ha = np.zeros((3, n))
     for home, d, r2 in paired_separations(structure, shells):
         r = np.sqrt(r2)
         damp = _damping(d_over_s * r, cfg.d)
-        e6 = c6ij / (r2 * r2 * r2)
-        if cfg.cutoff is not None:
-            e6[r > cfg.cutoff / BOHR_ANGSTROM] = 0.0
+        e6 = r2 * r2
+        e6 *= r2
+        np.divide(states.c6_pairs, e6, out=e6)
+        if cut is not None:
+            e6[r > cut] = 0.0
         # the home image holds each pair twice
         e_ha -= (0.5 if home else 1.0) * np.vdot(damp, e6)
         if forces:
-            # with w = e'(R) / R for e(R) = -f C6 / R^6, the force on atom i
-            # is the column sum minus the row sum of w d; in the home image
-            # the two are equal and opposite and the pairs are there twice
-            wd = (e6 * (6.0 * damp / r - damp * (1.0 - damp) * d_over_s) / r) * d
-            f_ha -= wd.sum(axis=2)
+            # with w = e'(R) / R = e6 f (6 / R - (1 - f) d/s) / R for
+            # e(R) = -f C6 / R^6, the force on atom i is the column sum minus
+            # the row sum of w d; in the home image the two are equal and
+            # opposite and the pairs are there twice
+            w = 1.0 - damp
+            w *= d_over_s
+            np.subtract(6.0 / r, w, out=w)
+            w *= damp
+            w *= e6
+            w /= r
+            f_ha -= np.einsum("ij,kij->ki", w, d)
             if not home:
-                f_ha += wd.sum(axis=1)
+                f_ha += np.einsum("ij,kij->kj", w, d)
     return (float(e_ha) * HARTREE_EV,
             f_ha.T * (HARTREE_EV / BOHR_ANGSTROM) if forces else None)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -32,7 +33,12 @@ PARAMS_ENV_VAR = "VDWMECH_VDW_PARAMS"
 @dataclass(frozen=True, eq=False)
 class VdwStates:
     """Environment-scaled dispersion parameters, one (N,) array per field
-    [a.u.], read-only."""
+    [a.u.], read-only.
+
+    The pairwise model's (N, N) pair tables, ``c6_pairs`` and
+    ``rvdw_pairs``, are built on first use and then kept, read-only, for
+    the life of the states; the MBD model never builds them.
+    """
 
     c6_eff: np.ndarray      # Ha * Bohr^6
     alpha0_eff: np.ndarray  # Bohr^3
@@ -46,6 +52,20 @@ class VdwStates:
 
     def __len__(self) -> int:
         return len(self.c6_eff)
+
+    @cached_property
+    def c6_pairs(self) -> np.ndarray:
+        """TS-combined C6_ij [Ha Bohr^6], (N, N): the rule C6_ij = 2 C6_i C6_j
+        / (a_j/a_i C6_i + a_i/a_j C6_j), as 2 p_i p_j / (q_i + q_j) with
+        p = C6/alpha and q = p/alpha."""
+        p = self.c6_eff / self.alpha0_eff
+        return _frozen(np.outer(p, 2.0 * p) / np.add.outer(p / self.alpha0_eff,
+                                                           p / self.alpha0_eff))
+
+    @cached_property
+    def rvdw_pairs(self) -> np.ndarray:
+        """Sums R_vdW,i + R_vdW,j [Bohr], (N, N)."""
+        return _frozen(np.add.outer(self.rvdw_eff, self.rvdw_eff))
 
 
 def parse_species_table(text: str,

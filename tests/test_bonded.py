@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,29 @@ def test_topology_validation():
     small = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     with pytest.raises(InputError):
         harmonic_energy(small, topo)
+
+
+def test_topology_indices_checked_against_structure():
+    topo = detect_topology(make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)))
+    small = make_chain_pair(ChainSpec(6, 6, hydrogen_caps=True))
+    for evaluate in (lambda: harmonic_energy(small, topo),
+                     lambda: harmonic_energy(small, topo, forces=True),
+                     lambda: harmonic_hessian(small, topo)):
+        with pytest.raises(InputError, match="out of range"):
+            evaluate()
+    for array in (topo.bonds, topo.bond_r0, topo.angle_offsets, topo.dihedral_phi0):
+        assert not array.flags.writeable
+    empty = {"bonds": np.zeros((0, 2), int), "bond_r0": np.zeros(0),
+             "angles": np.zeros((0, 3), int), "angle_theta0": np.zeros(0),
+             "dihedrals": np.zeros((0, 4), int), "dihedral_phi0": np.zeros(0)}
+    # the second term of each kind has a negative index
+    for what, key, ref, terms in (("bond", "bonds", "bond_r0", [[0, 1], [-1, 0]]),
+                                  ("angle", "angles", "angle_theta0", [[0, 1, 2], [0, 1, -2]]),
+                                  ("dihedral", "dihedrals", "dihedral_phi0",
+                                   [[0, 1, 2, 3], [0, -1, 2, 3]])):
+        with pytest.raises(InputError,
+                           match=re.escape(f"{what} {terms[1]} has a negative atom index")):
+            HarmonicTopology(**dict(empty, **{key: terms, ref: [1.0, 1.0]}))
 
 
 def test_periodic_image_bonds():

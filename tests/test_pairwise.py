@@ -8,6 +8,7 @@ from conftest import (brute_force_pw, brute_force_pw_energy, fd_forces, random_c
                       random_rotation)
 from vdwmech import pairwise
 from vdwmech.errors import GeometryError, InputError
+from vdwmech.mbd import MbdModelConfig, mbd_energy
 from vdwmech.pairwise import PwModelConfig, pw_energy
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
@@ -207,3 +208,34 @@ def test_energy_only_equals_energy_and_forces(rng):
         st = states_for(s)
         assert pw_energy(s, st, PwModelConfig(), shells)[0] == \
             pw_energy(s, st, PwModelConfig(), shells, forces=True)[0]
+
+
+def test_pair_tables_cached_read_only_and_built_on_first_use(rng):
+    s = random_cluster(rng, 6)
+    st = states_for(s)
+    assert "c6_pairs" not in vars(st) and "rvdw_pairs" not in vars(st)
+    mbd_energy(s, st, MbdModelConfig(), 0, True)
+    assert "c6_pairs" not in vars(st) and "rvdw_pairs" not in vars(st)
+    pw_energy(s, st, PwModelConfig(), forces=True)
+    tables = vars(st)["c6_pairs"], vars(st)["rvdw_pairs"]
+    pw_energy(s, st, PwModelConfig(cutoff=5.0))
+    assert vars(st)["c6_pairs"] is tables[0] and vars(st)["rvdw_pairs"] is tables[1]
+    for table in tables:
+        assert table.shape == (6, 6) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 1] = 0.0
+
+
+def test_reused_states_match_fresh_states_bitwise(rng):
+    """States whose tables were built on another geometry give the bits of
+    fresh states: the open pair and the triclinic cell at 2 shells."""
+    cases = list(_oracle_cases(rng))
+    for s, shells, cfg in (cases[0], cases[2]):
+        st = states_for(s)
+        moved = s.with_positions(s.positions + 0.1 * rng.standard_normal(s.positions.shape))
+        pw_energy(moved, st, cfg, shells, forces=True)
+        for forces in (False, True):
+            e, f = pw_energy(s, st, cfg, shells, forces)
+            e_ref, f_ref = pw_energy(s, states_for(s), cfg, shells, forces)
+            assert e == e_ref
+            assert (f is None and f_ref is None) or np.array_equal(f, f_ref)
