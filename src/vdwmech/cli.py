@@ -59,14 +59,12 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _pw_config(cfg: RunConfig) -> PwModelConfig:
-    return PwModelConfig(d=cfg["model.pw_d"], gamma=cfg["model.pw_gamma"],
-                         cutoff=cfg["model.pw_cutoff"])
+    return PwModelConfig(d=cfg["model.pw_d"], gamma=cfg["model.pw_gamma"])
 
 
 def _mbd_config(cfg: RunConfig) -> MbdModelConfig:
     return MbdModelConfig(beta=cfg["model.mbd_beta"],
-                          replica_shells=cfg["model.mbd_shells"],
-                          shell_energy_tol=cfg["model.mbd_shell_tol"])
+                          replica_shells=cfg["model.mbd_shells"])
 
 
 def _minimizer_config(cfg: RunConfig) -> MinimizerConfig:
@@ -223,7 +221,7 @@ def _cmd_chain_sweep(cfg: RunConfig):
             f_pw, f_mbd = (float(m.energy_and_forces(structure)[1][upper, 1].sum())
                            for m in (pw_model, mbd_model))
             rows.append({"h": h, "nc1": int(nc1), "f_pw": f_pw, "f_mbd": f_mbd,
-                         "ratio": abs(f_mbd) / abs(f_pw)})
+                         "ratio": abs(f_mbd) / abs(f_pw) if f_pw else None})
     out = cfg["io.output"]
     emit_chain_sweep(rows, out)
     print(f"wrote {len(rows)} sweep points to {out}")

@@ -4,7 +4,9 @@ The total energy follows the range-separation split E = E_bonded + E_vdW.
 A periodic structure needs a replica shell count, passed as ``shells`` or
 fixed by ``resolve_shells`` on the input structure (an InputError if
 neither).  The count stays fixed, so forces stay smooth along a loading
-path; the kernels build the translations from the current cell.
+path; the kernels build the translations from the current cell.  Only
+this module decides how far the dispersion sums reach, by the shell
+tolerances and caps below; the kernels drop no pair within the shells.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ VDW_KINDS = ("none", "pw", "mbd")
 
 _PW_SHELL_TOL_EV = 1e-7
 _PW_MAX_SHELLS = 6
+_MBD_SHELL_TOL_EV = 1e-5
 
 
 def _periodic(structure) -> bool:
@@ -66,7 +69,7 @@ class CompositeModel:
         if self.vdw == "pw":
             return _pw.pw_energy, self.pw_cfg, _PW_SHELL_TOL_EV, _PW_MAX_SHELLS
         cfg = self.mbd_cfg
-        return _mbd.mbd_energy, cfg, cfg.shell_energy_tol, cfg.replica_shells
+        return _mbd.mbd_energy, cfg, _MBD_SHELL_TOL_EV, cfg.replica_shells
 
     def resolve_shells(self, structure: AtomicStructure) -> int:
         """Pick and pin the replica shell count by per-cell vdW energy

@@ -70,10 +70,8 @@ SCHEMA = {
     "model.k_phi": ("float", K_PHI_DEFAULT, None),
     "model.pw_d": ("float", _Pw.d, None),
     "model.pw_gamma": ("float", _Pw.gamma, None),
-    "model.pw_cutoff": ("optfloat", _Pw.cutoff, None),
     "model.mbd_beta": ("float", _Mbd.beta, None),
     "model.mbd_shells": ("int", _Mbd.replica_shells, None),
-    "model.mbd_shell_tol": ("float", _Mbd.shell_energy_tol, None),
     "generate.kind": ("str", "chain-pair", ("chain-pair", "swcnt", "pe-crystal")),
     "generate.n_upper": ("int", 28, None),
     "generate.n_lower": ("int", 28, None),

@@ -131,7 +131,7 @@ _STAGED_MIN_BYTES = 8 * 2**20
 
 @dataclass(frozen=True)
 class MbdModelConfig:
-    """Range-separation constant beta and periodic replica controls.
+    """Range-separation constant beta and the replica shell cap.
 
     beta scales the Gaussian widths inside the erf-regularized Coulomb
     potential.  The default 1.0 (plain Gaussian widths) keeps dense
@@ -139,19 +139,17 @@ class MbdModelConfig:
     the collective amplification of chain-chain attraction; smaller
     values (e.g. 0.83, fitted for self-consistently screened inputs)
     produce negative oscillator modes there, and large values (~2.5)
-    screen away the many-body enhancement entirely.
+    screen away the many-body enhancement entirely.  replica_shells caps
+    the shell count that composite.resolve_shells may pick.
     """
 
     beta: float = 1.0
     replica_shells: int = 3
-    shell_energy_tol: float = 1e-5  # eV
 
     def __post_init__(self):
         if not 0 < self.beta < np.inf:
             raise InputError("beta must be positive and finite")
         check_shells(self.replica_shells)
-        if not 0 <= self.shell_energy_tol < np.inf:
-            raise InputError("shell_energy_tol must be finite and >= 0")
 
 
 def _horner(x, coeffs):

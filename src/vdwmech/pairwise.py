@@ -27,17 +27,15 @@ from .units import BOHR_ANGSTROM, HARTREE_EV
 
 @dataclass(frozen=True)
 class PwModelConfig:
-    """Damping steepness d, radius scaling gamma, optional cutoff [A]."""
+    """Damping steepness d and radius scaling gamma.  No pair is dropped:
+    the replica shell count alone sets how far the sum reaches."""
 
     d: float = 20.0
     gamma: float = 0.94
-    cutoff: float | None = None
 
     def __post_init__(self):
         if not (0 < self.d < np.inf and 0 < self.gamma < np.inf):
             raise InputError("damping parameters must be positive and finite")
-        if self.cutoff is not None and not 0 < self.cutoff < np.inf:
-            raise InputError("cutoff must be positive and finite")
 
 
 def _damping(x, d):
@@ -58,7 +56,7 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
 
     One pass over the home image and one image of each +-t pair within
     ``shells`` cells along the periodic axes (see paired_separations), with
-    (N, N) arrays per image; pairs beyond ``cfg.cutoff`` get zero weight.
+    (N, N) arrays per image; every pair of those images enters.
     """
     n = len(structure)
     if n != len(states):
@@ -66,7 +64,6 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
     if n == 0 or (n == 1 and shells == 0):
         return 0.0, np.zeros((n, 3)) if forces else None
     d_over_s = (cfg.d / cfg.gamma) / states.rvdw_pairs
-    cut = None if cfg.cutoff is None else cfg.cutoff / BOHR_ANGSTROM
     e_ha = 0.0
     f_ha = np.zeros((3, n))
     for home, d, r2 in paired_separations(structure, shells):
@@ -75,8 +72,6 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
         e6 = r2 * r2
         e6 *= r2
         np.divide(states.c6_pairs, e6, out=e6)
-        if cut is not None:
-            e6[r > cut] = 0.0
         # the home image holds each pair twice
         e_ha -= (0.5 if home else 1.0) * np.vdot(damp, e6)
         if forces:

@@ -73,10 +73,11 @@ def emit_md_stats(result: MdResult, path: str) -> None:
 
 
 def emit_chain_sweep(rows: list[dict], path: str) -> None:
-    """CSV for the rigid chain force sweep: one row per (h, nc1) point."""
+    """CSV for the rigid chain force sweep: one row per (h, nc1) point; the
+    ratio cell is empty where the pairwise force is 0."""
     if not rows:
         raise InputError("no sweep rows to emit")
     header = ["h_A", "nc1", "sum_fy_pw_eV_per_A", "sum_fy_mbd_eV_per_A", "ratio_mbd_pw"]
     _write_csv(path, header, (
         [_FMT.format(r["h"]), str(r["nc1"]), _FMT.format(r["f_pw"]),
-         _FMT.format(r["f_mbd"]), _FMT.format(r["ratio"])] for r in rows))
+         _FMT.format(r["f_mbd"]), _num(r["ratio"])] for r in rows))

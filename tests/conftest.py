@@ -133,9 +133,6 @@ def brute_force_pw(structure, states, cfg, shells=0):
     r_ang = np.linalg.norm(d, axis=1)
     if len(r_ang) and r_ang.min() < OVERLAP_GUARD:
         raise GeometryError("pair below the overlap guard")
-    if cfg.cutoff is not None:
-        keep = r_ang <= cfg.cutoff
-        ii, jj, d, r_ang = ii[keep], jj[keep], d[keep], r_ang[keep]
     c6, alpha, rv = states.c6_eff, states.alpha0_eff, states.rvdw_eff
     r = r_ang / BOHR_ANGSTROM
     c6ij = 2.0 * c6[ii] * c6[jj] / (

@@ -22,8 +22,12 @@ def test_config_defaults_and_types():
     cfg.set("model.vdw", "mbd")
     cfg.set("md.steps", "500")
     assert cfg["md.steps"] == 500
-    cfg.set("model.pw_cutoff", "none")
-    assert cfg["model.pw_cutoff"] is None
+    cfg.set("protocol.face_area", "none")
+    assert cfg["protocol.face_area"] is None
+    # the reach of the vdW sums is not configurable beyond model.mbd_shells
+    for key in ("model.pw_cutoff", "model.mbd_shell_tol"):
+        with pytest.raises(InputError, match="unknown config key"):
+            cfg.set(key, "1")
     cfg.set("sweep.h_values", "6, 8, 10")
     assert cfg["sweep.h_values"] == (6.0, 8.0, 10.0)
 
@@ -211,6 +215,17 @@ def test_cli_chain_sweep_small(tmp_path, capsys, monkeypatch):
             f = CompositeModel(vdw=vdw).energy_and_forces(s)[1]
             ref = f[upper_chain_indices(spec), 1].sum()
             assert row[f"f_{vdw}"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_cli_chain_sweep_keeps_points_without_a_pairwise_force(tmp_path, capsys):
+    # at a 1e45 A gap the pairwise force underflows to exactly 0: that point
+    # gets an empty ratio cell, and the other point is kept
+    out = tmp_path / "sweep.csv"
+    assert cli(["chain-sweep", "--output", str(out), "--set", "sweep.h_values=8 1e45",
+                "--set", "sweep.nc1_values=4", "--set", "sweep.nc2=6"]) == 0
+    near, far = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert float(near[2]) < 0 and float(near[4]) > 0
+    assert float(far[2]) == 0.0 and far[4] == ""
 
 
 def test_cli_md_runs(tmp_path, capsys):

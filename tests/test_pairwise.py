@@ -16,9 +16,8 @@ from vdwmech.units import BOHR_ANGSTROM, HARTREE_EV
 
 
 def test_config_rejects_nonpositive_and_nan():
-    for kw in ({"d": np.nan}, {"gamma": np.nan}, {"cutoff": np.nan},
-               {"d": np.inf}, {"gamma": np.inf}, {"cutoff": np.inf},
-               {"d": 0.0}, {"gamma": -1.0}, {"cutoff": 0.0}):
+    for kw in ({"d": np.nan}, {"gamma": np.nan}, {"d": np.inf}, {"gamma": np.inf},
+               {"d": 0.0}, {"gamma": -1.0}):
         with pytest.raises(InputError):
             PwModelConfig(**kw)
 
@@ -148,15 +147,6 @@ def test_overlap_guard_in_energy():
         pw_energy(s2, states_for(s2), cfg)
 
 
-def test_cutoff():
-    s = AtomicStructure(positions=[[0, 0, 0], [30.0, 0, 0]], species=["C", "C"])
-    st = states_for(s)
-    full = pw_energy(s, st, PwModelConfig())[0]
-    cut = pw_energy(s, st, PwModelConfig(cutoff=20.0))[0]
-    assert full < 0
-    assert cut == 0.0
-
-
 def test_state_length_mismatch():
     s = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "C"])
     one = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
@@ -169,7 +159,7 @@ TRICLINIC = CellTensor(np.array([[6.0, 0.0, 0.0], [1.5, 6.5, 0.0], [-1.0, 1.2, 7
 
 def _oracle_cases(rng):
     """(structure, shells, config): open pair, 1-D chain, triclinic 3-D at
-    2 shells, and a cluster whose cutoff drops some pairs."""
+    2 shells, and a 12-atom cluster."""
     s = AtomicStructure(positions=[[0, 0, 0], [3.7, 0.4, -0.2]], species=["C", "H"])
     yield s, 0, PwModelConfig()
     chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
@@ -179,7 +169,7 @@ def _oracle_cases(rng):
     s = AtomicStructure(positions=[[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]],
                         species=["C", "H", "C"], cell=TRICLINIC)
     yield s, 2, PwModelConfig()
-    yield random_cluster(rng, 12), 0, PwModelConfig(cutoff=5.0)
+    yield random_cluster(rng, 12), 0, PwModelConfig()
 
 
 def test_energy_and_forces_match_flat_oracle(rng):
@@ -218,7 +208,7 @@ def test_pair_tables_cached_read_only_and_built_on_first_use(rng):
     assert "c6_pairs" not in vars(st) and "rvdw_pairs" not in vars(st)
     pw_energy(s, st, PwModelConfig(), forces=True)
     tables = vars(st)["c6_pairs"], vars(st)["rvdw_pairs"]
-    pw_energy(s, st, PwModelConfig(cutoff=5.0))
+    pw_energy(s, st, PwModelConfig(d=6.0))
     assert vars(st)["c6_pairs"] is tables[0] and vars(st)["rvdw_pairs"] is tables[1]
     for table in tables:
         assert table.shape == (6, 6) and not table.flags.writeable

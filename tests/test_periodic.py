@@ -73,6 +73,30 @@ def test_paired_separations_visit_one_image_of_each_pair():
     assert np.allclose(t, offsets @ cell.matrix, atol=1e-12)
     with pytest.raises(InputError, match="shells"):
         next(paired_separations(s, -1))
+    # d and r2 are x_i - (x_j + t) and its squared norm, bit for bit, on an
+    # open pair, a 1-D cell at 3 shells and a triclinic cell at 2 shells
+    chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
+    triclinic = CellTensor(np.array([[6.0, 0.0, 0.0], [1.5, 6.5, 0.0], [-1.0, 1.2, 7.0]]))
+    three = [[0.3, 0, 0], [2.1, 1.0, 0.4], [3.9, -0.5, 1.1]]
+    for s, shells in ((AtomicStructure(positions=[[0, 0, 0], [3.7, 0.4, -0.2]],
+                                       species=["C", "H"]), 0),
+                      (AtomicStructure(positions=three, species=["C", "H", "C"], cell=chain), 3),
+                      (AtomicStructure(positions=three, species=["C", "H", "C"],
+                                       cell=triclinic), 2)):
+        x = s.positions / BOHR_ANGSTROM
+        trans = np.zeros((1, 3))
+        if s.cell is not None:
+            reach = [shells if p else 0 for p in s.cell.periodic]
+            trans = np.array(_lattice_offsets(reach)) @ s.cell.matrix / BOHR_ANGSTROM
+        images = paired_separations(s, shells)
+        for k, ((home, d, r2), t) in enumerate(zip(images, trans, strict=True)):
+            ref = np.array([[x[i] - (x[j] + t) for j in range(len(s))]
+                            for i in range(len(s))]).transpose(2, 0, 1)
+            ref_r2 = ref[0] * ref[0] + ref[1] * ref[1] + ref[2] * ref[2]
+            if home:
+                np.fill_diagonal(ref_r2, r2[0, 0])
+            assert home == (k == 0)
+            assert np.array_equal(d, ref) and np.array_equal(r2, ref_r2)
 
 
 def test_strain_zero_delta_identity():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,37 @@ def test_load_step_reaction_converges_with_force_tolerance():
         assert result.records[0].converged
         reactions.append(result.records[0].reaction)
     assert abs(reactions[0] - reactions[1]) <= 1e-3
+
+
+def test_refused_relaxation_halves_the_increment(monkeypatch):
+    import vdwmech.quasistatic as qs_mod
+
+    s, model, driven = _chain_system(n=4)
+    calls, refused = [], {1}
+
+    def counting(*args, **kwargs):
+        calls.append(minimize(*args, **kwargs))
+        return replace(calls[-1], converged=len(calls) not in refused and calls[-1].converged)
+
+    monkeypatch.setattr(qs_mod, "minimize", counting)
+    protocol = LoadingProtocol(
+        kind="displacement", increment=-0.2, step_count=1, driven=driven,
+        axis=1, minimizer=MinimizerConfig(force_tolerance=1e-3))
+    result = run_quasistatic(s, model, protocol)
+    # the refused full step, then two half steps
+    assert len(calls) == 3 and not result.halted
+    assert result.records[-1].converged
+    assert result.records[-1].applied == protocol.increment
+
+    # no relaxation converges: 1 + 4 halvings, then the run halts
+    calls.clear()
+    refused.clear()
+    protocol = replace(protocol, step_count=2, minimizer=MinimizerConfig(max_iterations=0))
+    result = run_quasistatic(s, model, protocol)
+    assert len(calls) == 5 and not any(res.converged for res in calls)
+    assert result.halted and len(result.records) == 1
+    assert not result.records[-1].converged
+    assert result.records[-1].applied == protocol.increment / 16
 
 
 def test_driven_atoms_must_be_fixed():
