@@ -3,7 +3,9 @@
 The total energy follows the range-separation split E = E_bonded + E_vdW.
 A periodic structure needs a replica shell count, passed as ``shells`` or
 fixed by ``resolve_shells`` on the input structure (an InputError if
-neither).  The count stays fixed, so forces stay smooth along a loading
+neither); ``resolve_shells`` returns its cap unevaluated, so an error at
+the cap appears at the first evaluation.  The count stays fixed, so
+forces stay smooth along a loading
 path; the kernels build the translations from the current cell.  Only
 this module decides how far the dispersion sums reach, by the shell
 tolerances and caps below; the kernels drop no pair within the shells.
@@ -72,18 +74,27 @@ class CompositeModel:
         return _mbd.mbd_energy, cfg, _MBD_SHELL_TOL_EV, cfg.replica_shells
 
     def resolve_shells(self, structure: AtomicStructure) -> int:
-        """Pick and pin the replica shell count by per-cell vdW energy
-        convergence; 0 for an open structure or a model without vdW."""
+        """Pick and pin the replica shell count: the fewest shells s for
+        which going from s - 1 to s shells changes the per-cell vdW energy
+        by less than the term's tolerance, else the cap; 0 for an open
+        structure or a model without vdW.
+
+        The cap is returned without being evaluated, since no energy at it
+        changes the answer, so an error that only the cap's shell count
+        raises appears at the model's first evaluation instead.
+        """
         shells = 0
         if self.vdw != "none" and _periodic(structure):
-            kernel, cfg, tol, max_shells = self._vdw_term()
-            states = self._states_for(structure)
-            prev = kernel(structure, states, cfg, 0)[0]
-            for shells in range(1, max_shells + 1):
-                cur = kernel(structure, states, cfg, shells)[0]
-                if abs(cur - prev) < tol:
-                    break
-                prev = cur
+            kernel, cfg, tol, shells = self._vdw_term()
+            if shells >= 2:
+                states = self._states_for(structure)
+                prev = kernel(structure, states, cfg, 0)[0]
+                for s in range(1, shells):
+                    cur = kernel(structure, states, cfg, s)[0]
+                    if abs(cur - prev) < tol:
+                        shells = s
+                        break
+                    prev = cur
         self.shells = shells
         return shells
 

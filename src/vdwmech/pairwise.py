@@ -69,8 +69,10 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
     for home, d, r2 in paired_separations(structure, shells):
         r = np.sqrt(r2)
         damp = _damping(d_over_s * r, cfg.d)
-        e6 = r2 * r2
-        e6 *= r2
+        # R^6 overflows beyond ~1e51 A; inf gives the exact limit 0
+        with np.errstate(over="ignore"):
+            e6 = r2 * r2
+            e6 *= r2
         np.divide(states.c6_pairs, e6, out=e6)
         # the home image holds each pair twice
         e_ha -= (0.5 if home else 1.0) * np.vdot(damp, e6)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from vdwmech.bonded import detect_topology
-from vdwmech.composite import CompositeModel
-from vdwmech.errors import InputError
+from vdwmech.composite import (_MBD_SHELL_TOL_EV, _PW_MAX_SHELLS, _PW_SHELL_TOL_EV,
+                               CompositeModel)
+from vdwmech.errors import InputError, InstabilityError
 from vdwmech.generators import ChainSpec, PeCrystalSpec, make_chain_pair, make_pe_crystal
 from vdwmech.mbd import MbdModelConfig
 from vdwmech.periodic import cell_stress
+from vdwmech.structure import AtomicStructure, CellTensor
 
 
 def test_total_is_sum_of_components():
@@ -63,19 +65,62 @@ def test_vdw_only_model():
     assert total == vdw_e < 0
 
 
-def test_shell_resolution_periodic():
-    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
-    model = CompositeModel(vdw="mbd", mbd_cfg=MbdModelConfig(replica_shells=4))
-    shells = model.resolve_shells(s)
-    assert 1 <= shells <= 4
-    # convergence property: one more shell changes energy less than the
-    # 1e-5 eV MBD tolerance, unless the cap stopped the search
-    from vdwmech.mbd import mbd_energy
-    from vdwmech.species import states_for
-    st = states_for(s)
-    e1 = mbd_energy(s, st, model.mbd_cfg, shells)[0]
-    e2 = mbd_energy(s, st, model.mbd_cfg, shells + 1)[0]
-    assert abs(e2 - e1) < 1e-5 or shells == 4
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(shells, energy) of every vdW kernel call, in order; CompositeModel
+    looks the kernels up at call time."""
+    from vdwmech import mbd, pairwise
+
+    calls = []
+    for module, name in ((mbd, "mbd_energy"), (pairwise, "pw_energy")):
+        def spy(structure, states, cfg, shells=0, forces=False,
+                kernel=getattr(module, name)):
+            out = kernel(structure, states, cfg, shells, forces)
+            calls.append((shells, out[0]))
+            return out
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_shell_resolution_periodic(kernel_calls):
+    # PE 1x1x1 converges below neither cap, and the cap itself is never evaluated
+    pe = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    for model, cap in ((CompositeModel(vdw="mbd",
+                                       mbd_cfg=MbdModelConfig(replica_shells=4)), 4),
+                       (CompositeModel(vdw="pw"), _PW_MAX_SHELLS)):
+        kernel_calls.clear()
+        assert model.resolve_shells(pe) == cap == model.shells
+        assert [n for n, _ in kernel_calls] == list(range(cap))
+    for cap in (0, 1):
+        kernel_calls.clear()
+        model = CompositeModel(vdw="mbd", mbd_cfg=MbdModelConfig(replica_shells=cap))
+        assert model.resolve_shells(pe) == cap
+        assert kernel_calls == []
+    # a dimer in a wide cell converges at one shell, below the cap
+    dimer = AtomicStructure(np.array([[29.4, 30.0, 30.0], [30.6, 30.0, 30.0]]),
+                            ("C", "C"), CellTensor(np.diag([60.0] * 3)))
+    for model, tol in ((CompositeModel(vdw="mbd", mbd_cfg=MbdModelConfig(replica_shells=3)),
+                        _MBD_SHELL_TOL_EV),
+                       (CompositeModel(vdw="pw"), _PW_SHELL_TOL_EV)):
+        kernel_calls.clear()
+        assert model.resolve_shells(dimer) == 1
+        (n0, e0), (n1, e1) = kernel_calls
+        assert (n0, n1) == (0, 1) and abs(e1 - e0) < tol
+
+
+def test_error_at_the_cap_surfaces_at_first_evaluation():
+    # with beta = 0.9 the Gamma-only MBD energy of PE is stable and the
+    # one-shell one is not; resolution never evaluates the cap
+    pe = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    cfg = MbdModelConfig(beta=0.9, replica_shells=1)
+    assert CompositeModel(vdw="mbd", mbd_cfg=cfg, shells=0).energy(pe) < 0
+    model = CompositeModel(vdw="mbd", mbd_cfg=cfg)
+    assert model.resolve_shells(pe) == 1
+    with pytest.raises(InstabilityError):
+        model.energy(pe)
+    with pytest.raises(InstabilityError):
+        model.energy_and_forces(pe)
 
 
 def test_nonperiodic_shells_zero():

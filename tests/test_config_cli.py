@@ -218,10 +218,10 @@ def test_cli_chain_sweep_small(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_chain_sweep_keeps_points_without_a_pairwise_force(tmp_path, capsys):
-    # at a 1e45 A gap the pairwise force underflows to exactly 0: that point
-    # gets an empty ratio cell, and the other point is kept
+    # at a 1e80 A gap the pairwise force is exactly 0: that point gets an
+    # empty ratio cell, and the other point is kept
     out = tmp_path / "sweep.csv"
-    assert cli(["chain-sweep", "--output", str(out), "--set", "sweep.h_values=8 1e45",
+    assert cli(["chain-sweep", "--output", str(out), "--set", "sweep.h_values=8 1e80",
                 "--set", "sweep.nc1_values=4", "--set", "sweep.nc2=6"]) == 0
     near, far = (line.split(",") for line in out.read_text().splitlines()[1:])
     assert float(near[2]) < 0 and float(near[4]) > 0
