@@ -69,8 +69,7 @@ def _mbd_config(cfg: RunConfig) -> MbdModelConfig:
 
 def _minimizer_config(cfg: RunConfig) -> MinimizerConfig:
     return MinimizerConfig(force_tolerance=cfg["relax.force_tolerance"],
-                           max_iterations=cfg["relax.max_iterations"],
-                           initial_step=cfg["relax.initial_step"])
+                           max_iterations=cfg["relax.max_iterations"])
 
 
 def build_model(cfg: RunConfig, structure: AtomicStructure) -> CompositeModel:
@@ -182,8 +181,7 @@ def _cmd_quasistatic(cfg: RunConfig):
         face_area=cfg["protocol.face_area"],
         compute_stress=cfg["protocol.compute_stress"],
         perturbation=cfg["protocol.perturbation"],
-        perturbation_seed=cfg["protocol.perturbation_seed"],
-        max_increment_halvings=cfg["protocol.max_increment_halvings"],
+        perturbation_seed=cfg["seed"],
         record_structures=False)
     result = run_quasistatic(structure, model, protocol)
     out = cfg["io.output"]
@@ -214,8 +212,7 @@ def _cmd_chain_sweep(cfg: RunConfig):
     rows = []
     for nc1 in cfg["sweep.nc1_values"]:
         for h in cfg["sweep.h_values"]:
-            spec = ChainSpec(n_upper=int(nc1), n_lower=cfg["sweep.nc2"],
-                             spacing=cfg["sweep.spacing"], gap=h)
+            spec = ChainSpec(n_upper=int(nc1), n_lower=cfg["sweep.nc2"], gap=h)
             structure = make_chain_pair(spec)
             upper = upper_chain_indices(spec)
             f_pw, f_mbd = (float(m.energy_and_forces(structure)[1][upper, 1].sum())

@@ -88,7 +88,6 @@ SCHEMA = {
     "generate.nz": ("int", 1, None),
     "relax.force_tolerance": ("float", _Min.force_tolerance, None),
     "relax.max_iterations": ("int", _Min.max_iterations, None),
-    "relax.initial_step": ("float", _Min.initial_step, None),
     "relax.cell": ("str", "none", ("none", "diagonal", "all")),
     "protocol.kind": ("str", "displacement", ("displacement", "cell-strain")),
     "protocol.axis": ("str", "z", ("x", "y", "z")),
@@ -101,8 +100,6 @@ SCHEMA = {
     "protocol.face_area": ("optfloat", _Load.face_area, None),
     "protocol.compute_stress": ("bool", _Load.compute_stress, None),
     "protocol.perturbation": ("float", _Load.perturbation, None),
-    "protocol.perturbation_seed": ("int", _Load.perturbation_seed, None),
-    "protocol.max_increment_halvings": ("int", _Load.max_increment_halvings, None),
     "md.timestep": ("float", 1.0, None),
     "md.temperature": ("float", 300.0, None),
     "md.friction": ("float", _Md.friction, None),
@@ -112,7 +109,6 @@ SCHEMA = {
     "sweep.h_values": ("floats", (6.0, 8.0, 10.0, 14.0, 20.0), None),
     "sweep.nc1_values": ("ints", (10, 50, 100, 200), None),
     "sweep.nc2": ("int", 200, None),
-    "sweep.spacing": ("float", 1.2, None),
     "io.input": ("str", "", None),
     "io.output": ("str", "", None),
     "seed": ("int", 0, None),

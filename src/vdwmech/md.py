@@ -20,6 +20,10 @@ from .units import ACC_EV_A_AMU, KB_EV, KE_AMU_A2_FS2_EV
 
 @dataclass(frozen=True)
 class MdConfig:
+    """Langevin run settings.  Every ``sample_interval``-th step is sampled,
+    and the statistics average the samples after ``runup_steps``, so the
+    last sampled step must come after the run-up."""
+
     timestep: float                 # fs
     temperature: float              # K
     total_steps: int
@@ -39,6 +43,10 @@ class MdConfig:
             raise InputError("bad step counts")
         if self.sample_interval < 1:
             raise InputError("sample_interval must be >= 1")
+        last_sample = self.total_steps - self.total_steps % self.sample_interval
+        if not last_sample > self.runup_steps:
+            raise InputError(f"no step is sampled after the run-up: the last sample is "
+                             f"step {last_sample}, runup_steps {self.runup_steps}")
         if not self.seed >= 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
@@ -69,7 +77,8 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     Without ``velocities``, free components start from Maxwell-Boltzmann
     velocities at cfg.temperature.  Statistics (displacement means/stds,
     mean temperature) cover the production phase, i.e. steps after
-    cfg.runup_steps, sampled every cfg.sample_interval.
+    cfg.runup_steps, sampled every cfg.sample_interval; MdConfig makes
+    sure that phase holds at least one sample.
     """
     n = len(structure)
     if n == 0:
@@ -105,10 +114,9 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     c2 = np.sqrt(max(0.0, 1.0 - c1 * c1))
     noise_scale = c2 * v_std * free_f
 
-    times, energies, temps = [], [], []
+    times, energies, temps, prod_temps = [], [], [], []
     disp_sum = np.zeros((n, 3))
     disp_sq = np.zeros((n, 3))
-    n_prod = 0
 
     def accel(f):
         return ACC_EV_A_AMU * f / masses * free_f
@@ -139,23 +147,21 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
             energies.append(e_tot)
             temps.append(_temperature(ke, n_dof))
             if step > cfg.runup_steps:
+                prod_temps.append(temps[-1])
                 d = pos - pos0
                 disp_sum += d
                 disp_sq += d * d
-                n_prod += 1
 
-    # without production samples the sums are 0, and so are the statistics
-    m = max(n_prod, 1)
-    mean_d = disp_sum / m
-    std_d = np.sqrt(np.maximum(disp_sq / m - mean_d**2, 0.0))
+    n_prod = len(prod_temps)
+    mean_d = disp_sum / n_prod
+    std_d = np.sqrt(np.maximum(disp_sq / n_prod - mean_d**2, 0.0))
 
-    prod_temps = [t for tm, t in zip(times, temps) if tm > cfg.runup_steps * dt]
     return MdResult(
         structure=cur,
         velocities=vel,
         mean_displacement=mean_d,
         std_displacement=std_d,
-        mean_temperature=float(np.mean(prod_temps)) if prod_temps else 0.0,
+        mean_temperature=float(np.mean(prod_temps)),
         times=np.array(times),
         total_energies=np.array(energies),
         temperatures=np.array(temps),

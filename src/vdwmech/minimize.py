@@ -7,7 +7,7 @@ Gauss-Newton Hessian (bonded.harmonic_hessian) on the free components, a
 force-field preconditioner as in Packwood et al., J. Chem. Phys. 144,
 164109 (2016).  Cell components get P's mean diagonal.
 
-Trial steps move no atom more than ``initial_step``.  A trial that raises
+Trial steps move no atom more than _MAX_STEP.  A trial that raises
 the energy, or that the geometry or the model refuses, is rejected and
 the step along the same direction halved, so accepted energies never
 increase.  Once halving leaves no trial step longer than _STEP_FLOOR,
@@ -32,19 +32,17 @@ _MEMORY = 10        # L-BFGS step pairs kept
 _MU = 0.05          # eV/A^2, stiffness of directions no bonded term reaches
 _CELL_FD_STEP = 1e-3  # A
 _STEP_FLOOR = 1e-9    # A, shortest trial step worth evaluating
+_MAX_STEP = 0.20      # A, displacement cap per trial step
 
 
 @dataclass(frozen=True)
 class MinimizerConfig:
     force_tolerance: float = 1e-3   # eV/A on free components
     max_iterations: int = 5000      # trial steps
-    initial_step: float = 0.20      # A, displacement cap per trial step
 
     def __post_init__(self):
         if not 0 < self.force_tolerance < np.inf:
             raise InputError("force_tolerance must be positive and finite")
-        if not 0 < self.initial_step < np.inf:
-            raise InputError("initial_step must be positive and finite")
         if not self.max_iterations >= 0:
             raise InputError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
@@ -135,7 +133,7 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
             and iterations < cfg.max_iterations:
         if step is None:
             step = _direction(g, h0, memory)
-            step *= min(1.0, cfg.initial_step / _longest(step, n3))
+            step *= min(1.0, _MAX_STEP / _longest(step, n3))
         iterations += 1
         try:
             # overlapping atoms, an inverted cell or a region the model

@@ -3,8 +3,8 @@ followed by relaxation, with reactions and stiffness recorded.
 
 State carries over between steps, so path dependence (snap-in/out
 hysteresis, post-buckling branches) is preserved.  A non-converged step
-first retries with halved increments; if the budget is exhausted the run
-halts with the failing record flagged.
+first retries with halved increments, at most _MAX_HALVINGS times; if
+that budget is exhausted the run halts with the failing record flagged.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .structure import AtomicStructure
 from .units import EV_A3_GPA
 
 _INCREMENT_FLOOR = 1e-15  # remainders of a step this small are dropped
+_MAX_HALVINGS = 4         # increment halvings per step before the run halts
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,9 @@ class LoadingProtocol:
     kind "displacement": rigidly translate the (fully fixed) driven atoms
     by ``increment`` along ``axis`` each step.  kind "cell-strain": change
     cell component ``component`` by ``increment``; "relaxed-others" mode
-    adds the remaining periodic cell components to the relaxation.
+    adds the remaining periodic cell components to the relaxation.  A step
+    whose relaxation does not converge is retried with the increment
+    halved, up to _MAX_HALVINGS times.
     """
 
     kind: str                                  # displacement | cell-strain
@@ -41,7 +44,6 @@ class LoadingProtocol:
     axis: int = 2
     component: tuple[int, int] = (0, 0)        # cell-strain mode
     cell_mode: str = "fixed-others"
-    max_increment_halvings: int = 4
     reference_length: float | None = None      # strain normalization [A]
     face_area: float | None = None             # A^2, reaction stress
     compute_stress: bool = False               # cell-strain, 3-D periodic cell
@@ -64,9 +66,6 @@ class LoadingProtocol:
             raise InputError(f"driven atom indices must be integers, got {tuple(self.driven)!r}")
         if len(set(self.driven)) != len(self.driven):
             raise InputError(f"driven atom indices repeat: {tuple(self.driven)}")
-        if not self.max_increment_halvings >= 0:
-            raise InputError("max_increment_halvings must be >= 0, "
-                             f"got {self.max_increment_halvings}")
         if self.axis not in range(3):
             raise InputError(f"axis must be 0, 1 or 2, got {self.axis!r}")
         if len(self.component) != 2 or any(c not in range(3) for c in self.component):
@@ -168,7 +167,7 @@ def run_quasistatic(structure: AtomicStructure, model,
                 remaining -= sub
                 continue
             halvings += 1
-            if halvings > protocol.max_increment_halvings:
+            if halvings > _MAX_HALVINGS:
                 cur = res.structure
                 applied += sub
                 converged = False

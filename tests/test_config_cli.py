@@ -18,14 +18,18 @@ def test_config_defaults_and_types():
     assert cfg["model.vdw"] == "none"
     assert cfg["model.mbd_beta"] == 1.0
     # keys that mirror a library field take its default
-    assert cfg["relax.initial_step"] == MinimizerConfig().initial_step == 0.2
+    assert cfg["relax.force_tolerance"] == MinimizerConfig().force_tolerance == 1e-3
     cfg.set("model.vdw", "mbd")
     cfg.set("md.steps", "500")
     assert cfg["md.steps"] == 500
     cfg.set("protocol.face_area", "none")
     assert cfg["protocol.face_area"] is None
-    # the reach of the vdW sums is not configurable beyond model.mbd_shells
-    for key in ("model.pw_cutoff", "model.mbd_shell_tol"):
+    # the reach of the vdW sums is not configurable beyond model.mbd_shells;
+    # the minimizer's step cap, the halving budget and the sweep's chain
+    # spacing are constants, and the quasi-static perturbation takes `seed`
+    for key in ("model.pw_cutoff", "model.mbd_shell_tol", "relax.initial_step",
+                "protocol.max_increment_halvings", "protocol.perturbation_seed",
+                "sweep.spacing"):
         with pytest.raises(InputError, match="unknown config key"):
             cfg.set(key, "1")
     cfg.set("sweep.h_values", "6, 8, 10")
@@ -160,7 +164,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                 "--seed", "-1"]) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
     assert cli(["quasistatic", "--input", str(capped), "--output", str(tmp_path / "q.csv"),
-                "--set", "protocol.perturbation_seed=-1", "--set", "protocol.perturbation=0.01",
+                "--seed", "-1", "--set", "protocol.perturbation=0.01",
                 "--set", "protocol.axis=y"]) == 1
     assert "perturbation_seed must be >= 0" in capsys.readouterr().err
     # a negative iteration budget is an input error, not a failed relaxation
@@ -240,6 +244,22 @@ def test_cli_md_runs(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("atom,species,mean_dx_A")
     assert len(lines) == len(s) + 1
+
+
+def test_cli_quasistatic_perturbation_takes_the_run_seed(tmp_path, capsys):
+    xyz = tmp_path / "in.xyz"
+    write_xyz(make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True)), str(xyz))
+
+    def run(seed, name):
+        out = tmp_path / name
+        assert cli(["quasistatic", "--input", str(xyz), "--output", str(out),
+                    "--set", "protocol.axis=y", "--set", "protocol.steps=1",
+                    "--set", "protocol.perturbation=0.01", "--seed", seed]) == 0
+        return out.read_bytes()
+
+    first = run("5", "a.csv")
+    assert run("5", "b.csv") == first
+    assert run("0", "c.csv") != first
 
 
 def test_cli_quasistatic_runs(tmp_path, capsys):

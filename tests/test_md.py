@@ -111,6 +111,14 @@ def test_bad_configs():
             MdConfig(timestep=1.0, temperature=bad, total_steps=10)
         with pytest.raises(InputError):
             MdConfig(timestep=1.0, temperature=300.0, total_steps=10, friction=bad)
+    # the statistics need a sample after the run-up: the last sampled step,
+    # total_steps - total_steps % sample_interval, must exceed runup_steps
+    for kw in ({"runup_steps": 20}, {"runup_steps": 5, "sample_interval": 20},
+               {"runup_steps": 9, "sample_interval": 3}):
+        with pytest.raises(InputError, match="after the run-up"):
+            MdConfig(timestep=1.0, temperature=300.0, total_steps=10, **kw)
+    MdConfig(timestep=1.0, temperature=300.0, total_steps=10, runup_steps=8,
+             sample_interval=3)
 
 
 def test_bad_velocities_rejected():

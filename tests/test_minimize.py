@@ -17,8 +17,7 @@ def _diatomic_model():
 
 def test_config_rejects_nonpositive_and_nan():
     for kw in ({"force_tolerance": np.nan}, {"force_tolerance": np.inf},
-               {"force_tolerance": 0.0}, {"initial_step": np.nan},
-               {"initial_step": np.inf}, {"initial_step": -0.1}, {"max_iterations": -1}):
+               {"force_tolerance": 0.0}, {"max_iterations": -1}):
         with pytest.raises(InputError):
             MinimizerConfig(**kw)
 
