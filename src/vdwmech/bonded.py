@@ -24,8 +24,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError, TopologyError
-from .periodic import _lattice_offsets
+from .periodic import image_reach, paired_separations
 from .structure import AtomicStructure, _frozen
+from .units import BOHR_ANGSTROM
 
 K_R_DEFAULT = 35.0505      # eV/A^2
 K_THETA_DEFAULT = 6.6069   # eV/rad^2
@@ -37,6 +38,7 @@ BOND_CUTOFFS = {("C", "C"): 1.8, ("C", "H"): 1.3, ("H", "C"): 1.3}
 
 # chemical sanity guard: max coordination before detection fails
 _MAX_BONDS = {"C": 4, "H": 1}
+_MAX_REACH = 4  # bond search shells; wrapped atoms need more below 0.45 A plane spacing
 
 _SIN_FLOOR = 1e-8
 _DIHEDRAL_COLLINEAR_TOL = 1e-6
@@ -184,31 +186,23 @@ def _neighbor_table(structure):
     table as atom instances (index, offset), (N, D, 4) padded to the largest
     degree D.  Bond (i, j, o) lists (j, o) for i, then (i, -o) for j."""
     n = len(structure)
-    maxcut = max(BOND_CUTOFFS.values())
+    # every image that a bond can reach from the listed positions
+    reach = image_reach(structure, max(BOND_CUTOFFS.values()))
+    if max(reach) > _MAX_REACH:
+        a = int(np.argmax(reach))
+        raise InputError(f"bond search along cell vector {a} would reach {reach[a]} cells "
+                         f"(limit {_MAX_REACH}); wrap the atoms into the cell")
 
-    cm = _cellmat(structure)
-    reach = [0, 0, 0]
-    if cm is not None:
-        # a bond of length <= maxcut spans at most maxcut / h_a lattice
-        # planes along axis a, where h_a = 1 / |column a of cm^-1| is the
-        # plane spacing; a skewed cell row is longer than h_a
-        height = 1.0 / np.linalg.norm(np.linalg.inv(cm), axis=0)
-        reach = [int(np.ceil(maxcut / h)) if p else 0
-                 for h, p in zip(height, structure.cell.periodic)]
-
-    # squared species-pair cutoffs; pairs without a cutoff (-1) never bond
+    # squared species-pair cutoffs [Bohr^2]; pairs without a cutoff (-1) never bond
     symbols, codes = np.unique(np.asarray(structure.species, str), return_inverse=True)
     cut = np.array([[BOND_CUTOFFS.get((a, b), -1.0) for b in symbols] for a in symbols])
-    cut = np.where(cut > 0, cut * cut, -1.0).reshape(len(symbols), len(symbols))
+    cut = np.where(cut > 0, (cut / BOHR_ANGSTROM) ** 2, -1.0).reshape(len(symbols), len(symbols))
     cut2 = cut[codes[:, None], codes]
 
     found = []
-    pos = structure.positions
-    for off in _lattice_offsets(reach):
-        t = np.asarray(off, float) @ cm if cm is not None else np.zeros(3)
-        d2 = sum((pos[:, None, c] - (pos[None, :, c] + t[c]))**2 for c in range(3))
-        hit = d2 <= cut2
-        if off == (0, 0, 0):
+    for off, _, r2 in paired_separations(structure, reach):
+        hit = r2 <= cut2
+        if not off.any():
             hit &= np.tri(n, n, -1, dtype=bool).T  # i < j only
         i, j = np.divmod(np.flatnonzero(hit), n)
         found.append((np.stack([i, j], axis=1), np.full((len(i), 3), off)))
@@ -233,7 +227,8 @@ def detect_topology(structure: AtomicStructure,
     capture the reference geometry from the input structure.
 
     Periodic bonds are found through explicit images, so cells smaller
-    than twice the cutoff (one chain repeat, say) still get both bonds.
+    than twice the cutoff (one chain repeat, say) still get both bonds, to any
+    listed image of an atom; a search past _MAX_REACH shells is an InputError.
     Dihedrals whose reference torsion is undefined (collinear inner angle,
     as in straight chains) are skipped.
 

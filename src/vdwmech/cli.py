@@ -114,12 +114,10 @@ def _cmd_generate(cfg: RunConfig):
     kind = cfg["generate.kind"]
     if kind == "chain-pair":
         spec = ChainSpec(cfg["generate.n_upper"], cfg["generate.n_lower"],
-                         cfg["generate.spacing"], cfg["generate.gap"],
-                         cfg["generate.caps"])
+                         gap=cfg["generate.gap"], hydrogen_caps=cfg["generate.caps"])
         structure = make_chain_pair(spec)
     elif kind == "swcnt":
-        spec = CntSpec(cfg["generate.cnt_n"], cfg["generate.cnt_m"],
-                       cfg["generate.rings"], cfg["generate.bond_length"])
+        spec = CntSpec(cfg["generate.cnt_n"], cfg["generate.cnt_m"], cfg["generate.rings"])
         structure = make_swcnt(spec, fixed_end_layers=cfg["generate.fixed_end_layers"])
         print(f"swcnt: {len(structure)} atoms, radius {cnt_radius(spec):.3f} A")
     else:

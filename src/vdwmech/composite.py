@@ -16,10 +16,9 @@ from __future__ import annotations
 from . import bonded as _bonded
 from . import mbd as _mbd
 from . import pairwise as _pw
-from .errors import InputError
+from .errors import InputError, check_count
 from .mbd import MbdModelConfig
 from .pairwise import PwModelConfig
-from .periodic import check_shells
 from .species import states_for
 from .structure import AtomicStructure
 
@@ -47,7 +46,7 @@ class CompositeModel:
         if topology is None and vdw == "none":
             raise InputError("model needs a bonded term, a vdW term, or both")
         if shells is not None:
-            check_shells(shells)
+            check_count("shells", shells)
         self.topology = topology
         self.vdw = vdw
         self.pw_cfg = pw_cfg or PwModelConfig()

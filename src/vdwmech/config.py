@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .bonded import K_PHI_DEFAULT, K_R_DEFAULT, K_THETA_DEFAULT
 from .composite import VDW_KINDS
-from .errors import InputError, ParseError, read_text
+from .errors import InputError, ParseError, check_count, read_text
 from .mbd import MbdModelConfig as _Mbd
 from .md import MdConfig as _Md
 from .minimize import MinimizerConfig as _Min
@@ -75,13 +75,11 @@ SCHEMA = {
     "generate.kind": ("str", "chain-pair", ("chain-pair", "swcnt", "pe-crystal")),
     "generate.n_upper": ("int", 28, None),
     "generate.n_lower": ("int", 28, None),
-    "generate.spacing": ("float", 1.2, None),
     "generate.gap": ("float", 8.0, None),
     "generate.caps": ("bool", True, None),
     "generate.cnt_n": ("int", 8, None),
     "generate.cnt_m": ("int", 8, None),
     "generate.rings": ("int", 20, None),
-    "generate.bond_length": ("float", 1.42, None),
     "generate.fixed_end_layers": ("int", 1, None),
     "generate.nx": ("int", 1, None),
     "generate.ny": ("int", 1, None),
@@ -134,6 +132,8 @@ class RunConfig:
                 raise InputError(f"bad value for {key}: {e}")
         if allowed is not None and value not in allowed:
             raise InputError(f"{key} must be one of {allowed}, got {value!r}")
+        if key == "seed":  # only md and quasistatic pass it to a config that checks it
+            check_count(key, value)
         self.values[key] = value
 
     def __getitem__(self, key: str):

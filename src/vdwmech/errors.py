@@ -7,6 +7,8 @@ branches to exit codes 1 and 2.  ``read_text`` reads every input file, so
 a file that is not UTF-8 is a ParseError.
 """
 
+import numbers
+
 
 class VdwmechError(Exception):
     pass
@@ -51,6 +53,14 @@ def read_text(path) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})", path) from None
+
+
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """InputError naming ``name`` unless ``value`` is a non-bool integer >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InputError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 class NumericalError(VdwmechError, RuntimeError):

@@ -3,11 +3,11 @@ chains, armchair nanotubes, and the orthorhombic polyethylene crystal."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 from .structure import AtomicStructure, CellTensor
 
 CC_GRAPHENE = 1.42   # A, bond length for rolled-graphene construction
@@ -15,6 +15,7 @@ CC_PE = 1.53         # A
 CH_PE = 1.09         # A
 HCH_ANGLE = 1.9106   # rad, ~109.47 deg
 CH_CAP = 1.09        # A, chain end caps
+CHAIN_SPACING = 1.2  # A, between neighbor atoms of a chain
 
 # orthorhombic PE lattice parameters [A]; the chain repeat is c
 PE_A = 7.40
@@ -25,35 +26,34 @@ PE_SETTING_ANGLE = 0.7854  # rad, herringbone tilt of the zigzag plane
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Two parallel x-aligned carbon chains separated by ``gap`` along y."""
+    """Two x-aligned carbon chains, atoms CHAIN_SPACING apart, ``gap`` apart along y."""
 
     n_upper: int
     n_lower: int
-    spacing: float = 1.2   # A
+    _: KW_ONLY
     gap: float = 8.0       # A
     hydrogen_caps: bool = False
 
     def __post_init__(self):
-        if self.n_upper < 1 or self.n_lower < 1:
-            raise InputError("chains need at least one atom")
-        if self.spacing <= 0 or self.gap <= 0:
-            raise InputError("spacing and gap must be positive")
+        check_count("n_upper", self.n_upper, 1)
+        check_count("n_lower", self.n_lower, 1)
+        if not 0 < self.gap < np.inf:
+            raise InputError("gap must be positive and finite")
 
 
 @dataclass(frozen=True)
 class CntSpec:
-    """Armchair/zigzag/chiral tube from rolled graphene."""
+    """Armchair/zigzag/chiral tube rolled from graphene (bond length CC_GRAPHENE)."""
 
     n: int
     m: int
     rings: int              # translational units along the axis
-    bond_length: float = CC_GRAPHENE
 
     def __post_init__(self):
-        if not (self.n >= self.m >= 0) or self.n <= 0:
+        for name, low in (("n", 1), ("m", 0), ("rings", 1)):
+            check_count(name, getattr(self, name), low)
+        if self.m > self.n:
             raise InputError("chiral indices must satisfy n >= m >= 0, n > 0")
-        if self.rings < 1 or self.bond_length <= 0:
-            raise InputError("rings must be >= 1 and bond_length positive")
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,15 @@ class PeCrystalSpec:
     nz: int = 1
 
     def __post_init__(self):
-        if min(self.nx, self.ny, self.nz) < 1:
-            raise InputError("supercell counts must be >= 1")
+        for name in ("nx", "ny", "nz"):
+            check_count(name, getattr(self, name), 1)
 
 
 def make_chain_pair(spec: ChainSpec) -> AtomicStructure:
     """Two parallel chains at gap h; optional fixed hydrogen end caps."""
     def chain(n, y):
-        x = (np.arange(n) - (n - 1) / 2.0) * spec.spacing
         pos = np.zeros((n, 3))
-        pos[:, 0] = x
+        pos[:, 0] = (np.arange(n) - (n - 1) / 2.0) * CHAIN_SPACING
         pos[:, 1] = y
         return pos
 
@@ -114,7 +113,7 @@ def cap_indices(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cnt_radius(spec: CntSpec) -> float:
-    a = np.sqrt(3.0) * spec.bond_length
+    a = np.sqrt(3.0) * CC_GRAPHENE
     return a * np.sqrt(spec.n**2 + spec.n * spec.m + spec.m**2) / (2.0 * np.pi)
 
 
@@ -126,8 +125,9 @@ def make_swcnt(spec: CntSpec, fixed_end_layers: int = 0,
     fully fixed.  ``axial_period`` attaches a z-periodic cell (closing the
     bond network across the ends); open tubes have 2-coordinated end rings.
     """
+    check_count("fixed_end_layers", fixed_end_layers)
     n, m = spec.n, spec.m
-    acc = spec.bond_length
+    acc = CC_GRAPHENE
     a1 = acc * np.array([np.sqrt(3.0), 0.0])
     a2 = acc * np.array([np.sqrt(3.0) / 2.0, 1.5])
     basis = acc * np.array([[0.0, 0.0], [np.sqrt(3.0) / 2.0, 0.5]])

@@ -79,8 +79,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InstabilityError, NumericalError
-from .periodic import _lattice_offsets, check_shells, paired_separations
+from .errors import InputError, InstabilityError, NumericalError, check_count
+from .periodic import lattice_translations, paired_separations
 from .species import VdwStates
 from .structure import OVERLAP_GUARD, AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
@@ -149,7 +149,7 @@ class MbdModelConfig:
     def __post_init__(self):
         if not 0 < self.beta < np.inf:
             raise InputError("beta must be positive and finite")
-        check_shells(self.replica_shells)
+        check_count("replica_shells", self.replica_shells)
 
 
 def _horner(x, coeffs):
@@ -434,11 +434,8 @@ def _assemble(structure, shells, omega, coupling, inv_s, keep=None):
     forces need of the translated images (see _lattice_pass) is appended
     to it."""
     n = len(structure)
-    check_shells(shells)
-    cell = structure.cell
-    offsets = []  # one translation of each +-t pair, as paired_separations visits them
-    if cell is not None:
-        offsets = _lattice_offsets([shells if p else 0 for p in cell.periodic])[1:]
+    # one translation of each +-t pair [Bohr], as paired_separations visits them
+    trans = lattice_translations(structure.cell, shells)[1][1:]
     # C goes below the temporaries on the heap, so the space they free
     # stays in one block that the eigensolve's arrays can reuse
     c4 = np.empty((n, 3, n, 3))
@@ -455,9 +452,8 @@ def _assemble(structure, shells, omega, coupling, inv_s, keep=None):
         acc[c] += t
     acc[6] += b
     del d, a, b, t
-    paired = bool(offsets)
+    paired = len(trans) > 0
     if paired:
-        trans = (np.array(offsets) @ cell.matrix) / BOHR_ANGSTROM  # Bohr
         pq = _lattice_pass(structure, shells, trans, inv_s, acc, keep is not None)
         if keep is not None:
             keep.append(pq)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InputError, IntegrationError
+from .errors import GeometryError, InputError, IntegrationError, check_count
 from .structure import AtomicStructure
 from .units import ACC_EV_A_AMU, KB_EV, KE_AMU_A2_FS2_EV
 
@@ -39,16 +39,13 @@ class MdConfig:
             raise InputError("temperature must be finite and >= 0")
         if not 0 <= self.friction < np.inf:
             raise InputError("friction must be finite and >= 0")
-        if self.total_steps < 1 or self.runup_steps < 0:
-            raise InputError("bad step counts")
-        if self.sample_interval < 1:
-            raise InputError("sample_interval must be >= 1")
+        for name, low in (("total_steps", 1), ("runup_steps", 0), ("sample_interval", 1),
+                          ("seed", 0)):
+            check_count(name, getattr(self, name), low)
         last_sample = self.total_steps - self.total_steps % self.sample_interval
         if not last_sample > self.runup_steps:
             raise InputError(f"no step is sampled after the run-up: the last sample is "
                              f"step {last_sample}, runup_steps {self.runup_steps}")
-        if not self.seed >= 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bonded import harmonic_hessian
-from .errors import GeometryError, InputError, InstabilityError
+from .errors import GeometryError, InputError, InstabilityError, check_count
 from .periodic import apply_cell_strain
 from .structure import AtomicStructure
 
@@ -43,8 +43,7 @@ class MinimizerConfig:
     def __post_init__(self):
         if not 0 < self.force_tolerance < np.inf:
             raise InputError("force_tolerance must be positive and finite")
-        if not self.max_iterations >= 0:
-            raise InputError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        check_count("max_iterations", self.max_iterations)
 
 
 @dataclass

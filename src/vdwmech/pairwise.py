@@ -66,7 +66,8 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
     d_over_s = (cfg.d / cfg.gamma) / states.rvdw_pairs
     e_ha = 0.0
     f_ha = np.zeros((3, n))
-    for home, d, r2 in paired_separations(structure, shells):
+    for offset, d, r2 in paired_separations(structure, shells):
+        home = not offset.any()
         r = np.sqrt(r2)
         damp = _damping(d_over_s * r, cfg.d)
         # R^6 overflows beyond ~1e51 A; inf gives the exact limit 0

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .errors import GeometryError, InputError
+from .errors import GeometryError, InputError, check_count
 from .structure import OVERLAP_GUARD, AtomicStructure, CellTensor
 from .units import BOHR_ANGSTROM, EV_A3_GPA
 
@@ -29,51 +28,68 @@ def _lattice_offsets(reach) -> list[tuple[int, int, int]]:
     return [(0, 0, 0)] + half
 
 
-def check_shells(shells) -> None:
-    """InputError unless ``shells`` is an integer (numpy ones too) >= 0."""
-    if not isinstance(shells, numbers.Integral) or shells < 0:
-        raise InputError(f"shells must be an integer >= 0, got {shells!r}")
+def lattice_translations(cell, shells):
+    """Integer offsets (M, 3) and translations offset @ cell [Bohr] (M, 3)
+    of the home image, then one image of each +-t pair (_lattice_offsets
+    order), within ``shells`` cells on each periodic axis or within a tuple
+    of one count per axis (see image_reach).  Without a cell, the home alone."""
+    if not isinstance(shells, tuple):
+        check_count("shells", shells)
+        shells = (shells,) * 3
+    if cell is None:
+        return np.zeros((1, 3), int), np.zeros((1, 3))
+    offsets = np.array(_lattice_offsets([s if p else 0 for s, p in zip(shells, cell.periodic)]))
+    return offsets, (offsets @ cell.matrix) / BOHR_ANGSTROM
 
 
-def paired_separations(structure: AtomicStructure, shells: int = 0):
+def image_reach(structure: AtomicStructure, r: float) -> tuple[int, int, int]:
+    """Per axis, the largest |o_a| at which atoms i and j + o can be closer
+    than ``r`` [A]: they are at least h_a |f_ia - f_ja - o_a| apart, with f
+    the fractional coordinates and h_a the lattice-plane spacing, so
+    |o_a| <= floor(r / h_a + spread_a), spread_a the range of f_a."""
+    cell = structure.cell
+    if cell is None or not len(structure):
+        return (0, 0, 0)
+    inv = np.linalg.inv(cell.matrix)
+    spread = np.ptp(structure.positions @ inv, axis=0)
+    height = 1.0 / np.linalg.norm(inv, axis=0)
+    return tuple(int(np.floor(r / h + s)) if p else 0
+                 for h, s, p in zip(height, spread, cell.periodic))
+
+
+def paired_separations(structure: AtomicStructure, shells=0):
     """Difference vectors over the home image, then one image of each +-t pair.
 
-    The images are the lattice translations t with at most ``shells`` cells
-    along each periodic axis.  Yields (home, d, r2) per image: d = R_i -
-    (R_j + t) as a (3, N, N) array [Bohr] and r2 = |d|^2, with the self
-    pairs of the home image pushed far away.  d and r2 are allocated once
+    The images are those of lattice_translations(cell, shells).  Yields
+    (offset, d, r2) per image: its integer offset (3,), d = R_i - (R_j + t)
+    as a (3, N, N) array [Bohr] and r2 = |d|^2, with the self pairs of the
+    home image (zero offset) pushed far away.  d and r2 are allocated once
     and overwritten by the next image.  Sums over all images follow from
     these: a paired image stands for both of its members, and the home
     image for half of its symmetric pair sum.  Raises GeometryError when a
     pair is closer than the overlap guard.
     """
-    check_shells(shells)
-    cell = structure.cell
-    if cell is None:
-        trans = np.zeros((1, 3))
-    else:
-        offsets = np.array(_lattice_offsets([shells if p else 0 for p in cell.periodic]))
-        trans = (offsets @ cell.matrix) / BOHR_ANGSTROM
+    offsets, trans = lattice_translations(structure.cell, shells)
     pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
     guard2 = (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2
     n = len(structure)
     d = np.empty((3, n, n))
     r2 = np.empty((n, n))
-    for k, t in enumerate(trans):
+    for k, (offset, t) in enumerate(zip(offsets, trans)):
         # a quarter faster than one broadcast np.subtract at N ~ 100; same bits
         d[...] = pos_t[:, :, None]
         d -= (pos_t + t[:, None])[:, None, :]
         np.einsum("kij,kij->ij", d, d, out=r2)
         if k == 0:
             np.fill_diagonal(r2, _FAR * _FAR)
-        if r2.min() < guard2:
+        if n and r2.min() < guard2:
             i, j = np.argwhere(r2 < guard2)[0]
             where = ("in the home cell" if k == 0 else "at lattice translation "
                      f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
             raise GeometryError(f"atoms {i} and {j} {where} are "
                                 f"{np.sqrt(r2[i, j]) * BOHR_ANGSTROM:.4f} A apart "
                                 f"(overlap guard {OVERLAP_GUARD} A)")
-        yield k == 0, d, r2
+        yield offset, d, r2
 
 
 @dataclass(frozen=True)
@@ -119,13 +135,8 @@ def relaxable_components(cell: CellTensor, driven: tuple[int, int] | None,
                          diagonal_only: bool = True) -> list[tuple[int, int]]:
     """Cell components free to relax: every periodic component except the
     driven one (optionally restricted to the diagonal)."""
-    comps = []
-    for a in cell.periodic_axes():
-        cols = [a] if diagonal_only else range(3)
-        for b in cols:
-            if (a, b) != driven:
-                comps.append((a, b))
-    return comps
+    return [(a, b) for a in cell.periodic_axes() for b in ([a] if diagonal_only else range(3))
+            if (a, b) != driven]
 
 
 def cell_stress(structure: AtomicStructure, energy_fn) -> StressTensor:
@@ -143,10 +154,8 @@ def cell_stress(structure: AtomicStructure, energy_fn) -> StressTensor:
     for a in range(3):
         for b in range(a, 3):
             eps = np.zeros((3, 3))
-            if a == b:
-                eps[a, a] = 1.0
-            else:
-                eps[a, b] = eps[b, a] = 0.5
+            eps[a, b] += 0.5
+            eps[b, a] += 0.5
             ep = energy_fn(apply_deformation(structure, np.eye(3) + _STRAIN_STEP * eps))
             em = energy_fn(apply_deformation(structure, np.eye(3) - _STRAIN_STEP * eps))
             sigma[a, b] = sigma[b, a] = (ep - em) / (2.0 * _STRAIN_STEP * V)

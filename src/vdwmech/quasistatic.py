@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 from .minimize import MinimizerConfig, minimize
 from .periodic import apply_cell_strain, cell_stress, relaxable_components
 from .structure import AtomicStructure
@@ -57,8 +57,7 @@ class LoadingProtocol:
         if not _INCREMENT_FLOOR < abs(self.increment) < np.inf:
             raise InputError(f"increment must be finite and exceed {_INCREMENT_FLOOR} "
                              "in magnitude")
-        if self.step_count < 1:
-            raise InputError("step_count must be >= 1")
+        check_count("step_count", self.step_count, 1)
         if self.kind == "displacement" and not len(self.driven):
             raise InputError("displacement protocol needs a driven selection")
         if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
@@ -70,8 +69,7 @@ class LoadingProtocol:
             raise InputError(f"axis must be 0, 1 or 2, got {self.axis!r}")
         if len(self.component) != 2 or any(c not in range(3) for c in self.component):
             raise InputError(f"component must be two indices in 0..2, got {self.component!r}")
-        if not self.perturbation_seed >= 0:
-            raise InputError(f"perturbation_seed must be >= 0, got {self.perturbation_seed}")
+        check_count("perturbation_seed", self.perturbation_seed)
         if self.cell_mode not in ("fixed-others", "relaxed-others"):
             raise InputError(f"unknown cell mode {self.cell_mode!r}")
         if self.face_area is not None and not 0 < self.face_area < np.inf:

@@ -111,20 +111,18 @@ class AtomicStructure:
         self._check_overlap()
 
     def _check_overlap(self):
-        from .periodic import paired_separations  # periodic imports this module
+        from .periodic import image_reach, paired_separations  # periodic imports this module
 
         if len(self) < 2:
             return
-        # wrapped into the cell on the periodic axes, a pair is at most one
-        # cell apart along each, so one shell holds the image found by
-        # rounding the fractional separation per axis (the nearest one unless
-        # the cell is skewed); an error names the image of the wrapped atoms
-        shells, pos = 0, self.positions
-        if self.cell is not None and self.cell.periodic_axes():
-            m = self.cell.matrix
-            shells = 1
+        # atoms wrapped into the cell spread less than a cell per periodic axis,
+        # so image_reach stays small; an error names the image of the wrapped atoms
+        wrapped = self
+        if self.cell is not None:
+            m, pos = self.cell.matrix, self.positions
             pos = pos - (np.floor(pos @ np.linalg.inv(m)) * self.cell.periodic) @ m
-        for _ in paired_separations(self.with_positions(pos, check_overlap=False), shells):
+            wrapped = self.with_positions(pos, check_overlap=False)
+        for _ in paired_separations(wrapped, image_reach(wrapped, OVERLAP_GUARD)):
             pass
 
     def __len__(self) -> int:

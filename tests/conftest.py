@@ -293,9 +293,12 @@ def loop_topology(structure, include_dihedrals=True):
     cm = structure.cell.matrix if structure.cell is not None else None
     reach = [0, 0, 0]
     if cm is not None:
+        # a bond spans at most cutoff / h lattice planes, plus the spread of
+        # the listed atoms in cells
         height = 1.0 / np.linalg.norm(np.linalg.inv(cm), axis=0)
-        reach = [int(np.ceil(max(bonded.BOND_CUTOFFS.values()) / h)) if p else 0
-                 for h, p in zip(height, structure.cell.periodic)]
+        spread = np.ptp(structure.positions @ np.linalg.inv(cm), axis=0)
+        reach = [int(np.ceil(max(bonded.BOND_CUTOFFS.values()) / h + w)) if p else 0
+                 for h, w, p in zip(height, spread, structure.cell.periodic)]
     symbols = sorted(set(structure.species))
     code = {s: k for k, s in enumerate(symbols)}
     codes = np.array([code[s] for s in structure.species])
@@ -371,8 +374,10 @@ def loop_swcnt(spec, fixed_end_layers=0):
     the lattice points whose fractional coordinates (u around, v along one
     unit) fall in [0, 1), sorted by (u, v) and repeated ring by ring along
     z, and the fixed mask of ``fixed_end_layers`` units at each end."""
+    from vdwmech.generators import CC_GRAPHENE
+
     n, m = spec.n, spec.m
-    acc = spec.bond_length
+    acc = CC_GRAPHENE
     a1 = acc * np.array([np.sqrt(3.0), 0.0])
     a2 = acc * np.array([np.sqrt(3.0) / 2.0, 1.5])
     basis = [np.array([0.0, 0.0]), acc * np.array([np.sqrt(3.0) / 2.0, 0.5])]

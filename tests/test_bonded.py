@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from vdwmech.bonded import (HarmonicTopology, detect_topology, harmonic_energy,
 from vdwmech.errors import (DegenerateGeometryError, InputError, TopologyError)
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                                 make_pe_crystal, make_swcnt)
-from vdwmech.structure import AtomicStructure
+from vdwmech.structure import AtomicStructure, CellTensor
 
 
 def _linear_chain(n, spacing=1.2):
@@ -69,12 +70,22 @@ def _three_ring():
     return AtomicStructure(positions=pos, species=["C"] * 4)
 
 
+def _pe_listed_cells_away(axis, cells=2):
+    """PE 1x1x1 with atom 0 listed ``cells`` cells further along ``axis``."""
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    shift = np.zeros_like(s.positions)
+    shift[0] = cells * s.cell.matrix[axis]
+    return s.with_positions(s.positions + shift)
+
+
 _ORACLE_CASES = {
     "three-ring": _three_ring,
     "capped chain pair": lambda: make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)),
     # bonds to the same neighbor through two opposite images
     "PE 1x1x1": lambda: make_pe_crystal(PeCrystalSpec(1, 1, 1)),
     "PE 2x2x2": lambda: make_pe_crystal(PeCrystalSpec(2, 2, 2)),
+    "PE 1x1x1, atom 0 two cells along x": lambda: _pe_listed_cells_away(0),
+    "PE 1x1x1, atom 0 two cells along y": lambda: _pe_listed_cells_away(1),
     "SWCNT (8,8)x20 open": lambda: make_swcnt(CntSpec(8, 8, 20), fixed_end_layers=1),
     "SWCNT (8,8)x20 axial": lambda: make_swcnt(CntSpec(8, 8, 20), axial_period=True),
     "SWCNT (6,4)": lambda: make_swcnt(CntSpec(6, 4, 2), axial_period=True),
@@ -369,6 +380,35 @@ def test_detected_offsets_leave_reference_atoms_at_home():
     assert not topo.angle_offsets[:, 1].any()
     assert not topo.dihedral_offsets[:, 1].any()
     assert topo.bond_offsets.any() and topo.angle_offsets.any() and topo.dihedral_offsets.any()
+
+
+def test_bonds_of_any_listed_image():
+    """PE 1x1x1 with atom 0 listed two cells further along x, or along y,
+    is the same crystal: every term is found, and the energy and forces at
+    a perturbed geometry match those of the unmoved input."""
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    topo = detect_topology(s)
+    noise = 0.05 * np.random.default_rng(9).standard_normal(s.positions.shape)
+    e_ref, f_ref = harmonic_energy(s.with_positions(s.positions + noise), topo, forces=True)
+    for axis in (0, 1):
+        moved = _pe_listed_cells_away(axis)
+        t = detect_topology(moved)
+        assert (len(t.bonds), len(t.angles), len(t.dihedrals)) == (12, 24, 36)
+        e, f = harmonic_energy(moved.with_positions(moved.positions + noise), t, forces=True)
+        assert e == pytest.approx(e_ref, abs=1e-10)
+        assert np.abs(f - f_ref).max() <= 1e-10
+
+
+def test_bond_search_is_bounded():
+    """Atoms listed half a million cells apart would need as many shells:
+    detection refuses them at once and asks for wrapped atoms."""
+    a = 3.0
+    s = AtomicStructure(positions=[[0, 0, 0], [500_000 * a + a / 2, 0, 0]],
+                        species=["C", "C"], cell=CellTensor(np.diag([a, a, a])))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="along cell vector 0 .* wrap the atoms into the cell"):
+        detect_topology(s)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_single_atom_periodic_chain_strain_response():

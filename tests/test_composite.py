@@ -12,12 +12,12 @@ from vdwmech.structure import AtomicStructure, CellTensor
 
 
 def test_total_is_sum_of_components():
-    s = make_chain_pair(ChainSpec(5, 5, 1.2, 6.0, hydrogen_caps=True))
+    s = make_chain_pair(ChainSpec(5, 5, gap=6.0, hydrogen_caps=True))
     s = s.with_positions(s.positions + 0.02 * np.sin(np.arange(len(s) * 3))
                          .reshape(-1, 3))
     for vdw in ("pw", "mbd"):
         model = CompositeModel(topology=detect_topology(
-            make_chain_pair(ChainSpec(5, 5, 1.2, 6.0, hydrogen_caps=True))), vdw=vdw)
+            make_chain_pair(ChainSpec(5, 5, gap=6.0, hydrogen_caps=True))), vdw=vdw)
         total, bonded, vdw_e = model.energy_components(s)
         assert total == pytest.approx(bonded + vdw_e, rel=1e-14)
         assert bonded > 0 and vdw_e < 0
@@ -29,7 +29,7 @@ def test_total_is_sum_of_components():
 def test_energy_only_mbd_skips_eigenvectors(monkeypatch):
     from vdwmech import mbd
 
-    spec = ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True)
+    spec = ChainSpec(4, 4, gap=6.0, hydrogen_caps=True)
     s = make_chain_pair(spec)
     model = CompositeModel(topology=detect_topology(s), vdw="mbd")
     asked = []
@@ -58,7 +58,7 @@ def test_requires_some_component():
 
 
 def test_vdw_only_model():
-    s = make_chain_pair(ChainSpec(3, 3, 1.2, 8.0))
+    s = make_chain_pair(ChainSpec(3, 3, gap=8.0))
     model = CompositeModel(vdw="mbd")
     total, bonded, vdw_e = model.energy_components(s)
     assert bonded == 0.0
@@ -124,7 +124,7 @@ def test_error_at_the_cap_surfaces_at_first_evaluation():
 
 
 def test_nonperiodic_shells_zero():
-    s = make_chain_pair(ChainSpec(3, 3, 1.2, 8.0))
+    s = make_chain_pair(ChainSpec(3, 3, gap=8.0))
     model = CompositeModel(vdw="pw")
     assert model.resolve_shells(s) == 0
     # evaluating an open structure pins no shell count for a later periodic one
@@ -157,7 +157,7 @@ def test_bonded_only_periodic_needs_no_shell_count():
 
 
 def test_states_cache_tracks_ratio_changes():
-    s = make_chain_pair(ChainSpec(2, 2, 1.2, 8.0))
+    s = make_chain_pair(ChainSpec(2, 2, gap=8.0))
     model = CompositeModel(vdw="pw")
     e1 = model.energy(s)
     from dataclasses import replace
@@ -168,7 +168,7 @@ def test_states_cache_tracks_ratio_changes():
 
 
 def test_custom_species_table_reaches_the_model(use_table):
-    s = make_chain_pair(ChainSpec(2, 2, 1.2, 8.0))
+    s = make_chain_pair(ChainSpec(2, 2, gap=8.0))
     assert set(s.species) == {"C"}
     e_default = CompositeModel(vdw="pw").energy(s)
     use_table("C 93.2 12.0 3.59\n")  # twice the packaged C6 of carbon
@@ -192,7 +192,7 @@ def test_small_evaluations_do_not_load_scipy_linalg():
         "special = ['scipy.special' in sys.modules]\n"
         "from vdwmech import (ChainSpec, CompositeModel, MinimizerConfig, PeCrystalSpec,\n"
         "                     detect_topology, make_chain_pair, make_pe_crystal, minimize)\n"
-        "s = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))\n"
+        "s = make_chain_pair(ChainSpec(4, 4, gap=6.0, hydrogen_caps=True))\n"
         "for vdw in ('mbd', 'pw'):\n"
         "    minimize(s, CompositeModel(topology=detect_topology(s), vdw=vdw), MinimizerConfig())\n"
         "print('scipy.linalg' in sys.modules)\n"

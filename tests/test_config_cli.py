@@ -25,11 +25,12 @@ def test_config_defaults_and_types():
     cfg.set("protocol.face_area", "none")
     assert cfg["protocol.face_area"] is None
     # the reach of the vdW sums is not configurable beyond model.mbd_shells;
-    # the minimizer's step cap, the halving budget and the sweep's chain
-    # spacing are constants, and the quasi-static perturbation takes `seed`
+    # the minimizer's step cap, the halving budget, the chain spacing and the
+    # tube's bond length are constants, and the quasi-static perturbation
+    # takes `seed`
     for key in ("model.pw_cutoff", "model.mbd_shell_tol", "relax.initial_step",
                 "protocol.max_increment_halvings", "protocol.perturbation_seed",
-                "sweep.spacing"):
+                "sweep.spacing", "generate.spacing", "generate.bond_length"):
         with pytest.raises(InputError, match="unknown config key"):
             cfg.set(key, "1")
     cfg.set("sweep.h_values", "6, 8, 10")
@@ -63,7 +64,7 @@ def test_manifest_round_trip_lossless(tmp_path):
 
 
 def test_cli_energy_and_forces(tmp_path, capsys):
-    s = make_chain_pair(ChainSpec(3, 3, 1.2, 6.0))
+    s = make_chain_pair(ChainSpec(3, 3, gap=6.0))
     xyz = tmp_path / "in.xyz"
     write_xyz(s, str(xyz))
     rc = cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw"])
@@ -150,23 +151,24 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw"]) == 1
         assert "finite" in capsys.readouterr().err
     # a non-finite setting fails the range check of its config
-    s = make_chain_pair(ChainSpec(3, 3, 1.2, 6.0))
+    s = make_chain_pair(ChainSpec(3, 3, gap=6.0))
     xyz = tmp_path / "pair.xyz"
     write_xyz(s, str(xyz))
     for value in ("nan", "inf"):
         assert cli(["energy", "--input", str(xyz), "--set", "model.vdw=pw",
                     "--set", f"model.pw_d={value}"]) == 1
         assert "damping parameters must be positive" in capsys.readouterr().err
-    # a negative seed is refused by the config that takes it, not by numpy
+    # a negative seed is refused as the config is resolved, by every
+    # command, before a manifest is written
     capped = tmp_path / "capped.xyz"
-    write_xyz(make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True)), str(capped))
-    assert cli(["md", "--input", str(capped), "--output", str(tmp_path / "md.csv"),
-                "--seed", "-1"]) == 1
-    assert "seed must be >= 0" in capsys.readouterr().err
-    assert cli(["quasistatic", "--input", str(capped), "--output", str(tmp_path / "q.csv"),
-                "--seed", "-1", "--set", "protocol.perturbation=0.01",
-                "--set", "protocol.axis=y"]) == 1
-    assert "perturbation_seed must be >= 0" in capsys.readouterr().err
+    write_xyz(make_chain_pair(ChainSpec(4, 4, gap=6.0, hydrogen_caps=True)), str(capped))
+    for command in ("generate", "energy", "forces", "relax", "quasistatic", "md",
+                    "chain-sweep"):
+        out = tmp_path / f"seed-{command}.out"
+        assert cli([command, "--input", str(capped), "--output", str(out),
+                    "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / f"seed-{command}.out.manifest").exists()
     # a negative iteration budget is an input error, not a failed relaxation
     assert cli(["relax", "--input", str(capped), "--output", str(tmp_path / "r.xyz"),
                 "--set", "relax.max_iterations=-1"]) == 1
@@ -174,7 +176,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_manifest_reproduces_run(tmp_path, capsys):
-    s = make_chain_pair(ChainSpec(3, 3, 1.2, 6.0))
+    s = make_chain_pair(ChainSpec(3, 3, gap=6.0))
     xyz = tmp_path / "in.xyz"
     write_xyz(s, str(xyz))
     out = tmp_path / "f.csv"
@@ -213,7 +215,7 @@ def test_cli_chain_sweep_small(tmp_path, capsys, monkeypatch):
     # each row is the upper-chain y force of the composite vdW-only models
     assert [r["h"] for r in emitted] == [8.0, 10.0]
     for row in emitted:
-        spec = ChainSpec(n_upper=4, n_lower=6, spacing=1.2, gap=row["h"])
+        spec = ChainSpec(n_upper=4, n_lower=6, gap=row["h"])
         s = make_chain_pair(spec)
         for vdw in ("pw", "mbd"):
             f = CompositeModel(vdw=vdw).energy_and_forces(s)[1]
@@ -233,7 +235,7 @@ def test_cli_chain_sweep_keeps_points_without_a_pairwise_force(tmp_path, capsys)
 
 
 def test_cli_md_runs(tmp_path, capsys):
-    s = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))
+    s = make_chain_pair(ChainSpec(4, 4, gap=6.0, hydrogen_caps=True))
     xyz = tmp_path / "in.xyz"
     write_xyz(s, str(xyz))
     out = tmp_path / "md.csv"
@@ -248,7 +250,7 @@ def test_cli_md_runs(tmp_path, capsys):
 
 def test_cli_quasistatic_perturbation_takes_the_run_seed(tmp_path, capsys):
     xyz = tmp_path / "in.xyz"
-    write_xyz(make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True)), str(xyz))
+    write_xyz(make_chain_pair(ChainSpec(4, 4, gap=6.0, hydrogen_caps=True)), str(xyz))
 
     def run(seed, name):
         out = tmp_path / name
@@ -263,7 +265,7 @@ def test_cli_quasistatic_perturbation_takes_the_run_seed(tmp_path, capsys):
 
 
 def test_cli_quasistatic_runs(tmp_path, capsys):
-    s = make_chain_pair(ChainSpec(4, 4, 1.2, 7.0, hydrogen_caps=True))
+    s = make_chain_pair(ChainSpec(4, 4, gap=7.0, hydrogen_caps=True))
     xyz = tmp_path / "in.xyz"
     write_xyz(s, str(xyz))
     out = tmp_path / "qs.csv"
@@ -291,7 +293,7 @@ def test_cli_requires_output_before_any_work(tmp_path, capsys, monkeypatch):
     for name in ("minimize", "run_quasistatic", "run_md", "make_chain_pair"):
         monkeypatch.setattr(cli_mod, name, _refuse(name))
     xyz = tmp_path / "in.xyz"
-    write_xyz(make_chain_pair(ChainSpec(3, 3, 1.2, 6.0)), str(xyz))
+    write_xyz(make_chain_pair(ChainSpec(3, 3, gap=6.0)), str(xyz))
     for argv in (["generate"], ["chain-sweep"],
                  ["relax", "--input", str(xyz)],
                  ["quasistatic", "--input", str(xyz)],
@@ -305,7 +307,7 @@ def test_cli_file_errors_exit_1(tmp_path, capsys, monkeypatch):
     import vdwmech.cli as cli_mod
 
     xyz = tmp_path / "in.xyz"
-    write_xyz(make_chain_pair(ChainSpec(3, 3, 1.2, 6.0)), str(xyz))
+    write_xyz(make_chain_pair(ChainSpec(3, 3, gap=6.0)), str(xyz))
     missing = str(tmp_path / "missing")
 
     def fails(argv):
@@ -326,7 +328,7 @@ def test_cli_file_errors_exit_1(tmp_path, capsys, monkeypatch):
 
 def test_cli_failed_run_keeps_manifest(tmp_path, capsys):
     xyz = tmp_path / "in.xyz"
-    write_xyz(make_chain_pair(ChainSpec(4, 4, 1.2, 6.0)), str(xyz))
+    write_xyz(make_chain_pair(ChainSpec(4, 4, gap=6.0)), str(xyz))
     # the manifest is written before the input is read
     out = tmp_path / "md.csv"
     assert cli(["md", "--input", str(tmp_path / "missing.xyz"),
@@ -377,7 +379,7 @@ def test_non_utf8_config_is_a_parse_error(tmp_path):
 
 def test_cli_rejects_bad_input_without_traceback(tmp_path, capsys, monkeypatch):
     xyz = tmp_path / "in.xyz"
-    write_xyz(make_chain_pair(ChainSpec(3, 3, 1.2, 6.0)), str(xyz))
+    write_xyz(make_chain_pair(ChainSpec(3, 3, gap=6.0)), str(xyz))
     # force constants that are not finite and >= 0
     for value in ("nan", "inf", "-5"):
         assert cli(["energy", "--input", str(xyz), "--set", f"model.k_r={value}"]) == 1

@@ -3,30 +3,30 @@ import pytest
 
 from conftest import loop_swcnt
 from vdwmech.errors import InputError
-from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, cap_indices,
-                                cnt_radius, make_chain_pair, make_pe_crystal,
+from vdwmech.generators import (CC_GRAPHENE, ChainSpec, CntSpec, PeCrystalSpec,
+                                cap_indices, cnt_radius, make_chain_pair, make_pe_crystal,
                                 make_swcnt, upper_chain_indices)
 
 
 def test_chain_pair_capped_counts():
-    s = make_chain_pair(ChainSpec(28, 28, 1.2, 8.0, hydrogen_caps=True))
+    s = make_chain_pair(ChainSpec(28, 28, gap=8.0, hydrogen_caps=True))
     assert len(s) == 60
     assert s.species.count("C") == 56
     assert s.species.count("H") == 4
     # caps are fully fixed, carbons free
-    lower, upper = cap_indices(ChainSpec(28, 28, 1.2, 8.0, hydrogen_caps=True))
+    lower, upper = cap_indices(ChainSpec(28, 28, gap=8.0, hydrogen_caps=True))
     assert s.fixed[np.concatenate([lower, upper])].all()
     assert not s.fixed[:56].any()
 
 
 def test_chain_pair_minimal():
-    s = make_chain_pair(ChainSpec(1, 1, 1.2, 5.0))
+    s = make_chain_pair(ChainSpec(1, 1, gap=5.0))
     assert len(s) == 2
     assert np.linalg.norm(s.positions[1] - s.positions[0]) == pytest.approx(5.0)
 
 
 def test_chain_length_arithmetic():
-    spec = ChainSpec(10, 200, 1.2, 8.0)
+    spec = ChainSpec(10, 200, gap=8.0)
     s = make_chain_pair(spec)
     lower = s.positions[:200]
     assert lower[:, 0].max() - lower[:, 0].min() == pytest.approx(238.8)
@@ -38,8 +38,16 @@ def test_chain_length_arithmetic():
 def test_chain_spec_validation():
     with pytest.raises(InputError):
         ChainSpec(0, 5)
-    with pytest.raises(InputError):
-        ChainSpec(5, 5, spacing=-1.0)
+    for gap in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="gap"):
+            ChainSpec(5, 5, gap=gap)
+    # counts are integers; gap and caps are keywords, so the positional
+    # call of a removed chain spacing fails instead of building a pair
+    for bad in ((2.5, 3), (3, 2.5), (True, 3)):
+        with pytest.raises(InputError, match="n_upper|n_lower"):
+            ChainSpec(*bad)
+    with pytest.raises(TypeError):
+        ChainSpec(4, 4, 1.2, 6.0)
 
 
 def test_swcnt_geometry():
@@ -81,7 +89,7 @@ def test_swcnt_chiral_tube():
 def test_swcnt_unroll_round_trip():
     spec = CntSpec(8, 8, 4)
     s = make_swcnt(spec)
-    acc = spec.bond_length
+    acc = CC_GRAPHENE
     a1 = acc * np.array([np.sqrt(3.0), 0.0])
     a2 = acc * np.array([np.sqrt(3.0) / 2.0, 1.5])
     basis = [np.array([0.0, 0.0]), acc * np.array([np.sqrt(3.0) / 2.0, 0.5])]
@@ -124,6 +132,18 @@ def test_cnt_spec_validation():
         CntSpec(0, 0, 3)
     with pytest.raises(InputError):
         CntSpec(8, 8, 0)
+    # a fractional count was taken as its ceiling (2.5 rings built 3)
+    for bad, name in (((4, 4, 2.5), "rings"), ((4.0, 4, 2), "n"), ((4, 4.0, 2), "m")):
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            CntSpec(*bad)
+    with pytest.raises(InputError, match="fixed_end_layers"):
+        make_swcnt(CntSpec(4, 4, 2), fixed_end_layers=-1)
+
+
+def test_pe_crystal_spec_validation():
+    for bad in ((0, 1, 1), (1, -1, 1), (1.5, 1, 1), (1, 1, 2.0)):
+        with pytest.raises(InputError, match="nx|ny|nz"):
+            PeCrystalSpec(*bad)
 
 
 def test_pe_crystal_counts():
@@ -159,6 +179,6 @@ def test_generators_deterministic():
     c = make_swcnt(CntSpec(8, 8, 3))
     d = make_swcnt(CntSpec(8, 8, 3))
     assert np.array_equal(c.positions, d.positions)
-    e = make_chain_pair(ChainSpec(5, 7, 1.2, 6.0, True))
-    f = make_chain_pair(ChainSpec(5, 7, 1.2, 6.0, True))
+    e = make_chain_pair(ChainSpec(5, 7, gap=6.0, hydrogen_caps=True))
+    f = make_chain_pair(ChainSpec(5, 7, gap=6.0, hydrogen_caps=True))
     assert np.array_equal(e.positions, f.positions)

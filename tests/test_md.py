@@ -37,7 +37,7 @@ def test_zero_temperature_langevin_stays_put():
 
 
 def test_seeded_determinism_bit_identical():
-    spec = ChainSpec(6, 6, 1.2, 6.0, hydrogen_caps=True)
+    spec = ChainSpec(6, 6, gap=6.0, hydrogen_caps=True)
     s = make_chain_pair(spec)
     model = CompositeModel(topology=detect_topology(s))
     cfg = MdConfig(timestep=1.0, temperature=300.0, total_steps=300,
@@ -53,7 +53,7 @@ def test_seeded_determinism_bit_identical():
 
 
 def test_langevin_temperature_control_short():
-    spec = ChainSpec(8, 8, 1.2, 6.0, hydrogen_caps=True)
+    spec = ChainSpec(8, 8, gap=6.0, hydrogen_caps=True)
     s = make_chain_pair(spec)
     model = CompositeModel(topology=detect_topology(s))
     cfg = MdConfig(timestep=1.0, temperature=300.0, total_steps=20000,
@@ -64,7 +64,7 @@ def test_langevin_temperature_control_short():
 
 
 def test_fixed_atoms_do_not_move_and_reactions_recorded():
-    spec = ChainSpec(6, 6, 1.2, 6.0, hydrogen_caps=True)
+    spec = ChainSpec(6, 6, gap=6.0, hydrogen_caps=True)
     s = make_chain_pair(spec)
     model = CompositeModel(topology=detect_topology(s), vdw="pw")
     cfg = MdConfig(timestep=1.0, temperature=300.0, total_steps=400,
@@ -119,10 +119,16 @@ def test_bad_configs():
             MdConfig(timestep=1.0, temperature=300.0, total_steps=10, **kw)
     MdConfig(timestep=1.0, temperature=300.0, total_steps=10, runup_steps=8,
              sample_interval=3)
+    # counts are integers (a float total_steps or seed crashed inside the run)
+    for kw in ({"total_steps": 10.5}, {"seed": 1.5}, {"runup_steps": 2.0},
+               {"sample_interval": 1.5}, {"total_steps": 0}, {"runup_steps": -1},
+               {"sample_interval": 0}):
+        with pytest.raises(InputError, match=next(iter(kw))):
+            MdConfig(**{"timestep": 1.0, "temperature": 300.0, "total_steps": 10, **kw})
 
 
 def test_bad_velocities_rejected():
-    s = make_chain_pair(ChainSpec(3, 3, 1.2, 6.0))
+    s = make_chain_pair(ChainSpec(3, 3, gap=6.0))
     model = CompositeModel(topology=detect_topology(s))
     cfg = MdConfig(timestep=1.0, temperature=0.0, total_steps=10)
     nan_v = np.zeros((len(s), 3))

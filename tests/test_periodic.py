@@ -7,7 +7,7 @@ from conftest import lattice_box
 from vdwmech.errors import GeometryError, InputError
 from vdwmech.generators import CntSpec, make_swcnt
 from vdwmech.periodic import (_lattice_offsets, apply_cell_strain, apply_deformation, cell_stress,
-                              paired_separations, relaxable_components)
+                              image_reach, paired_separations, relaxable_components)
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM
 
@@ -66,9 +66,9 @@ def test_paired_separations_visit_one_image_of_each_pair():
     cell = CellTensor(np.array([[4.0, 0.0, 0.0], [-3.9, 4.0, 0.0], [0.0, 0.0, 30.0]]),
                       periodic=(True, True, False))
     s = AtomicStructure(positions=[[0.5, 0.5, 0.5]], species=["C"], cell=cell)
-    seen = [(home, -d[:, 0, 0].copy()) for home, d, _ in paired_separations(s, 2)]
+    seen = [(o.copy(), -d[:, 0, 0].copy()) for o, d, _ in paired_separations(s, 2)]
     offsets = np.array(_lattice_offsets((2, 2, 0)))
-    assert [home for home, _ in seen] == [True] + [False] * (len(offsets) - 1)
+    assert np.array_equal([o for o, _ in seen], offsets)
     t = np.array([d for _, d in seen]) * BOHR_ANGSTROM
     assert np.allclose(t, offsets @ cell.matrix, atol=1e-12)
     with pytest.raises(InputError, match="shells"):
@@ -89,14 +89,38 @@ def test_paired_separations_visit_one_image_of_each_pair():
             reach = [shells if p else 0 for p in s.cell.periodic]
             trans = np.array(_lattice_offsets(reach)) @ s.cell.matrix / BOHR_ANGSTROM
         images = paired_separations(s, shells)
-        for k, ((home, d, r2), t) in enumerate(zip(images, trans, strict=True)):
+        for k, ((o, d, r2), t) in enumerate(zip(images, trans, strict=True)):
             ref = np.array([[x[i] - (x[j] + t) for j in range(len(s))]
                             for i in range(len(s))]).transpose(2, 0, 1)
             ref_r2 = ref[0] * ref[0] + ref[1] * ref[1] + ref[2] * ref[2]
-            if home:
+            if k == 0:
                 np.fill_diagonal(ref_r2, r2[0, 0])
-            assert home == (k == 0)
+            assert o.any() == (k > 0)
             assert np.array_equal(d, ref) and np.array_equal(r2, ref_r2)
+
+
+def test_image_reach_bounds_every_close_pair():
+    """Every image of a pair closer than r lies within image_reach, checked
+    on a wider box of images, for skewed cells and atoms listed cells apart;
+    a pair two cells apart attains the bound."""
+    rng = np.random.default_rng(4)
+    for periodic in ((True, True, True), (True, False, True), (False, True, False)):
+        for _ in range(5):
+            m = np.diag(rng.uniform(2.0, 4.0, 3)) + np.triu(rng.uniform(-1.5, 1.5, (3, 3)), 1)
+            cell = CellTensor(m, periodic=periodic)
+            frac = np.where(periodic, rng.uniform(-2.0, 3.0, (4, 3)), rng.uniform(0.0, 1.0, (4, 3)))
+            s = AtomicStructure(positions=frac @ m, species=["C"] * 4, cell=cell)
+            r = rng.uniform(1.0, 5.0)
+            reach = image_reach(s, r)
+            wide = [max(reach) + 3 if p else 0 for p in periodic]
+            offsets = np.array(list(product(*(range(-w, w + 1) for w in wide))))
+            d = s.positions[:, None, None] - s.positions[None, :, None] - (offsets @ m)
+            close = np.linalg.norm(d, axis=-1) < r
+            assert np.all(np.abs(offsets[np.nonzero(close)[2]]) <= reach)
+    cell = CellTensor(np.diag([3.0, 3.0, 3.0]))
+    pair = AtomicStructure(positions=[[0, 0, 0], [6.5, 0, 0]], species=["C", "C"], cell=cell)
+    assert image_reach(pair, 1.0) == (2, 0, 0)
+    assert image_reach(AtomicStructure(positions=[[0, 0, 0]], species=["C"]), 1.0) == (0, 0, 0)
 
 
 def test_strain_zero_delta_identity():

@@ -16,7 +16,7 @@ from vdwmech.units import EV_A3_GPA
 
 
 def _chain_system(n=8, gap=6.0):
-    spec = ChainSpec(n, n, 1.2, gap, hydrogen_caps=True)
+    spec = ChainSpec(n, n, gap=gap, hydrogen_caps=True)
     s = make_chain_pair(spec)
     model = CompositeModel(topology=detect_topology(s), vdw="pw")
     _, upper_caps = cap_indices(spec)
@@ -25,7 +25,7 @@ def _chain_system(n=8, gap=6.0):
 
 def test_zero_like_increment_records_identical():
     # bonded-only: the relaxed state carries no residual load on the caps
-    spec = ChainSpec(8, 8, 1.2, 6.0, hydrogen_caps=True)
+    spec = ChainSpec(8, 8, gap=6.0, hydrogen_caps=True)
     s = make_chain_pair(spec)
     model = CompositeModel(topology=detect_topology(s))
     _, upper_caps = cap_indices(spec)
@@ -157,6 +157,21 @@ def test_cell_strain_protocol_records_stress():
     assert result.final.cell.matrix[1, 1] == pytest.approx(7.44)
 
 
+def test_relaxed_others_cell_strain_relaxes_the_other_components():
+    """Straining yy in relaxed-others mode relaxes xx and zz with the atoms,
+    to zero stress at every step."""
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    protocol = LoadingProtocol(kind="cell-strain", increment=0.02, step_count=2,
+                               component=(1, 1), cell_mode="relaxed-others",
+                               compute_stress=True)
+    result = run_quasistatic(s, CompositeModel(topology=detect_topology(s)), protocol)
+    assert not result.halted and len(result.records) == 2
+    for r in result.records:
+        assert r.converged
+        assert abs(r.sigma[0, 0]) < 1e-3 and abs(r.sigma[2, 2]) < 1e-3
+    assert result.final.cell.matrix[1, 1] == pytest.approx(7.44)
+
+
 def test_shear_cell_strain_normalizes_by_row_length():
     # component (0, 1) of an orthogonal cell starts at 0; the strain is
     # the change over |a_0|
@@ -212,6 +227,11 @@ def test_protocol_validation(monkeypatch):
         with pytest.raises(InputError):
             LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
                             driven=(0,), **kw)
+    # counts are integers; a fractional perturbation seed crashed numpy
+    for kw in ({"step_count": 2.5}, {"perturbation_seed": 1.5, "perturbation": 0.01}):
+        with pytest.raises(InputError, match=next(iter(kw))):
+            LoadingProtocol(kind="displacement", increment=0.1, driven=(0,),
+                            **{"step_count": 1, **kw})
     # a repeated driven atom would count twice in the reaction
     with pytest.raises(InputError, match="repeat"):
         LoadingProtocol(kind="displacement", increment=0.1, step_count=1, driven=(10, 10))
@@ -222,7 +242,7 @@ def test_protocol_validation(monkeypatch):
     LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
                     driven=(np.int64(10), np.int32(11)))
     # driven atoms must exist and be fully fixed, and are checked before any relaxation
-    pair = make_chain_pair(ChainSpec(4, 4, 1.2, 6.0, hydrogen_caps=True))
+    pair = make_chain_pair(ChainSpec(4, 4, gap=6.0, hydrogen_caps=True))
     for driven, match in (((100,), "driven atom indices"), ((len(pair),), "driven atom indices"),
                           ((-1,), "driven atom indices"), ((0, 10), "fully fixed")):
         protocol = LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
