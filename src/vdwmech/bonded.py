@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError, TopologyError
-from .periodic import image_reach, paired_separations
+from .periodic import close_pairs, image_reach
 from .structure import AtomicStructure, _frozen
 from .units import BOHR_ANGSTROM
 
@@ -197,15 +197,11 @@ def _neighbor_table(structure):
     symbols, codes = np.unique(np.asarray(structure.species, str), return_inverse=True)
     cut = np.array([[BOND_CUTOFFS.get((a, b), -1.0) for b in symbols] for a in symbols])
     cut = np.where(cut > 0, (cut / BOHR_ANGSTROM) ** 2, -1.0).reshape(len(symbols), len(symbols))
-    cut2 = cut[codes[:, None], codes]
 
     found = []
-    for off, _, r2 in paired_separations(structure, reach):
-        hit = r2 <= cut2
-        if not off.any():
-            hit &= np.tri(n, n, -1, dtype=bool).T  # i < j only
-        i, j = np.divmod(np.flatnonzero(hit), n)
-        found.append((np.stack([i, j], axis=1), np.full((len(i), 3), off)))
+    for off, i, j, r2 in close_pairs(structure, max(BOND_CUTOFFS.values()), reach):
+        hit = r2 <= cut[codes[i], codes[j]]
+        found.append((np.stack([i[hit], j[hit]], axis=1), np.full((hit.sum(), 3), off)))
     bonds, offs = (np.concatenate(parts) for parts in zip(*found))
 
     # entry 2b is (i -> j, +o) of bond b, entry 2b + 1 is (j -> i, -o)

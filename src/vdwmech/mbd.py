@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InstabilityError, NumericalError, check_count
-from .periodic import lattice_translations, paired_separations
+from .periodic import guard_overlap, lattice_translations, paired_separations
 from .species import VdwStates
 from .structure import OVERLAP_GUARD, AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
@@ -314,8 +314,7 @@ def _lattice_pass(structure, shells, trans, inv_s, acc, forces):
     del near_pair, near_d
     r2 = np.einsum("ap,ap->p", d, d)
     if r2.min() < guard2:
-        for _ in paired_separations(structure, shells):  # raises its GeometryError
-            pass
+        guard_overlap(structure, shells)
     a, b, slope = _radial(r2, inv_s.reshape(-1)[pair], forces)
     terms = [(s, a * d[p] * d[q]) for s, (p, q) in zip(acc, _COMPONENTS)] + [(acc[6], b)]
     if forces:

@@ -37,7 +37,14 @@ _MAX_STEP = 0.20      # A, displacement cap per trial step
 
 @dataclass(frozen=True)
 class MinimizerConfig:
-    force_tolerance: float = 1e-3   # eV/A on free components
+    """``force_tolerance`` [eV/A] bounds every free force component and,
+    in a cell relaxation, every relaxed cell gradient dE/dh_ab [eV/A] as
+    well.  So a converged cell relaxation leaves a stress of up to about
+    tolerance * h / V, which scales with the cell: PE 1x1x1, bonded only,
+    stretched 0.02 A along x and relaxed in h_xx, keeps sigma_xx =
+    1.4e-3 GPa at 1e-3 eV/A and 1.7e-5 GPa at 1e-4 eV/A (cell_stress)."""
+
+    force_tolerance: float = 1e-3   # eV/A on free components and cell gradients
     max_iterations: int = 5000      # trial steps
 
     def __post_init__(self):
@@ -97,6 +104,9 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
              relax_cell: tuple[tuple[int, int], ...] = ()) -> MinimizeResult:
     """Relax free atomic components (and optionally cell components) until
     the largest force falls below the tolerance.
+
+    The tolerance applies to the cell gradients dE/dh_ab as well, so the
+    stress left in a relaxed cell scales with h / V (see MinimizerConfig).
 
     Returns converged=False when the trial-step budget runs out or no
     trial step longer than _STEP_FLOOR lowers the energy; the best state

@@ -57,6 +57,16 @@ def image_reach(structure: AtomicStructure, r: float) -> tuple[int, int, int]:
                  for h, s, p in zip(height, spread, cell.periodic))
 
 
+def _overlap_error(offset, t, i, j, r2) -> GeometryError:
+    """The error naming atoms i and j of the image at ``offset`` (translation
+    t [Bohr]), r2 [Bohr^2] apart."""
+    where = ("in the home cell" if not offset.any() else "at lattice translation "
+             f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
+    return GeometryError(f"atoms {i} and {j} {where} are "
+                         f"{np.sqrt(r2) * BOHR_ANGSTROM:.4f} A apart "
+                         f"(overlap guard {OVERLAP_GUARD} A)")
+
+
 def paired_separations(structure: AtomicStructure, shells=0):
     """Difference vectors over the home image, then one image of each +-t pair.
 
@@ -84,12 +94,70 @@ def paired_separations(structure: AtomicStructure, shells=0):
             np.fill_diagonal(r2, _FAR * _FAR)
         if n and r2.min() < guard2:
             i, j = np.argwhere(r2 < guard2)[0]
-            where = ("in the home cell" if k == 0 else "at lattice translation "
-                     f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
-            raise GeometryError(f"atoms {i} and {j} {where} are "
-                                f"{np.sqrt(r2[i, j]) * BOHR_ANGSTROM:.4f} A apart "
-                                f"(overlap guard {OVERLAP_GUARD} A)")
+            raise _overlap_error(offset, t, i, j, r2[i, j])
         yield offset, d, r2
+
+
+def close_pairs(structure: AtomicStructure, r: float, reach):
+    """The pairs within ``r`` [A] over the images of
+    lattice_translations(cell, reach), found without an N x N array.
+
+    Yields (offset, i, j, r2) for every image in that order: its integer
+    offset (3,), the pairs (i, j) with r2 <= r^2 in row-major order, i < j
+    in the home image, and r2 = |R_i - (R_j + t)|^2 [Bohr^2] with the bits
+    of paired_separations.  The atoms are sorted once along their longest
+    extent; per image, two binary searches find each atom's window of
+    partners whose projections lie within r, so the work grows with the
+    pairs in the windows.
+    """
+    offsets, trans = lattice_translations(structure.cell, reach)
+    pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
+    n = len(structure)
+    rb = r / BOHR_ANGSTROM
+    axis = int(np.argmax(pos_t.max(axis=1) - pos_t.min(axis=1))) if n else 0
+    order = np.argsort(pos_t[axis], kind="stable")
+    x = pos_t[:, order]
+    key = x[axis]
+    atoms = np.arange(n)
+    scale = rb + np.abs(key).max(initial=0.0)
+    for offset, t in zip(offsets, trans):
+        shifted = key + t[axis]
+        # the window is widened past the rounding of the projections; r2 decides
+        pad = rb + 8 * np.finfo(float).eps * (scale + abs(t[axis]))
+        lo = np.searchsorted(shifted, key - pad, "left")
+        hi = np.searchsorted(shifted, key + pad, "right")
+        home = not offset.any()
+        if home:
+            lo = np.maximum(lo, atoms + 1)  # each unordered pair once
+        count = np.maximum(hi - lo, 0)
+        b = np.repeat(lo - (np.cumsum(count) - count), count)
+        b += np.arange(len(b))  # atom a's partners lo_a ... hi_a - 1, for every a
+        # d = x_a - (x_b + t) in sorted order; at home, swapping a and b
+        # below only flips its sign
+        d = x.take(b, axis=1)
+        d += t[:, None]
+        np.subtract(np.repeat(x, count, axis=1), d, out=d)
+        d *= d
+        r2 = d[0] + d[1] + d[2]
+        keep = np.flatnonzero(r2 <= rb * rb)
+        i, j, r2 = order[np.repeat(atoms, count)[keep]], order[b[keep]], r2[keep]
+        if home:
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        rows = np.argsort(i * n + j)
+        yield offset, i[rows], j[rows], r2[rows]
+
+
+def guard_overlap(structure: AtomicStructure, reach) -> None:
+    """Raises the GeometryError of paired_separations for the first pair
+    closer than OVERLAP_GUARD over the images of lattice_translations(cell,
+    reach): the first image in that order, then the smallest (i, j)."""
+    guard2 = (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2
+    trans = lattice_translations(structure.cell, reach)[1]
+    for t, (offset, i, j, r2) in zip(trans, close_pairs(structure, OVERLAP_GUARD, reach)):
+        hit = np.flatnonzero(r2 < guard2)
+        if len(hit):
+            k = hit[0]
+            raise _overlap_error(offset, t, i[k], j[k], r2[k])
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ class AtomicStructure:
         self._check_overlap()
 
     def _check_overlap(self):
-        from .periodic import image_reach, paired_separations  # periodic imports this module
+        from .periodic import guard_overlap, image_reach  # periodic imports this module
 
         if len(self) < 2:
             return
@@ -122,8 +122,7 @@ class AtomicStructure:
             m, pos = self.cell.matrix, self.positions
             pos = pos - (np.floor(pos @ np.linalg.inv(m)) * self.cell.periodic) @ m
             wrapped = self.with_positions(pos, check_overlap=False)
-        for _ in paired_separations(wrapped, image_reach(wrapped, OVERLAP_GUARD)):
-            pass
+        guard_overlap(wrapped, image_reach(wrapped, OVERLAP_GUARD))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -131,7 +130,7 @@ class AtomicStructure:
     def with_positions(self, positions, check_overlap: bool = True) -> "AtomicStructure":
         """Copy with new positions.
 
-        ``check_overlap=False`` skips the O(N^2) guard; hot loops use it
+        ``check_overlap=False`` skips the overlap guard; hot loops use it
         because the energy models re-check pair distances anyway.
         """
         if check_overlap:

@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ def test_detect_swcnt_bond_count():
     # open tube: the 16-atom end rings lose one bond each
     open_topo = detect_topology(make_swcnt(CntSpec(8, 8, 20)))
     assert len(open_topo.bonds) == 960 - 16
+
+
+def test_setup_memory_is_linear_in_atoms():
+    """A 20 480-atom (8,8) tube is built, bond-detected and its bonded
+    forces evaluated in a bounded traced peak: no step forms an N x N array
+    (one (3, N, N) array of doubles would take 10 GB)."""
+    tracemalloc.start()
+    try:
+        s = make_swcnt(CntSpec(8, 8, 640), fixed_end_layers=1)
+        topo = detect_topology(s)
+        e, f = harmonic_energy(s, topo, forces=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(s), len(topo.bonds)) == (20480, 30704)
+    assert e == pytest.approx(0.0, abs=1e-9) and np.abs(f).max() < 1e-9
+    assert peak <= 300e6, peak
 
 
 def test_valence_guard(monkeypatch):

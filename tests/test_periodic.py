@@ -6,8 +6,12 @@ import pytest
 from conftest import lattice_box
 from vdwmech.errors import GeometryError, InputError
 from vdwmech.generators import CntSpec, make_swcnt
+from vdwmech.mbd import MbdModelConfig, mbd_energy
+from vdwmech.pairwise import PwModelConfig, pw_energy
 from vdwmech.periodic import (_lattice_offsets, apply_cell_strain, apply_deformation, cell_stress,
-                              image_reach, paired_separations, relaxable_components)
+                              close_pairs, image_reach, lattice_translations,
+                              paired_separations, relaxable_components)
+from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM
 
@@ -121,6 +125,84 @@ def test_image_reach_bounds_every_close_pair():
     pair = AtomicStructure(positions=[[0, 0, 0], [6.5, 0, 0]], species=["C", "C"], cell=cell)
     assert image_reach(pair, 1.0) == (2, 0, 0)
     assert image_reach(AtomicStructure(positions=[[0, 0, 0]], species=["C"]), 1.0) == (0, 0, 0)
+
+
+def _spaced(draw, cell=None):
+    """A structure of drawn positions [A], drawn again while two atoms or
+    images overlap."""
+    for _ in range(100):
+        pos = draw()
+        try:
+            return AtomicStructure(positions=pos, species=["C"] * len(pos), cell=cell)
+        except GeometryError:
+            pass
+    raise AssertionError("every draw overlaps")
+
+
+def test_close_pairs_match_brute_force():
+    """close_pairs yields, per image of lattice_translations, exactly the
+    pairs within r of the full separation matrix (i < j at home), in
+    row-major order and with its r2 bits: skewed cells with 0 to 3
+    periodic axes, atoms listed up to 3 cells out, random r and reach,
+    plus 0 atoms, 1 atom and a cluster whose pairs are all candidates."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for periodic in product((False, True), repeat=3):
+        for _ in range(3):
+            m = np.diag(rng.uniform(2.0, 4.0, 3)) + np.triu(rng.uniform(-1.5, 1.5, (3, 3)), 1)
+            n = int(rng.integers(2, 12))
+            s = _spaced(lambda: rng.uniform(-3.0, 4.0, (n, 3)) @ m, CellTensor(m, periodic))
+            cases.append((s, rng.uniform(0.5, 6.0), tuple(int(k) for k in rng.integers(0, 3, 3))))
+    cube = CellTensor(np.diag([2.0, 2.5, 3.0]))
+    cases += [(AtomicStructure(positions=np.zeros((0, 3)), species=[], cell=cube), 3.0, (1, 1, 1)),
+              (AtomicStructure(positions=[[0.3, 0.2, 0.1]], species=["C"], cell=cube), 3.0, (2, 1, 1)),
+              (AtomicStructure(positions=[[0.3, 0.2, 0.1]], species=["C"]), 3.0, 0),
+              (_spaced(lambda: rng.uniform(0.0, 1.0, (12, 3))), 2.0, 0),
+              (_spaced(lambda: rng.uniform(0.0, 1.0, (12, 3)), cube), 2.0, (1, 0, 2))]
+    for s, r, reach in cases:
+        offsets = lattice_translations(s.cell, reach)[0]
+        found = close_pairs(s, r, reach)
+        for k, ((o, i, j, r2), (o_ref, _, r2_ref)) in enumerate(
+                zip(found, paired_separations(s, reach), strict=True)):
+            assert np.array_equal(o, o_ref) and np.array_equal(o, offsets[k])
+            close = r2_ref <= (r / BOHR_ANGSTROM) ** 2
+            if k == 0:
+                close &= np.tri(len(s), len(s), -1, dtype=bool).T
+            i_ref, j_ref = np.nonzero(close)
+            assert np.array_equal(i, i_ref) and np.array_equal(j, j_ref)
+            assert np.array_equal(r2, r2_ref[i_ref, j_ref])
+    # the cluster lies within r whole: all 66 pairs at home
+    assert len(next(close_pairs(cases[-2][0], 2.0, 0))[1]) == 66
+
+
+OVERLAPS = [  # positions in a 4 A cube, and the pair the guard names
+    ([[0.5, 0.5, 0.5], [0.55, 0.5, 0.5], [3.97, 2, 2], [0.0, 2, 2]],
+     "atoms 0 and 1 in the home cell are 0.0500 A apart"),
+    ([[1, 1, 0.02], [3.98, 1, 1], [0.0, 1, 1], [1, 1, 3.96], [2, 2, 2]],
+     "atoms 3 and 0 at lattice translation [0.0, 0.0, 4.0] A are 0.0600 A apart"),
+    ([[1, 1, 0.02], [2, 2, 0.01], [2, 2, 3.98], [1, 1, 3.96], [3, 3, 2]],
+     "atoms 2 and 1 at lattice translation [0.0, 0.0, 4.0] A are 0.0300 A apart"),
+]
+
+
+@pytest.mark.parametrize("positions, text", OVERLAPS)
+def test_overlap_error_names_first_image_then_smallest_pair(positions, text):
+    """The structure guard, the pairwise kernel and the MBD lattice pass
+    raise one text: the first image in lattice_translations order, then
+    the smallest (i, j), whichever pair is closest."""
+    cell = CellTensor(np.diag([4.0, 4.0, 4.0]))
+    spread = np.arange(len(positions))[:, None] * [0.7, 0.7, 0.7]
+    with pytest.raises(GeometryError) as got:
+        AtomicStructure(positions=positions, species=["C"] * len(positions), cell=cell)
+    raw = AtomicStructure(positions=spread, species=["C"] * len(positions), cell=cell)
+    raw = raw.with_positions(positions, check_overlap=False)
+    states = states_for(raw)
+    texts = [str(got.value)]
+    for energy, cfg in ((pw_energy, PwModelConfig()), (mbd_energy, MbdModelConfig())):
+        with pytest.raises(GeometryError) as got:
+            energy(raw, states, cfg, 1)
+        texts.append(str(got.value))
+    assert texts == [text + " (overlap guard 0.1 A)"] * 3
 
 
 def test_strain_zero_delta_identity():
