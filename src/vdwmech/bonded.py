@@ -13,6 +13,14 @@ minimum-image lookups: small cells (e.g. a single polyethylene repeat)
 bond an atom to the same neighbor through both of two opposite images,
 which minimum image cannot represent, and fixed offsets keep the energy
 smooth under cell strain.
+
+Every term is written in its difference vectors, its edges: the bond
+i-j; the angle i-j and k-j; the torsion i-j, k-j and l-k, each vector
+R_head - R_tail plus the offset difference times the cell.  An evaluation
+gathers all edge vectors at once, computes each term kind on its slice of
+them, and scatters the per-edge gradients g_e = dE/dv_e to the head (+)
+and tail (-) atoms with one bincount, which also makes the bonded virial
+the single sum over the edges of v_e (x) g_e.
 """
 
 from __future__ import annotations
@@ -53,8 +61,8 @@ class HarmonicTopology:
     atom sits at R + offset @ cell.  A term sees only differences, and
     detect_topology leaves the row of the atom each term is measured from
     zero (bond: i; angle and dihedral: j).  None means all zero.  The
-    arrays are read-only; the force scatter index and the largest atom
-    index are built on the first evaluation and kept.
+    arrays are read-only; the edge list with its force scatter index and
+    the largest atom index are built on the first evaluation and kept.
     """
 
     bonds: np.ndarray           # (B, 2) int
@@ -91,13 +99,16 @@ class HarmonicTopology:
             if offs is None:
                 offs = np.zeros(arr.shape + (3,), int)
             setarr(what + "_offsets", offs, int, arr.shape + (3,))
-            # atom instances (index, lattice offset) must be distinct
-            inst = np.concatenate([arr[:, :, None], getattr(self, what + "_offsets")], axis=2)
-            for a, b in combinations(range(arr.shape[1]), 2):
-                dup = np.all(inst[:, a] == inst[:, b], axis=1)
-                if dup.any():
-                    raise InputError(f"{what} {arr[np.argmax(dup)].tolist()} "
-                                     "repeats an atom instance")
+            # atom instances (index, lattice offset) must be distinct; the
+            # offsets are compared only where the indices agree
+            offs = getattr(self, what + "_offsets")
+            a, b = np.array(list(combinations(range(arr.shape[1]), 2))).T
+            rows, pair = np.nonzero(arr[:, a] == arr[:, b])
+            dup = np.all(offs[rows, a[pair]] == offs[rows, b[pair]], axis=1)
+            if dup.any():
+                # the first slot pair in combinations order, then the first term
+                first = rows[dup][np.lexsort((rows[dup], pair[dup]))[0]]
+                raise InputError(f"{what} {arr[first].tolist()} repeats an atom instance")
         if np.any(self.bond_r0 <= 0):
             raise InputError("bond references must be positive")
         if len(self.angle_theta0) and not np.all(
@@ -114,17 +125,10 @@ class HarmonicTopology:
                     if len(arr)), default=-1)
 
     @cached_property
-    def _scatter_index(self) -> np.ndarray:
-        """(3, M) flat force components 3 i + c of the term atoms, in the
-        order harmonic_energy concatenates the gradients: bond, angle and
-        dihedral slots, each slot over its terms."""
-        atoms = [arr.T.ravel() for arr in (self.bonds, self.angles, self.dihedrals)
-                 if len(arr)]
-        return 3 * np.concatenate(atoms) + np.arange(3)[:, None]
-
-
-def _cellmat(structure):
-    return structure.cell.matrix if structure.cell is not None else None
+    def _edges(self):
+        """The _edge_list of the terms."""
+        return _edge_list(((self.bonds, self.bond_offsets), (self.angles, self.angle_offsets),
+                           (self.dihedrals, self.dihedral_offsets)))
 
 
 # -------------------------------------------------------------- geometry
@@ -142,13 +146,48 @@ def _cross(a, b):
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _term_positions(pos_t, cm, atoms, offsets):
-    """(3, T) positions of each atom column of the terms ``atoms``, each
-    shifted by its row of lattice ``offsets``."""
-    cols = pos_t.take(atoms.T, axis=1).swapaxes(0, 1)
-    if cm is not None:
-        cols = cols + (offsets @ cm).transpose(1, 2, 0)
-    return list(cols)
+# the (head, tail) term slots of each edge of a bond, an angle and a torsion
+_EDGE_SLOTS = (((0, 1),), ((0, 1), (2, 1)), ((0, 1), (2, 1), (3, 2)))
+# per term kind, the sign (S, m) with which edge m enters term slot S
+_EDGE_SIGNS = tuple(np.array([[(s == h) - (s == t) for h, t in slots] for s in range(n)], float)
+                    for slots, n in zip(_EDGE_SLOTS, (2, 3, 4)))
+
+
+def _edge_list(terms):
+    """Edges of the bond, angle and dihedral ``terms``, given as (atoms
+    (T, S), offsets (T, S, 3)) per kind: the flat position indices 3 atom
+    + c of the heads, then of the tails, (3, 2E), which gather the edge
+    vectors and scatter their gradients; the offset differences head -
+    tail (E, 3) as floats; and the column bounds, 7 ints, of the six edge
+    slots (bond; angle i-j, k-j; torsion i-j, k-j, l-k), each slot a run
+    of columns over its kind's terms."""
+    heads, tails, bounds = [], [], [0]
+    for (atoms, offs), slots in zip(terms, _EDGE_SLOTS):
+        for h, t in slots:
+            heads.append((atoms[:, h], offs[:, h]))
+            tails.append((atoms[:, t], offs[:, t]))
+            bounds.append(bounds[-1] + len(atoms))
+    atoms, offs = zip(*heads, *tails)
+    offs = np.concatenate(offs, dtype=float)
+    e = bounds[-1]
+    return (3 * np.concatenate(atoms) + np.arange(3)[:, None], offs[:e] - offs[e:],
+            tuple(bounds))
+
+
+def _edge_vectors(structure, index, offsets):
+    """(3, E) edge vectors R_head - R_tail + offset @ cell [A] from the flat
+    position indices ``index`` (3, 2E) and the offset differences (E, 3) of
+    _edge_list."""
+    x = structure.positions.ravel().take(index)
+    v = x[:, :len(offsets)] - x[:, len(offsets):]
+    if structure.cell is not None:
+        v += (offsets @ structure.cell.matrix).T
+    return v
+
+
+def _slots(v, bounds):
+    """The six edge slots of a (3, E) array of edge columns, as views."""
+    return [v[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _angle_geometry(u, w):
@@ -160,12 +199,10 @@ def _angle_geometry(u, w):
     return np.arctan2(s, c), s, c
 
 
-def _dihedral_geometry(pi_, pj, pk, pl):
-    """Torsions about the j-k bonds in (-pi, pi], a mask of the undefined
-    ones (collinear inner angle), and the vectors the gradients reuse."""
-    b_ij = pi_ - pj
-    b_kj = pk - pj
-    b_lk = pl - pk
+def _dihedral_geometry(b_ij, b_kj, b_lk):
+    """Torsions about the j-k bonds in (-pi, pi] from their edges, a mask
+    of the undefined ones (collinear inner angle), and the vectors the
+    gradients reuse."""
     n1 = _cross(b_ij, b_kj)
     n2 = _cross(b_lk, b_kj)
     nrkj2 = _dot(b_kj, b_kj)
@@ -176,7 +213,7 @@ def _dihedral_geometry(pi_, pj, pk, pl):
           (inner2 < tol2 * nrkj2 * _dot(b_lk, b_lk))
     nrkj = np.sqrt(nrkj2)
     phi = np.arctan2(_dot(_cross(n1, n2), b_kj) / nrkj, _dot(n1, n2))
-    return phi, bad, (b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj)
+    return phi, bad, (n1, n2, inner1, inner2, nrkj2, nrkj)
 
 
 # -------------------------------------------------------------- detection
@@ -268,18 +305,18 @@ def detect_topology(structure: AtomicStructure,
     angles, angle_offs = angles[..., 0], angles[..., 1:]
     dihedrals, dihedral_offs = quads[..., 0], quads[..., 1:]
 
-    # reference geometry of all terms at once; undefined torsions are dropped
-    pos_t = np.ascontiguousarray(structure.positions.T)
-    cm = _cellmat(structure)
+    # reference geometry of all terms at once, from the edges an evaluation
+    # uses; undefined torsions are dropped
     bond_offs = np.stack([np.zeros_like(bond_off), bond_off], axis=1)
-    pi_, pj = _term_positions(pos_t, cm, bonds, bond_offs)
-    ai, aj, ak = _term_positions(pos_t, cm, angles, angle_offs)
-    phi0, bad, _ = _dihedral_geometry(*_term_positions(pos_t, cm, dihedrals, dihedral_offs))
+    index, offsets, bounds = _edge_list(((bonds, bond_offs), (angles, angle_offs),
+                                         (dihedrals, dihedral_offs)))
+    d, u, w, b_ij, b_kj, b_lk = _slots(_edge_vectors(structure, index, offsets), bounds)
+    phi0, bad, _ = _dihedral_geometry(b_ij, b_kj, b_lk)
     return HarmonicTopology(
         bonds=bonds, bond_offsets=bond_offs,
-        bond_r0=np.sqrt(_dot(pi_ - pj, pi_ - pj)),
+        bond_r0=np.sqrt(_dot(d, d)),
         angles=angles, angle_offsets=angle_offs,
-        angle_theta0=_angle_geometry(ai - aj, ak - aj)[0],
+        angle_theta0=_angle_geometry(u, w)[0],
         dihedrals=dihedrals[~bad], dihedral_offsets=dihedral_offs[~bad],
         dihedral_phi0=phi0[~bad],
         k_r=k_r, k_theta=k_theta, k_phi=k_phi)
@@ -293,74 +330,76 @@ def _wrap_pi(x):
 
 
 def _harmonic(structure, topo, weight=None):
-    """Energy [eV] and, given ``weight``, the weighted internal-coordinate
-    gradients weight(k, q - q0) dq/dR of every term kind from one pass over
-    the bond, angle and torsion geometry, as {kind: (slot atoms (S, T),
-    S arrays (3, T))}.  The forces weigh by -k (q - q0), the Gauss-Newton
-    Hessian by sqrt(k)."""
+    """Energy [eV], the (3, E) edge vectors and, given ``weight``, the
+    weighted gradients weight(k, q - q0) dq/dv of every term with respect
+    to its edge vectors v, (3, E) in edge order (otherwise None), from one
+    pass over the bond, angle and torsion geometry.  The forces weigh by
+    -k (q - q0), the Gauss-Newton Hessian by sqrt(k)."""
     _check_indices(structure, topo)
-    pos_t = np.ascontiguousarray(structure.positions.T)
-    cm = _cellmat(structure)
+    index, offsets, bounds = topo._edges
+    v = _edge_vectors(structure, index, offsets)
+    d, u, w, b_ij, b_kj, b_lk = _slots(v, bounds)
+    g = None
+    if weight is not None:
+        g = np.empty_like(v)
+        g_d, g_u, g_w, g_ij, g_kj, g_lk = _slots(g, bounds)
+    # squared lengths and lengths of the bond and angle edges
+    b1, b2, b3 = bounds[1:4]
+    sq = _dot(v[:, :b3], v[:, :b3])
+    length = np.sqrt(sq)
     e = 0.0
-    grads = {}
     if len(topo.bonds):
-        pi_, pj = _term_positions(pos_t, cm, topo.bonds, topo.bond_offsets)
-        d = pi_ - pj
-        r = np.sqrt(_dot(d, d))
+        r = length[:b1]
         dr = r - topo.bond_r0
-        e += 0.5 * topo.k_r * np.sum(dr * dr)
+        e += 0.5 * topo.k_r * (dr @ dr)
         if weight is not None:
-            g = (weight(topo.k_r, dr) / r) * d
-            grads["bond"] = (topo.bonds.T, (g, -g))
+            np.multiply(weight(topo.k_r, dr) / r, d, out=g_d)
     if len(topo.angles):
-        pi_, pj, pk = _term_positions(pos_t, cm, topo.angles, topo.angle_offsets)
-        u = pi_ - pj
-        w = pk - pj
         theta, sin_uw, dot_uw = _angle_geometry(u, w)
         dtheta = theta - topo.angle_theta0
-        e += 0.5 * topo.k_theta * np.sum(dtheta * dtheta)
+        e += 0.5 * topo.k_theta * (dtheta @ dtheta)
         if weight is not None:
-            ru2 = _dot(u, u)
-            rw2 = _dot(w, w)
             # |u x w| = |u| |w| sin(theta), floored where theta is 0 or pi
             a = weight(topo.k_theta, dtheta) / np.maximum(
-                sin_uw, _SIN_FLOOR * np.sqrt(ru2 * rw2))
-            gi = a * (dot_uw / ru2 * u - w)
-            gk = a * (dot_uw / rw2 * w - u)
-            grads["angle"] = (topo.angles.T, (gi, -(gi + gk), gk))
+                sin_uw, _SIN_FLOOR * (length[b1:b2] * length[b2:b3]))
+            np.multiply(dot_uw / sq[b1:b2], u, out=g_u)
+            g_u -= w
+            g_u *= a
+            np.multiply(dot_uw / sq[b2:b3], w, out=g_w)
+            g_w -= u
+            g_w *= a
     if len(topo.dihedrals):
-        phi, bad, (b_ij, b_kj, b_lk, n1, n2, inner1, inner2, nrkj2, nrkj) = \
-            _dihedral_geometry(*_term_positions(pos_t, cm, topo.dihedrals,
-                                                topo.dihedral_offsets))
+        phi, bad, (n1, n2, inner1, inner2, nrkj2, nrkj) = \
+            _dihedral_geometry(b_ij, b_kj, b_lk)
         if bad.any():
             w = int(np.argmax(bad))
             raise DegenerateGeometryError(
                 f"dihedral {topo.dihedrals[w].tolist()} has a collinear inner bond")
         dphi = _wrap_pi(phi - topo.dihedral_phi0)
-        e += 0.5 * topo.k_phi * np.sum(dphi * dphi)
+        e += 0.5 * topo.k_phi * (dphi @ dphi)
         if weight is not None:
             c = weight(topo.k_phi, dphi) * nrkj
-            g_i = (c / inner1) * n1
-            g_l = (-c / inner2) * n2
-            sv = (_dot(b_ij, b_kj) / nrkj2) * g_i + (_dot(b_lk, b_kj) / nrkj2) * g_l
-            grads["dihedral"] = (topo.dihedrals.T, (g_i, sv - g_i, -(g_l + sv), g_l))
-    return float(e), grads
+            np.multiply(c / inner1, n1, out=g_ij)
+            np.multiply(-c / inner2, n2, out=g_lk)
+            # the j-k edge carries minus the projections of the outer ones
+            np.multiply(-_dot(b_ij, b_kj) / nrkj2, g_ij, out=g_kj)
+            g_kj -= (_dot(b_lk, b_kj) / nrkj2) * g_lk
+    return float(e), v, g
 
 
 def harmonic_energy(structure: AtomicStructure, topo: HarmonicTopology,
                     forces: bool = False) -> tuple[float, np.ndarray | None]:
     """Harmonic energy [eV], zero at the reference geometry, and with
     ``forces`` the analytic forces [eV/A], shape (N, 3), from the same pass
-    and one scatter; otherwise None."""
+    and one scatter of the edge gradients; otherwise None."""
     if not forces:
         return _harmonic(structure, topo)[0], None
-    e, grads = _harmonic(structure, topo, lambda k, dq: -k * dq)
+    e, _, g = _harmonic(structure, topo, lambda k, dq: -k * dq)
     n = len(structure)
-    if not grads:
-        return e, np.zeros((n, 3))
-    parts = np.concatenate([gs for _, g in grads.values() for gs in g], axis=1)
-    return e, np.bincount(topo._scatter_index.ravel(), weights=parts.ravel(),
-                          minlength=3 * n).reshape(n, 3)
+    # (without terms, bincount returns integers)
+    return e, np.bincount(topo._edges[0].ravel(),
+                          weights=np.concatenate([g, -g], axis=1).ravel(),
+                          minlength=3 * n).reshape(n, 3).astype(float, copy=False)
 
 
 def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.ndarray:
@@ -373,27 +412,31 @@ def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.n
     k/2 |b|^2 has the Hessian of the angle term there.
     """
     n = len(structure)
-    _, grads = _harmonic(structure, topo, lambda k, dq: np.full(dq.shape, np.sqrt(k)))
+    _, v, g = _harmonic(structure, topo, lambda k, dq: np.full(dq.shape, np.sqrt(k)))
+    bounds = topo._edges[2]
+    # each term kind's slot atoms (S, T) and slot gradients (S, 3, T): the
+    # sum of its edge gradients, + at the head slot and - at the tail slot
+    families = []
+    for atoms, signs, (first, last) in zip((topo.bonds, topo.angles, topo.dihedrals),
+                                           _EDGE_SIGNS, ((0, 1), (1, 3), (3, 6))):
+        edges = g[:, bounds[first]:bounds[last]].reshape(3, last - first, -1)
+        families.append((atoms.T, np.einsum("sm,cmt->sct", signs, edges)))
     straight = np.pi - topo.angle_theta0 < _STRAIGHT_TOL
     if straight.any():
-        atoms, g = grads["angle"]
-        grads["angle"] = (atoms, [np.where(straight, 0.0, gs) for gs in g])
-        pi_, pj, pk = _term_positions(np.ascontiguousarray(structure.positions.T),
-                                      _cellmat(structure), topo.angles[straight],
-                                      topo.angle_offsets[straight])
-        u, w = pi_ - pj, pk - pj
+        atoms, ga = families[1]
+        ga[..., straight] = 0.0
+        u, w = (e[:, straight] for e in _slots(v, bounds)[1:3])
         ru, rw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
         root_k = np.sqrt(topo.k_theta)
         for c, unit in enumerate(np.eye(3)[:, :, None]):
             gi = (root_k / ru) * (unit - u[c] * u / ru**2)
             gk = (root_k / rw) * (unit - w[c] * w / rw**2)
-            grads[c] = (atoms[:, straight], (gi, -(gi + gk), gk))
+            families.append((atoms[:, straight], np.array([gi, -(gi + gk), gk])))
     h = np.zeros(9 * n * n)
-    for atoms, g in grads.values():
-        g = np.array(g)  # (S, 3, T)
+    for atoms, gs in families:
         idx = 3 * atoms[:, None, :] + np.arange(3)[:, None]
         flat = 3 * n * idx[:, :, None, None] + idx[None, None]
-        h += np.bincount(flat.ravel(), weights=(g[:, :, None, None] * g[None, None]).ravel(),
+        h += np.bincount(flat.ravel(), weights=(gs[:, :, None, None] * gs[None, None]).ravel(),
                          minlength=9 * n * n)
     return h.reshape(3 * n, 3 * n)
 

@@ -4,11 +4,15 @@ One force evaluation per step.  With zero friction the O step leaves the
 velocities unchanged and the step is exactly velocity Verlet (NVE).
 Units: positions A, time fs, masses amu, energies eV.  Fixed structure
 components are excluded from integration and from the kinetic
-temperature.
+temperature.  The kick and noise coefficients are computed once per run,
+and each step updates positions and velocities in place through
+preallocated noise and scratch buffers: outside the force evaluation, a
+step allocates only the positions copy that its frozen structure keeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +97,11 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
     masses = structure.masses[:, None]
     # thermal velocity per component [A/fs]
     v_std = np.sqrt(KB_EV * cfg.temperature * ACC_EV_A_AMU / structure.masses)[:, None]
+    # kinetic energy per squared velocity component [eV fs^2 / A^2]
+    half_m = np.repeat(0.5 * KE_AMU_A2_FS2_EV * masses, 3, axis=1)
 
     pos = structure.positions.copy()
-    pos0 = pos.copy()
+    pos0 = structure.positions
     if velocities is not None:
         vel = np.where(free, velocities, 0.0)
     elif cfg.temperature > 0:
@@ -104,40 +110,42 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
         vel = np.zeros((n, 3))
 
     (e_tot0, _, _), forces = model.energy_and_forces(structure)
-    e_ref = e_tot0 + 0.5 * KE_AMU_A2_FS2_EV * float(np.sum(masses * vel**2))
+    e_ref = e_tot0 + float(np.vdot(half_m, vel * vel))
 
     dt = cfg.timestep
     c1 = np.exp(-cfg.friction * dt)
     c2 = np.sqrt(max(0.0, 1.0 - c1 * c1))
+    # velocity change of a half kick per unit force [A/fs per eV/A]
+    kick = (0.5 * dt * ACC_EV_A_AMU) * free_f / masses
     noise_scale = c2 * v_std * free_f
 
     times, energies, temps, prod_temps = [], [], [], []
     disp_sum = np.zeros((n, 3))
     disp_sq = np.zeros((n, 3))
-
-    def accel(f):
-        return ACC_EV_A_AMU * f / masses * free_f
+    # the steps update vel and pos in place through these two buffers
+    noise = np.empty((n, 3))
+    tmp = np.empty((n, 3))
 
     cur = structure
-    a = accel(forces)
     for step in range(1, cfg.total_steps + 1):
-        vel = vel + 0.5 * dt * a
-        pos = pos + 0.5 * dt * vel
-        vel = c1 * vel + noise_scale * rng.standard_normal((n, 3))
-        pos = pos + 0.5 * dt * vel
-        cur = cur.with_positions(pos, check_overlap=False)
+        vel += np.multiply(kick, forces, out=tmp)
+        pos += np.multiply(0.5 * dt, vel, out=tmp)
+        vel *= c1
+        vel += np.multiply(noise_scale, rng.standard_normal(out=noise), out=noise)
+        pos += np.multiply(0.5 * dt, vel, out=tmp)
+        # the structure keeps its own frozen copy; pos stays writable
+        cur = cur.with_positions(pos.copy(), check_overlap=False)
         try:
             (e_pot, _, _), forces = model.energy_and_forces(cur)
         except GeometryError as e:
             raise IntegrationError(f"trajectory left the model's domain "
                                    f"at step {step}: {e}")
-        a = accel(forces)
-        vel = vel + 0.5 * dt * a
+        vel += np.multiply(kick, forces, out=tmp)
 
         if step % cfg.sample_interval == 0:
-            ke = 0.5 * KE_AMU_A2_FS2_EV * float(np.sum(masses * vel**2))
+            ke = float(np.vdot(half_m, np.multiply(vel, vel, out=tmp)))
             e_tot = e_pot + ke
-            if not np.isfinite(e_tot) or abs(e_tot - e_ref) > 1e3 * (abs(e_ref) + 1.0):
+            if not math.isfinite(e_tot) or abs(e_tot - e_ref) > 1e3 * (abs(e_ref) + 1.0):
                 raise IntegrationError(
                     f"total energy diverged at step {step}: {e_tot:.3e} eV")
             times.append(step * dt)
@@ -145,9 +153,8 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
             temps.append(_temperature(ke, n_dof))
             if step > cfg.runup_steps:
                 prod_temps.append(temps[-1])
-                d = pos - pos0
-                disp_sum += d
-                disp_sq += d * d
+                disp_sum += np.subtract(pos, pos0, out=tmp)
+                disp_sq += np.multiply(tmp, tmp, out=tmp)
 
     n_prod = len(prod_temps)
     mean_d = disp_sum / n_prod

@@ -98,6 +98,24 @@ def paired_separations(structure: AtomicStructure, shells=0):
         yield offset, d, r2
 
 
+def pair_separations(structure: AtomicStructure, i3, j3):
+    """Difference vectors d = R_i - R_j [Bohr] of listed home-image pairs,
+    as a (3, P) array, and r2 = |d|^2 (P,), from the flat position indices
+    3 i + c and 3 j + c, two (3, P) arrays.  Raises the GeometryError of
+    paired_separations for the first listed pair closer than the overlap
+    guard, so pairs listed in row-major order give guard_overlap's error."""
+    x = structure.positions.ravel() / BOHR_ANGSTROM
+    d = x.take(i3)
+    d -= x.take(j3)
+    r2 = np.einsum("kp,kp->p", d, d)
+    guard2 = (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2
+    if r2.min(initial=guard2) < guard2:
+        k = int(np.argmax(r2 < guard2))
+        raise _overlap_error(np.zeros(3, int), np.zeros(3), i3[0, k] // 3, j3[0, k] // 3,
+                             r2[k])
+    return d, r2
+
+
 def close_pairs(structure: AtomicStructure, r: float, reach):
     """The pairs within ``r`` [A] over the images of
     lattice_translations(cell, reach), found without an N x N array.

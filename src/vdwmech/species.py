@@ -36,8 +36,9 @@ class VdwStates:
     [a.u.], read-only.
 
     The pairwise model's (N, N) pair tables, ``c6_pairs`` and
-    ``rvdw_pairs``, are built on first use and then kept, read-only, for
-    the life of the states; the MBD model never builds them.
+    ``rvdw_pairs``, and their home-image pair list ``home_pairs`` are built
+    on first use and then kept, read-only, for the life of the states; the
+    MBD model never builds them.
     """
 
     c6_eff: np.ndarray      # Ha * Bohr^6
@@ -66,6 +67,21 @@ class VdwStates:
     def rvdw_pairs(self) -> np.ndarray:
         """Sums R_vdW,i + R_vdW,j [Bohr], (N, N)."""
         return _frozen(np.add.outer(self.rvdw_eff, self.rvdw_eff))
+
+    @cached_property
+    def home_pairs(self) -> tuple[np.ndarray, ...]:
+        """The pairs i < j of the home image, each once, in row-major order:
+        the flat position indices 3 i + c and 3 j + c of their components
+        c, two (3, P) arrays, then C6_ij and R_vdW,i + R_vdW,j, two (P,)
+        arrays gathered from the pair tables, and the position of each
+        row's first pair, (N - 1,)."""
+        n = len(self)
+        i, j = np.triu_indices(n, 1)
+        rows = np.arange(max(n - 1, 0))
+        xyz = np.arange(3)[:, None]
+        return (_frozen(3 * i + xyz, int), _frozen(3 * j + xyz, int),
+                _frozen(self.c6_pairs[i, j]), _frozen(self.rvdw_pairs[i, j]),
+                _frozen(rows * (2 * n - rows - 1) // 2, int))
 
 
 def parse_species_table(text: str,

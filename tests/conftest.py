@@ -349,22 +349,24 @@ def loop_topology(structure, include_dihedrals=True):
                     dihedrals.append((i, j, k, l))
                     dihedral_offs.append((ti, (0, 0, 0), tk, tl_j))
 
-    pos_t = np.ascontiguousarray(pos.T)
+    # the reference geometry through the library's edge path, so that the
+    # references compare bit for bit
     bond_idx = np.array([(i, j) for i, j, _ in bonds], int).reshape(-1, 2)
     bond_offs = np.array([((0, 0, 0), o) for _, _, o in bonds], int).reshape(-1, 2, 3)
-    pi_, pj = bonded._term_positions(pos_t, cm, bond_idx, bond_offs)
     angles = np.array(angles, int).reshape(-1, 3)
     angle_offs = np.array(angle_offs, int).reshape(-1, 3, 3)
-    ai, aj, ak = bonded._term_positions(pos_t, cm, angles, angle_offs)
     dihedrals = np.array(dihedrals, int).reshape(-1, 4)
     dihedral_offs = np.array(dihedral_offs, int).reshape(-1, 4, 3)
-    phi0, bad, _ = bonded._dihedral_geometry(
-        *bonded._term_positions(pos_t, cm, dihedrals, dihedral_offs))
+    index, offsets, bounds = bonded._edge_list(
+        ((bond_idx, bond_offs), (angles, angle_offs), (dihedrals, dihedral_offs)))
+    d, u, w, b_ij, b_kj, b_lk = bonded._slots(
+        bonded._edge_vectors(structure, index, offsets), bounds)
+    phi0, bad, _ = bonded._dihedral_geometry(b_ij, b_kj, b_lk)
     return bonded.HarmonicTopology(
         bonds=bond_idx, bond_offsets=bond_offs,
-        bond_r0=np.sqrt(bonded._dot(pi_ - pj, pi_ - pj)),
+        bond_r0=np.sqrt(bonded._dot(d, d)),
         angles=angles, angle_offsets=angle_offs,
-        angle_theta0=bonded._angle_geometry(ai - aj, ak - aj)[0],
+        angle_theta0=bonded._angle_geometry(u, w)[0],
         dihedrals=dihedrals[~bad], dihedral_offsets=dihedral_offs[~bad],
         dihedral_phi0=phi0[~bad])
 

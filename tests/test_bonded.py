@@ -44,7 +44,8 @@ def test_detect_single_atom():
     topo = detect_topology(s)
     assert (len(topo.bonds), len(topo.angles), len(topo.dihedrals)) == (0, 0, 0)
     assert harmonic_energy(s, topo)[0] == 0.0
-    assert np.all(harmonic_energy(s, topo, forces=True)[1] == 0.0)
+    f = harmonic_energy(s, topo, forces=True)[1]
+    assert f.dtype == float and np.all(f == 0.0)
 
 
 def test_detect_zero_atoms():
@@ -356,6 +357,26 @@ def test_topology_indices_checked_against_structure():
         with pytest.raises(InputError,
                            match=re.escape(f"{what} {terms[1]} has a negative atom index")):
             HarmonicTopology(**dict(empty, **{key: terms, ref: [1.0, 1.0]}))
+
+
+@pytest.mark.parametrize("what, key, ref, terms, value", [
+    ("bond", "bonds", "bond_r0", [[0, 0]], 1.5),
+    ("angle", "angles", "angle_theta0", [[0, 1, 0]], 2.0),
+    ("dihedral", "dihedrals", "dihedral_phi0", [[0, 1, 2, 0]], 0.5)])
+def test_repeated_atom_needs_another_image(what, key, ref, terms, value):
+    """A term may name one atom twice through two lattice images (first
+    and last slot here), never twice through the same image."""
+    empty = {"bonds": np.zeros((0, 2), int), "bond_r0": np.zeros(0),
+             "angles": np.zeros((0, 3), int), "angle_theta0": np.zeros(0),
+             "dihedrals": np.zeros((0, 4), int), "dihedral_phi0": np.zeros(0)}
+    kwargs = dict(empty, **{key: terms, ref: [value]})
+    offsets = np.zeros((1, len(terms[0]), 3), int)
+    offsets[0, -1, 2] = 1
+    topo = HarmonicTopology(**kwargs, **{what + "_offsets": offsets})
+    assert len(getattr(topo, key)) == 1
+    with pytest.raises(InputError,
+                       match=re.escape(f"{what} {terms[0]} repeats an atom instance")):
+        HarmonicTopology(**kwargs, **{what + "_offsets": np.zeros_like(offsets)})
 
 
 def test_periodic_image_bonds():

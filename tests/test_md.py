@@ -52,6 +52,38 @@ def test_seeded_determinism_bit_identical():
     assert not np.array_equal(a.structure.positions, c.structure.positions)
 
 
+class _Recording:
+    """A model that keeps every structure it evaluates with a copy of its
+    positions."""
+
+    def __init__(self, model):
+        self.model = model
+        self.seen = []
+
+    def energy_and_forces(self, structure):
+        self.seen.append((structure, structure.positions.copy()))
+        return self.model.energy_and_forces(structure)
+
+
+def test_run_leaves_given_and_returned_arrays_unchanged():
+    """The in-place steps work on their own copies: the caller's velocities
+    stay as given, every step's structure keeps its positions, and a run
+    continued from a result leaves that result as it was."""
+    s = make_chain_pair(ChainSpec(4, 4, gap=6.0, hydrogen_caps=True))
+    model = _Recording(CompositeModel(topology=detect_topology(s), vdw="pw"))
+    cfg = MdConfig(timestep=1.0, temperature=300.0, total_steps=20, seed=4)
+    given = np.random.default_rng(0).normal(scale=0.005, size=(len(s), 3))
+    kept = given.copy()
+    res = run_md(s, model, cfg, velocities=given)
+    assert np.array_equal(given, kept)
+    assert len(model.seen) == cfg.total_steps + 1
+    assert all(np.array_equal(st.positions, pos) for st, pos in model.seen)
+    positions, velocities = res.structure.positions.copy(), res.velocities.copy()
+    run_md(res.structure, model, cfg, velocities=res.velocities)
+    assert np.array_equal(res.structure.positions, positions)
+    assert np.array_equal(res.velocities, velocities)
+
+
 def test_langevin_temperature_control_short():
     spec = ChainSpec(8, 8, gap=6.0, hydrogen_caps=True)
     s = make_chain_pair(spec)

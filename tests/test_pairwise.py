@@ -10,6 +10,7 @@ from vdwmech import pairwise
 from vdwmech.errors import GeometryError, InputError
 from vdwmech.mbd import MbdModelConfig, mbd_energy
 from vdwmech.pairwise import PwModelConfig, pw_energy
+from vdwmech.periodic import guard_overlap
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM, HARTREE_EV
@@ -147,6 +148,22 @@ def test_overlap_guard_in_energy():
         pw_energy(s2, states_for(s2), cfg)
 
 
+def test_home_overlap_error_matches_guard_overlap():
+    """Of two overlapping pairs, the first in row-major order is named,
+    with the overlap guard's own text."""
+    s = AtomicStructure(positions=[[0, 0, 0], [5, 0, 0], [10, 0, 0], [15, 0, 0]],
+                        species=["C"] * 4)
+    s = s.with_positions([[0, 0, 0], [5, 0, 0], [5.05, 0, 0], [0.05, 0, 0]],
+                         check_overlap=False)
+    with pytest.raises(GeometryError) as ref:
+        guard_overlap(s, (0, 0, 0))
+    assert str(ref.value).startswith("atoms 0 and 3 in the home cell")
+    for forces in (False, True):
+        with pytest.raises(GeometryError) as got:
+            pw_energy(s, states_for(s), PwModelConfig(), forces=forces)
+        assert str(got.value) == str(ref.value)
+
+
 def test_state_length_mismatch():
     s = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "C"])
     one = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
@@ -181,6 +198,19 @@ def test_energy_and_forces_match_flat_oracle(rng):
         assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
 
 
+def test_single_atom_chain_matches_flat_oracle():
+    """One atom in a 1-D periodic cell has no home pair; its images alone
+    enter."""
+    chain = CellTensor(np.diag([2.5, 30.0, 30.0]), periodic=(True, False, False))
+    s = AtomicStructure(positions=[[0.4, 0.2, -0.1]], species=["C"], cell=chain)
+    st = states_for(s)
+    e, f = pw_energy(s, st, PwModelConfig(), 3, forces=True)
+    e_ref, f_ref = brute_force_pw(s, st, PwModelConfig(), 3)
+    assert e < 0 and e == pytest.approx(e_ref, rel=1e-12)
+    assert f.dtype == float
+    np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-12)
+
+
 def test_periodic_forces_match_fd():
     s = AtomicStructure(positions=[[0.5, 0.5, 0.5], [2.5, 3.0, 3.5], [4.5, 1.5, 6.0]],
                         species=["C", "H", "C"], cell=TRICLINIC)
@@ -203,17 +233,20 @@ def test_energy_only_equals_energy_and_forces(rng):
 def test_pair_tables_cached_read_only_and_built_on_first_use(rng):
     s = random_cluster(rng, 6)
     st = states_for(s)
-    assert "c6_pairs" not in vars(st) and "rvdw_pairs" not in vars(st)
+    cached = {"c6_pairs", "rvdw_pairs", "home_pairs"}
+    assert not cached & set(vars(st))
     mbd_energy(s, st, MbdModelConfig(), 0, True)
-    assert "c6_pairs" not in vars(st) and "rvdw_pairs" not in vars(st)
+    assert not cached & set(vars(st))
     pw_energy(s, st, PwModelConfig(), forces=True)
-    tables = vars(st)["c6_pairs"], vars(st)["rvdw_pairs"]
+    tables = {name: vars(st)[name] for name in cached}
     pw_energy(s, st, PwModelConfig(d=6.0))
-    assert vars(st)["c6_pairs"] is tables[0] and vars(st)["rvdw_pairs"] is tables[1]
-    for table in tables:
-        assert table.shape == (6, 6) and not table.flags.writeable
+    assert all(vars(st)[name] is table for name, table in tables.items())
+    for table in (tables["c6_pairs"], tables["rvdw_pairs"]):
+        assert table.shape == (6, 6)
+    for table in (tables["c6_pairs"], tables["rvdw_pairs"], *tables["home_pairs"]):
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 1] = 0.0
+            table[(0,) * table.ndim] = 0
 
 
 def test_reused_states_match_fresh_states_bitwise(rng):
