@@ -23,7 +23,7 @@ energy to the last bit (see sym_eigen).
 
 The lattice images within ``shells`` cells come in +-t pairs and
 C_ij(-t) = C_ji(t)^T, so only the home image and one image of each pair
-enter, in the order of periodic.paired_separations: the paired part S
+enter, in the order of periodic.lattice_translations: the paired part S
 enters as S + S^T, which makes C exactly symmetric.  The forces use the
 same pairing: the gradient of the (i, j, -t) term is minus that of
 (j, i, t), so the sum over partners becomes row sums minus column sums.
@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InstabilityError, NumericalError, check_count
-from .periodic import guard_overlap, lattice_translations, paired_separations
+from .periodic import guard_overlap, lattice_translations
 from .species import VdwStates
 from .structure import OVERLAP_GUARD, AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
@@ -222,8 +222,18 @@ def _radial(r2, inv_s, slope=False):
 
 def _home_image(structure, inv_s, slope=False):
     """The separations d = R_i - R_j (3, N, N) [Bohr] of the home cell and
-    their _radial factors, with the self pairs pushed far away."""
-    _, d, r2 = next(paired_separations(structure, 0))  # the home image alone
+    their _radial factors, with the self pairs pushed far away (R = 1e30
+    Bohr keeps their factors finite, so no inf * 0 = nan arises)."""
+    pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
+    n = len(structure)
+    # a quarter faster than one broadcast np.subtract at N ~ 100; same bits
+    d = np.empty((3, n, n))
+    d[...] = pos_t[:, :, None]
+    d -= pos_t[:, None, :]
+    r2 = np.einsum("kij,kij->ij", d, d)
+    np.fill_diagonal(r2, 1e30 ** 2)
+    if r2.min() < (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2:
+        guard_overlap(structure, 0)
     return (d, *_radial(r2, inv_s, slope))
 
 
@@ -433,7 +443,7 @@ def _assemble(structure, shells, omega, coupling, inv_s, keep=None):
     forces need of the translated images (see _lattice_pass) is appended
     to it."""
     n = len(structure)
-    # one translation of each +-t pair [Bohr], as paired_separations visits them
+    # one translation of each +-t pair [Bohr]
     trans = lattice_translations(structure.cell, shells)[1][1:]
     # C goes below the temporaries on the heap, so the space they free
     # stays in one block that the eigensolve's arrays can reuse

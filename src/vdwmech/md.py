@@ -134,7 +134,7 @@ def run_md(structure: AtomicStructure, model, cfg: MdConfig,
         vel += np.multiply(noise_scale, rng.standard_normal(out=noise), out=noise)
         pos += np.multiply(0.5 * dt, vel, out=tmp)
         # the structure keeps its own frozen copy; pos stays writable
-        cur = cur.with_positions(pos.copy(), check_overlap=False)
+        cur = cur.with_positions(pos, check_overlap=False)
         try:
             (e_pot, _, _), forces = model.energy_and_forces(cur)
         except GeometryError as e:

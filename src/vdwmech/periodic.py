@@ -1,4 +1,12 @@
-"""Lattice images, cell deformation, and numerical cell stress."""
+"""Lattice images, close pairs and the overlap guard, cell deformation,
+and numerical cell stress.
+
+lattice_translations is the one builder of lattice images: the home
+image, then one image of each +-t pair.  The dispersion kernels sum over
+those images themselves; close_pairs finds the pairs within a radius
+without an N x N array, for bond detection and for guard_overlap, the
+one code that names a pair closer than OVERLAP_GUARD.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +19,6 @@ from .errors import GeometryError, InputError, check_count
 from .structure import OVERLAP_GUARD, AtomicStructure, CellTensor
 from .units import BOHR_ANGSTROM, EV_A3_GPA
 
-_FAR = 1e30  # Bohr; masks the self pairs of the home image without inf * 0 = nan
 _STRAIN_STEP = 1e-5  # central-difference strain of cell_stress
 
 
@@ -57,76 +64,17 @@ def image_reach(structure: AtomicStructure, r: float) -> tuple[int, int, int]:
                  for h, s, p in zip(height, spread, cell.periodic))
 
 
-def _overlap_error(offset, t, i, j, r2) -> GeometryError:
-    """The error naming atoms i and j of the image at ``offset`` (translation
-    t [Bohr]), r2 [Bohr^2] apart."""
-    where = ("in the home cell" if not offset.any() else "at lattice translation "
-             f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
-    return GeometryError(f"atoms {i} and {j} {where} are "
-                         f"{np.sqrt(r2) * BOHR_ANGSTROM:.4f} A apart "
-                         f"(overlap guard {OVERLAP_GUARD} A)")
-
-
-def paired_separations(structure: AtomicStructure, shells=0):
-    """Difference vectors over the home image, then one image of each +-t pair.
-
-    The images are those of lattice_translations(cell, shells).  Yields
-    (offset, d, r2) per image: its integer offset (3,), d = R_i - (R_j + t)
-    as a (3, N, N) array [Bohr] and r2 = |d|^2, with the self pairs of the
-    home image (zero offset) pushed far away.  d and r2 are allocated once
-    and overwritten by the next image.  Sums over all images follow from
-    these: a paired image stands for both of its members, and the home
-    image for half of its symmetric pair sum.  Raises GeometryError when a
-    pair is closer than the overlap guard.
-    """
-    offsets, trans = lattice_translations(structure.cell, shells)
-    pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
-    guard2 = (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2
-    n = len(structure)
-    d = np.empty((3, n, n))
-    r2 = np.empty((n, n))
-    for k, (offset, t) in enumerate(zip(offsets, trans)):
-        # a quarter faster than one broadcast np.subtract at N ~ 100; same bits
-        d[...] = pos_t[:, :, None]
-        d -= (pos_t + t[:, None])[:, None, :]
-        np.einsum("kij,kij->ij", d, d, out=r2)
-        if k == 0:
-            np.fill_diagonal(r2, _FAR * _FAR)
-        if n and r2.min() < guard2:
-            i, j = np.argwhere(r2 < guard2)[0]
-            raise _overlap_error(offset, t, i, j, r2[i, j])
-        yield offset, d, r2
-
-
-def pair_separations(structure: AtomicStructure, i3, j3):
-    """Difference vectors d = R_i - R_j [Bohr] of listed home-image pairs,
-    as a (3, P) array, and r2 = |d|^2 (P,), from the flat position indices
-    3 i + c and 3 j + c, two (3, P) arrays.  Raises the GeometryError of
-    paired_separations for the first listed pair closer than the overlap
-    guard, so pairs listed in row-major order give guard_overlap's error."""
-    x = structure.positions.ravel() / BOHR_ANGSTROM
-    d = x.take(i3)
-    d -= x.take(j3)
-    r2 = np.einsum("kp,kp->p", d, d)
-    guard2 = (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2
-    if r2.min(initial=guard2) < guard2:
-        k = int(np.argmax(r2 < guard2))
-        raise _overlap_error(np.zeros(3, int), np.zeros(3), i3[0, k] // 3, j3[0, k] // 3,
-                             r2[k])
-    return d, r2
-
-
 def close_pairs(structure: AtomicStructure, r: float, reach):
     """The pairs within ``r`` [A] over the images of
     lattice_translations(cell, reach), found without an N x N array.
 
     Yields (offset, i, j, r2) for every image in that order: its integer
     offset (3,), the pairs (i, j) with r2 <= r^2 in row-major order, i < j
-    in the home image, and r2 = |R_i - (R_j + t)|^2 [Bohr^2] with the bits
-    of paired_separations.  The atoms are sorted once along their longest
-    extent; per image, two binary searches find each atom's window of
-    partners whose projections lie within r, so the work grows with the
-    pairs in the windows.
+    in the home image, and r2 = |x_i - (x_j + t)|^2 [Bohr^2] with x = R in
+    Bohr, summed over the components in order.  The atoms are sorted once
+    along their longest extent; per image, two binary searches find each
+    atom's window of partners whose projections lie within r, so the work
+    grows with the pairs in the windows.
     """
     offsets, trans = lattice_translations(structure.cell, reach)
     pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
@@ -166,16 +114,21 @@ def close_pairs(structure: AtomicStructure, r: float, reach):
 
 
 def guard_overlap(structure: AtomicStructure, reach) -> None:
-    """Raises the GeometryError of paired_separations for the first pair
-    closer than OVERLAP_GUARD over the images of lattice_translations(cell,
-    reach): the first image in that order, then the smallest (i, j)."""
+    """Raises GeometryError for the first pair closer than OVERLAP_GUARD over
+    the images of lattice_translations(cell, reach): the first image in that
+    order, then the smallest (i, j).  Every kernel that finds a pair below
+    the guard calls this, so one text names an overlap."""
     guard2 = (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2
     trans = lattice_translations(structure.cell, reach)[1]
     for t, (offset, i, j, r2) in zip(trans, close_pairs(structure, OVERLAP_GUARD, reach)):
         hit = np.flatnonzero(r2 < guard2)
         if len(hit):
             k = hit[0]
-            raise _overlap_error(offset, t, i[k], j[k], r2[k])
+            where = ("in the home cell" if not offset.any() else "at lattice translation "
+                     f"{np.round(t * BOHR_ANGSTROM, 6).tolist()} A")
+            raise GeometryError(f"atoms {i[k]} and {j[k]} {where} are "
+                                f"{np.sqrt(r2[k]) * BOHR_ANGSTROM:.4f} A apart "
+                                f"(overlap guard {OVERLAP_GUARD} A)")
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,10 @@ class VdwStates:
     """Environment-scaled dispersion parameters, one (N,) array per field
     [a.u.], read-only.
 
-    The pairwise model's (N, N) pair tables, ``c6_pairs`` and
-    ``rvdw_pairs``, and their home-image pair list ``home_pairs`` are built
-    on first use and then kept, read-only, for the life of the states; the
-    MBD model never builds them.
+    The pairwise model's pair list ``home_pairs``, with C6_ij and
+    R_vdW,i + R_vdW,j on each listed pair, is built on first use and then
+    kept, read-only, for the life of the states; no (N, N) table is
+    formed, and the MBD model never builds the list.
     """
 
     c6_eff: np.ndarray      # Ha * Bohr^6
@@ -55,32 +55,26 @@ class VdwStates:
         return len(self.c6_eff)
 
     @cached_property
-    def c6_pairs(self) -> np.ndarray:
-        """TS-combined C6_ij [Ha Bohr^6], (N, N): the rule C6_ij = 2 C6_i C6_j
-        / (a_j/a_i C6_i + a_i/a_j C6_j), as 2 p_i p_j / (q_i + q_j) with
-        p = C6/alpha and q = p/alpha."""
-        p = self.c6_eff / self.alpha0_eff
-        return _frozen(np.outer(p, 2.0 * p) / np.add.outer(p / self.alpha0_eff,
-                                                           p / self.alpha0_eff))
-
-    @cached_property
-    def rvdw_pairs(self) -> np.ndarray:
-        """Sums R_vdW,i + R_vdW,j [Bohr], (N, N)."""
-        return _frozen(np.add.outer(self.rvdw_eff, self.rvdw_eff))
-
-    @cached_property
     def home_pairs(self) -> tuple[np.ndarray, ...]:
         """The pairs i < j of the home image, each once, in row-major order:
         the flat position indices 3 i + c and 3 j + c of their components
-        c, two (3, P) arrays, then C6_ij and R_vdW,i + R_vdW,j, two (P,)
-        arrays gathered from the pair tables, and the position of each
-        row's first pair, (N - 1,)."""
+        c, two (3, P) arrays; then TS-combined C6_ij [Ha Bohr^6] and sums
+        R_vdW,i + R_vdW,j [Bohr] over those pairs followed by the N self
+        pairs (i, i), which meet in the translated images, two (P + N,)
+        arrays; and the position of each row's first pair, (N - 1,).  The
+        rule C6_ij = 2 C6_i C6_j / (a_j/a_i C6_i + a_i/a_j C6_j) is
+        evaluated as 2 p_i p_j / (q_i + q_j) with p = C6/alpha and
+        q = p/alpha."""
         n = len(self)
         i, j = np.triu_indices(n, 1)
         rows = np.arange(max(n - 1, 0))
         xyz = np.arange(3)[:, None]
+        ii, jj = np.concatenate([i, np.arange(n)]), np.concatenate([j, np.arange(n)])
+        p = self.c6_eff / self.alpha0_eff
+        q = p / self.alpha0_eff
         return (_frozen(3 * i + xyz, int), _frozen(3 * j + xyz, int),
-                _frozen(self.c6_pairs[i, j]), _frozen(self.rvdw_pairs[i, j]),
+                _frozen(p[ii] * (2.0 * p)[jj] / (q[ii] + q[jj])),
+                _frozen(self.rvdw_eff[ii] + self.rvdw_eff[jj]),
                 _frozen(rows * (2 * n - rows - 1) // 2, int))
 
 

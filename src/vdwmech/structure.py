@@ -1,8 +1,8 @@
 """Atomic structures and periodic cells.
 
 AtomicStructure and CellTensor are immutable value objects: every array is
-frozen after validation, so instances can be shared freely between threads
-and processes.  They compare and hash by identity: a numpy field has no
+a read-only copy of the one given, so instances can be shared freely
+between threads and processes, and the caller's arrays stay its own.  They compare and hash by identity: a numpy field has no
 single truth value for a generated ``==`` to return.
 """
 
@@ -26,7 +26,8 @@ OVERLAP_GUARD = 0.1  # A, the closest that two atoms (or images) may come
 
 
 def _frozen(a, dtype=float):
-    arr = np.ascontiguousarray(a, dtype=dtype)
+    """A read-only, C-ordered copy of ``a``; the caller's array stays its own."""
+    arr = np.array(a, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 

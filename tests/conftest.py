@@ -5,6 +5,7 @@ import pytest
 
 from vdwmech.species import PARAMS_ENV_VAR, states_for
 from vdwmech.structure import OVERLAP_GUARD, AtomicStructure
+from vdwmech.units import BOHR_ANGSTROM
 
 
 def fd_forces(energy_fn, structure, h=1e-4):
@@ -106,6 +107,17 @@ def lattice_box(structure, shells):
         return np.zeros((1, 3))
     axes = [range(-shells, shells + 1) if p else range(1) for p in cell.periodic]
     return np.array(list(product(*axes)), float) @ cell.matrix
+
+
+def dense_separations(structure, t):
+    """d = x_i - (x_j + t) [Bohr] for every ordered pair (i, j), as a
+    (3, N, N) array, with x = R in Bohr and the translation t [Bohr], and
+    r2 = |d|^2 summed over the components in order: a loop over pairs."""
+    x = structure.positions / BOHR_ANGSTROM
+    n = len(x)
+    d = np.array([[x[i] - (x[j] + t) for j in range(n)] for i in range(n)])
+    d = d.reshape(n, n, 3).transpose(2, 0, 1)
+    return d, d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
 
 
 def brute_force_pw(structure, states, cfg, shells=0):

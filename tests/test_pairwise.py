@@ -36,7 +36,7 @@ def test_steep_damping_at_short_range_is_zero_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         e, f = pw_energy(s, states_for(s), PwModelConfig(d=1000.0), forces=True)
-    # the masked self pairs of the home image leave ~1e-177 eV
+    # the one pair's damping is exactly 0
     assert abs(e) < 1e-150 and not f.any()
 
 
@@ -164,6 +164,23 @@ def test_home_overlap_error_matches_guard_overlap():
         assert str(got.value) == str(ref.value)
 
 
+def test_image_overlap_error_matches_guard_overlap():
+    """Atoms that overlap only through a lattice image two cells out raise,
+    at 2 shells, the overlap guard's own text; at 1 shell they do not meet."""
+    chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
+    s = AtomicStructure(positions=[[0, 0, 0], [2.5, 0, 0], [12.5, 1, 0]], species=["C"] * 3,
+                        cell=chain)
+    s = s.with_positions([[0, 0, 0], [2.5, 0, 0], [10.05, 0, 0]], check_overlap=False)
+    with pytest.raises(GeometryError) as ref:
+        guard_overlap(s, 2)
+    assert str(ref.value).startswith("atoms 2 and 0 at lattice translation [10.0, 0.0, 0.0] A")
+    for forces in (False, True):
+        with pytest.raises(GeometryError) as got:
+            pw_energy(s, states_for(s), PwModelConfig(), 2, forces)
+        assert str(got.value) == str(ref.value)
+    assert pw_energy(s, states_for(s), PwModelConfig(), 1)[0] < 0
+
+
 def test_state_length_mismatch():
     s = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "C"])
     one = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
@@ -176,7 +193,7 @@ TRICLINIC = CellTensor(np.array([[6.0, 0.0, 0.0], [1.5, 6.5, 0.0], [-1.0, 1.2, 7
 
 def _oracle_cases(rng):
     """(structure, shells, config): open pair, 1-D chain, triclinic 3-D at
-    2 shells, and a 12-atom cluster."""
+    2 shells, a 12-atom cluster and a 2-D slab listed cells out."""
     s = AtomicStructure(positions=[[0, 0, 0], [3.7, 0.4, -0.2]], species=["C", "H"])
     yield s, 0, PwModelConfig()
     chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
@@ -187,6 +204,14 @@ def _oracle_cases(rng):
                         species=["C", "H", "C"], cell=TRICLINIC)
     yield s, 2, PwModelConfig()
     yield random_cluster(rng, 12), 0, PwModelConfig()
+    # a 2-D slab whose atoms are listed 1 to 3 cells out: home separations
+    # of up to ~20 A that the translations cancel
+    slab = CellTensor(np.array([[4.5, 0, 0], [1.2, 5.0, 0], [0, 0, 30.0]]),
+                      periodic=(True, True, False))
+    base = np.array([[0.5, 0.5, 0.5], [2.0, 2.5, 1.5], [3.5, 1.0, -0.5], [1.0, 3.8, 1.0]])
+    cells = np.array([[1, 0, 0], [-2, 3, 0], [3, -1, 0], [0, -2, 0]])
+    yield (AtomicStructure(positions=base + cells @ slab.matrix, species=["C", "H", "C", "H"],
+                           cell=slab), 2, PwModelConfig())
 
 
 def test_energy_and_forces_match_flat_oracle(rng):
@@ -233,17 +258,16 @@ def test_energy_only_equals_energy_and_forces(rng):
 def test_pair_tables_cached_read_only_and_built_on_first_use(rng):
     s = random_cluster(rng, 6)
     st = states_for(s)
-    cached = {"c6_pairs", "rvdw_pairs", "home_pairs"}
-    assert not cached & set(vars(st))
+    assert "home_pairs" not in vars(st)
     mbd_energy(s, st, MbdModelConfig(), 0, True)
-    assert not cached & set(vars(st))
+    assert "home_pairs" not in vars(st)
     pw_energy(s, st, PwModelConfig(), forces=True)
-    tables = {name: vars(st)[name] for name in cached}
+    tables = vars(st)["home_pairs"]
     pw_energy(s, st, PwModelConfig(d=6.0))
-    assert all(vars(st)[name] is table for name, table in tables.items())
-    for table in (tables["c6_pairs"], tables["rvdw_pairs"]):
-        assert table.shape == (6, 6)
-    for table in (tables["c6_pairs"], tables["rvdw_pairs"], *tables["home_pairs"]):
+    assert vars(st)["home_pairs"] is tables
+    # 15 pairs i < j, then C6_ij and the radius sums over them and the 6 self pairs
+    assert [t.shape for t in tables] == [(3, 15), (3, 15), (21,), (21,), (5,)]
+    for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0

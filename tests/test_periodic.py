@@ -3,14 +3,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import lattice_box
+from conftest import dense_separations, lattice_box
 from vdwmech.errors import GeometryError, InputError
 from vdwmech.generators import CntSpec, make_swcnt
 from vdwmech.mbd import MbdModelConfig, mbd_energy
 from vdwmech.pairwise import PwModelConfig, pw_energy
 from vdwmech.periodic import (_lattice_offsets, apply_cell_strain, apply_deformation, cell_stress,
                               close_pairs, image_reach, lattice_translations,
-                              paired_separations, relaxable_components)
+                              relaxable_components)
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
 from vdwmech.units import BOHR_ANGSTROM
@@ -65,42 +65,16 @@ def test_images_count_grows_with_shells():
     assert all(b > a for a, b in zip(counts, counts[1:]))
 
 
-def test_paired_separations_visit_one_image_of_each_pair():
-    """Under a sheared cell the same integer offsets are visited, home first."""
+def test_lattice_translations_visit_one_image_of_each_pair():
+    """Under a sheared cell the same integer offsets are visited, home first,
+    each with its translation offset @ cell."""
     cell = CellTensor(np.array([[4.0, 0.0, 0.0], [-3.9, 4.0, 0.0], [0.0, 0.0, 30.0]]),
                       periodic=(True, True, False))
-    s = AtomicStructure(positions=[[0.5, 0.5, 0.5]], species=["C"], cell=cell)
-    seen = [(o.copy(), -d[:, 0, 0].copy()) for o, d, _ in paired_separations(s, 2)]
-    offsets = np.array(_lattice_offsets((2, 2, 0)))
-    assert np.array_equal([o for o, _ in seen], offsets)
-    t = np.array([d for _, d in seen]) * BOHR_ANGSTROM
-    assert np.allclose(t, offsets @ cell.matrix, atol=1e-12)
+    offsets, trans = lattice_translations(cell, 2)
+    assert np.array_equal(offsets, _lattice_offsets((2, 2, 0)))
+    assert np.allclose(trans * BOHR_ANGSTROM, offsets @ cell.matrix, atol=1e-12)
     with pytest.raises(InputError, match="shells"):
-        next(paired_separations(s, -1))
-    # d and r2 are x_i - (x_j + t) and its squared norm, bit for bit, on an
-    # open pair, a 1-D cell at 3 shells and a triclinic cell at 2 shells
-    chain = CellTensor(np.diag([5.0, 30.0, 30.0]), periodic=(True, False, False))
-    triclinic = CellTensor(np.array([[6.0, 0.0, 0.0], [1.5, 6.5, 0.0], [-1.0, 1.2, 7.0]]))
-    three = [[0.3, 0, 0], [2.1, 1.0, 0.4], [3.9, -0.5, 1.1]]
-    for s, shells in ((AtomicStructure(positions=[[0, 0, 0], [3.7, 0.4, -0.2]],
-                                       species=["C", "H"]), 0),
-                      (AtomicStructure(positions=three, species=["C", "H", "C"], cell=chain), 3),
-                      (AtomicStructure(positions=three, species=["C", "H", "C"],
-                                       cell=triclinic), 2)):
-        x = s.positions / BOHR_ANGSTROM
-        trans = np.zeros((1, 3))
-        if s.cell is not None:
-            reach = [shells if p else 0 for p in s.cell.periodic]
-            trans = np.array(_lattice_offsets(reach)) @ s.cell.matrix / BOHR_ANGSTROM
-        images = paired_separations(s, shells)
-        for k, ((o, d, r2), t) in enumerate(zip(images, trans, strict=True)):
-            ref = np.array([[x[i] - (x[j] + t) for j in range(len(s))]
-                            for i in range(len(s))]).transpose(2, 0, 1)
-            ref_r2 = ref[0] * ref[0] + ref[1] * ref[1] + ref[2] * ref[2]
-            if k == 0:
-                np.fill_diagonal(ref_r2, r2[0, 0])
-            assert o.any() == (k > 0)
-            assert np.array_equal(d, ref) and np.array_equal(r2, ref_r2)
+        lattice_translations(cell, -1)
 
 
 def test_image_reach_bounds_every_close_pair():
@@ -141,8 +115,8 @@ def _spaced(draw, cell=None):
 
 def test_close_pairs_match_brute_force():
     """close_pairs yields, per image of lattice_translations, exactly the
-    pairs within r of the full separation matrix (i < j at home), in
-    row-major order and with its r2 bits: skewed cells with 0 to 3
+    pairs within r of the dense brute-force separations (i < j at home), in
+    row-major order and with their r2 bits: skewed cells with 0 to 3
     periodic axes, atoms listed up to 3 cells out, random r and reach,
     plus 0 atoms, 1 atom and a cluster whose pairs are all candidates."""
     rng = np.random.default_rng(11)
@@ -160,11 +134,11 @@ def test_close_pairs_match_brute_force():
               (_spaced(lambda: rng.uniform(0.0, 1.0, (12, 3))), 2.0, 0),
               (_spaced(lambda: rng.uniform(0.0, 1.0, (12, 3)), cube), 2.0, (1, 0, 2))]
     for s, r, reach in cases:
-        offsets = lattice_translations(s.cell, reach)[0]
+        offsets, trans = lattice_translations(s.cell, reach)
         found = close_pairs(s, r, reach)
-        for k, ((o, i, j, r2), (o_ref, _, r2_ref)) in enumerate(
-                zip(found, paired_separations(s, reach), strict=True)):
-            assert np.array_equal(o, o_ref) and np.array_equal(o, offsets[k])
+        for k, ((o, i, j, r2), t) in enumerate(zip(found, trans, strict=True)):
+            assert np.array_equal(o, offsets[k])
+            r2_ref = dense_separations(s, t)[1]
             close = r2_ref <= (r / BOHR_ANGSTROM) ** 2
             if k == 0:
                 close &= np.tri(len(s), len(s), -1, dtype=bool).T

@@ -69,6 +69,30 @@ def test_immutability():
         s.positions[0, 0] = 1.0
 
 
+def test_value_objects_copy_the_callers_arrays():
+    """A structure (built directly and by with_positions, checked or not),
+    a cell and a topology keep their own copies: writing to the caller's
+    arrays afterwards changes none of them, and those arrays stay writable."""
+    from vdwmech.bonded import HarmonicTopology
+    pos = np.array([[0.0, 0, 0], [1.5, 0, 0]])
+    checked, unchecked = pos + [0.0, 0.1, 0], pos + [0.0, 0.2, 0]
+    matrix = np.diag([10.0, 10.0, 10.0])
+    bonds, r0, offsets = np.array([[0, 1]]), np.array([1.5]), np.zeros((1, 2, 3), int)
+    s = AtomicStructure(positions=pos, species=["C", "C"], cell=CellTensor(matrix))
+    moved = (s, s.with_positions(checked), s.with_positions(unchecked, check_overlap=False))
+    topo = HarmonicTopology(bonds=bonds, bond_r0=r0, bond_offsets=offsets,
+                            angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
+                            dihedrals=np.zeros((0, 4), int), dihedral_phi0=np.zeros(0))
+    owned = [x.positions for x in moved] + [s.cell.matrix, topo.bonds, topo.bond_r0,
+                                            topo.bond_offsets]
+    before = [a.copy() for a in owned]
+    for arr in (pos, checked, unchecked, matrix, bonds, r0, offsets):
+        assert arr.flags.writeable
+        arr[...] = 0  # puts the two carbons on top of each other
+    for a, ref in zip(owned, before, strict=True):
+        assert np.array_equal(a, ref) and not a.flags.writeable
+
+
 def test_rigid_translation_preserves_distances(rng):
     pts = rng.uniform(0, 5, (6, 3)) * 1.3
     s = AtomicStructure(positions=pts, species=["C"] * 6)
