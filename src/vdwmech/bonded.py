@@ -1,7 +1,10 @@
 """Harmonic covalent force field: stretch, bend, and torsion terms.
 
     E = sum 1/2 k_r (r - r0)^2 + sum 1/2 k_theta (theta - theta0)^2
-        + sum 1/2 k_phi (phi - phi0)^2
+        + sum k_phi (1 - cos(phi - phi0))
+
+The torsion is DREIDING's cosine form (Mayo, Olafson and Goddard, J. Phys.
+Chem. 94, 8897 (1990)): curvature k_phi at phi0, and smooth at every phi.
 
 Reference values r0 / theta0 / phi0 are captured per term from the input
 structure at detection time, so the detected geometry is the energy
@@ -38,7 +41,7 @@ from .units import BOHR_ANGSTROM
 
 K_R_DEFAULT = 35.0505      # eV/A^2
 K_THETA_DEFAULT = 6.6069   # eV/rad^2
-K_PHI_DEFAULT = 0.5361     # eV/rad^2
+K_PHI_DEFAULT = 0.5361     # eV/rad^2, the torsion curvature at phi0
 
 # bond cutoffs [A] per species pair, listed in both orders; pairs that are
 # not listed never bond
@@ -254,8 +257,7 @@ def _neighbor_table(structure):
 
 def detect_topology(structure: AtomicStructure,
                     k_r: float = K_R_DEFAULT, k_theta: float = K_THETA_DEFAULT,
-                    k_phi: float = K_PHI_DEFAULT,
-                    include_dihedrals: bool = True) -> HarmonicTopology:
+                    k_phi: float = K_PHI_DEFAULT) -> HarmonicTopology:
     """Detect bonds/angles/dihedrals from the BOND_CUTOFFS distances and
     capture the reference geometry from the input structure.
 
@@ -263,7 +265,7 @@ def detect_topology(structure: AtomicStructure,
     than twice the cutoff (one chain repeat, say) still get both bonds, to any
     listed image of an atom; a search past _MAX_REACH shells is an InputError.
     Dihedrals whose reference torsion is undefined (collinear inner angle,
-    as in straight chains) are skipped.
+    as in straight chains) are skipped, and with k_phi = 0 none are listed.
 
     Term order: bonds by lattice offset, then row-major (i, j); angles by
     centre, then its neighbor pairs sorted by (index, offset); dihedrals by
@@ -298,7 +300,7 @@ def detect_topology(structure: AtomicStructure,
     quads = np.stack(np.broadcast_arrays(
         table[jb][:, :, None], home[jb][:, None, None], k[:, None, None],
         (table[kb] + (k * [0, 1, 1, 1])[:, None])[:, None]), axis=3)
-    keep = ~pad[jb][:, :, None] & ~pad[kb][:, None] & bool(include_dihedrals)
+    keep = ~pad[jb][:, :, None] & ~pad[kb][:, None] & (k_phi != 0)
     for a, b in ((0, 2), (3, 1), (3, 0)):
         keep &= np.any(quads[..., a, :] != quads[..., b, :], axis=-1)
     quads = quads[keep]
@@ -324,17 +326,12 @@ def detect_topology(structure: AtomicStructure,
 
 # -------------------------------------------------------------- evaluation
 
-def _wrap_pi(x):
-    """Wrap angles to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(x, float), 2.0 * np.pi)
-
-
 def _harmonic(structure, topo, weight=None):
     """Energy [eV], the (3, E) edge vectors and, given ``weight``, the
-    weighted gradients weight(k, q - q0) dq/dv of every term with respect
-    to its edge vectors v, (3, E) in edge order (otherwise None), from one
-    pass over the bond, angle and torsion geometry.  The forces weigh by
-    -k (q - q0), the Gauss-Newton Hessian by sqrt(k)."""
+    weighted gradients weight(k, s) dq/dv of every term with respect to its
+    edge vectors v, s = dE/dq / k (q - q0; for torsions sin(phi - phi0)),
+    (3, E) in edge order (otherwise None), from one pass over the geometry.
+    The forces weigh by -k s, the Gauss-Newton Hessian by sqrt(k)."""
     _check_indices(structure, topo)
     index, offsets, bounds = topo._edges
     v = _edge_vectors(structure, index, offsets)
@@ -375,10 +372,12 @@ def _harmonic(structure, topo, weight=None):
             w = int(np.argmax(bad))
             raise DegenerateGeometryError(
                 f"dihedral {topo.dihedrals[w].tolist()} has a collinear inner bond")
-        dphi = _wrap_pi(phi - topo.dihedral_phi0)
-        e += 0.5 * topo.k_phi * (dphi @ dphi)
+        dphi = phi - topo.dihedral_phi0
+        # k (1 - cos dphi), without its cancellation at small dphi
+        half = np.sin(0.5 * dphi)
+        e += 2.0 * topo.k_phi * (half @ half)
         if weight is not None:
-            c = weight(topo.k_phi, dphi) * nrkj
+            c = weight(topo.k_phi, np.sin(dphi)) * nrkj
             np.multiply(c / inner1, n1, out=g_ij)
             np.multiply(-c / inner2, n2, out=g_lk)
             # the j-k edge carries minus the projections of the outer ones

@@ -78,8 +78,7 @@ def build_model(cfg: RunConfig, structure: AtomicStructure) -> CompositeModel:
     if cfg["model.bonded"]:
         topo = detect_topology(
             structure, k_r=cfg["model.k_r"], k_theta=cfg["model.k_theta"],
-            k_phi=cfg["model.k_phi"],
-            include_dihedrals=cfg["model.include_dihedrals"])
+            k_phi=cfg["model.k_phi"])
     model = CompositeModel(topology=topo, vdw=cfg["model.vdw"],
                            pw_cfg=_pw_config(cfg), mbd_cfg=_mbd_config(cfg))
     model.resolve_shells(structure)

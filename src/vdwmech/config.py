@@ -64,7 +64,6 @@ def _fmt(kind, value):
 SCHEMA = {
     "model.bonded": ("bool", True, None),
     "model.vdw": ("str", "none", VDW_KINDS),
-    "model.include_dihedrals": ("bool", True, None),
     "model.k_r": ("float", K_R_DEFAULT, None),
     "model.k_theta": ("float", K_THETA_DEFAULT, None),
     "model.k_phi": ("float", K_PHI_DEFAULT, None),

@@ -490,6 +490,7 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
     eigenvalues only.  Forces need a strictly positive spectrum, the energy
     only a non-negative one.
     """
+    check_count("shells", shells)
     n = len(structure)
     if n == 0 or (n == 1 and shells == 0):
         return 0.0, np.zeros((n, 3)) if forces else None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_count
 from .periodic import guard_overlap, lattice_translations
 from .species import VdwStates
 from .structure import OVERLAP_GUARD, AtomicStructure
@@ -88,6 +88,7 @@ def pw_energy(structure: AtomicStructure, states: VdwStates,
     ``shells`` cells along the periodic axes (see lattice_translations);
     every pair of those images enters.
     """
+    check_count("shells", shells)
     n = len(structure)
     if n != len(states):
         raise InputError("one vdW state per atom required")

@@ -101,7 +101,7 @@ def test_detection_matches_loop_oracle(case, dihedrals):
     """The array-built bond graph gives the loop's terms in the loop's
     order, with bit-identical reference geometry."""
     s = _ORACLE_CASES[case]()
-    got = detect_topology(s, include_dihedrals=dihedrals)
+    got = detect_topology(s) if dihedrals else detect_topology(s, k_phi=0.0)
     ref = loop_topology(s, include_dihedrals=dihedrals)
     assert len(ref.bonds) and len(ref.angles)
     for name in ("bonds", "bond_offsets", "bond_r0", "angles", "angle_offsets",
@@ -254,34 +254,63 @@ def test_stretch_direction_scaling_exactly_quadratic():
 
 
 def test_dihedral_toggle():
+    """k_phi = 0 lists no torsions; the torsions of the default topology
+    add k sum (1 - cos(phi - phi0))."""
     s = _pe_fragment(perturb=0.05, seed=9)
     topo = detect_topology(_pe_fragment())
     e_with = harmonic_energy(s, topo)[0]
-    no_torsions = detect_topology(_pe_fragment(), include_dihedrals=False)
-    assert len(no_torsions.dihedrals) == 0
+    no_torsions = detect_topology(_pe_fragment(), k_phi=0.0)
+    assert len(topo.dihedrals) and len(no_torsions.dihedrals) == 0
     e_without = harmonic_energy(s, no_torsions)[0]
     phi = np.array([torsion_angle(s, *d) for d in topo.dihedrals])
-    dphi = np.pi - np.mod(np.pi - (phi - topo.dihedral_phi0), 2 * np.pi)
     assert e_with - e_without == pytest.approx(
-        0.5 * topo.k_phi * np.sum(dphi**2), rel=1e-10)
+        topo.k_phi * np.sum(1 - np.cos(phi - topo.dihedral_phi0)), rel=1e-10)
 
 
-def test_dihedral_wrap():
-    assert_angle = lambda got, want: abs(got - want) < 1e-12
+def _torsion_quad(phi, phi0):
+    """Four carbons i, j, k, l at torsion ``phi`` about j-k, off-axis and of
+    unequal arms, with a torsion-only topology of reference ``phi0``."""
+    pos = [[-0.4, 1.0, 0.0], [0, 0, 0], [1.5, 0, 0],
+           [1.9, 1.1 * np.cos(phi), 1.1 * np.sin(phi)]]
     topo = HarmonicTopology(
         bonds=np.zeros((0, 2), int), bond_r0=np.zeros(0),
         angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
-        dihedrals=np.array([[0, 1, 2, 3]]), dihedral_phi0=np.array([3.0]))
-    # phi ~ -3.04: deviation wraps to ~0.24 rad, not ~6.04
-    pos = [[0, 1.0, 0.3], [0, 0, 0], [1.5, 0, 0], [1.5, 1.0, -0.1]]
-    s = AtomicStructure(positions=pos, species=["C"] * 4)
-    phi = torsion_angle(s, 0, 1, 2, 3)
-    d = phi - 3.0
-    wrapped = np.pi - np.mod(np.pi - d, 2 * np.pi)
-    assert abs(wrapped) < np.pi
-    e = harmonic_energy(s, topo)[0]
-    assert e == pytest.approx(0.5 * topo.k_phi * wrapped**2, rel=1e-12)
-    assert_angle(e, e)
+        dihedrals=np.array([[0, 1, 2, 3]]), dihedral_phi0=np.array([phi0]))
+    return AtomicStructure(positions=pos, species=["C"] * 4), topo
+
+
+# phi - phi0 just off -pi (phi0 = 3) and +pi (phi0 = -3), and one turn away
+_NEAR_PI = [(3.0, -np.pi + o) for o in (-1e-3, -1e-6, 1e-6, 1e-3)] + \
+           [(-3.0, np.pi + o) for o in (-1e-3, -1e-6, 1e-6, 1e-3)]
+
+
+def test_dihedral_wrap():
+    """No wrap: the energy is k (1 - cos(phi - phi0)) near phi - phi0 =
+    +-pi and a full turn from phi0."""
+    for phi0, dphi in _NEAR_PI + [(3.0, 0.24 - 2 * np.pi)]:
+        s, topo = _torsion_quad(phi0 + dphi, phi0)
+        phi = torsion_angle(s, 0, 1, 2, 3)
+        assert np.cos(phi - phi0) == pytest.approx(np.cos(dphi), abs=1e-12)
+        assert harmonic_energy(s, topo)[0] == pytest.approx(
+            topo.k_phi * (1 - np.cos(phi - phi0)), rel=1e-12)
+
+
+def test_torsion_forces_continuous_across_half_turn():
+    """Rotating atom l through phi - phi0 = -pi +- 1e-6 leaves every force
+    below 2e-6 eV/A on both sides (a wrapped harmonic torsion flips them
+    there, by O(1) eV/A)."""
+    phi0 = 3.0
+    for o in (-1e-6, 1e-6):
+        f = harmonic_energy(*_torsion_quad(phi0 - np.pi + o, phi0), forces=True)[1]
+        assert np.abs(f).max() < 2e-6, o
+
+
+def test_torsion_forces_match_fd_near_half_turn():
+    for phi0, dphi in _NEAR_PI:
+        s, topo = _torsion_quad(phi0 + dphi, phi0)
+        f = harmonic_energy(s, topo, forces=True)[1]
+        ref = fd_forces(lambda x: harmonic_energy(x, topo)[0], s, h=1e-5)
+        assert np.abs(f - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max()), (phi0, dphi)
 
 
 def test_degenerate_dihedral_raises():

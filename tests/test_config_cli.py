@@ -26,9 +26,10 @@ def test_config_defaults_and_types():
     assert cfg["protocol.face_area"] is None
     # the reach of the vdW sums is not configurable beyond model.mbd_shells;
     # the minimizer's step cap, the halving budget, the chain spacing and the
-    # tube's bond length are constants, and the quasi-static perturbation
-    # takes `seed`
-    for key in ("model.pw_cutoff", "model.mbd_shell_tol", "relax.initial_step",
+    # tube's bond length are constants, the quasi-static perturbation
+    # takes `seed`, and model.k_phi = 0 switches the torsions off
+    for key in ("model.pw_cutoff", "model.mbd_shell_tol", "model.include_dihedrals",
+                "relax.initial_step",
                 "protocol.max_increment_halvings", "protocol.perturbation_seed",
                 "sweep.spacing", "generate.spacing", "generate.bond_length"):
         with pytest.raises(InputError, match="unknown config key"):

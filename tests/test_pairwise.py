@@ -181,6 +181,22 @@ def test_image_overlap_error_matches_guard_overlap():
     assert pw_energy(s, states_for(s), PwModelConfig(), 1)[0] < 0
 
 
+def test_bad_shell_counts_refused_by_both_kernels():
+    """On an open structure, and on one of zero atoms, no lattice image is
+    built, yet both kernels refuse a negative or non-integral shell count
+    with the same text."""
+    from vdwmech.generators import ChainSpec, make_chain_pair
+    for s in (make_chain_pair(ChainSpec(3, 3)),
+              AtomicStructure(positions=np.zeros((0, 3)), species=[])):
+        states = states_for(s)
+        for shells, text in ((-1, "shells must be >= 0, got -1"),
+                             (1.5, "shells must be an integer, got 1.5")):
+            for kernel, cfg in ((pw_energy, PwModelConfig()), (mbd_energy, MbdModelConfig())):
+                with pytest.raises(InputError) as err:
+                    kernel(s, states, cfg, shells)
+                assert str(err.value) == text, (kernel, len(s))
+
+
 def test_state_length_mismatch():
     s = AtomicStructure(positions=[[0, 0, 0], [3, 0, 0]], species=["C", "C"])
     one = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
