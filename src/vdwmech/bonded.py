@@ -1,10 +1,10 @@
 """Harmonic covalent force field: stretch, bend, and torsion terms.
 
-    E = sum 1/2 k_r (r - r0)^2 + sum 1/2 k_theta (theta - theta0)^2
-        + sum k_phi (1 - cos(phi - phi0))
+    E = sum 1/2 k_r (r - r0)^2 + sum 1/2 k_theta (cos theta - cos theta0)^2 / sin^2 theta0
+        + sum k_phi (1 - cos(phi - phi0)),  with k_theta (1 + cos theta) if straight
 
-The torsion is DREIDING's cosine form (Mayo, Olafson and Goddard, J. Phys.
-Chem. 94, 8897 (1990)): curvature k_phi at phi0, and smooth at every phi.
+The angle and torsion terms are DREIDING's cosine forms (Mayo, Olafson and Goddard, J.
+Phys. Chem. 94, 8897 (1990)), smooth at every angle; no torsion is listed about straight ones.
 
 Reference values r0 / theta0 / phi0 are captured per term from the input
 structure at detection time, so the detected geometry is the energy
@@ -51,9 +51,8 @@ BOND_CUTOFFS = {("C", "C"): 1.8, ("C", "H"): 1.3, ("H", "C"): 1.3}
 _MAX_BONDS = {"C": 4, "H": 1}
 _MAX_REACH = 4  # bond search shells; wrapped atoms need more below 0.45 A plane spacing
 
-_SIN_FLOOR = 1e-8
 _DIHEDRAL_COLLINEAR_TOL = 1e-6
-_STRAIGHT_TOL = 1e-6  # rad, angle references closer to pi are straight
+_STRAIGHT_TOL = 0.1  # rad, angle references closer to pi are straight (loaded chains: < 0.03)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +111,10 @@ class HarmonicTopology:
                 # the first slot pair in combinations order, then the first term
                 first = rows[dup][np.lexsort((rows[dup], pair[dup]))[0]]
                 raise InputError(f"{what} {arr[first].tolist()} repeats an atom instance")
-        if np.any(self.bond_r0 <= 0):
-            raise InputError("bond references must be positive")
+        if not np.all((self.bond_r0 > 0) & (self.bond_r0 < np.inf)):
+            raise InputError("bond references must be finite and positive")
+        if not np.all(np.isfinite(self.dihedral_phi0)):
+            raise InputError("dihedral references must be finite")
         if len(self.angle_theta0) and not np.all(
                 (self.angle_theta0 > 0) & (self.angle_theta0 < np.pi + 1e-12)):
             raise InputError("angle references must lie in (0, pi]")
@@ -132,6 +133,13 @@ class HarmonicTopology:
         """The _edge_list of the terms."""
         return _edge_list(((self.bonds, self.bond_offsets), (self.angles, self.angle_offsets),
                            (self.dihedrals, self.dihedral_offsets)))
+
+    @cached_property
+    def _angle_forms(self):
+        """Angle references (pi if straight), 1/sin^2 of them (0 if straight), straight mask."""
+        straight = np.pi - self.angle_theta0 < _STRAIGHT_TOL
+        theta0 = np.where(straight, np.pi, self.angle_theta0)
+        return theta0, np.where(straight, 0.0, 1.0 / np.sin(theta0) ** 2), straight
 
 
 # -------------------------------------------------------------- geometry
@@ -195,23 +203,22 @@ def _slots(v, bounds):
 
 def _angle_geometry(u, w):
     """Angles between the columns of u and w, stable near 0 and pi via
-    atan2, plus |u x w| and u . w."""
+    atan2, plus u . w."""
     n = _cross(u, w)
-    s = np.sqrt(_dot(n, n))
     c = _dot(u, w)
-    return np.arctan2(s, c), s, c
+    return np.arctan2(np.sqrt(_dot(n, n)), c), c
 
 
-def _dihedral_geometry(b_ij, b_kj, b_lk):
+def _dihedral_geometry(b_ij, b_kj, b_lk, tol=_DIHEDRAL_COLLINEAR_TOL):
     """Torsions about the j-k bonds in (-pi, pi] from their edges, a mask
-    of the undefined ones (collinear inner angle), and the vectors the
-    gradients reuse."""
+    of those with an outer angle whose sine is below ``tol`` (undefined at
+    0), and the vectors the gradients reuse."""
     n1 = _cross(b_ij, b_kj)
     n2 = _cross(b_lk, b_kj)
     nrkj2 = _dot(b_kj, b_kj)
     inner1 = _dot(n1, n1)
     inner2 = _dot(n2, n2)
-    tol2 = _DIHEDRAL_COLLINEAR_TOL**2
+    tol2 = tol**2
     bad = (inner1 < tol2 * nrkj2 * _dot(b_ij, b_ij)) | \
           (inner2 < tol2 * nrkj2 * _dot(b_lk, b_lk))
     nrkj = np.sqrt(nrkj2)
@@ -264,8 +271,8 @@ def detect_topology(structure: AtomicStructure,
     Periodic bonds are found through explicit images, so cells smaller
     than twice the cutoff (one chain repeat, say) still get both bonds, to any
     listed image of an atom; a search past _MAX_REACH shells is an InputError.
-    Dihedrals whose reference torsion is undefined (collinear inner angle,
-    as in straight chains) are skipped, and with k_phi = 0 none are listed.
+    Dihedrals with a straight outer angle (within _STRAIGHT_TOL of pi, as
+    in chains) are skipped, and with k_phi = 0 none are listed.
 
     Term order: bonds by lattice offset, then row-major (i, j); angles by
     centre, then its neighbor pairs sorted by (index, offset); dihedrals by
@@ -308,12 +315,12 @@ def detect_topology(structure: AtomicStructure,
     dihedrals, dihedral_offs = quads[..., 0], quads[..., 1:]
 
     # reference geometry of all terms at once, from the edges an evaluation
-    # uses; undefined torsions are dropped
+    # uses; torsions about straight angles are dropped
     bond_offs = np.stack([np.zeros_like(bond_off), bond_off], axis=1)
     index, offsets, bounds = _edge_list(((bonds, bond_offs), (angles, angle_offs),
                                          (dihedrals, dihedral_offs)))
     d, u, w, b_ij, b_kj, b_lk = _slots(_edge_vectors(structure, index, offsets), bounds)
-    phi0, bad, _ = _dihedral_geometry(b_ij, b_kj, b_lk)
+    phi0, bad, _ = _dihedral_geometry(b_ij, b_kj, b_lk, np.sin(_STRAIGHT_TOL))
     return HarmonicTopology(
         bonds=bonds, bond_offsets=bond_offs,
         bond_r0=np.sqrt(_dot(d, d)),
@@ -329,9 +336,9 @@ def detect_topology(structure: AtomicStructure,
 def _harmonic(structure, topo, weight=None):
     """Energy [eV], the (3, E) edge vectors and, given ``weight``, the
     weighted gradients weight(k, s) dq/dv of every term with respect to its
-    edge vectors v, s = dE/dq / k (q - q0; for torsions sin(phi - phi0)),
-    (3, E) in edge order (otherwise None), from one pass over the geometry.
-    The forces weigh by -k s, the Gauss-Newton Hessian by sqrt(k)."""
+    edge vectors v, q = r, cos theta, phi and s = dE/dq / k, (3, E) in edge
+    order (otherwise None), from one pass over the geometry.  The forces
+    weigh by -k s, the Gauss-Newton Hessian by sqrt(k)."""
     _check_indices(structure, topo)
     index, offsets, bounds = topo._edges
     v = _edge_vectors(structure, index, offsets)
@@ -352,13 +359,14 @@ def _harmonic(structure, topo, weight=None):
         if weight is not None:
             np.multiply(weight(topo.k_r, dr) / r, d, out=g_d)
     if len(topo.angles):
-        theta, sin_uw, dot_uw = _angle_geometry(u, w)
-        dtheta = theta - topo.angle_theta0
-        e += 0.5 * topo.k_theta * (dtheta @ dtheta)
+        theta, dot_uw = _angle_geometry(u, w)
+        theta0, inv_sin2, straight = topo._angle_forms
+        # cos theta - cos theta0: exactly 0 at the reference, no cancellation near pi
+        dc = -2.0 * np.sin(0.5 * (theta + theta0)) * np.sin(0.5 * (theta - theta0))
+        e += topo.k_theta * (0.5 * ((dc * dc) @ inv_sin2) + dc @ straight)
         if weight is not None:
-            # |u x w| = |u| |w| sin(theta), floored where theta is 0 or pi
-            a = weight(topo.k_theta, dtheta) / np.maximum(
-                sin_uw, _SIN_FLOOR * (length[b1:b2] * length[b2:b3]))
+            # dcos/du = (w - (u.w / |u|^2) u) / (|u| |w|), and alike for w
+            a = -weight(topo.k_theta, dc * inv_sin2 + straight) / (length[b1:b2] * length[b2:b3])
             np.multiply(dot_uw / sq[b1:b2], u, out=g_u)
             g_u -= w
             g_u *= a
@@ -405,10 +413,10 @@ def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.n
     """Gauss-Newton Hessian sum_t k_t dq_t/dR dq_t/dR^T [eV/A^2], (3N, 3N),
     exact at the reference geometry and positive semidefinite everywhere.
 
-    theta has no gradient where an angle is straight (pi is a cusp of
-    theta), so an angle whose reference is straight enters through its bend
-    vector b = u/|u| + w/|w| instead: |b| = 2 sin((pi - theta) / 2), so
-    k/2 |b|^2 has the Hessian of the angle term there.
+    A bent angle enters through q = (cos theta - cos theta0) / sin theta0,
+    its energy being 1/2 k q^2; a straight one through the three components
+    of its bend vector b = u/|u| + w/|w|, since k (1 + cos theta) is
+    exactly 1/2 k |b|^2.
     """
     n = len(structure)
     _, v, g = _harmonic(structure, topo, lambda k, dq: np.full(dq.shape, np.sqrt(k)))
@@ -420,17 +428,16 @@ def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.n
                                            _EDGE_SIGNS, ((0, 1), (1, 3), (3, 6))):
         edges = g[:, bounds[first]:bounds[last]].reshape(3, last - first, -1)
         families.append((atoms.T, np.einsum("sm,cmt->sct", signs, edges)))
-    straight = np.pi - topo.angle_theta0 < _STRAIGHT_TOL
+    _, inv_sin2, straight = topo._angle_forms
+    np.multiply(families[1][1], np.sqrt(inv_sin2), out=families[1][1])  # 0 where straight
     if straight.any():
-        atoms, ga = families[1]
-        ga[..., straight] = 0.0
         u, w = (e[:, straight] for e in _slots(v, bounds)[1:3])
         ru, rw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
         root_k = np.sqrt(topo.k_theta)
         for c, unit in enumerate(np.eye(3)[:, :, None]):
             gi = (root_k / ru) * (unit - u[c] * u / ru**2)
             gk = (root_k / rw) * (unit - w[c] * w / rw**2)
-            families.append((atoms[:, straight], np.array([gi, -(gi + gk), gk])))
+            families.append((topo.angles[straight].T, np.array([gi, -(gi + gk), gk])))
     h = np.zeros(9 * n * n)
     for atoms, gs in families:
         idx = 3 * atoms[:, None, :] + np.arange(3)[:, None]

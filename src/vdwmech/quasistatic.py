@@ -69,6 +69,8 @@ class LoadingProtocol:
             raise InputError(f"axis must be 0, 1 or 2, got {self.axis!r}")
         if len(self.component) != 2 or any(c not in range(3) for c in self.component):
             raise InputError(f"component must be two indices in 0..2, got {self.component!r}")
+        if not 0 <= self.perturbation < np.inf:
+            raise InputError(f"perturbation must be finite and >= 0, got {self.perturbation}")
         check_count("perturbation_seed", self.perturbation_seed)
         if self.cell_mode not in ("fixed-others", "relaxed-others"):
             raise InputError(f"unknown cell mode {self.cell_mode!r}")
@@ -104,7 +106,7 @@ class QuasistaticResult:
 
 
 def _perturb(structure, protocol):
-    if protocol.perturbation <= 0:
+    if protocol.perturbation == 0:
         return structure
     rng = np.random.default_rng(protocol.perturbation_seed)
     noise = protocol.perturbation * rng.standard_normal(structure.positions.shape)

@@ -2,9 +2,9 @@
 
 Layout: count line; comment line optionally carrying
 ``Lattice="ax ay az bx by bz cx cy cz"``, a ``Properties=...`` column
-schema, and ``pbc="T T F"``; then one atom per line.  Without a schema the
-columns are ``symbol x y z [volume_ratio] [fx fy fz]``.  Round-trips
-preserve every structure field.
+schema, and ``pbc="T T F"`` (flags T/True/true/1, F/False/false/0); then
+one atom per line.  Without a schema the columns are ``symbol x y z
+[volume_ratio] [fx fy fz]``.  Round-trips preserve every structure field.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .structure import AtomicStructure, CellTensor
 _KV_RE = re.compile(r'(\w+)=(?:"([^"]*)"|(\S+))')
 # widths of the columns the reader uses; species and pos are required
 _WIDTHS = {"species": 1, "pos": 3, "volume_ratio": 1, "fixed": 3}
+_PBC_TRUE, _PBC_FALSE = ("T", "True", "true", "1"), ("F", "False", "false", "0")
 
 
 def _parse_comment(comment: str, path, ln):
@@ -36,9 +37,9 @@ def _parse_comment(comment: str, path, ln):
         pbc = (True, True, True)
         if "pbc" in fields:
             flags = fields["pbc"].replace(",", " ").split()
-            if len(flags) != 3:
-                raise ParseError("pbc needs 3 flags", path, ln)
-            pbc = tuple(f in ("T", "True", "true", "1") for f in flags)
+            if len(flags) != 3 or not set(flags) <= {*_PBC_TRUE, *_PBC_FALSE}:
+                raise ParseError(f"pbc needs 3 T/F flags, got {fields['pbc']!r}", path, ln)
+            pbc = tuple(f in _PBC_TRUE for f in flags)
         cell = CellTensor(np.array(vals).reshape(3, 3), pbc)
     columns = None
     if "Properties" in fields:

@@ -373,7 +373,8 @@ def loop_topology(structure, include_dihedrals=True):
         ((bond_idx, bond_offs), (angles, angle_offs), (dihedrals, dihedral_offs)))
     d, u, w, b_ij, b_kj, b_lk = bonded._slots(
         bonded._edge_vectors(structure, index, offsets), bounds)
-    phi0, bad, _ = bonded._dihedral_geometry(b_ij, b_kj, b_lk)
+    # torsions about a straight outer angle are dropped, as in detection
+    phi0, bad, _ = bonded._dihedral_geometry(b_ij, b_kj, b_lk, np.sin(bonded._STRAIGHT_TOL))
     return bonded.HarmonicTopology(
         bonds=bond_idx, bond_offsets=bond_offs,
         bond_r0=np.sqrt(bonded._dot(d, d)),

@@ -179,17 +179,70 @@ def test_bond_energy_hand_value():
     assert harmonic_energy(stretched, topo)[0] == pytest.approx(0.17525, rel=1e-4)
 
 
-def test_angle_energy_hand_value(monkeypatch):
+def _bent_trio(theta0, monkeypatch):
+    """Unit-arm carbons i-j-k with the angle i-j-k detected at ``theta0``:
+    its topology, and a function placing atom i at ``end`` (j at the origin)."""
     monkeypatch.setattr(bonded, "BOND_CUTOFFS", {("C", "C"): 1.2})
-    theta0 = 1.9
     pos = [[np.cos(theta0), np.sin(theta0), 0], [0, 0, 0], [1.0, 0, 0]]
     s = AtomicStructure(positions=pos, species=["C", "C", "C"])
+    return detect_topology(s), lambda end: s.with_positions([end, [0, 0, 0], [1.0, 0, 0]])
+
+
+def test_angle_energy_hand_value(monkeypatch):
+    # the cosine-harmonic form 1/2 k (cos theta1 - cos theta0)^2 / sin^2 theta0
+    theta0, theta1 = 1.9, 2.0
+    topo, moved = _bent_trio(theta0, monkeypatch)
+    e = harmonic_energy(moved([np.cos(theta1), np.sin(theta1), 0]), topo)[0]
+    assert e == pytest.approx(0.5 * bonded.K_THETA_DEFAULT * (np.cos(theta1) - np.cos(theta0))**2
+                              / np.sin(theta0)**2, rel=1e-12)
+
+
+def test_bent_angle_forces_continuous_through_straight(monkeypatch):
+    """Moving the end atom of a 1.9 rad angle through the straight line at
+    y = +-1e-6 A leaves every force below 2e-5 eV/A on both sides (theta
+    itself has a kink there, and a form harmonic in theta flips the force
+    by O(10) eV/A)."""
+    topo, moved = _bent_trio(1.9, monkeypatch)
+    for y in (-1e-6, 1e-6):
+        f = harmonic_energy(moved([-1.0, y, 0]), topo, forces=True)[1]
+        assert np.abs(f).max() < 2e-5, y
+
+
+def test_bent_angle_forces_match_fd_near_straight(monkeypatch):
+    topo, moved = _bent_trio(1.9, monkeypatch)
+    for beta in (1e-4, 3e-4, 1e-3):
+        s = moved([-np.cos(beta), np.sin(beta) * np.cos(0.7), np.sin(beta) * np.sin(0.7)])
+        f = harmonic_energy(s, topo, forces=True)[1]
+        ref = fd_forces(lambda x: harmonic_energy(x, topo)[0], s, h=1e-5)
+        assert np.abs(f - ref).max() <= 1e-7 * max(1.0, np.abs(ref).max()), beta
+
+
+def test_straight_angle_energy_hand_value():
+    # a straight reference takes the linear form k (1 + cos theta)
+    s = _linear_chain(3)
     topo = detect_topology(s)
-    theta1 = theta0 + 0.1
-    bent = s.with_positions(
-        [[np.cos(theta1), np.sin(theta1), 0], [0, 0, 0], [1.0, 0, 0]])
-    # 1/2 * 6.6069 * 0.1^2
-    assert harmonic_energy(bent, topo)[0] == pytest.approx(0.033035, rel=1e-4)
+    bend = 0.3
+    bent = s.with_positions([[1.2 - 1.2 * np.cos(bend), 1.2 * np.sin(bend), 0],
+                             [1.2, 0, 0], [2.4, 0, 0]])
+    assert harmonic_energy(bent, topo)[0] == pytest.approx(
+        bonded.K_THETA_DEFAULT * (1 - np.cos(bend)), rel=1e-12)
+
+
+def test_nearly_straight_chain_is_straight():
+    """A chain zigzagged by 1e-3 A (as a loaded and relaxed chain keeps it)
+    lists no torsions, and its angles take the straight form, so its own
+    geometry has the energy k sum (1 + cos theta) and not 0."""
+    s = _linear_chain(5)
+    s = s.with_positions(s.positions + [[0, 1e-3 * (-1) ** i, 0] for i in range(5)])
+    topo = detect_topology(s)
+    assert len(topo.angles) == 3 and len(topo.dihedrals) == 0
+    # 1 + cos theta = |u/|u| + w/|w||^2 / 2, without the cancellation near pi
+    p = s.positions
+    unit = [(p[i] - p[i + 1]) / np.linalg.norm(p[i] - p[i + 1]) for i in range(4)]
+    bend = [unit[i] - unit[i + 1] for i in range(3)]  # the bond i+1 -> i+2 is -unit[i + 1]
+    e = harmonic_energy(s, topo)[0]
+    assert e > 0
+    assert e == pytest.approx(bonded.K_THETA_DEFAULT * 0.5 * np.sum(np.square(bend)), rel=1e-12)
 
 
 def test_stretched_diatomic_forces():
@@ -345,10 +398,16 @@ def test_topology_validation():
         HarmonicTopology(bonds=np.array([[0, 0]]), bond_r0=np.array([1.0]),
                          angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
                          dihedrals=np.zeros((0, 4), int), dihedral_phi0=np.zeros(0))
-    with pytest.raises(InputError):
-        HarmonicTopology(bonds=np.array([[0, 1]]), bond_r0=np.array([-1.0]),
-                         angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
-                         dihedrals=np.zeros((0, 4), int), dihedral_phi0=np.zeros(0))
+    for r0 in (-1.0, np.nan, np.inf):
+        with pytest.raises(InputError, match="bond references"):
+            HarmonicTopology(bonds=np.array([[0, 1]]), bond_r0=np.array([r0]),
+                             angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
+                             dihedrals=np.zeros((0, 4), int), dihedral_phi0=np.zeros(0))
+    for phi0 in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="dihedral references"):
+            HarmonicTopology(bonds=np.zeros((0, 2), int), bond_r0=np.zeros(0),
+                             angles=np.zeros((0, 3), int), angle_theta0=np.zeros(0),
+                             dihedrals=np.array([[0, 1, 2, 3]]), dihedral_phi0=np.array([phi0]))
     s = AtomicStructure(positions=[[0, 0, 0], [1.5, 0, 0]], species=["C", "C"])
     for name in ("k_r", "k_theta", "k_phi"):
         for bad in (np.nan, np.inf, -np.inf, -5.0):

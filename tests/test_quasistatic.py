@@ -223,7 +223,8 @@ def test_protocol_validation(monkeypatch):
         run_quasistatic(tube, CompositeModel(vdw="pw"), protocol)
     # axis and component index Cartesian directions; seeds are non-negative
     for kw in ({"axis": 3}, {"axis": -1}, {"component": (3, 0)}, {"component": (0, -1)},
-               {"component": (0,)}, {"perturbation_seed": -1}):
+               {"component": (0,)}, {"perturbation_seed": -1},
+               {"perturbation": np.nan}, {"perturbation": np.inf}, {"perturbation": -0.05}):
         with pytest.raises(InputError):
             LoadingProtocol(kind="displacement", increment=0.1, step_count=1,
                             driven=(0,), **kw)

@@ -53,6 +53,21 @@ def test_singular_lattice_rejected(tmp_path):
             read_xyz(str(path))
 
 
+def test_pbc_flags_checked(tmp_path):
+    # each flag is one of T/True/true/1 or F/False/false/0; any other word
+    # is an error on line 2, not a silent False
+    path = tmp_path / "pbc.xyz"
+    for pbc, want in (("1 false True", (True, False, True)), ("F,0,t", None),
+                      ("T T yes", None), ("T T", None)):
+        path.write_text(f'1\nLattice="5 0 0 0 6 0 0 0 7" pbc="{pbc}"\nC 1.0 2.0 3.0\n')
+        if want is None:
+            with pytest.raises(ParseError, match="pbc") as e:
+                read_xyz(str(path))
+            assert ":2:" in str(e.value)
+        else:
+            assert read_xyz(str(path)).cell.periodic == want
+
+
 def test_malformed_properties_schema_rejected(tmp_path):
     # a missing species or pos column, or a known column of the wrong width
     path = tmp_path / "schema.xyz"
