@@ -3,7 +3,8 @@
 Subcommands: generate, energy, forces, relax, quasistatic, md, chain-sweep.
 Every run takes one path through ``cli``: it resolves the configuration
 (file plus ``--set key=value`` overrides) once, and before any work it
-rejects a missing output path and writes ``<output>.manifest``.  Exit
+rejects a missing input or output path and writes ``<output>.manifest``.
+Only errors up to that point print the usage line.  Exit
 codes: 0 on success, 1 on validation and file errors, 2 on
 numerical/convergence errors.
 """
@@ -86,10 +87,7 @@ def build_model(cfg: RunConfig, structure: AtomicStructure) -> CompositeModel:
 
 
 def _read_system(cfg: RunConfig) -> tuple[AtomicStructure, CompositeModel]:
-    path = cfg["io.input"]
-    if not path:
-        raise InputError("io.input (or --input) is required")
-    structure = read_xyz(path)
+    structure = read_xyz(cfg["io.input"])
     return structure, build_model(cfg, structure)
 
 
@@ -105,7 +103,10 @@ def _driven_indices(structure, cfg) -> tuple[int, ...]:
     mid = 0.5 * (coords.min() + coords.max())
     keep = coords > mid if mode == "fixed-max" else coords < mid
     if not keep.any():
-        raise InputError(f"driven selection {mode!r} matched no atoms")
+        raise InputError(
+            f"driven selection {mode!r} matched no atoms: along protocol.axis = "
+            f"{cfg['protocol.axis']} the fully fixed atoms span {coords.min():.4f} .. "
+            f"{coords.max():.4f} A; set protocol.axis to a direction that separates them")
     return tuple(fully_fixed[keep])
 
 
@@ -230,6 +231,7 @@ _COMMANDS = {
     "md": _cmd_md,
     "chain-sweep": _cmd_chain_sweep,
 }
+_READS_INPUT = ("energy", "forces", "relax", "quasistatic", "md")
 _WRITES_OUTPUT = ("generate", "relax", "quasistatic", "md", "chain-sweep")
 
 
@@ -250,24 +252,30 @@ def _build_parser() -> _Parser:
 
 
 def cli(argv=None) -> int:
-    """Run one subcommand: resolve the config, require ``io.output`` where
-    the command writes files, write the manifest, then run the command."""
+    """Run one subcommand: resolve the config, require ``io.input`` and
+    ``io.output`` where the command reads and writes files, write the
+    manifest, then run the command.  The usage line follows only the input
+    errors raised up to the manifest, not those of the run."""
     parser = _build_parser()
+    resolving = True
     try:
         args = parser.parse_args(argv)
         if not args.command:
             raise InputError("missing subcommand")
         cfg = _resolve_config(args)
+        if args.command in _READS_INPUT and not cfg["io.input"]:
+            raise InputError("io.input (or --input) is required")
         out = cfg["io.output"]
         if args.command in _WRITES_OUTPUT and not out:
             raise InputError("io.output (or --output) is required")
+        resolving = False
         if out:
             cfg.dump(out + ".manifest")
         _COMMANDS[args.command](cfg)
         return 0
     except (VdwmechError, OSError) as e:
         print(f'error: kind={type(e).__name__} message="{e}"', file=sys.stderr)
-        if isinstance(e, InputError):
+        if resolving and isinstance(e, InputError):
             print(parser.format_usage(), file=sys.stderr, end="")
         return 2 if isinstance(e, NumericalError) else 1
 

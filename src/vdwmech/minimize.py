@@ -5,7 +5,9 @@ the last ``_MEMORY`` steps.  The initial inverse Hessian is P^-1, built
 once per call: P = sum_t k_t dq_t/dR dq_t/dR^T + mu I is the bonded
 Gauss-Newton Hessian (bonded.harmonic_hessian) on the free components, a
 force-field preconditioner as in Packwood et al., J. Chem. Phys. 144,
-164109 (2016).  Cell components get P's mean diagonal.
+164109 (2016).  Cell components get P's mean diagonal.  Given the state
+a structure was displaced from, the free components start from P's linear
+response to the displacement of the fixed ones.
 
 Trial steps move no atom more than _MAX_STEP.  A trial that raises
 the energy, or that the geometry or the model refuses, is rejected and
@@ -56,7 +58,8 @@ class MinimizerConfig:
 @dataclass
 class MinimizeResult:
     """``iterations`` counts trial steps, accepted or rejected, and
-    ``evaluations`` the model's energy-and-forces calls, the start included.
+    ``evaluations`` the model's energy-and-forces calls, the start (and a
+    refused predicted start) included.
     ``components`` and ``forces`` are model.energy_and_forces(structure):
     (total, bonded, vdW) [eV] and the forces on all atoms, fixed ones too."""
 
@@ -101,12 +104,19 @@ def _direction(g, h0, memory):
 
 
 def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
-             relax_cell: tuple[tuple[int, int], ...] = ()) -> MinimizeResult:
+             relax_cell: tuple[tuple[int, int], ...] = (),
+             origin: AtomicStructure | None = None) -> MinimizeResult:
     """Relax free atomic components (and optionally cell components) until
     the largest force falls below the tolerance.
 
     The tolerance applies to the cell gradients dE/dh_ab as well, so the
     stress left in a relaxed cell scales with h / V (see MinimizerConfig).
+
+    ``origin`` is the relaxed state that ``structure`` was displaced from.
+    The free components then start from the bonded linear response to the
+    displacement d of the fixed ones, -P_ff^-1 P_fd d with the
+    preconditioner P; it is zero without a topology.  A start the model
+    refuses falls back to ``structure`` itself.
 
     Returns converged=False when the trial-step budget runs out or no
     trial step longer than _STEP_FLOOR lowers the energy; the best state
@@ -132,8 +142,21 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
         g = np.concatenate([-f.ravel(), _cell_gradient(s, model, relax_cell)]) * free
         return components, f, g
 
-    cur = structure
-    components, forces, g = evaluate(cur)
+    cur = None
+    if origin is not None:
+        # h0 is P_ff^-1 on the free rows and 0 elsewhere
+        d = np.where(free[:n3], 0.0, (structure.positions - origin.positions).ravel())
+        shift = -(h0[:n3, :n3] @ (p[:n3, :n3] @ d))
+        if shift.any():
+            try:
+                cur = structure.with_positions(structure.positions + shift.reshape(-1, 3),
+                                               check_overlap=False)
+                components, forces, g = evaluate(cur)
+            except (GeometryError, InstabilityError):
+                cur = None
+    if cur is None:
+        cur = structure
+        components, forces, g = evaluate(cur)
     trace = [components[0]]
     memory = deque(maxlen=_MEMORY)  # (s, y, 1 / y.s)
     iterations = rejected = 0

@@ -95,6 +95,7 @@ class StepRecord:
     sigma_drive: float | None      # GPa
     stiffness: float | None        # GPa, from step 2 on
     converged: bool
+    evaluations: int               # energy-and-forces calls of its relaxations, retries too
 
 
 @dataclass
@@ -122,7 +123,12 @@ def _apply_displacement(structure, protocol, amount):
 
 def run_quasistatic(structure: AtomicStructure, model,
                     protocol: LoadingProtocol) -> QuasistaticResult:
-    """Run the loading protocol; one StepRecord per protocol step."""
+    """Run the loading protocol; one StepRecord per protocol step.
+
+    Every displacement step and halved sub-step passes the relaxed state it
+    displaced to ``minimize`` as ``origin``, so its relaxation starts from
+    the bonded linear response to the increment.
+    """
     if protocol.kind == "displacement":
         driven = np.asarray(protocol.driven)
         if not np.all((driven >= 0) & (driven < len(structure))):
@@ -151,16 +157,18 @@ def run_quasistatic(structure: AtomicStructure, model,
     for step in range(1, protocol.step_count + 1):
         remaining = protocol.increment
         sub = protocol.increment
-        halvings = 0
+        halvings = evaluations = 0
         converged = True
         while abs(remaining) > _INCREMENT_FLOOR:
             if abs(sub) > abs(remaining):
                 sub = remaining
             if protocol.kind == "displacement":
-                trial = _apply_displacement(cur, protocol, sub)
+                trial, origin = _apply_displacement(cur, protocol, sub), cur
             else:
-                trial = apply_cell_strain(cur, protocol.component, sub)
-            res = minimize(trial, model, protocol.minimizer, relax_cell=relax_cell)
+                trial, origin = apply_cell_strain(cur, protocol.component, sub), None
+            res = minimize(trial, model, protocol.minimizer, relax_cell=relax_cell,
+                           origin=origin)
+            evaluations += res.evaluations
             if res.converged:
                 cur = res.structure
                 applied += sub
@@ -204,7 +212,8 @@ def run_quasistatic(structure: AtomicStructure, model,
         result.records.append(StepRecord(
             step=step, applied=applied, strain=strain, e_total=e_tot,
             e_bonded=e_bond, e_vdw=e_vdw, reaction=reaction, sigma=sigma,
-            sigma_drive=sigma_drive, stiffness=stiffness, converged=converged))
+            sigma_drive=sigma_drive, stiffness=stiffness, converged=converged,
+            evaluations=evaluations))
         if protocol.record_structures:
             result.structures.append(cur)
         if not converged:

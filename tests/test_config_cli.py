@@ -265,6 +265,39 @@ def test_cli_quasistatic_perturbation_takes_the_run_seed(tmp_path, capsys):
     assert run("0", "c.csv") != first
 
 
+def test_cli_quasistatic_names_the_axis_that_matched_no_driven_atoms(tmp_path, capsys):
+    # the default chain pair has all its fixed caps at z = 0, and the
+    # default protocol.axis is z
+    xyz = tmp_path / "chain.xyz"
+    assert cli(["generate", "--output", str(xyz)]) == 0
+    capsys.readouterr()
+    assert cli(["quasistatic", "--input", str(xyz), "--output", str(tmp_path / "q.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "driven selection 'fixed-max' matched no atoms" in err
+    assert "protocol.axis = z" in err and "span 0.0000 .. 0.0000 A" in err
+    assert "usage:" not in err
+
+
+def test_cli_prints_the_usage_only_for_command_line_errors(tmp_path, capsys):
+    xyz = tmp_path / "in.xyz"
+    write_xyz(make_chain_pair(ChainSpec(3, 3, gap=6.0)), str(xyz))
+    for argv in (["energy"], ["energy", "--input", str(xyz), "--set", "model.bogus=1"],
+                 ["energy", "--input", str(xyz), "--set", "model.vdw"]):
+        assert cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "error: kind=InputError" in err and "usage:" in err
+    # errors of the run itself: a GeometryError and a ParseError
+    overlap = tmp_path / "overlap.xyz"
+    overlap.write_text('2\nLattice="2 0 0 0 50 0 0 0 50"\nC 0.02 0 0\nC 1.98 0 0\n')
+    bad = tmp_path / "bad.xyz"
+    bad.write_text("2\n\nC 0 0 0\n")
+    for argv, kind in ((["energy", "--input", str(overlap)], "GeometryError"),
+                       (["energy", "--input", str(bad)], "ParseError")):
+        assert cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"error: kind={kind}" in err and "usage:" not in err
+
+
 def test_cli_quasistatic_runs(tmp_path, capsys):
     s = make_chain_pair(ChainSpec(4, 4, gap=7.0, hydrogen_caps=True))
     xyz = tmp_path / "in.xyz"
@@ -280,6 +313,8 @@ def test_cli_quasistatic_runs(tmp_path, capsys):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3
+    column = lines[0].split(",").index("evaluations")
+    assert all(int(line.split(",")[column]) > 0 for line in lines[1:])
 
 
 def _refuse(name):

@@ -82,6 +82,28 @@ def test_capped_chain_pair_harmonic_mbd_relaxes():
     assert np.abs(f).max() < 1e-3
 
 
+def _assert_same(a, b):
+    assert np.array_equal(a.structure.positions, b.structure.positions)
+    assert np.array_equal(a.forces, b.forces)
+    assert (a.converged, a.iterations, a.evaluations, a.rejected, a.max_force, a.energy,
+            a.components, a.energy_trace) == \
+        (b.converged, b.iterations, b.evaluations, b.rejected, b.max_force, b.energy,
+         b.components, b.energy_trace)
+
+
+def test_origin_without_a_displacement_or_a_topology_changes_nothing():
+    s = make_chain_pair(ChainSpec(8, 8, gap=6.0, hydrogen_caps=True))
+    cfg = MinimizerConfig(force_tolerance=1e-4, max_iterations=50)
+    # the fixed atoms have not moved from the origin
+    model = CompositeModel(topology=detect_topology(s), vdw="pw")
+    _assert_same(minimize(s, model, cfg, origin=s), minimize(s, model, cfg))
+    # no bonded term couples the free atoms to the displaced fixed ones
+    displaced = s.with_positions(s.positions + np.where(s.free_mask(), 0.0, [0.0, -0.2, 0.0]))
+    vdw_only = CompositeModel(vdw="pw")
+    _assert_same(minimize(displaced, vdw_only, cfg, origin=s),
+                 minimize(displaced, vdw_only, cfg))
+
+
 def test_iteration_budget_reports_nonconvergence():
     model, ref = _diatomic_model()
     start = ref.with_positions([[0, 0, 0], [2.1, 0, 0]])

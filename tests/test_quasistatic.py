@@ -6,7 +6,7 @@ import pytest
 
 from vdwmech.bonded import detect_topology
 from vdwmech.composite import CompositeModel
-from vdwmech.errors import InputError
+from vdwmech.errors import GeometryError, InputError
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, cap_indices,
                                 make_chain_pair, make_pe_crystal, make_swcnt)
 from vdwmech.minimize import MinimizerConfig, minimize
@@ -81,22 +81,59 @@ def test_records_equal_a_reevaluation_of_the_final_state():
     assert r.reaction == float(forces[list(driven), 1].sum())
 
 
-def test_load_step_reaction_converges_with_force_tolerance():
-    # the MBD chain-pair load step: a 1e-3 eV/A relaxation gives the reaction
-    # of a 1e-6 eV/A one to 1e-3 eV/A
+def test_load_step_reaction_converges_with_force_tolerance(monkeypatch):
+    # the five MBD chain-pair load steps: 1e-3 eV/A relaxations give the
+    # reactions of 1e-6 eV/A ones to 1e-3 eV/A, and starting each step from
+    # the bonded linear response takes fewer evaluations than starting it
+    # from the plain displaced state
+    import vdwmech.quasistatic as qs_mod
+
     spec = ChainSpec(28, 28, hydrogen_caps=True)
     s = make_chain_pair(spec)
     model = CompositeModel(topology=detect_topology(s), vdw="mbd")
     driven = tuple(int(i) for i in cap_indices(spec)[1])
-    reactions = []
-    for ftol in (1e-3, 1e-6):
+
+    def path(ftol):
         protocol = LoadingProtocol(
-            kind="displacement", increment=-0.2, step_count=1, driven=driven,
+            kind="displacement", increment=-0.2, step_count=5, driven=driven,
             axis=1, minimizer=MinimizerConfig(force_tolerance=ftol))
-        result = run_quasistatic(s, model, protocol)
-        assert result.records[0].converged
-        reactions.append(result.records[0].reaction)
-    assert abs(reactions[0] - reactions[1]) <= 1e-3
+        records = run_quasistatic(s, model, protocol).records
+        assert len(records) == 5 and all(r.converged for r in records)
+        return records
+
+    loose, tight = path(1e-3), path(1e-6)
+    for a, b in zip(loose, tight):
+        assert abs(a.reaction - b.reaction) <= 1e-3
+    monkeypatch.setattr(qs_mod, "minimize",
+                        lambda *args, origin=None, **kwargs: minimize(*args, **kwargs))
+    plain = path(1e-3)
+    assert sum(r.evaluations for r in loose) < sum(r.evaluations for r in plain)
+
+
+def test_refused_predicted_start_falls_back_to_the_displaced_state(monkeypatch):
+    s, model, driven = _chain_system()
+    protocol = LoadingProtocol(
+        kind="displacement", increment=-0.25, step_count=1, driven=driven,
+        axis=1, minimizer=MinimizerConfig(force_tolerance=1e-3))
+    evaluate = model.energy_and_forces
+    seen = []
+
+    def refuse_first(structure):
+        seen.append(structure.positions)
+        if len(seen) == 1:
+            raise GeometryError("refused")
+        return evaluate(structure)
+
+    monkeypatch.setattr(model, "energy_and_forces", refuse_first)
+    result = run_quasistatic(s, model, protocol)
+    displaced = s.positions.copy()
+    displaced[list(driven), 1] -= 0.25
+    # the refused call was the predicted start; the next one the displaced state
+    assert not np.array_equal(seen[0], displaced)
+    assert np.array_equal(seen[1], displaced)
+    r = result.records[0]
+    assert r.converged and not result.halted
+    assert r.evaluations == len(seen)
 
 
 def test_refused_relaxation_halves_the_increment(monkeypatch):
@@ -298,6 +335,11 @@ def test_emit_records_csv(tmp_path):
     header = lines[0].split(",")
     assert "strain" in header and "stiffness_GPa" in header
     assert "sigma_drive_GPa" in header
+    # each step's energy-and-forces calls, as a positive integer
+    column = header.index("evaluations")
+    for r, line in zip(result.records, lines[1:]):
+        assert line.split(",")[column] == str(r.evaluations)
+        assert r.evaluations > 0
     # deterministic formatting: re-emitting produces identical bytes
     path2 = tmp_path / "records2.csv"
     emit_records(result.records, str(path2))
