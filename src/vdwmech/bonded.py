@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError, TopologyError
-from .periodic import close_pairs, image_reach
+from .periodic import close_pairs, extent_order, image_reach
 from .structure import AtomicStructure, _frozen
 from .units import BOHR_ANGSTROM
 
@@ -53,6 +53,14 @@ _MAX_REACH = 4  # bond search shells; wrapped atoms need more below 0.45 A plane
 
 _DIHEDRAL_COLLINEAR_TOL = 1e-6
 _STRAIGHT_TOL = 0.1  # rad, angle references closer to pi are straight (loaded chains: < 0.03)
+
+# harmonic_hessian's narrowest block [rows] and entries per bincount.  The
+# minimizer factors each block by cholesky and inv, and a chain-pair load
+# step makes about 7.4 solves: on the 60-atom chain pair (one BLAS thread)
+# set-up and one solve take about 1.0 and 0.05 ms in blocks of 27 rows,
+# 1.3-1.6 and 0.033 ms in blocks of 60 and 3.7 and 0.022 ms as one block
+_MIN_BLOCK = 24
+_FILL_CHUNK = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,14 +417,27 @@ def harmonic_energy(structure: AtomicStructure, topo: HarmonicTopology,
                           minlength=3 * n).reshape(n, 3).astype(float, copy=False)
 
 
-def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.ndarray:
-    """Gauss-Newton Hessian sum_t k_t dq_t/dR dq_t/dR^T [eV/A^2], (3N, 3N),
-    exact at the reference geometry and positive semidefinite everywhere.
+def harmonic_hessian(structure: AtomicStructure,
+                     topo: HarmonicTopology) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton Hessian sum_t k_t dq_t/dR dq_t/dR^T [eV/A^2], exact at
+    the reference geometry and positive semidefinite everywhere, as a
+    block-tridiagonal band.
 
     A bent angle enters through q = (cos theta - cos theta0) / sin theta0,
     its energy being 1/2 k q^2; a straight one through the three components
     of its bend vector b = u/|u| + w/|w|, since k (1 + cos theta) is
     exactly 1/2 k |b|^2.
+
+    The atoms are ranked along the structure's longest extent
+    (periodic.extent_order), and component c of the atom of rank a is row
+    3 a + c.  A term couples rows at most its span apart, so in blocks of
+    b rows, b at least the largest span and _MIN_BLOCK, every entry lies
+    in a diagonal block or in the block below one.  Returns the row of each
+    component 3 i + c, (3N,), and the band (K, 2, b, b): band[k, 0] is
+    diagonal block k and band[k, 1] the block below it (rows of block
+    k + 1, columns of block k; zero for the last k).  Rows past 3N pad the
+    last block with zeros.  A periodic bond that wraps through the cell
+    spans about the whole cell, so such a cell is one (3N, 3N) block.
     """
     n = len(structure)
     _, v, g = _harmonic(structure, topo, lambda k, dq: np.full(dq.shape, np.sqrt(k)))
@@ -428,23 +449,45 @@ def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology) -> np.n
                                            _EDGE_SIGNS, ((0, 1), (1, 3), (3, 6))):
         edges = g[:, bounds[first]:bounds[last]].reshape(3, last - first, -1)
         families.append((atoms.T, np.einsum("sm,cmt->sct", signs, edges)))
+    # a bent angle is one term of q = (cos theta - cos theta0) / sin theta0,
+    # a straight one three, the components b_c of its bend vector
     _, inv_sin2, straight = topo._angle_forms
-    np.multiply(families[1][1], np.sqrt(inv_sin2), out=families[1][1])  # 0 where straight
-    if straight.any():
-        u, w = (e[:, straight] for e in _slots(v, bounds)[1:3])
-        ru, rw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
-        root_k = np.sqrt(topo.k_theta)
-        for c, unit in enumerate(np.eye(3)[:, :, None]):
-            gi = (root_k / ru) * (unit - u[c] * u / ru**2)
-            gk = (root_k / rw) * (unit - w[c] * w / rw**2)
-            families.append((topo.angles[straight].T, np.array([gi, -(gi + gk), gk])))
-    h = np.zeros(9 * n * n)
-    for atoms, gs in families:
-        idx = 3 * atoms[:, None, :] + np.arange(3)[:, None]
-        flat = 3 * n * idx[:, :, None, None] + idx[None, None]
-        h += np.bincount(flat.ravel(), weights=(gs[:, :, None, None] * gs[None, None]).ravel(),
-                         minlength=9 * n * n)
-    return h.reshape(3 * n, 3 * n)
+    atoms, gs = families[1]
+    u, w = (e[:, straight] for e in _slots(v, bounds)[1:3])
+    ru, rw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
+    root_k = np.sqrt(topo.k_theta)
+    gi = (root_k / ru) * (np.eye(3)[:, :, None] - u[:, None] * u / ru**2)  # (c, 3, T)
+    gk = (root_k / rw) * (np.eye(3)[:, :, None] - w[:, None] * w / rw**2)
+    bend = np.stack([gi, -(gi + gk), gk], axis=1).transpose(1, 2, 0, 3).reshape(3, 3, -1)
+    families[1] = (np.concatenate([atoms[:, ~straight], np.tile(atoms[:, straight], 3)], axis=1),
+                   np.concatenate([gs[..., ~straight] * np.sqrt(inv_sin2[~straight]), bend],
+                                  axis=2))
+    rank = np.empty(n, int)
+    rank[extent_order(structure.positions.T)[1]] = np.arange(n)
+    families = [(rank[atoms], gs) for atoms, gs in families if atoms.size]
+    span = 3 * max((int(np.ptp(a, axis=0).max()) for a, _ in families), default=0) + 2
+    blocks = max(1, 3 * n // max(span, _MIN_BLOCK))
+    per = -(-n // blocks)  # atoms per block, so that no atom straddles two
+    b = 3 * per
+    within = np.arange(3)[:, None] * b + np.arange(3)  # entry (c, c') of a 3 x 3 block
+    band = np.zeros(blocks * 2 * b * b)
+    for ranks, gs in families:
+        # the 3 x 3 block of slots (s, s') goes to flat block k_s + k_s', the
+        # diagonal block if k_s = k_s' and the block below k_s' if k_s =
+        # k_s' + 1; at k_s = k_s' - 1 it mirrors a block below, weighed 0.
+        # Terms go in pieces by their first atom, so that each bincount
+        # has at most about _FILL_CHUNK entries and covers a window of the band
+        pieces = min(max(1, 9 * len(gs) ** 2 * len(ranks.T) // _FILL_CHUNK,
+                         len(band) // _FILL_CHUNK), len(ranks.T))
+        for part in np.array_split(np.argsort(ranks.min(axis=0), kind="stable"), pieces):
+            k, o = np.divmod(ranks.take(part, axis=1), per)
+            lo, hi = 2 * b * b * k.min(), 2 * b * b * (k.max() + 1)
+            base = (k[:, None] + k) * (b * b) + 3 * b * o[:, None] + 3 * o - lo
+            g = gs.take(part, axis=2)
+            w = (g[:, :, None] * (k[:, None] >= k)[:, None])[:, :, :, None] * g[None, None]
+            band[lo:hi] += np.bincount((base[:, None, :, None] + within[:, None, :, None]).ravel(),
+                                       w.ravel(), minlength=hi - lo)
+    return (3 * rank[:, None] + np.arange(3)).ravel(), band.reshape(blocks, 2, b, b)
 
 
 def _check_indices(structure, topo):

@@ -19,7 +19,8 @@ forces follow from the trace formula
 
 Only forces need eigenvectors.  Energy-only calls on matrices of order
 1024 and up compute eigenvalues alone; both kinds of call return the same
-energy to the last bit (see sym_eigen).
+energy to the last bit (see sym_eigen and _eigen, which skips its
+symmetry check on the C that _assemble builds exactly symmetric).
 
 The lattice images within ``shells`` cells come in +-t pairs and
 C_ij(-t) = C_ji(t)^T, so only the home image and one image of each pair
@@ -61,14 +62,13 @@ buffers come on top.  Assembly holds the seven (N, N) sums (7/9 M) and C
 KiB each, or one row of atoms over all images if that is more) and, for
 forces, the thirteen (N, N) sums P and Q (13/9 M).  P and Q are all that
 a periodic energy-and-forces call keeps across the eigensolve; an open
-structure keeps nothing.  The staged eigensolve (see sym_eigen) copies C
-once into a working array that it reduces in place, so besides C it
-holds at most three: the working array, the eigenvectors and dstevd's
-workspace; the back-transformation then runs in place on the
-eigenvectors.  For forces, the eigenvectors are scaled in place into v
-and W = v v^T is formed (2 M); K W fills six (N, N) arrays (2/3 M), and
-v and W are released before the force pass, P and Q before its home
-image.
+structure keeps nothing.  The staged eigensolve (see _eigen) reduces C
+itself in place, through its Fortran-ordered transpose, so it holds at
+most three: C, the eigenvectors and dstevd's workspace; the
+back-transformation then runs in place on the eigenvectors.  For forces,
+the eigenvectors are scaled in place into v and W = v v^T is formed
+(2 M); K W fills six (N, N) arrays (2/3 M), and v and W are released
+before the force pass, P and Q before its home image.
 
 All internal math is in Hartree atomic units.
 """
@@ -119,8 +119,8 @@ _ERF_T, _ERF_U, _ERFC_P, _ERFC_Q = ([np.array(c) for c in coeffs]
                                     for coeffs in (_ERF_T, _ERF_U, _ERFC_P, _ERFC_Q))
 # Matrices from this size on are diagonalized through scipy's LAPACK stages,
 # which skip the eigenvectors when only eigenvalues are needed and reduce
-# one working copy in place: with vectors they peak at three matrices
-# besides the input, where numpy's eigh holds four.  Loading scipy.linalg
+# the matrix in place: with vectors they peak at three matrices, the
+# input included, where numpy's eigh holds five.  Loading scipy.linalg
 # adds about 28 MB of resident memory (numpy alone peaks at 27 MB, with
 # scipy.linalg.lapack at 55 MB).  At order 1024 that pays off in time, not
 # memory: an energy-only solve takes half as long (0.15 s against 0.30 s on
@@ -346,36 +346,51 @@ def sym_eigen(a: np.ndarray, vectors: bool = True):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
-    if a.size:
-        lo, hi = float(a.min()), float(a.max())  # NaN propagates through both
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise InputError("matrix has non-finite entries")
-        scale = max(1.0, hi, -lo)
-        # rows i: i + step against the matching columns, from the diagonal
-        # on, so the temporary is a block of rows (about 1 MB), not a matrix
-        step = max(1, 2**17 // len(a))
-        for i in range(0, len(a), step):
-            asym = a[i:i + step, i:] - a[i:, i:i + step].T
-            if float(np.abs(asym, out=asym).max()) > 1e-10 * scale:
-                raise InputError("matrix is not symmetric within 1e-10")
-    if a.nbytes >= _STAGED_MIN_BYTES and len(a) > 1:
-        work = np.array(a, order="F")
-        # from CPython 3.11 on, a caller that passed a temporary (as
-        # mbd_energy does) keeps no reference of its own, so this frees
-        # the input for the rest of the solve
-        del a
+    scale = _finite_scale(a)
+    # rows i: i + step against the matching columns, from the diagonal on,
+    # so the temporary is a block of rows (about 1 MB), not a matrix
+    step = max(1, 2**17 // max(len(a), 1))
+    for i in range(0, len(a), step):
+        asym = a[i:i + step, i:] - a[i:, i:i + step].T
+        if float(np.abs(asym, out=asym).max()) > 1e-10 * scale:
+            raise InputError("matrix is not symmetric within 1e-10")
+    return _eigen(a.copy(), vectors)
+
+
+def _finite_scale(a):
+    """max(1, |a_ij|), or InputError if an entry is not finite."""
+    if not a.size:
+        return 1.0
+    lo, hi = float(a.min()), float(a.max())  # NaN propagates through both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InputError("matrix has non-finite entries")
+    return max(1.0, hi, -lo)
+
+
+def _eigen(c, vectors):
+    """sym_eigen of a matrix ``c`` that is symmetric by construction, as
+    _assemble builds C: only its finiteness is checked.  The staged solve
+    overwrites ``c``."""
+    _finite_scale(c)
+    if c.nbytes >= _STAGED_MIN_BYTES and len(c) > 1:
+        # c is symmetric, so its transpose is a Fortran-ordered view of the
+        # same matrix, which the staged solve reduces in place; from
+        # CPython 3.11 on, a caller that passed a temporary (as mbd_energy
+        # does) keeps no reference of its own to it
+        work = c.T
+        del c
         return _staged_eigen(work, vectors)
     # numpy's eigvalsh and eigh use different tridiagonal solvers, so both
     # modes run eigh to get the same eigenvalues
     try:
-        vals, vecs = np.linalg.eigh(a)
+        vals, vecs = np.linalg.eigh(c)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigendecomposition failed: {e}")
     return (vals, vecs) if vectors else vals
 
 
 def _staged_eigen(work, vectors):
-    """The stages of LAPACK's dsyevd on ``work``, a Fortran-ordered copy
+    """The stages of LAPACK's dsyevd on ``work``, a Fortran-ordered matrix
     that is reduced in place: one tridiagonal reduction, the eigenvalues of
     the tridiagonal by dsterf and, for vectors, divide and conquer and the
     back-transformation.  The eigenvalues come from dsterf in both modes,
@@ -495,10 +510,9 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
     if n == 0 or (n == 1 and shells == 0):
         return 0.0, np.zeros((n, 3)) if forces else None
     omega, coupling, inv_s = _pair_params(structure, states, cfg)
-    # C goes in as a temporary, which sym_eigen can release once copied
+    # C goes in as a temporary, which the staged solve reduces in place
     keep = [] if forces else None
-    eig = sym_eigen(_assemble(structure, shells, omega, coupling, inv_s, keep),
-                    vectors=forces)
+    eig = _eigen(_assemble(structure, shells, omega, coupling, inv_s, keep), vectors=forces)
     lam, v = eig if forces else (eig, None)
     del eig  # v holds the only reference to the eigenvectors
     _check_spectrum(lam, need_positive=forces)

@@ -64,6 +64,13 @@ def image_reach(structure: AtomicStructure, r: float) -> tuple[int, int, int]:
                  for h, s, p in zip(height, spread, cell.periodic))
 
 
+def extent_order(pos_t):
+    """The axis along which the (3, N) positions ``pos_t`` extend furthest,
+    and the stable order of the atoms along it."""
+    axis = int(np.argmax(pos_t.max(axis=1) - pos_t.min(axis=1))) if pos_t.shape[1] else 0
+    return axis, np.argsort(pos_t[axis], kind="stable")
+
+
 def close_pairs(structure: AtomicStructure, r: float, reach):
     """The pairs within ``r`` [A] over the images of
     lattice_translations(cell, reach), found without an N x N array.
@@ -72,16 +79,15 @@ def close_pairs(structure: AtomicStructure, r: float, reach):
     offset (3,), the pairs (i, j) with r2 <= r^2 in row-major order, i < j
     in the home image, and r2 = |x_i - (x_j + t)|^2 [Bohr^2] with x = R in
     Bohr, summed over the components in order.  The atoms are sorted once
-    along their longest extent; per image, two binary searches find each
-    atom's window of partners whose projections lie within r, so the work
-    grows with the pairs in the windows.
+    along their longest extent (extent_order); per image, two binary
+    searches find each atom's window of partners whose projections lie
+    within r, so the work grows with the pairs in the windows.
     """
     offsets, trans = lattice_translations(structure.cell, reach)
     pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
     n = len(structure)
     rb = r / BOHR_ANGSTROM
-    axis = int(np.argmax(pos_t.max(axis=1) - pos_t.min(axis=1))) if n else 0
-    order = np.argsort(pos_t[axis], kind="stable")
+    axis, order = extent_order(pos_t)
     x = pos_t[:, order]
     key = x[axis]
     atoms = np.arange(n)

@@ -38,6 +38,52 @@ def fd_hessian(forces_fn, structure, h=1e-5):
     return out
 
 
+def dense_gauss_newton(structure, topo):
+    """The bonded Gauss-Newton Hessian [eV/A^2] as one dense (3N, 3N) array:
+    the library's slot gradients, each term's outer products scattered by
+    one bincount per term kind over all (3N)^2 entries, in atom order."""
+    from vdwmech import bonded
+
+    n = len(structure)
+    _, v, g = bonded._harmonic(structure, topo, lambda k, dq: np.full(dq.shape, np.sqrt(k)))
+    bounds = topo._edges[2]
+    families = []
+    for atoms, signs, (first, last) in zip((topo.bonds, topo.angles, topo.dihedrals),
+                                           bonded._EDGE_SIGNS, ((0, 1), (1, 3), (3, 6))):
+        edges = g[:, bounds[first]:bounds[last]].reshape(3, last - first, -1)
+        families.append((atoms.T, np.einsum("sm,cmt->sct", signs, edges)))
+    _, inv_sin2, straight = topo._angle_forms
+    families[1] = (families[1][0], families[1][1] * np.sqrt(inv_sin2))
+    if straight.any():
+        u, w = (e[:, straight] for e in bonded._slots(v, bounds)[1:3])
+        ru, rw = np.linalg.norm(u, axis=0), np.linalg.norm(w, axis=0)
+        root_k = np.sqrt(topo.k_theta)
+        for c, unit in enumerate(np.eye(3)[:, :, None]):
+            gi = (root_k / ru) * (unit - u[c] * u / ru**2)
+            gk = (root_k / rw) * (unit - w[c] * w / rw**2)
+            families.append((topo.angles[straight].T, np.array([gi, -(gi + gk), gk])))
+    h = np.zeros(9 * n * n)
+    for atoms, gs in families:
+        idx = 3 * atoms[:, None, :] + np.arange(3)[:, None]
+        flat = 3 * n * idx[:, :, None, None] + idx[None, None]
+        h += np.bincount(flat.ravel(), weights=(gs[:, :, None, None] * gs[None, None]).ravel(),
+                         minlength=9 * n * n)
+    return h.reshape(3 * n, 3 * n)
+
+
+def band_to_dense(rows, band):
+    """The (3N, 3N) matrix, in component order, of a harmonic_hessian band:
+    the row of each component (3N,) and the blocks (K, 2, b, b)."""
+    k, _, b, _ = band.shape
+    full = np.zeros((k * b, k * b))
+    for i in range(k):
+        full[i * b:(i + 1) * b, i * b:(i + 1) * b] = band[i, 0]
+        if i + 1 < k:
+            full[(i + 1) * b:(i + 2) * b, i * b:(i + 1) * b] = band[i, 1]
+            full[i * b:(i + 1) * b, (i + 1) * b:(i + 2) * b] = band[i, 1].T
+    return full[np.ix_(rows, rows)]
+
+
 def torsion_angle(structure, i, j, k, l):
     """Signed torsion about the j-k bond [rad], in (-pi, pi]: the angle
     between the parts of R_i - R_j and R_l - R_k normal to the bond."""

@@ -33,13 +33,13 @@ def test_energy_only_mbd_skips_eigenvectors(monkeypatch):
     s = make_chain_pair(spec)
     model = CompositeModel(topology=detect_topology(s), vdw="mbd")
     asked = []
-    solve = mbd.sym_eigen
+    solve = mbd._eigen
 
-    def recording(a, vectors=True):
+    def recording(c, vectors):
         asked.append(vectors)
-        return solve(a, vectors)
+        return solve(c, vectors)
 
-    monkeypatch.setattr(mbd, "sym_eigen", recording)
+    monkeypatch.setattr(mbd, "_eigen", recording)
     model.energy(s)
     assert asked == [False]
     model.energy_and_forces(s)
