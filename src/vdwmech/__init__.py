@@ -12,7 +12,7 @@ from .errors import (GeometryError, InputError, InstabilityError,
                      TopologyError, VdwmechError)
 from .generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                          make_pe_crystal, make_swcnt)
-from .mbd import MbdModelConfig, mbd_energy, sym_eigen
+from .mbd import MbdModelConfig, mbd_energy
 from .md import MdConfig, MdResult, run_md
 from .minimize import MinimizerConfig, MinimizeResult, minimize
 from .pairwise import PwModelConfig, pw_energy

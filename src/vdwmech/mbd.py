@@ -19,8 +19,8 @@ forces follow from the trace formula
 
 Only forces need eigenvectors.  Energy-only calls on matrices of order
 1024 and up compute eigenvalues alone; both kinds of call return the same
-energy to the last bit (see sym_eigen and _eigen, which skips its
-symmetry check on the C that _assemble builds exactly symmetric).
+energy to the last bit.  _eigen is the one eigensolve: it checks C for
+finiteness only, since _assemble builds C exactly symmetric.
 
 The lattice images within ``shells`` cells come in +-t pairs and
 C_ij(-t) = C_ji(t)^T, so only the home image and one image of each pair
@@ -335,43 +335,17 @@ def _lattice_pass(structure, shells, trans, inv_s, acc, forces):
     return pq
 
 
-def sym_eigen(a: np.ndarray, vectors: bool = True):
-    """Eigendecomposition of a dense symmetric matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns),
-    or the eigenvalues alone when ``vectors`` is false.  The eigenvalues
-    are the same to the last bit in both modes, so an energy-only call
-    and an energy-and-forces call agree exactly.  ``a`` is not modified.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
-    scale = _finite_scale(a)
-    # rows i: i + step against the matching columns, from the diagonal on,
-    # so the temporary is a block of rows (about 1 MB), not a matrix
-    step = max(1, 2**17 // max(len(a), 1))
-    for i in range(0, len(a), step):
-        asym = a[i:i + step, i:] - a[i:, i:i + step].T
-        if float(np.abs(asym, out=asym).max()) > 1e-10 * scale:
-            raise InputError("matrix is not symmetric within 1e-10")
-    return _eigen(a.copy(), vectors)
-
-
-def _finite_scale(a):
-    """max(1, |a_ij|), or InputError if an entry is not finite."""
-    if not a.size:
-        return 1.0
-    lo, hi = float(a.min()), float(a.max())  # NaN propagates through both
+def _eigen(c, vectors):
+    """Eigendecomposition of ``c``, a matrix symmetric by construction as
+    _assemble builds C: (eigenvalues ascending, orthonormal eigenvectors as
+    columns), with None for the eigenvectors when ``vectors`` is false.
+    Only finiteness is checked (InputError otherwise).  The eigenvalues are
+    the same to the last bit in both modes, so an energy-only call and an
+    energy-and-forces call agree exactly.  The staged solve overwrites
+    ``c``."""
+    lo, hi = float(c.min()), float(c.max())  # NaN propagates through both
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InputError("matrix has non-finite entries")
-    return max(1.0, hi, -lo)
-
-
-def _eigen(c, vectors):
-    """sym_eigen of a matrix ``c`` that is symmetric by construction, as
-    _assemble builds C: only its finiteness is checked.  The staged solve
-    overwrites ``c``."""
-    _finite_scale(c)
     if c.nbytes >= _STAGED_MIN_BYTES and len(c) > 1:
         # c is symmetric, so its transpose is a Fortran-ordered view of the
         # same matrix, which the staged solve reduces in place; from
@@ -386,7 +360,7 @@ def _eigen(c, vectors):
         vals, vecs = np.linalg.eigh(c)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigendecomposition failed: {e}")
-    return (vals, vecs) if vectors else vals
+    return vals, vecs if vectors else None
 
 
 def _staged_eigen(work, vectors):
@@ -405,7 +379,7 @@ def _staged_eigen(work, vectors):
     if info:
         raise NumericalError(f"eigenvalues failed to converge (dsterf info {info})")
     if not vectors:
-        return vals
+        return vals, None
     _, vecs, info = lapack.dstevd(diag, off, compute_v=1)
     if info:
         raise NumericalError(f"eigenvectors failed to converge (dstevd info {info})")
@@ -512,9 +486,7 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
     omega, coupling, inv_s = _pair_params(structure, states, cfg)
     # C goes in as a temporary, which the staged solve reduces in place
     keep = [] if forces else None
-    eig = _eigen(_assemble(structure, shells, omega, coupling, inv_s, keep), vectors=forces)
-    lam, v = eig if forces else (eig, None)
-    del eig  # v holds the only reference to the eigenvectors
+    lam, v = _eigen(_assemble(structure, shells, omega, coupling, inv_s, keep), vectors=forces)
     _check_spectrum(lam, need_positive=forces)
     e_ha = 0.5 * np.sum(np.sqrt(np.clip(lam, 0.0, None))) - 1.5 * np.sum(omega)
     if not forces:

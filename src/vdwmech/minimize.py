@@ -39,7 +39,7 @@ import numpy as np
 
 from .bonded import harmonic_hessian
 from .errors import GeometryError, InputError, InstabilityError, check_count
-from .periodic import apply_cell_strain
+from .periodic import apply_cell_strain, check_component
 from .structure import AtomicStructure
 
 _MEMORY = 10        # L-BFGS step pairs kept
@@ -189,7 +189,11 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
     The tolerance applies to the cell gradients dE/dh_ab as well, so the
     stress left in a relaxed cell scales with h / V (see MinimizerConfig).
 
-    ``origin`` is the relaxed state that ``structure`` was displaced from.
+    ``relax_cell`` lists (a, b) components of the structure's cell along
+    periodic directions a, checked before the first evaluation.
+
+    ``origin`` is the relaxed state that ``structure`` was displaced from,
+    with the same atoms.
     The free components then start from the bonded linear response to the
     displacement d of the fixed ones, -P_ff^-1 P_fd d with the
     preconditioner P; it is zero without a topology.  A start the model
@@ -199,7 +203,9 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
     trial step longer than _STEP_FLOOR lowers the energy; the best state
     reached so far is still returned.
     """
-    relax_cell = tuple(relax_cell)
+    relax_cell = tuple(check_component(c, structure) for c in relax_cell)
+    if origin is not None and len(origin) != len(structure):
+        raise InputError(f"origin has {len(origin)} atoms, the structure {len(structure)}")
     n3 = 3 * len(structure)
     # the atomic components, then the cell ones; fixed components stay 0
     free = np.concatenate([structure.free_mask().ravel(), np.ones(len(relax_cell), bool)])

@@ -10,6 +10,7 @@ one code that names a pair closer than OVERLAP_GUARD.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -160,15 +161,28 @@ def apply_deformation(structure: AtomicStructure, gradient: np.ndarray) -> Atomi
     return replace(structure, positions=structure.positions @ F.T, cell=cell)
 
 
+def check_component(component, structure: AtomicStructure | None = None) -> tuple[int, int]:
+    """``component`` as (a, b), two indices in 0..2, else InputError.  Given
+    a ``structure``, (a, b) must also be a component of its cell along a
+    periodic direction a."""
+    pair = tuple(component) if np.iterable(component) else ()
+    if len(pair) != 2 or not all(isinstance(c, numbers.Integral) and 0 <= c < 3 for c in pair):
+        raise InputError(f"component must be two indices in 0..2, got {component!r}")
+    if structure is not None:
+        if structure.cell is None:
+            raise InputError("structure has no cell to strain")
+        if not structure.cell.periodic[pair[0]]:
+            raise InputError(f"cell direction {pair[0]} is not periodic")
+    return pair
+
+
 def apply_cell_strain(structure: AtomicStructure, component: tuple[int, int],
                       delta: float) -> AtomicStructure:
     """Change one cell component by ``delta`` [A], remapping atoms affinely
     so that their fractional coordinates are preserved."""
-    if structure.cell is None:
-        raise InputError("structure has no cell to strain")
-    a, b = component
-    if not structure.cell.periodic[a]:
-        raise InputError(f"cell direction {a} is not periodic")
+    a, b = check_component(component, structure)
+    if not np.isfinite(delta):
+        raise InputError(f"cell strain delta must be finite, got {delta}")
     old = structure.cell.matrix
     new = old.copy()
     new[a, b] += delta

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, check_count
 from .minimize import MinimizerConfig, minimize
-from .periodic import apply_cell_strain, cell_stress, relaxable_components
+from .periodic import apply_cell_strain, cell_stress, check_component, relaxable_components
 from .structure import AtomicStructure
 from .units import EV_A3_GPA
 
@@ -67,8 +67,7 @@ class LoadingProtocol:
             raise InputError(f"driven atom indices repeat: {tuple(self.driven)}")
         if self.axis not in range(3):
             raise InputError(f"axis must be 0, 1 or 2, got {self.axis!r}")
-        if len(self.component) != 2 or any(c not in range(3) for c in self.component):
-            raise InputError(f"component must be two indices in 0..2, got {self.component!r}")
+        check_component(self.component)
         if not 0 <= self.perturbation < np.inf:
             raise InputError(f"perturbation must be finite and >= 0, got {self.perturbation}")
         check_count("perturbation_seed", self.perturbation_seed)

@@ -7,8 +7,8 @@ from vdwmech.cli import cli
 from vdwmech.config import RunConfig
 from vdwmech.errors import InputError, ParseError
 from vdwmech.composite import CompositeModel
-from vdwmech.generators import (ChainSpec, PeCrystalSpec, make_chain_pair, make_pe_crystal,
-                                upper_chain_indices)
+from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
+                                make_pe_crystal, make_swcnt, upper_chain_indices)
 from vdwmech.minimize import MinimizerConfig
 from vdwmech.xyz import read_xyz, write_xyz
 
@@ -124,6 +124,25 @@ def test_cli_generate_and_relax(tmp_path, capsys):
               for k in ("iterations", "evaluations", "rejected")}
     assert 1 <= counts["evaluations"] <= counts["iterations"] + 1
     assert counts["rejected"] <= counts["iterations"]
+
+
+def test_cli_relax_cell_diagonal(tmp_path, capsys):
+    """A (4,4) tube periodic along z relaxes its cell diagonal in z alone;
+    a structure without a cell is refused."""
+    tube = tmp_path / "tube.xyz"
+    write_xyz(make_swcnt(CntSpec(4, 4, 4), axial_period=True), str(tube))
+    relaxed = tmp_path / "relaxed.xyz"
+    assert cli(["relax", "--input", str(tube), "--output", str(relaxed),
+                "--set", "model.vdw=pw", "--set", "relax.cell=diagonal"]) == 0
+    assert capsys.readouterr().out.startswith("converged 1 ")
+    before, after = read_xyz(str(tube)).cell.matrix, read_xyz(str(relaxed)).cell.matrix
+    assert np.array_equal(after[:2], before[:2])
+    assert after[2, 2] != before[2, 2]
+    chain = tmp_path / "chain.xyz"
+    write_xyz(make_chain_pair(ChainSpec(4, 4, gap=6.0)), str(chain))
+    assert cli(["relax", "--input", str(chain), "--output", str(tmp_path / "r.xyz"),
+                "--set", "relax.cell=diagonal"]) == 1
+    assert "relax.cell requires a periodic structure" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

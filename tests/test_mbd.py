@@ -6,7 +6,7 @@ from conftest import (brute_force_mbd_matrix, dipole_tensor, fd_forces,
                       random_rotation, two_oscillator_energy)
 from vdwmech import mbd
 from vdwmech.errors import (GeometryError, InputError, InstabilityError)
-from vdwmech.mbd import MbdModelConfig, mbd_energy, sym_eigen
+from vdwmech.mbd import MbdModelConfig, mbd_energy
 from vdwmech.generators import PeCrystalSpec, make_pe_crystal
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure, CellTensor
@@ -89,24 +89,25 @@ def test_dipole_tensor_nested_fd_oracle(rng):
     assert np.abs(t - (-num)).max() <= 1e-6 * np.abs(t).max()
 
 
-# ------------------------------------------------------------------- sym_eigen
+# ---------------------------------------------------------------- eigensolve
+# mbd._eigen may overwrite its input, so each call takes a copy
 
-def test_sym_eigen_identity():
-    vals, vecs = sym_eigen(np.eye(4))
+def test_eigen_identity():
+    vals, vecs = mbd._eigen(np.eye(4), vectors=True)
     assert np.allclose(vals, 1.0)
     assert np.allclose(vecs @ vecs.T, np.eye(4))
 
 
-def test_sym_eigen_diag():
-    vals, vecs = sym_eigen(np.diag([3.0, 1.0, 2.0]))
+def test_eigen_diag():
+    vals, vecs = mbd._eigen(np.diag([3.0, 1.0, 2.0]), vectors=True)
     assert np.allclose(vals, [1.0, 2.0, 3.0])
     assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
 
-def test_sym_eigen_reconstruction(rng):
+def test_eigen_reconstruction(rng):
     m = rng.standard_normal((30, 30))
     a = 0.5 * (m + m.T)
-    vals, vecs = sym_eigen(a)
+    vals, vecs = mbd._eigen(a.copy(), vectors=True)
     rec = (vecs * vals) @ vecs.T
     assert np.linalg.norm(rec - a) / np.linalg.norm(a) < 1e-10
     assert np.all(np.diff(vals) >= 0)
@@ -114,28 +115,22 @@ def test_sym_eigen_reconstruction(rng):
 
 
 @pytest.mark.parametrize("staged", [False, True])
-def test_sym_eigen_values_do_not_depend_on_vectors(rng, monkeypatch, staged):
+def test_eigen_values_do_not_depend_on_vectors(rng, monkeypatch, staged):
     if staged:  # route small matrices through the path large ones take
         monkeypatch.setattr(mbd, "_STAGED_MIN_BYTES", 0)
     for n in (1, 2, 30):
         m = rng.standard_normal((n, n))
         a = m + m.T
-        keep = a.copy()
-        assert np.array_equal(sym_eigen(a, vectors=False), sym_eigen(a)[0])
-        assert np.array_equal(a, keep)  # the input is left as it was
-        vals, vecs = sym_eigen(a)
+        only, none = mbd._eigen(a.copy(), vectors=False)
+        vals, vecs = mbd._eigen(a.copy(), vectors=True)
+        assert none is None
+        assert np.array_equal(only, vals)
         assert np.linalg.norm((vecs * vals) @ vecs.T - a) / np.linalg.norm(a) < 1e-10
         assert np.abs(vecs @ vecs.T - np.eye(n)).max() < 1e-10
 
 
-def test_sym_eigen_rejects_nonsymmetric(rng):
-    m = rng.standard_normal((5, 5))
-    with pytest.raises(InputError):
-        sym_eigen(m + 1.0)
-
-
 @pytest.mark.parametrize("staged", [False, True])
-def test_sym_eigen_rejects_non_finite(monkeypatch, staged):
+def test_eigen_rejects_non_finite(monkeypatch, staged):
     if staged:
         monkeypatch.setattr(mbd, "_STAGED_MIN_BYTES", 0)
     for value in (np.nan, np.inf, -np.inf):
@@ -143,7 +138,7 @@ def test_sym_eigen_rejects_non_finite(monkeypatch, staged):
         a[0, 1] = a[1, 0] = value
         for vectors in (False, True):
             with pytest.raises(InputError, match="non-finite"):
-                sym_eigen(a, vectors=vectors)
+                mbd._eigen(a.copy(), vectors=vectors)
 
 
 # ------------------------------------------------------------ matrix assembly
@@ -154,12 +149,12 @@ def test_single_atom_matrix():
     c = mbd_matrix(s, st, CFG)
     w2 = st.omega[0]**2
     assert np.allclose(c, w2 * np.eye(3))
-    assert np.allclose(sym_eigen(c)[0], w2)
+    assert np.allclose(np.linalg.eigvalsh(c), w2)
 
 
 def test_decoupling_limit():
     s, st = _pair(5000.0)
-    lam, _ = sym_eigen(mbd_matrix(s, st, CFG))
+    lam = np.linalg.eigvalsh(mbd_matrix(s, st, CFG))
     w2 = st.omega[0]**2
     assert np.abs(lam - w2).max() < 1e-8 * w2
 
@@ -169,7 +164,7 @@ def test_matrix_invariants(rng):
     st = states_for(s)
     c = mbd_matrix(s, st, CFG)
     assert np.abs(c - c.T).max() < 1e-12
-    lam, vecs = sym_eigen(c)
+    lam, vecs = np.linalg.eigh(c)
     assert np.abs(vecs @ vecs.T - np.eye(len(lam))).max() < 1e-10
     diag = vecs.T @ c @ vecs
     assert np.abs(diag - np.diag(lam)).max() < 1e-10
@@ -280,7 +275,7 @@ def test_eigenvalues_match_jacobi_oracle(rng):
         st = states_for(s)
         c = mbd_matrix(s, st, CFG)
         ref = jacobi_eigenvalues(c)
-        assert np.abs(sym_eigen(c)[0] - ref).max() < 1e-10
+        assert np.abs(mbd._eigen(c, vectors=False)[0] - ref).max() < 1e-10
 
 
 # -------------------------------------------------------------------- energy
@@ -425,7 +420,7 @@ def test_periodic_self_image_terms_in_diagonal():
     c = mbd_matrix(s, st, CFG, 2)
     w2 = st.omega[0]**2
     assert np.abs(c - w2 * np.eye(3)).max() > 0.0
-    assert np.all(sym_eigen(c)[0] > 0.0)
+    assert np.all(np.linalg.eigvalsh(c) > 0.0)
 
 
 def test_periodic_forces_match_fd(rng):

@@ -107,6 +107,38 @@ def test_origin_without_a_displacement_or_a_topology_changes_nothing():
                  minimize(displaced, vdw_only, cfg))
 
 
+class _Unevaluated:
+    """A model that fails the test if minimize evaluates it."""
+
+    topology = None
+
+    def energy_and_forces(self, structure):
+        raise AssertionError("evaluated")
+
+    energy = energy_and_forces
+
+
+def test_relax_cell_components_are_checked_before_the_first_evaluation():
+    from vdwmech.generators import PeCrystalSpec, make_pe_crystal
+    pe = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    tube = make_swcnt(CntSpec(4, 4, 3), axial_period=True)
+    chain = make_chain_pair(ChainSpec(4, 4, gap=6.0))
+    for s, relax_cell, match in ((pe, ((3, 3),), "two indices"),
+                                 (pe, ((0, 0), (0,)), "two indices"),
+                                 (tube, ((2, 2), (0, 0)), "direction 0 is not periodic"),
+                                 (chain, ((0, 0),), "no cell")):
+        with pytest.raises(InputError, match=match):
+            minimize(s, _Unevaluated(), MinimizerConfig(), relax_cell=relax_cell)
+
+
+def test_origin_must_have_the_structure_atoms():
+    s = make_chain_pair(ChainSpec(4, 4, gap=6.0))
+    other = make_chain_pair(ChainSpec(5, 4, gap=6.0))
+    for model in (CompositeModel(topology=detect_topology(s)), CompositeModel(vdw="pw")):
+        with pytest.raises(InputError, match=f"{len(other)} atoms.*{len(s)}"):
+            minimize(s, model, MinimizerConfig(), origin=other)
+
+
 def test_iteration_budget_reports_nonconvergence():
     model, ref = _diatomic_model()
     start = ref.with_positions([[0, 0, 0], [2.1, 0, 0]])

@@ -217,6 +217,12 @@ def test_strain_errors():
     nocell = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     with pytest.raises(InputError):
         apply_cell_strain(nocell, (0, 0), delta=0.1)
+    for component in ((0, 3), (0,), (-1, 0), (0, 1, 2), 5, (0.0, 0), "00"):
+        with pytest.raises(InputError, match="two indices in 0..2"):
+            apply_cell_strain(s2, component, delta=0.1)
+    for delta in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="finite"):
+            apply_cell_strain(s2, (0, 0), delta=delta)
     # a remap with det F <= 0 is refused whichever axes are periodic
     tube = make_swcnt(CntSpec(4, 4, 3), axial_period=True)
     length = tube.cell.matrix[2, 2]
