@@ -97,6 +97,16 @@ class CompositeModel:
         self.shells = shells
         return shells
 
+    def pair_curvature(self, structure: AtomicStructure):
+        """The MBD pair curvature that the relaxation preconditioner adds to
+        the bonded one (mbd.pair_curvature, within the pinned shells), or
+        None unless vdw is "mbd": the TS pairwise term is damped to a
+        negligible curvature at bonded distances."""
+        if self.vdw != "mbd":
+            return None
+        return _mbd.pair_curvature(structure, self._states_for(structure), self.mbd_cfg,
+                                   self.shells or 0)
+
     # -- evaluation --------------------------------------------------------
 
     def _evaluate(self, structure, forces):

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InstabilityError, NumericalError, check_count
-from .periodic import guard_overlap, lattice_translations
+from .periodic import close_pairs, guard_overlap, image_reach, lattice_translations
 from .species import VdwStates
 from .structure import OVERLAP_GUARD, AtomicStructure
 from .units import BOHR_ANGSTROM, HARTREE_EV
@@ -127,6 +127,8 @@ _ERF_T, _ERF_U, _ERFC_P, _ERFC_Q = ([np.array(c) for c in coeffs]
 # one thread) and saves 21 MB of peak; the memory saving passes the import
 # from about order 1200 without vectors and order 2200 with them.
 _STAGED_MIN_BYTES = 8 * 2**20
+# A, reach of pair_curvature; a C-C pair's phi'/R is about 1e-4 eV/A^2 there
+_CURVATURE_CUTOFF = 6.0
 
 
 @dataclass(frozen=True)
@@ -574,3 +576,51 @@ def _trace_forces(structure, kw, inv_s, keep):
     # terms are the column sums of the half set
     forces = 0.5 * (acc.sum(axis=2) - acc.sum(axis=1)).T
     return forces * (HARTREE_EV / BOHR_ANGSTROM)
+
+
+def pair_curvature(structure: AtomicStructure, states: VdwStates, cfg: MbdModelConfig,
+                   shells: int = 0):
+    """Curvatures [eV/A^2] of the second-order pair expansion of the MBD
+    energy, which the relaxation preconditioner adds to the bonded one.
+
+    To second order in the coupling blocks, E is the London sum of the same
+    oscillators through the same damped tensor, E2 = sum over pair-images
+    of phi(R) with
+
+        phi = -1/4 K_ij^2 [(A R^2 + B)^2 + 2 B^2] / (w_i w_j (w_i + w_j)),
+
+    the squares of T's eigenvalues along and across d; far out it is
+    -C6/R^6 with C6 = (3/2) a_i a_j w_i w_j / (w_i + w_j).  With g(R) =
+    erf(R/s)/R, A R^2 + B = g2 and B = g'/R, where gn is the n-th
+    derivative of g, so phi' and phi'' take g3 and g4, and with them one
+    derivative past the _radial factors: S'/R = -(2 (S R^2 + 5 A) / s^2 +
+    7 S) / R^2 for S = A'/R.
+
+    Lists every pair-image within _CURVATURE_CUTOFF over periodic.close_pairs,
+    at most ``shells`` cells out along each periodic axis; a self-image
+    (i = j), whose separation is a lattice vector, is left out.  Returns
+    (i, j, offsets (P, 3), d (P, 3) [A], phi'' (P,), phi'/R (P,)) with d =
+    R_i - R_j - offset @ cell: the radial and the transverse curvature.
+    """
+    check_count("shells", shells)
+    reach = tuple(min(r, shells) for r in image_reach(structure, _CURVATURE_CUTOFF))
+    found = [(np.broadcast_to(off, (len(i), 3)), i, j, r2)
+             for off, i, j, r2 in close_pairs(structure, _CURVATURE_CUTOFF, reach)]
+    offsets, i, j, r2 = (np.concatenate(x) for x in zip(*found))
+    keep = i != j
+    offsets, i, j, r2 = offsets[keep], i[keep], j[keep], r2[keep]
+    d = structure.positions[i] - structure.positions[j]
+    if structure.cell is not None:
+        d -= offsets @ structure.cell.matrix
+    omega, coupling, inv_s = _pair_params(structure, states, cfg)
+    inv_s = inv_s[i, j]
+    a, b, s = _radial(r2, inv_s, slope=True)
+    g2 = a * r2 + b
+    g3 = s * r2 + 3.0 * a  # g3 / R
+    u = -(2.0 * inv_s**2 * (s * r2 + 5.0 * a) + 7.0 * s) / r2  # S'/R
+    g4 = (u * r2 + 6.0 * s) * r2 + 3.0 * a
+    w_i, w_j = omega[i], omega[j]
+    c = (-0.25 * HARTREE_EV / BOHR_ANGSTROM**2) * coupling[i, j] ** 2 / (w_i * w_j * (w_i + w_j))
+    radial = c * (2.0 * r2 * g3 * g3 + 2.0 * g2 * g4 + 4.0 * a * a * r2 + 4.0 * b * (a + r2 * s))
+    transverse = c * (2.0 * g2 * g3 + 4.0 * a * b)
+    return i, j, offsets, d, radial, transverse

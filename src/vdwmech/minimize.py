@@ -5,21 +5,38 @@ the last ``_MEMORY`` steps.  The initial inverse Hessian is P^-1, built
 once per call: P = sum_t k_t dq_t/dR dq_t/dR^T + mu I is the bonded
 Gauss-Newton Hessian (bonded.harmonic_hessian) on the free components, a
 force-field preconditioner as in Packwood et al., J. Chem. Phys. 144,
-164109 (2016).  Cell components get P's mean atomic diagonal.  Given the
+164109 (2016).  Under MBD dispersion P also holds the curvature of the
+MBD energy's second-order pair expansion (mbd.pair_curvature), the London
+pair sum of the same oscillators, over the pair-images within 6 A, where
+a C-C pair's phi'/R has fallen to about 1e-4 eV/A^2.  Per pair-image it
+adds the transverse block max(phi'/R, 0) (I - r r^T), and on a bonded
+pair the radial phi'' joins the bond's k_r r r^T, as max(k_r + phi'', 0)
+r r^T.  The radial curvature between non-bonded atoms is negative and is
+left out: with it, P + mu I is indefinite on PE (lowest eigenvalue -0.29
+eV/A^2 on the 1x1x1 cell).  So every block added to P is positive
+semidefinite, P + mu I is positive definite by construction, and the
+factor below runs unchanged.  On the 28+28 chain pair this takes the
+five unperturbed chain-mbd-load steps from 36 to 27 MBD evaluations, and
+seeded ten-step paths from 7.8 to 5.3 per step.  The TS pairwise term
+adds nothing, since its damping leaves no curvature of note at bonded
+distances.  Cell components get P's mean atomic diagonal.  Given the
 state a structure was displaced from, the free components start from P's
 linear response to the displacement of the fixed ones.
 
 Bonded terms couple only nearby atoms, so with the atoms ranked along the
 structure's longest extent P is block tridiagonal, in blocks of the
 widest term's span and at least bonded._MIN_BLOCK rows (192 rows on an
-(8,8) tube, 27 on the 28+28 chain pair).  Fixed components become
-identity rows of the band, and a block Cholesky factors it (Golub & Van
-Loan, Matrix Computations, 4th ed., sections 4.3 and 4.5) into the
-inverse of each diagonal factor block and the factor blocks below them,
-so each solve is block products.  The factor overwrites the band,
-2 * 3N * b doubles: 12 MB on a 1280-atom tube, where one dense P took
-118 MB.  A periodic cell whose bonds wrap is one block of (3N)^2, as
-dense, and costs what a dense inverse does.
+(8,8) tube, 27 on the 28+28 chain pair).  The pair blocks do not widen
+the band; a pair further apart is left out: 5 of the 266 pair-images of
+the chain pair, all at 6.0 A, none of the 12464 of an (8,8)x20 tube, and
+856 of the 5568 of PE 2x2x2, which is ranked across its chains.  Fixed
+components become identity rows of the band, and a block Cholesky
+factors it (Golub & Van Loan, Matrix Computations, 4th ed., sections 4.3
+and 4.5) into the inverse of each diagonal factor block and the factor
+blocks below them, so each solve is block products.  The factor
+overwrites the band, 2 * 3N * b doubles: 12 MB on a 1280-atom tube,
+where one dense P took 118 MB.  A periodic cell whose bonds wrap is one
+block of (3N)^2, as dense, and costs what a dense inverse does.
 
 Trial steps move no atom more than _MAX_STEP.  A trial that raises
 the energy, or that the geometry or the model refuses, is rejected and
@@ -126,16 +143,19 @@ def _solve(diag, low, r):
     return r
 
 
-def _preconditioner(structure, topology, free, origin):
+def _preconditioner(structure, topology, free, origin, pairs=None):
     """The initial inverse Hessian as a function h0(q) of a gradient q over
     the atomic components, then the cell ones, and the bonded response
     -P_ff^-1 P_fd d of the free atomic components to the displacement d
     from ``origin`` of the fixed ones (None without origin or topology).
-    ``free`` masks the atomic components."""
+    ``free`` masks the atomic components.  P is harmonic_hessian's band
+    with the pair blocks of ``pairs``, the MBD pair curvature of
+    CompositeModel.pair_curvature (None: the bonded P alone), so each of
+    its blocks is positive semidefinite and P + mu I positive definite."""
     n3 = len(free)
     if topology is None or not n3:
         return (lambda q: q / _MU), None
-    rows, band = harmonic_hessian(structure, topology)
+    rows, band = harmonic_hessian(structure, topology, pairs)
     k, _, b, _ = band.shape
     diag, low = band[:, 0], band[:-1, 1]
     cell = _MU + np.trace(diag, axis1=1, axis2=2).sum() / n3
@@ -209,7 +229,8 @@ def minimize(structure: AtomicStructure, model, cfg: MinimizerConfig,
     n3 = 3 * len(structure)
     # the atomic components, then the cell ones; fixed components stay 0
     free = np.concatenate([structure.free_mask().ravel(), np.ones(len(relax_cell), bool)])
-    h0, shift = _preconditioner(structure, model.topology, free[:n3], origin)
+    pairs = model.pair_curvature(structure) if model.topology is not None else None
+    h0, shift = _preconditioner(structure, model.topology, free[:n3], origin, pairs)
     evaluations = 0
 
     def evaluate(s):

@@ -95,6 +95,9 @@ class StepRecord:
     stiffness: float | None        # GPa, from step 2 on
     converged: bool
     evaluations: int               # energy-and-forces calls of its relaxations, retries too
+    iterations: int                # trial steps of its relaxations, retries too
+    rejected: int                  # trial steps of those that were rejected
+    halvings: int                  # increment halvings
 
 
 @dataclass
@@ -156,7 +159,7 @@ def run_quasistatic(structure: AtomicStructure, model,
     for step in range(1, protocol.step_count + 1):
         remaining = protocol.increment
         sub = protocol.increment
-        halvings = evaluations = 0
+        halvings = evaluations = iterations = rejected = 0
         converged = True
         while abs(remaining) > _INCREMENT_FLOOR:
             if abs(sub) > abs(remaining):
@@ -168,17 +171,19 @@ def run_quasistatic(structure: AtomicStructure, model,
             res = minimize(trial, model, protocol.minimizer, relax_cell=relax_cell,
                            origin=origin)
             evaluations += res.evaluations
+            iterations += res.iterations
+            rejected += res.rejected
             if res.converged:
                 cur = res.structure
                 applied += sub
                 remaining -= sub
                 continue
-            halvings += 1
-            if halvings > _MAX_HALVINGS:
+            if halvings == _MAX_HALVINGS:
                 cur = res.structure
                 applied += sub
                 converged = False
                 break
+            halvings += 1
             sub *= 0.5
 
         # res holds the last relaxation, whose final state is cur
@@ -212,7 +217,8 @@ def run_quasistatic(structure: AtomicStructure, model,
             step=step, applied=applied, strain=strain, e_total=e_tot,
             e_bonded=e_bond, e_vdw=e_vdw, reaction=reaction, sigma=sigma,
             sigma_drive=sigma_drive, stiffness=stiffness, converged=converged,
-            evaluations=evaluations))
+            evaluations=evaluations, iterations=iterations, rejected=rejected,
+            halvings=halvings))
         if protocol.record_structures:
             result.structures.append(cur)
         if not converged:

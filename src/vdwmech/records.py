@@ -42,7 +42,8 @@ def emit_records(records: list[StepRecord], path: str) -> None:
     with_tensor = any(r.sigma is not None for r in records)
     header = ["step", "applied_A", "strain", "e_total_eV", "e_bonded_eV",
               "e_vdw_eV", "reaction_eV_per_A", "sigma_drive_GPa",
-              "stiffness_GPa", "converged", "evaluations"]
+              "stiffness_GPa", "converged", "evaluations", "iterations", "rejected",
+              "halvings"]
     if with_tensor:
         header += [name for name, _, _ in _VOIGT]
     rows = []
@@ -51,7 +52,8 @@ def emit_records(records: list[StepRecord], path: str) -> None:
                _FMT.format(r.e_total), _FMT.format(r.e_bonded),
                _FMT.format(r.e_vdw), _num(r.reaction),
                _num(r.sigma_drive), _num(r.stiffness),
-               str(int(r.converged)), str(r.evaluations)]
+               str(int(r.converged)), str(r.evaluations), str(r.iterations),
+               str(r.rejected), str(r.halvings)]
         if with_tensor:
             if r.sigma is None:
                 row += [""] * len(_VOIGT)

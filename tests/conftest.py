@@ -285,6 +285,52 @@ def dipole_tensor(structure, cfg, i, j, image=(0.0, 0.0, 0.0)):
     return c[:3, 3:] / (np.prod(st.omega) * np.sqrt(np.prod(st.alpha0_eff)))
 
 
+def pair_expansion_energy(structure, cfg, i, j, image=(0.0, 0.0, 0.0)):
+    """The second-order pair expansion of the MBD energy [eV] for atom i and
+    atom j shifted by ``image`` [A]: -1/4 K^2 |T|_F^2 / (w_i w_j (w_i + w_j)),
+    with T = dipole_tensor, one 3x3 block of the library's assembled C."""
+    from vdwmech.units import HARTREE_EV
+
+    st = states_for(structure)
+    w_i, w_j = st.omega[[i, j]]
+    k = w_i * w_j * np.sqrt(np.prod(st.alpha0_eff[[i, j]]))
+    t = dipole_tensor(structure, cfg, i, j, image)
+    return -0.25 * k * k * np.sum(t * t) / (w_i * w_j * (w_i + w_j)) * HARTREE_EV
+
+
+def dense_pair_blocks(structure, topo, pairs, block=None, clip=True):
+    """The pair curvature blocks [eV/A^2] of the relaxation preconditioner
+    as one dense (3N, 3N) array, in atom order, written out pair by pair
+    from the listed curvatures ``pairs`` (i, j, offsets, d, phi'', phi'/R).
+
+    With ``clip``, each pair-image adds max(phi'/R, 0) (I - r r^T), and a
+    pair-image that a bond of ``topo`` joins (matched on the atoms and the
+    offset difference, in either orientation) also max(phi'', -k_r) r r^T;
+    pairs whose atoms lie in ``block``s more than one apart are skipped.
+    Without ``clip``, every pair adds phi'' r r^T + phi'/R (I - r r^T)."""
+    bonded = set()
+    for (a, b), (oa, ob) in zip(topo.bonds.tolist(), topo.bond_offsets.tolist()):
+        o = tuple(q - p for p, q in zip(oa, ob))
+        bonded |= {(a, b, o), (b, a, tuple(-x for x in o))}
+    out = np.zeros((len(structure), 3, len(structure), 3))
+    for i, j, off, d, radial, transverse in zip(*pairs):
+        if block is not None and abs(block[i] - block[j]) > 1:
+            continue
+        r = d / np.linalg.norm(d)
+        rr = np.outer(r, r)
+        if clip:
+            h = max(transverse, 0.0) * (np.eye(3) - rr)
+            if (i, j, tuple(off.tolist())) in bonded:
+                h = h + max(radial, -topo.k_r) * rr
+        else:
+            h = radial * rr + transverse * (np.eye(3) - rr)
+        out[i, :, i] += h
+        out[j, :, j] += h
+        out[i, :, j] -= h
+        out[j, :, i] -= h
+    return out.reshape(3 * len(structure), 3 * len(structure))
+
+
 def two_oscillator_energy(states, r_ang, beta):
     """Closed-form two-body MBD energy [eV] for atoms on a common axis.
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (brute_force_mbd_matrix, dipole_tensor, fd_forces,
-                      jacobi_eigenvalues, lattice_box, mbd_matrix, random_cluster,
-                      random_rotation, two_oscillator_energy)
+                      jacobi_eigenvalues, lattice_box, mbd_matrix, pair_expansion_energy,
+                      random_cluster, random_rotation, two_oscillator_energy)
 from vdwmech import mbd
 from vdwmech.errors import (GeometryError, InputError, InstabilityError)
 from vdwmech.mbd import MbdModelConfig, mbd_energy
@@ -493,3 +493,81 @@ def test_staged_energy_and_forces_memory_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * matrix_bytes
+
+
+# ---------------------------------------------------------------- pair curvature
+
+def _pair_image_keys(i, j, offsets):
+    """Each pair-image once, as the lesser of (i, j, o) and (j, i, -o)."""
+    return [min((a, b, tuple(o)), (b, a, tuple(-x for x in o)))
+            for a, b, o in zip(i.tolist(), j.tolist(), np.asarray(offsets).tolist())]
+
+
+def _fd_separation_hessian(structure, i, j, image, h=2e-4):
+    """Central-difference Hessian [eV/A^2] of pair_expansion_energy in the
+    separation d = R_i - R_j - image, varied through the image."""
+    def e2(shift):
+        return pair_expansion_energy(structure, CFG, i, j, np.asarray(image) - shift)
+    eye = h * np.eye(3)
+    return np.array([[(e2(eye[a] + eye[b]) - e2(eye[a] - eye[b]) - e2(eye[b] - eye[a])
+                       + e2(-eye[a] - eye[b])) / (4 * h * h) for b in range(3)]
+                     for a in range(3)])
+
+
+def test_pair_curvature_matches_fd_of_the_pair_expansion(rng):
+    """On random clusters, every pair within the cutoff is listed once, and
+    phi'' r r^T + phi'/R (I - r r^T) is the Hessian of its E2 in d."""
+    for _ in range(3):
+        s = random_cluster(rng, 6, min_dist=1.2, box=7.0)
+        i, j, offsets, d, radial, transverse = mbd.pair_curvature(s, states_for(s), CFG)
+        near = [(a, b) for a in range(6) for b in range(a + 1, 6)
+                if np.linalg.norm(s.positions[a] - s.positions[b]) <= mbd._CURVATURE_CUTOFF]
+        assert sorted(zip(i.tolist(), j.tolist())) == near
+        assert not np.asarray(offsets).any()
+        assert np.array_equal(d, s.positions[i] - s.positions[j])
+        for a, b, dv, rad, tr in zip(i, j, d, radial, transverse):
+            r = dv / np.linalg.norm(dv)
+            want = _fd_separation_hessian(s, a, b, np.zeros(3))
+            got = rad * np.outer(r, r) + tr * (np.eye(3) - np.outer(r, r))
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_pair_curvature_over_the_images_of_pe():
+    """PE 1x1x1 at 3 shells: the listed pair-images are those of the full
+    +-t box within the cutoff, each once, and their radial and transverse
+    curvatures are the central differences of E2 along d."""
+    from itertools import product
+
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    shells, cut = 3, mbd._CURVATURE_CUTOFF
+    i, j, offsets, d, radial, transverse = mbd.pair_curvature(s, states_for(s), CFG, shells)
+    keys = _pair_image_keys(i, j, offsets)
+    x = s.positions
+    want = {min((a, b, o), (b, a, tuple(-c for c in o)))
+            for a in range(len(s)) for b in range(len(s)) if a != b
+            for o in product(range(-shells, shells + 1), repeat=3)
+            if np.linalg.norm(x[a] - x[b] - np.array(o) @ s.cell.matrix) <= cut}
+    assert len(keys) == len(set(keys)) and set(keys) == want
+    assert np.allclose(d, s.positions[i] - s.positions[j] - offsets @ s.cell.matrix,
+                       rtol=0, atol=1e-12)
+    h = 2e-4
+    for a, b, o, dv, rad, tr in zip(i, j, offsets, d, radial, transverse):
+        r = np.linalg.norm(dv)
+        image = o @ s.cell.matrix
+        e_minus, e0, e_plus = (pair_expansion_energy(s, CFG, a, b, image - x * dv / r)
+                               for x in (-h, 0.0, h))
+        assert rad == pytest.approx((e_plus - 2 * e0 + e_minus) / h**2, rel=1e-5)
+        assert tr == pytest.approx((e_plus - e_minus) / (2 * h * r), rel=1e-5)
+
+
+def test_pair_expansion_tends_to_london():
+    """E2 = -C6/R^6 at large R, C6 = 3/2 a_i a_j w_i w_j / (w_i + w_j)."""
+    from vdwmech.units import HARTREE_EV
+
+    for species in (("C", "C"), ("C", "H"), ("H", "H")):
+        for r_ang in (15.0, 30.0):
+            s, st = _pair(r_ang, species)
+            w, a = st.omega, st.alpha0_eff
+            c6 = 1.5 * a[0] * a[1] * w[0] * w[1] / (w[0] + w[1])
+            london = -c6 / (r_ang / BOHR_ANGSTROM) ** 6 * HARTREE_EV
+            assert pair_expansion_energy(s, CFG, 0, 1) == pytest.approx(london, rel=1e-12)

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_gauss_newton
-from vdwmech.bonded import detect_topology
+from conftest import band_to_dense, dense_gauss_newton, dense_pair_blocks
+from vdwmech.bonded import detect_topology, harmonic_hessian
 from vdwmech.composite import CompositeModel
 from vdwmech.errors import InputError
 from vdwmech.generators import ChainSpec, CntSpec, make_chain_pair, make_swcnt
@@ -207,47 +207,99 @@ def _driven(s, shift, seed):
 
 
 _PRECONDITIONER_CASES = {
-    # name: (reference, the shift of its upper fixed atoms); both are several blocks
+    # name: (reference, the shift of its upper fixed atoms, vdW kind); each
+    # geometry is several blocks, and under MBD P takes on the pair blocks
     "chain pair": (lambda: make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)),
-                   [0.0, -0.2, 0.0]),
+                   [0.0, -0.2, 0.0], "none"),
     "(8,8)x6 tube, fixed ends": (lambda: make_swcnt(CntSpec(8, 8, 6), fixed_end_layers=1),
-                                 [0.0, 0.0, -0.25]),
+                                 [0.0, 0.0, -0.25], "none"),
 }
+_PRECONDITIONER_CASES.update({f"{name}, MBD": (build, shift, "mbd")
+                              for name, (build, shift, _) in _PRECONDITIONER_CASES.items()})
 
 
-@pytest.mark.parametrize("case", sorted(_PRECONDITIONER_CASES))
-def test_block_factor_solves_the_free_block(case):
-    build, shift = _PRECONDITIONER_CASES[case]
-    ref = build()
-    s = _driven(ref, shift, 1)
-    topo = detect_topology(ref)
+def _pairs_and_p(s, topo, vdw, shells=None):
+    """The pair curvature of a model with ``vdw`` (None but for MBD) and the
+    dense P - mu I it gives: the bonded Gauss-Newton Hessian plus the pair
+    blocks of the atoms at most one band block apart."""
+    pairs = CompositeModel(topology=topo, vdw=vdw, shells=shells).pair_curvature(s)
+    p = dense_gauss_newton(s, topo)
+    if pairs is not None:
+        rows, band = harmonic_hessian(s, topo, pairs)
+        p += dense_pair_blocks(s, topo, pairs, rows[::3] // band.shape[2])
+    return pairs, p
+
+
+def _assert_h0_solves(s, topo, vdw, shells=None):
     free = s.free_mask().ravel()
-    p = dense_gauss_newton(s, topo)[np.ix_(free, free)] + _MU * np.eye(free.sum())
-    h0, _ = _preconditioner(s, topo, free, None)
+    pairs, p_all = _pairs_and_p(s, topo, vdw, shells)
+    p = p_all[np.ix_(free, free)] + _MU * np.eye(free.sum())
+    h0, _ = _preconditioner(s, topo, free, None, pairs)
     q = np.random.default_rng(2).standard_normal(len(free) + 2) * np.append(free, [True, True])
     x = h0(q)
     assert not x[:len(free)][~free].any()
     assert np.abs(p @ x[:len(free)][free] - q[:len(free)][free]).max() <= \
         1e-12 * np.abs(q).max()
     # the cell components get P's mean atomic diagonal
-    cell = _MU + np.trace(dense_gauss_newton(s, topo)) / len(free)
+    cell = _MU + np.trace(p_all) / len(free)
     assert x[len(free):] == pytest.approx(q[len(free):] / cell, rel=1e-14)
+    return pairs
+
+
+@pytest.mark.parametrize("case", sorted(_PRECONDITIONER_CASES))
+def test_block_factor_solves_the_free_block(case):
+    build, shift, vdw = _PRECONDITIONER_CASES[case]
+    ref = build()
+    _assert_h0_solves(_driven(ref, shift, 1), detect_topology(ref), vdw)
+
+
+@pytest.mark.parametrize("cells, shells", [((1, 1, 1), 3), ((2, 2, 2), 2)],
+                         ids=["PE 1x1x1", "PE 2x2x2"])
+def test_pair_blocks_keep_p_positive_definite_on_pe(cells, shells):
+    """On PE under MBD, the radial curvature between the chains makes the
+    unclipped pair expansion indefinite, P + mu I + H2 included; with the
+    transverse blocks clipped at 0 and the radial curvature on bonds alone,
+    the band factors and h0 solves against the dense P."""
+    from vdwmech.generators import PeCrystalSpec, make_pe_crystal
+    ref = make_pe_crystal(PeCrystalSpec(*cells))
+    s, topo = _driven(ref, 0.0, 1), detect_topology(ref)
+    pairs = _assert_h0_solves(s, topo, "mbd", shells)
+    unclipped = dense_gauss_newton(s, topo) + _MU * np.eye(3 * len(s)) \
+        + dense_pair_blocks(s, topo, pairs, clip=False)
+    assert np.linalg.eigvalsh(unclipped)[0] < -0.1
+
+
+def test_pair_blocks_find_bonds_listed_either_way():
+    """The radial curvature joins a bond whichever way the topology lists
+    it: PE 1x1x1, whose bonds cross the cell, with every bond reversed."""
+    from dataclasses import replace
+
+    from vdwmech.generators import PeCrystalSpec, make_pe_crystal
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    topo = detect_topology(s)
+    assert topo.bond_offsets.any()
+    flipped = replace(topo, bonds=topo.bonds[:, ::-1], bond_offsets=topo.bond_offsets[:, ::-1])
+    pairs, want = _pairs_and_p(s, topo, "mbd", shells=3)
+    for t in (topo, flipped):
+        got = band_to_dense(*harmonic_hessian(s, t, pairs))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("case", sorted(_PRECONDITIONER_CASES))
 def test_bonded_response_start_matches_the_dense_formula(case):
-    build, shift = _PRECONDITIONER_CASES[case]
+    build, shift, vdw = _PRECONDITIONER_CASES[case]
     ref = build()
     s = _driven(ref, shift, 3)
     topo = detect_topology(ref)
     free = s.free_mask().ravel()
     # the dense P^-1 of the free block and P's product with the fixed displacement
-    p = dense_gauss_newton(s, topo) + _MU * np.eye(len(free))
+    pairs, p = _pairs_and_p(s, topo, vdw)
+    p += _MU * np.eye(len(free))
     h = np.zeros_like(p)
     h[np.ix_(free, free)] = np.linalg.inv(p[np.ix_(free, free)])
     d = np.where(free, 0.0, (s.positions - ref.positions).ravel())
     want = -(h @ (p @ d))
-    got = _preconditioner(s, topo, free, ref)[1]
+    got = _preconditioner(s, topo, free, ref, pairs)[1]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -110,6 +110,28 @@ def test_load_step_reaction_converges_with_force_tolerance(monkeypatch):
     assert sum(r.evaluations for r in loose) < sum(r.evaluations for r in plain)
 
 
+def test_mbd_pair_curvature_takes_fewer_load_step_evaluations(monkeypatch):
+    # the same five MBD chain-pair steps at 1e-3 eV/A: the pair blocks of
+    # the MBD curvature in the preconditioner take fewer evaluations than
+    # the bonded P alone (27 against 36 when measured)
+    spec = ChainSpec(28, 28, hydrogen_caps=True)
+    s = make_chain_pair(spec)
+    model = CompositeModel(topology=detect_topology(s), vdw="mbd")
+    protocol = LoadingProtocol(
+        kind="displacement", increment=-0.2, step_count=5,
+        driven=tuple(int(i) for i in cap_indices(spec)[1]), axis=1,
+        minimizer=MinimizerConfig(force_tolerance=1e-3))
+
+    def evaluations():
+        records = run_quasistatic(s, model, protocol).records
+        assert len(records) == 5 and all(r.converged for r in records)
+        return sum(r.evaluations for r in records)
+
+    with_pairs = evaluations()
+    monkeypatch.setattr(model, "pair_curvature", lambda structure: None)
+    assert with_pairs < evaluations()
+
+
 def test_refused_predicted_start_falls_back_to_the_displaced_state(monkeypatch):
     s, model, driven = _chain_system()
     protocol = LoadingProtocol(
@@ -153,8 +175,11 @@ def test_refused_relaxation_halves_the_increment(monkeypatch):
     result = run_quasistatic(s, model, protocol)
     # the refused full step, then two half steps
     assert len(calls) == 3 and not result.halted
-    assert result.records[-1].converged
-    assert result.records[-1].applied == protocol.increment
+    r = result.records[-1]
+    assert r.converged and r.applied == protocol.increment
+    # the record sums the counters of all three relaxations
+    assert (r.halvings, r.evaluations, r.iterations, r.rejected) == \
+        (1, *(sum(getattr(c, k) for c in calls) for k in ("evaluations", "iterations", "rejected")))
 
     # no relaxation converges: 1 + 4 halvings, then the run halts
     calls.clear()
@@ -165,6 +190,7 @@ def test_refused_relaxation_halves_the_increment(monkeypatch):
     assert result.halted and len(result.records) == 1
     assert not result.records[-1].converged
     assert result.records[-1].applied == protocol.increment / 16
+    assert result.records[-1].halvings == 4
 
 
 def test_driven_atoms_must_be_fixed():
@@ -335,11 +361,14 @@ def test_emit_records_csv(tmp_path):
     header = lines[0].split(",")
     assert "strain" in header and "stiffness_GPa" in header
     assert "sigma_drive_GPa" in header
-    # each step's energy-and-forces calls, as a positive integer
+    # each step's energy-and-forces calls, as a positive integer, then the
+    # minimizer's trial steps, its rejected ones and the increment halvings
+    counters = ["evaluations", "iterations", "rejected", "halvings"]
     column = header.index("evaluations")
+    assert header[column:column + 4] == counters
     for r, line in zip(result.records, lines[1:]):
-        assert line.split(",")[column] == str(r.evaluations)
-        assert r.evaluations > 0
+        assert line.split(",")[column:column + 4] == [str(getattr(r, k)) for k in counters]
+        assert r.evaluations > 0 and r.iterations > 0
     # deterministic formatting: re-emitting produces identical bytes
     path2 = tmp_path / "records2.csv"
     emit_records(result.records, str(path2))
