@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError, TopologyError
-from .periodic import close_pairs, extent_order, image_reach
+from .periodic import close_pairs, image_reach
 from .structure import AtomicStructure, _frozen
 from .units import BOHR_ANGSTROM
 
@@ -53,14 +53,6 @@ _MAX_REACH = 4  # bond search shells; wrapped atoms need more below 0.45 A plane
 
 _DIHEDRAL_COLLINEAR_TOL = 1e-6
 _STRAIGHT_TOL = 0.1  # rad, angle references closer to pi are straight (loaded chains: < 0.03)
-
-# harmonic_hessian's narrowest block [rows] and entries per bincount.  The
-# minimizer factors each block by cholesky and inv, and a chain-pair load
-# step makes about 7.4 solves: on the 60-atom chain pair (one BLAS thread)
-# set-up and one solve take about 1.0 and 0.05 ms in blocks of 27 rows,
-# 1.3-1.6 and 0.033 ms in blocks of 60 and 3.7 and 0.022 ms as one block
-_MIN_BLOCK = 24
-_FILL_CHUNK = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,50 +409,24 @@ def harmonic_energy(structure: AtomicStructure, topo: HarmonicTopology,
                           minlength=3 * n).reshape(n, 3).astype(float, copy=False)
 
 
-def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology,
-                     pairs=None) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton Hessian sum_t k_t dq_t/dR dq_t/dR^T [eV/A^2], exact at
-    the reference geometry and positive semidefinite everywhere, as a
-    block-tridiagonal band, plus the dispersion pair curvature ``pairs``.
+def gauss_newton_rows(structure: AtomicStructure, topo: HarmonicTopology, k_bond=None) -> list:
+    """The rows g_t = sqrt(k_t) dq_t/dR of the Gauss-Newton Hessian sum_t
+    g_t g_t^T [eV/A^2], exact at the reference geometry and positive
+    semidefinite everywhere: per term kind (bonds, angles, dihedrals), the
+    slot atoms (S, T) and each slot's rows (S, 3, T).  ``k_bond`` (B,)
+    replaces k_r per bond.
 
-    A bent angle enters through q = (cos theta - cos theta0) / sin theta0,
-    its energy being 1/2 k q^2; a straight one through the three components
-    of its bend vector b = u/|u| + w/|w|, since k (1 + cos theta) is
-    exactly 1/2 k |b|^2.
-
-    ``pairs`` is (i, j, offsets, d, phi'', phi'/R) per pair-image, as
-    mbd.pair_curvature returns it (within 6 A, where a C-C pair's phi'/R is
-    about 1e-4 eV/A^2).  Each adds the 3 x 3 block max(phi'/R, 0)
-    (I - r r^T) on r = d/|d| to the pair's two diagonal blocks and
-    subtracts it from the two between them.  Where the topology bonds the
-    pair-image, phi'' joins the bond's k_r r r^T as max(k_r + phi'', 0)
-    r r^T; the radial curvature of other pairs is left out, since between
-    the chains it is negative.  So every added block is positive
-    semidefinite, and so is the sum.
-
-    The atoms are ranked along the structure's longest extent
-    (periodic.extent_order), and component c of the atom of rank a is row
-    3 a + c.  A term couples rows at most its span apart, so in blocks of
-    b rows, b at least the largest span and _MIN_BLOCK, every entry lies
-    in a diagonal block or in the block below one.  The pairs do not widen
-    b, and a pair of atoms further apart than that is left out: 5 of the
-    266 of the 28+28 chain pair, all at 6.0 A, and none of an (8,8) tube.
-    Returns the row of each component 3 i + c, (3N,), and the band (K, 2, b, b):
-    band[k, 0] is diagonal block k and band[k, 1] the block below it (rows
-    of block k + 1, columns of block k; zero for the last k).  Rows past 3N
-    pad the last block with zeros.  A periodic bond that wraps through the
-    cell spans about the whole cell, so such a cell is one (3N, 3N) block.
+    A bent angle is one term, of q = (cos theta - cos theta0) / sin
+    theta0, its energy being 1/2 k q^2; a straight one is three, the
+    components of its bend vector b = u/|u| + w/|w|, since k (1 + cos
+    theta) is exactly 1/2 k |b|^2.  The angle kind lists the bent ones
+    first, then the straight ones three times over.
     """
-    n = len(structure)
     _, v, g = _harmonic(structure, topo, lambda k, dq: np.full(dq.shape, np.sqrt(k)))
     bounds = topo._edges[2]
-    if pairs is not None:
-        i, j, offsets, d, radial, transverse = pairs
-        bond = _bond_pairs(topo, i, j, offsets)
-        hit = np.flatnonzero(bond >= 0)
-        stiff = np.maximum(topo.k_r + radial[bond[hit]], 0.0)
-        e = v[:, hit]
-        g[:, hit] = e * (np.sqrt(stiff) / np.sqrt(_dot(e, e)))
+    if k_bond is not None:
+        d = v[:, :bounds[1]]
+        g[:, :bounds[1]] = d * (np.sqrt(k_bond) / np.sqrt(_dot(d, d)))
     # each term kind's slot atoms (S, T) and slot gradients (S, 3, T): the
     # sum of its edge gradients, + at the head slot and - at the tail slot
     families = []
@@ -468,78 +434,18 @@ def harmonic_hessian(structure: AtomicStructure, topo: HarmonicTopology,
                                            _EDGE_SIGNS, ((0, 1), (1, 3), (3, 6))):
         edges = g[:, bounds[first]:bounds[last]].reshape(3, last - first, -1)
         families.append((atoms.T, np.einsum("sm,cmt->sct", signs, edges)))
-    # a bent angle is one term of q = (cos theta - cos theta0) / sin theta0,
-    # a straight one three, the components b_c of its bend vector
     _, inv_sin2, straight = topo._angle_forms
     atoms, gs = families[1]
     u, w = (e[:, straight] for e in _slots(v, bounds)[1:3])
     ru, rw = np.sqrt(_dot(u, u)), np.sqrt(_dot(w, w))
-    root_k = np.sqrt(topo.k_theta)
-    gi = (root_k / ru) * (np.eye(3)[:, :, None] - u[:, None] * u / ru**2)  # (c, 3, T)
-    gk = (root_k / rw) * (np.eye(3)[:, :, None] - w[:, None] * w / rw**2)
+    # the rows (c, 3, T) of the bend components c at atoms i and k
+    gi = (np.sqrt(topo.k_theta) / ru) * (np.eye(3)[:, :, None] - u[:, None] * u / ru**2)
+    gk = (np.sqrt(topo.k_theta) / rw) * (np.eye(3)[:, :, None] - w[:, None] * w / rw**2)
     bend = np.stack([gi, -(gi + gk), gk], axis=1).transpose(1, 2, 0, 3).reshape(3, 3, -1)
     families[1] = (np.concatenate([atoms[:, ~straight], np.tile(atoms[:, straight], 3)], axis=1),
                    np.concatenate([gs[..., ~straight] * np.sqrt(inv_sin2[~straight]), bend],
                                   axis=2))
-    rank = np.empty(n, int)
-    rank[extent_order(structure.positions.T)[1]] = np.arange(n)
-    families = [(rank[atoms], _outer(gs)) for atoms, gs in families if atoms.size]
-    span = 3 * max((int(np.ptp(a, axis=0).max()) for a, _ in families), default=0) + 2
-    blocks = max(1, 3 * n // max(span, _MIN_BLOCK))
-    per = -(-n // blocks)  # atoms per block, so that no atom straddles two
-    b = 3 * per
-    if pairs is not None:
-        ranks = rank[np.stack([i, j])]
-        near = np.flatnonzero(np.abs(np.diff(ranks // per, axis=0)[0]) <= 1)
-        r = d[near].T / np.sqrt(_dot(d[near].T, d[near].T))
-        h = np.maximum(transverse[near], 0.0) * (np.eye(3)[:, :, None] - r[:, None] * r)
-        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None, None]
-        if len(near):
-            families.append((ranks[:, near], lambda part: sign * h.take(part, axis=2)[:, None]))
-    within = np.arange(3)[:, None] * b + np.arange(3)  # entry (c, c') of a 3 x 3 block
-    band = np.zeros(blocks * 2 * b * b)
-    for ranks, outer in families:
-        # the 3 x 3 block of slots (s, s') goes to flat block k_s + k_s', the
-        # diagonal block if k_s = k_s' and the block below k_s' if k_s =
-        # k_s' + 1; at k_s = k_s' - 1 it mirrors a block below, weighed 0.
-        # Terms go in pieces by their first atom, so that each bincount
-        # has at most about _FILL_CHUNK entries and covers a window of the band
-        pieces = min(max(1, 9 * len(ranks) ** 2 * len(ranks.T) // _FILL_CHUNK,
-                         len(band) // _FILL_CHUNK), len(ranks.T))
-        for part in np.array_split(np.argsort(ranks.min(axis=0), kind="stable"), pieces):
-            k, o = np.divmod(ranks.take(part, axis=1), per)
-            lo, hi = 2 * b * b * k.min(), 2 * b * b * (k.max() + 1)
-            base = (k[:, None] + k) * (b * b) + 3 * b * o[:, None] + 3 * o - lo
-            w = outer(part) * (k[:, None] >= k)[:, None, :, None]
-            band[lo:hi] += np.bincount((base[:, None, :, None] + within[:, None, :, None]).ravel(),
-                                       w.ravel(), minlength=hi - lo)
-    return (3 * rank[:, None] + np.arange(3)).ravel(), band.reshape(blocks, 2, b, b)
-
-
-def _outer(gs):
-    """The blocks (S, 3, S, 3, T') g_s g_s'^T of the terms ``part`` (T',),
-    as a function of ``part``, from the slot gradients gs (S, 3, T)."""
-    def outer(part):
-        g = gs.take(part, axis=2)
-        return g[:, :, None, None] * g[None, None]
-    return outer
-
-
-def _bond_pairs(topo, i, j, offsets):
-    """Per bond, the index of its pair-image among (i, j, offsets), each
-    pair-image listed once, or -1.  Bond (a, b) with offsets (o_a, o_b) is
-    the pair-image (a, b, o_b - o_a), or (b, a, o_a - o_b)."""
-    a, b = topo.bonds.T
-    o = topo.bond_offsets[:, 1] - topo.bond_offsets[:, 0]
-    if not len(i):
-        return np.full(len(a), -1)
-    rows = np.concatenate([np.column_stack(x) for x in ((i, j, offsets), (a, b, o), (b, a, -o))])
-    lo = rows.min(axis=0)
-    key = np.ravel_multi_index((rows - lo).T, rows.max(axis=0) - lo + 1)
-    pair, bond = key[:len(i)], key[len(i):]
-    order = np.argsort(pair)
-    at = order[np.minimum(np.searchsorted(pair, bond, sorter=order), len(i) - 1)]
-    return np.maximum(*np.where(pair[at] == bond, at, -1).reshape(2, -1))
+    return families
 
 
 def _check_indices(structure, topo):

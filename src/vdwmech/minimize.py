@@ -2,41 +2,44 @@
 
 Quasi-Newton descent (Liu & Nocedal, Math. Program. 45, 503 (1989)) over
 the last ``_MEMORY`` steps.  The initial inverse Hessian is P^-1, built
-once per call: P = sum_t k_t dq_t/dR dq_t/dR^T + mu I is the bonded
-Gauss-Newton Hessian (bonded.harmonic_hessian) on the free components, a
-force-field preconditioner as in Packwood et al., J. Chem. Phys. 144,
-164109 (2016).  Under MBD dispersion P also holds the curvature of the
-MBD energy's second-order pair expansion (mbd.pair_curvature), the London
-pair sum of the same oscillators, over the pair-images within 6 A, where
-a C-C pair's phi'/R has fallen to about 1e-4 eV/A^2.  Per pair-image it
-adds the transverse block max(phi'/R, 0) (I - r r^T), and on a bonded
-pair the radial phi'' joins the bond's k_r r r^T, as max(k_r + phi'', 0)
-r r^T.  The radial curvature between non-bonded atoms is negative and is
-left out: with it, P + mu I is indefinite on PE (lowest eigenvalue -0.29
-eV/A^2 on the 1x1x1 cell).  So every block added to P is positive
-semidefinite, P + mu I is positive definite by construction, and the
-factor below runs unchanged.  On the 28+28 chain pair this takes the
-five unperturbed chain-mbd-load steps from 36 to 27 MBD evaluations, and
-seeded ten-step paths from 7.8 to 5.3 per step.  The TS pairwise term
-adds nothing, since its damping leaves no curvature of note at bonded
-distances.  Cell components get P's mean atomic diagonal.  Given the
-state a structure was displaced from, the free components start from P's
-linear response to the displacement of the fixed ones.
+once per call, a force-field preconditioner as in Packwood et al., J.
+Chem. Phys. 144, 164109 (2016): P = H + mu I on the free components,
+where H is the bonded Gauss-Newton Hessian, the sum of g g^T over the
+rows g of bonded.gauss_newton_rows.  Under MBD dispersion H also holds
+the curvature of the MBD energy's second-order pair expansion
+(mbd.pair_curvature) over the pair-images within 6 A, where a C-C pair's
+phi'/R has fallen to about 1e-4 eV/A^2.  Per pair-image it adds the
+transverse block max(phi'/R, 0) (I - r r^T) on r = d/|d| to the pair's
+two diagonal blocks and subtracts it from the two between them; where a
+bond joins the pair-image, the radial phi'' joins the bond's k_r r r^T
+as max(k_r + phi'', 0) r r^T through the bond's row.  The radial
+curvature between non-bonded atoms is negative and is left out: with
+it, P is indefinite on PE (lowest eigenvalue -0.29 eV/A^2 on the 1x1x1
+cell).  So every block of H is positive semidefinite and P positive
+definite by construction.  The TS pairwise term adds nothing, since its
+damping leaves no curvature of note at bonded distances.  Cell
+components get P's mean atomic diagonal.  Given the state a structure
+was displaced from, the free components start from P's linear response
+to the displacement of the fixed ones.
 
-Bonded terms couple only nearby atoms, so with the atoms ranked along the
-structure's longest extent P is block tridiagonal, in blocks of the
-widest term's span and at least bonded._MIN_BLOCK rows (192 rows on an
-(8,8) tube, 27 on the 28+28 chain pair).  The pair blocks do not widen
-the band; a pair further apart is left out: 5 of the 266 pair-images of
-the chain pair, all at 6.0 A, none of the 12464 of an (8,8)x20 tube, and
-856 of the 5568 of PE 2x2x2, which is ranked across its chains.  Fixed
-components become identity rows of the band, and a block Cholesky
-factors it (Golub & Van Loan, Matrix Computations, 4th ed., sections 4.3
-and 4.5) into the inverse of each diagonal factor block and the factor
-blocks below them, so each solve is block products.  The factor
-overwrites the band, 2 * 3N * b doubles: 12 MB on a 1280-atom tube,
-where one dense P took 118 MB.  A periodic cell whose bonds wrap is one
-block of (3N)^2, as dense, and costs what a dense inverse does.
+The atoms are ranked along the structure's longest extent
+(periodic.extent_order), and component c of the atom of rank a is row
+3 a + c.  A term couples rows at most its span apart, so in blocks of b
+rows, b at least the widest term's span and _MIN_BLOCK and rounded up
+to whole atoms, every entry of H lies in a diagonal block or in the
+block below one: H is block tridiagonal (192 rows on an (8,8) tube, 27
+on the 28+28 chain pair).  The pair blocks do not widen the band, and a
+pair further apart is left out: 5 of the 266 pair-images of the chain
+pair, all at 6.0 A, none of the 12464 of an (8,8)x20 tube, and 856 of
+the 5568 of PE 2x2x2, which is ranked across its chains.  A periodic
+bond that wraps through the cell spans about the whole cell, so such a
+cell is one block of (3N)^2, as dense, and costs what a dense inverse
+does.  Fixed components become identity rows of the band, and a block
+Cholesky factors it (Golub & Van Loan, Matrix Computations, 4th ed.,
+sections 4.3 and 4.5) into the inverse of each diagonal factor block
+and the factor blocks below them, so each solve is block products.  The
+factor overwrites the band, 2 * 3N * b doubles: 12 MB on a 1280-atom
+tube, where one dense P took 118 MB.
 
 Trial steps move no atom more than _MAX_STEP.  A trial that raises
 the energy, or that the geometry or the model refuses, is rejected and
@@ -51,12 +54,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bonded import harmonic_hessian
+from .bonded import gauss_newton_rows
 from .errors import GeometryError, InputError, InstabilityError, check_count
-from .periodic import apply_cell_strain, check_component
+from .periodic import apply_cell_strain, check_component, extent_order
 from .structure import AtomicStructure
 
 _MEMORY = 10        # L-BFGS step pairs kept
@@ -64,6 +68,13 @@ _MU = 0.05          # eV/A^2, stiffness of directions no bonded term reaches
 _CELL_FD_STEP = 1e-3  # A
 _STEP_FLOOR = 1e-9    # A, shortest trial step worth evaluating
 _MAX_STEP = 0.20      # A, displacement cap per trial step
+# the band's narrowest block [rows] and entries per bincount of its fill.
+# A chain-pair load step makes about 7.4 solves: on the 60-atom chain pair
+# (one BLAS thread) set-up and one solve take about 1.0 and 0.05 ms in
+# blocks of 27 rows, 1.3-1.6 and 0.033 ms in blocks of 60 and 3.7 and
+# 0.022 ms as one block
+_MIN_BLOCK = 24
+_FILL_CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,77 @@ def _longest(step, n3):
                            np.abs(step[n3:])]).max(initial=0.0)
 
 
+def _band(structure, topology, pairs):
+    """H as the row of each component 3 i + c, (3N,), and the band (K, 2,
+    b, b): band[k, 0] is diagonal block k and band[k, 1] the block below
+    it (rows of block k + 1, columns of block k; zero for the last k).
+    Rows past 3N pad the last block with zeros.  ``pairs`` is the pair
+    curvature of mbd.pair_curvature, or None for the bonded H alone."""
+    n = len(structure)
+    k_bond = None if pairs is None else _bond_stiffness(topology, pairs)
+    rank = np.argsort(extent_order(structure.positions.T)[1])  # each atom's place in the order
+    families = [(rank[atoms], partial(_outer, gs))
+                for atoms, gs in gauss_newton_rows(structure, topology, k_bond) if atoms.size]
+    span = 3 * max((int(np.ptp(a, axis=0).max()) for a, _ in families), default=0) + 2
+    blocks = max(1, 3 * n // max(span, _MIN_BLOCK))
+    per = -(-n // blocks)  # atoms per block, so that no atom straddles two
+    b = 3 * per
+    if pairs is not None:
+        i, j, _, d, _, transverse = pairs
+        ranks = rank[np.stack([i, j])]
+        near = np.flatnonzero(np.abs(np.diff(ranks // per, axis=0)[0]) <= 1)
+        r = d[near].T / np.linalg.norm(d[near], axis=1)
+        h = np.maximum(transverse[near], 0.0) * (np.eye(3)[:, :, None] - r[:, None] * r)
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None, None]
+        if len(near):  # the fill splits each family into at least one piece
+            families.append((ranks[:, near], lambda part: sign * h.take(part, axis=2)[:, None]))
+    within = np.arange(3)[:, None] * b + np.arange(3)  # entry (c, c') of a 3 x 3 block
+    band = np.zeros(blocks * 2 * b * b)
+    for ranks, outer in families:
+        # the 3 x 3 block of slots (s, s') goes to flat block k_s + k_s', the
+        # diagonal block if k_s = k_s' and the block below k_s' if k_s =
+        # k_s' + 1; at k_s = k_s' - 1 it mirrors a block below, weighed 0.
+        # Terms go in pieces by their first atom, so that each bincount
+        # has at most about _FILL_CHUNK entries and covers a window of the band
+        pieces = min(max(1, 9 * len(ranks) ** 2 * len(ranks.T) // _FILL_CHUNK,
+                         len(band) // _FILL_CHUNK), len(ranks.T))
+        for part in np.array_split(np.argsort(ranks.min(axis=0), kind="stable"), pieces):
+            k, o = np.divmod(ranks.take(part, axis=1), per)
+            lo, hi = 2 * b * b * k.min(), 2 * b * b * (k.max() + 1)
+            base = (k[:, None] + k) * (b * b) + 3 * b * o[:, None] + 3 * o - lo
+            w = outer(part) * (k[:, None] >= k)[:, None, :, None]
+            band[lo:hi] += np.bincount((base[:, None, :, None] + within[:, None, :, None]).ravel(),
+                                       w.ravel(), minlength=hi - lo)
+    return (3 * rank[:, None] + np.arange(3)).ravel(), band.reshape(blocks, 2, b, b)
+
+
+def _outer(gs, part):
+    """The blocks (S, 3, S, 3, T') g_s g_s'^T of the terms ``part`` (T',)
+    from their slot rows gs (S, 3, T)."""
+    g = gs.take(part, axis=2)
+    return g[:, :, None, None] * g[None, None]
+
+
+def _bond_stiffness(topology, pairs):
+    """Per bond, max(k_r + phi'', 0) with the radial curvature phi'' of its
+    pair-image in ``pairs``, each pair-image listed once, or k_r if none
+    is.  Bond (a, b) with offsets (o_a, o_b) is the pair-image (a, b, o_b -
+    o_a), or (b, a, o_a - o_b)."""
+    i, j, offsets, _, radial, _ = pairs
+    a, b = topology.bonds.T
+    o = topology.bond_offsets[:, 1] - topology.bond_offsets[:, 0]
+    if not len(i):
+        return np.full(len(a), topology.k_r)
+    rows = np.concatenate([np.column_stack(x) for x in ((i, j, offsets), (a, b, o), (b, a, -o))])
+    lo = rows.min(axis=0)
+    key = np.ravel_multi_index((rows - lo).T, rows.max(axis=0) - lo + 1)
+    pair, bond = key[:len(i)], key[len(i):]
+    order = np.argsort(pair)
+    at = order[np.minimum(np.searchsorted(pair, bond, sorter=order), len(i) - 1)]
+    at = np.maximum(*np.where(pair[at] == bond, at, -1).reshape(2, -1))
+    return np.where(at >= 0, np.maximum(topology.k_r + radial[at], 0.0), topology.k_r)
+
+
 def _factor(diag, low):
     """Block Cholesky L L^T of the symmetric positive definite block-
     tridiagonal matrix with diagonal blocks ``diag`` (K, b, b) and blocks
@@ -148,36 +230,34 @@ def _preconditioner(structure, topology, free, origin, pairs=None):
     the atomic components, then the cell ones, and the bonded response
     -P_ff^-1 P_fd d of the free atomic components to the displacement d
     from ``origin`` of the fixed ones (None without origin or topology).
-    ``free`` masks the atomic components.  P is harmonic_hessian's band
-    with the pair blocks of ``pairs``, the MBD pair curvature of
-    CompositeModel.pair_curvature (None: the bonded P alone), so each of
-    its blocks is positive semidefinite and P + mu I positive definite."""
+    ``free`` masks the atomic components.  ``pairs`` is the MBD pair
+    curvature of CompositeModel.pair_curvature (None: the bonded H alone)."""
     n3 = len(free)
     if topology is None or not n3:
         return (lambda q: q / _MU), None
-    rows, band = harmonic_hessian(structure, topology, pairs)
+    rows, band = _band(structure, topology, pairs)
     k, _, b, _ = band.shape
     diag, low = band[:, 0], band[:-1, 1]
     cell = _MU + np.trace(diag, axis1=1, axis2=2).sum() / n3
 
-    def solve(x):
-        r = np.zeros(k * b)
+    def pad(x, dtype=float):
+        """x over the components as (K, b) rows of the band."""
+        r = np.zeros(k * b, dtype)
         r[rows] = x
-        return _solve(diag, low, r.reshape(k, b)).reshape(-1)[rows]
+        return r.reshape(k, b)
+
+    def solve(x):
+        return _solve(diag, low, pad(x)).reshape(-1)[rows]
 
     shift = None
     if origin is not None:
-        d = np.zeros(k * b)
-        d[rows] = np.where(free, 0.0, (structure.positions - origin.positions).ravel())
-        d = d.reshape(k, b)
+        d = pad(np.where(free, 0.0, (structure.positions - origin.positions).ravel()))
         pd = np.einsum("kij,kj->ki", diag, d)  # P d, from the band
         pd[1:] += np.einsum("kij,kj->ki", low, d[:-1])
         pd[:-1] += np.einsum("kji,kj->ki", low, d[1:])
         shift = pd.reshape(-1)[rows] * free
     # fixed components and padding become identity rows, uncoupled
-    keep = np.zeros(k * b, bool)
-    keep[rows] = free
-    keep = keep.reshape(k, b)
+    keep = pad(free, bool)
     diag *= keep[:, :, None] & keep[:, None, :]
     low *= keep[1:, :, None] & keep[:-1, None, :]
     diag[:, np.arange(b), np.arange(b)] += np.where(keep, _MU, 1.0)

@@ -40,8 +40,10 @@ def fd_hessian(forces_fn, structure, h=1e-5):
 
 def dense_gauss_newton(structure, topo):
     """The bonded Gauss-Newton Hessian [eV/A^2] as one dense (3N, 3N) array:
-    the library's slot gradients, each term's outer products scattered by
-    one bincount per term kind over all (3N)^2 entries, in atom order."""
+    the library's edge gradients summed into slot rows as in
+    bonded.gauss_newton_rows, with the straight-angle rows written out per
+    component, and each term's outer products scattered by one bincount
+    per term kind over all (3N)^2 entries, in atom order."""
     from vdwmech import bonded
 
     n = len(structure)
@@ -72,8 +74,9 @@ def dense_gauss_newton(structure, topo):
 
 
 def band_to_dense(rows, band):
-    """The (3N, 3N) matrix, in component order, of a harmonic_hessian band:
-    the row of each component (3N,) and the blocks (K, 2, b, b)."""
+    """The (3N, 3N) matrix, in component order, of the preconditioner's
+    band (minimize._band): the row of each component (3N,) and the blocks
+    (K, 2, b, b)."""
     k, _, b, _ = band.shape
     full = np.zeros((k * b, k * b))
     for i in range(k):

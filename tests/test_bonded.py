@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (band_to_dense, dense_gauss_newton, fd_forces, fd_hessian, loop_topology,
-                      torsion_angle)
+from conftest import fd_forces, fd_hessian, loop_topology, torsion_angle
 from vdwmech import bonded
-from vdwmech.bonded import (HarmonicTopology, detect_topology, harmonic_energy,
-                            harmonic_hessian)
+from vdwmech.bonded import (HarmonicTopology, detect_topology, gauss_newton_rows,
+                            harmonic_energy)
 from vdwmech.errors import (DegenerateGeometryError, InputError, TopologyError)
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                                 make_pe_crystal, make_swcnt)
@@ -430,7 +429,7 @@ def test_topology_indices_checked_against_structure():
     small = make_chain_pair(ChainSpec(6, 6, hydrogen_caps=True))
     for evaluate in (lambda: harmonic_energy(small, topo),
                      lambda: harmonic_energy(small, topo, forces=True),
-                     lambda: harmonic_hessian(small, topo)):
+                     lambda: gauss_newton_rows(small, topo)):
         with pytest.raises(InputError, match="out of range"):
             evaluate()
     for array in (topo.bonds, topo.bond_r0, topo.angle_offsets, topo.dihedral_phi0):
@@ -597,6 +596,17 @@ def test_reference_values_come_from_the_evaluation_geometry():
         assert np.abs(f).max() < 1e-10
 
 
+def _gauss_newton(s, topo):
+    """The (3N, 3N) sum of g g^T over the rows g of gauss_newton_rows."""
+    n = len(s)
+    h = np.zeros((n, 3, n, 3))
+    for atoms, g in gauss_newton_rows(s, topo):
+        for a, ga in zip(atoms, g):
+            for b, gb in zip(atoms, g):
+                np.add.at(h, (a, slice(None), b), np.einsum("ct,dt->tcd", ga, gb))
+    return h.reshape(3 * n, 3 * n)
+
+
 _HESSIAN_CASES = {
     # straight chains with fixed caps: every angle reference is pi
     "open chain": lambda: make_chain_pair(ChainSpec(5, 5, hydrogen_caps=True)),
@@ -609,7 +619,7 @@ _HESSIAN_CASES = {
 def test_hessian_matches_fd_at_reference(case):
     s = _HESSIAN_CASES[case]()
     topo = detect_topology(s)
-    h = band_to_dense(*harmonic_hessian(s, topo))
+    h = _gauss_newton(s, topo)
     ref = fd_hessian(lambda x: harmonic_energy(x, topo, forces=True)[1], s)
     np.testing.assert_allclose(h, ref, rtol=1e-6, atol=1e-6 * np.abs(ref).max())
 
@@ -618,46 +628,6 @@ def test_hessian_matches_fd_at_reference(case):
 def test_hessian_symmetric_psd_off_reference(case):
     s = _HESSIAN_CASES[case]()
     topo = detect_topology(s)
-    h = band_to_dense(*harmonic_hessian(_perturbed(s, 0.1, 9), topo))
+    h = _gauss_newton(_perturbed(s, 0.1, 9), topo)
     assert np.abs(h - h.T).max() <= 1e-13 * np.abs(h).max()
     assert np.linalg.eigvalsh(h).min() >= -1e-10 * np.abs(h).max()
-
-
-def _loaded_chain_pair():
-    """The capped 28+28 chain pair with its upper caps moved 0.3 A along y
-    and every atom perturbed by 0.05 A: straight angle references, bent."""
-    s = make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True))
-    topo = detect_topology(s)
-    moved = s.with_positions(s.positions + np.where(
-        s.free_mask() | (s.positions[:, 1:2] < s.positions[:, 1].mean()), 0.0, [0.0, 0.3, 0.0]))
-    return _perturbed(moved, 0.05, 4), topo
-
-
-def _off_reference(s, scale, seed):
-    return _perturbed(s, scale, seed), detect_topology(s)
-
-
-_BAND_CASES = {
-    # name: (structure and its topology, number of blocks)
-    "chain pair": (lambda: _off_reference(
-        make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)), 0.0, 0), 7),
-    "(8,8)x6 tube": (lambda: _off_reference(make_swcnt(CntSpec(8, 8, 6)), 0.05, 5), 3),
-    # its bonds wrap through the cell
-    "PE 1x1x1": (lambda: _off_reference(make_pe_crystal(PeCrystalSpec(1, 1, 1)), 0.05, 6), 1),
-    "loaded straight chains": (_loaded_chain_pair, 7),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_BAND_CASES))
-def test_hessian_band_matches_dense_assembly(case):
-    build, blocks = _BAND_CASES[case]
-    s, topo = build()
-    rows, band = harmonic_hessian(s, topo)
-    assert band.shape[0] == blocks
-    assert band.shape[2] >= min(bonded._MIN_BLOCK, 3 * len(s))
-    assert not band[-1, 1].any()
-    assert np.array_equal(np.sort(rows), np.arange(3 * len(s)))
-    ref = dense_gauss_newton(s, topo)
-    assert np.abs(band_to_dense(rows, band) - ref).max() <= 1e-15 * np.abs(ref).max()
-    if case == "loaded straight chains":
-        assert topo._angle_forms[2].all()

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -10,6 +11,8 @@ from vdwmech.composite import CompositeModel
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                                 make_pe_crystal, make_swcnt, upper_chain_indices)
 from vdwmech.minimize import MinimizerConfig
+from vdwmech.quasistatic import StepRecord
+from vdwmech.records import emit_records
 from vdwmech.xyz import read_xyz, write_xyz
 
 
@@ -334,6 +337,53 @@ def test_cli_quasistatic_runs(tmp_path, capsys):
     assert len(lines) == 3
     column = lines[0].split(",").index("evaluations")
     assert all(int(line.split(",")[column]) > 0 for line in lines[1:])
+
+
+def test_cli_quasistatic_writes_the_stress_columns(tmp_path, capsys):
+    """A bonded-only cell-strain run with compute_stress writes the six
+    Voigt stress columns last; sigma_drive_GPa is the strained component
+    and stiffness_GPa the slope of sigma_drive_GPa against strain, both as
+    written.  A record without a tensor leaves its six cells empty."""
+    xyz = tmp_path / "pe.xyz"
+    write_xyz(make_pe_crystal(PeCrystalSpec(1, 1, 1)), str(xyz))
+    out = tmp_path / "qs.csv"
+    assert cli(["quasistatic", "--input", str(xyz), "--output", str(out),
+                "--set", "protocol.kind=cell-strain", "--set", "protocol.component=xx",
+                "--set", "protocol.increment=0.01", "--set", "protocol.steps=3",
+                "--set", "protocol.compute_stress=true"]) == 0
+    voigt = [f"sigma_{c}_GPa" for c in ("xx", "yy", "zz", "yz", "xz", "xy")]
+    with open(out) as fh:
+        header = fh.readline().strip().split(",")
+        fh.seek(0)
+        rows = list(csv.DictReader(fh))
+    assert header[-6:] == voigt
+    assert len(rows) == 3 and all(r["converged"] == "1" for r in rows)
+    assert [r["sigma_drive_GPa"] for r in rows] == [r["sigma_xx_GPa"] for r in rows]
+    sigma = [float(r["sigma_drive_GPa"]) for r in rows]
+    assert sigma == pytest.approx([1.0547, 2.1080, 3.1601], rel=1e-4)
+    assert rows[0]["stiffness_GPa"] == ""
+    # the cells keep 11 significant digits, so the slope of the written
+    # cells matches to their rounding, half a unit in the last place of
+    # each, carried through the differences
+    for prev, row in zip(rows, rows[1:]):
+        (s0, e0), (s1, e1) = ((float(r["sigma_drive_GPa"]), float(r["strain"]))
+                              for r in (prev, row))
+        slope = (s1 - s0) / (e1 - e0)
+        rounding = 5e-11 * ((abs(s0) + abs(s1)) / abs(s1 - s0)
+                            + (abs(e0) + abs(e1)) / abs(e1 - e0) + 1)
+        assert float(row["stiffness_GPa"]) == pytest.approx(slope, rel=rounding)
+    assert [float(r["stiffness_GPa"]) for r in rows[1:]] == pytest.approx([267.5, 267.2],
+                                                                          abs=0.05)
+    # the Voigt order, (0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1), and
+    # six empty cells for a record without a tensor
+    fields = dict(step=1, applied=0.01, strain=None, e_total=0.0, e_bonded=0.0, e_vdw=0.0,
+                  reaction=None, sigma_drive=None, stiffness=None, converged=True,
+                  evaluations=1, iterations=0, rejected=0, halvings=0)
+    emit_records([StepRecord(sigma=np.arange(9.0).reshape(3, 3), **fields),
+                  StepRecord(sigma=None, **fields)], str(out))
+    lines = out.read_text().splitlines()
+    assert [float(x) for x in lines[1].split(",")[-6:]] == [0, 4, 8, 5, 2, 1]
+    assert lines[2].split(",")[-6:] == [""] * 6
 
 
 def _refuse(name):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import band_to_dense, dense_gauss_newton, dense_pair_blocks
-from vdwmech.bonded import detect_topology, harmonic_hessian
+from vdwmech.bonded import detect_topology
 from vdwmech.composite import CompositeModel
 from vdwmech.errors import InputError
-from vdwmech.generators import ChainSpec, CntSpec, make_chain_pair, make_swcnt
-from vdwmech.minimize import _MU, MinimizerConfig, _preconditioner, minimize
+from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
+                                make_pe_crystal, make_swcnt)
+from vdwmech.minimize import (_MIN_BLOCK, _MU, MinimizerConfig, _band, _preconditioner,
+                              minimize)
 from vdwmech.structure import AtomicStructure
 
 
@@ -225,7 +227,7 @@ def _pairs_and_p(s, topo, vdw, shells=None):
     pairs = CompositeModel(topology=topo, vdw=vdw, shells=shells).pair_curvature(s)
     p = dense_gauss_newton(s, topo)
     if pairs is not None:
-        rows, band = harmonic_hessian(s, topo, pairs)
+        rows, band = _band(s, topo, pairs)
         p += dense_pair_blocks(s, topo, pairs, rows[::3] // band.shape[2])
     return pairs, p
 
@@ -260,7 +262,6 @@ def test_pair_blocks_keep_p_positive_definite_on_pe(cells, shells):
     unclipped pair expansion indefinite, P + mu I + H2 included; with the
     transverse blocks clipped at 0 and the radial curvature on bonds alone,
     the band factors and h0 solves against the dense P."""
-    from vdwmech.generators import PeCrystalSpec, make_pe_crystal
     ref = make_pe_crystal(PeCrystalSpec(*cells))
     s, topo = _driven(ref, 0.0, 1), detect_topology(ref)
     pairs = _assert_h0_solves(s, topo, "mbd", shells)
@@ -274,14 +275,13 @@ def test_pair_blocks_find_bonds_listed_either_way():
     it: PE 1x1x1, whose bonds cross the cell, with every bond reversed."""
     from dataclasses import replace
 
-    from vdwmech.generators import PeCrystalSpec, make_pe_crystal
     s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
     topo = detect_topology(s)
     assert topo.bond_offsets.any()
     flipped = replace(topo, bonds=topo.bonds[:, ::-1], bond_offsets=topo.bond_offsets[:, ::-1])
     pairs, want = _pairs_and_p(s, topo, "mbd", shells=3)
     for t in (topo, flipped):
-        got = band_to_dense(*harmonic_hessian(s, t, pairs))
+        got = band_to_dense(*_band(s, t, pairs))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -301,6 +301,75 @@ def test_bonded_response_start_matches_the_dense_formula(case):
     want = -(h @ (p @ d))
     got = _preconditioner(s, topo, free, ref, pairs)[1]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _perturbed(s, scale, seed):
+    rng = np.random.default_rng(seed)
+    return s.with_positions(s.positions + scale * rng.standard_normal(s.positions.shape))
+
+
+def _loaded_chain_pair():
+    """The capped 28+28 chain pair with its upper caps moved 0.3 A along y
+    and every atom perturbed by 0.05 A: straight angle references, bent."""
+    s = make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True))
+    topo = detect_topology(s)
+    moved = s.with_positions(s.positions + np.where(
+        s.free_mask() | (s.positions[:, 1:2] < s.positions[:, 1].mean()), 0.0, [0.0, 0.3, 0.0]))
+    return _perturbed(moved, 0.05, 4), topo
+
+
+def _off_reference(s, scale, seed):
+    return _perturbed(s, scale, seed), detect_topology(s)
+
+
+_BAND_CASES = {
+    # name: (structure and its topology, number of blocks)
+    "chain pair": (lambda: _off_reference(
+        make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)), 0.0, 0), 7),
+    "(8,8)x6 tube": (lambda: _off_reference(make_swcnt(CntSpec(8, 8, 6)), 0.05, 5), 3),
+    # its bonds wrap through the cell
+    "PE 1x1x1": (lambda: _off_reference(make_pe_crystal(PeCrystalSpec(1, 1, 1)), 0.05, 6), 1),
+    "loaded straight chains": (_loaded_chain_pair, 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAND_CASES))
+def test_hessian_band_matches_dense_assembly(case):
+    build, blocks = _BAND_CASES[case]
+    s, topo = build()
+    rows, band = _band(s, topo, None)
+    assert band.shape[0] == blocks
+    assert band.shape[2] >= min(_MIN_BLOCK, 3 * len(s))
+    assert not band[-1, 1].any()
+    assert np.array_equal(np.sort(rows), np.arange(3 * len(s)))
+    ref = dense_gauss_newton(s, topo)
+    assert np.abs(band_to_dense(rows, band) - ref).max() <= 1e-15 * np.abs(ref).max()
+    if case == "loaded straight chains":
+        assert topo._angle_forms[2].all()
+
+
+def test_band_checks_topology_indices():
+    """The bonded rows of P check the topology against the structure."""
+    topo = detect_topology(make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)))
+    small = make_chain_pair(ChainSpec(6, 6, hydrogen_caps=True))
+    with pytest.raises(InputError, match="out of range"):
+        _band(small, topo, None)
+
+
+def test_mbd_relax_without_bonded_pairs():
+    """Under MBD, P takes no pair block from one atom, and none but pair
+    blocks from an unbonded line of three, which has no repulsion to stop
+    at and returns unconverged rather than raising."""
+    one = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
+    res = minimize(one, CompositeModel(topology=detect_topology(one), vdw="mbd"),
+                   MinimizerConfig())
+    assert res.converged and res.evaluations == 1
+    line = AtomicStructure(positions=[[0, 0, 0], [3.0, 0, 0], [6.5, 0, 0]], species=["C"] * 3)
+    topo = detect_topology(line)
+    assert not len(topo.bonds)
+    res = minimize(line, CompositeModel(topology=topo, vdw="mbd"),
+                   MinimizerConfig(max_iterations=50))
+    assert not res.converged and res.iterations <= 50 and len(res.energy_trace) > 1
 
 
 def test_tube_relax_forms_no_dense_hessian():
