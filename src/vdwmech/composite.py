@@ -99,12 +99,19 @@ class CompositeModel:
 
     def pair_curvature(self, structure: AtomicStructure):
         """The MBD pair curvature that the relaxation preconditioner adds to
-        the bonded one (mbd.pair_curvature, within the pinned shells), or
-        None unless vdw is "mbd": the TS pairwise term is damped to a
-        negligible curvature at bonded distances."""
-        if self.vdw != "mbd":
+        the bonded one, by one rule: mbd.pair_curvature's transverse
+        curvature of every pair-image within the pinned shells and radial
+        curvature at every bond of the model's topology.  Its band blocks
+        widen to hold every pair-image: 36 rows on the 28+28 chain pair and
+        240 on the (8,8)x20 tube (27 and 192 bonded only).  None without a
+        topology, or unless vdw is "mbd": the TS pairwise term is damped to
+        a negligible curvature at bonded distances."""
+        if self.vdw != "mbd" or self.topology is None:
             return None
+        topo = self.topology
+        _bonded._check_indices(structure, topo)
         return _mbd.pair_curvature(structure, self._states_for(structure), self.mbd_cfg,
+                                   topo.bonds, topo.bond_offsets[:, 1] - topo.bond_offsets[:, 0],
                                    self.shells or 0)
 
     # -- evaluation --------------------------------------------------------

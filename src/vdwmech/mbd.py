@@ -579,9 +579,12 @@ def _trace_forces(structure, kw, inv_s, keep):
 
 
 def pair_curvature(structure: AtomicStructure, states: VdwStates, cfg: MbdModelConfig,
-                   shells: int = 0):
+                   bonds, bond_offsets, shells: int = 0):
     """Curvatures [eV/A^2] of the second-order pair expansion of the MBD
-    energy, which the relaxation preconditioner adds to the bonded one.
+    energy, which the relaxation preconditioner adds to the bonded one by
+    one rule: the transverse phi'/R of every pair-image within
+    _CURVATURE_CUTOFF and the radial phi'' of every bond, each at its own
+    separation.
 
     To second order in the coupling blocks, E is the London sum of the same
     oscillators through the same damped tensor, E2 = sum over pair-images
@@ -596,22 +599,26 @@ def pair_curvature(structure: AtomicStructure, states: VdwStates, cfg: MbdModelC
     derivative past the _radial factors: S'/R = -(2 (S R^2 + 5 A) / s^2 +
     7 S) / R^2 for S = A'/R.
 
-    Lists every pair-image within _CURVATURE_CUTOFF over periodic.close_pairs,
-    at most ``shells`` cells out along each periodic axis; a self-image
-    (i = j), whose separation is a lattice vector, is left out.  Returns
-    (i, j, offsets (P, 3), d (P, 3) [A], phi'' (P,), phi'/R (P,)) with d =
-    R_i - R_j - offset @ cell: the radial and the transverse curvature.
+    The pair-images are those of periodic.close_pairs, at most ``shells``
+    cells out along each periodic axis; a self-image (i = j), whose
+    separation is a lattice vector, is left out.  ``bonds`` (B, 2) lists
+    atom pairs (a, b) and ``bond_offsets`` (B, 3) their offset differences
+    o = o_b - o_a, at any distance.  One pass evaluates both on d = R_i -
+    R_j - o @ cell.  Returns (i, j, d (P, 3) [A], phi'/R (P,)) over the
+    pair-images and phi'' (B,) per bond.
     """
     check_count("shells", shells)
     reach = tuple(min(r, shells) for r in image_reach(structure, _CURVATURE_CUTOFF))
-    found = [(np.broadcast_to(off, (len(i), 3)), i, j, r2)
-             for off, i, j, r2 in close_pairs(structure, _CURVATURE_CUTOFF, reach)]
-    offsets, i, j, r2 = (np.concatenate(x) for x in zip(*found))
-    keep = i != j
-    offsets, i, j, r2 = offsets[keep], i[keep], j[keep], r2[keep]
+    found = [(np.broadcast_to(off, (len(i), 3)), i, j)
+             for off, i, j, _ in close_pairs(structure, _CURVATURE_CUTOFF, reach)]
+    offsets, i, j = (np.concatenate(x) for x in zip(*found))
+    keep = np.flatnonzero(i != j)
+    i, j = np.concatenate([np.stack([i[keep], j[keep]]), bonds.T], axis=1)
+    offsets = np.concatenate([offsets[keep], bond_offsets])
     d = structure.positions[i] - structure.positions[j]
     if structure.cell is not None:
         d -= offsets @ structure.cell.matrix
+    r2 = np.einsum("pc,pc->p", d, d) / BOHR_ANGSTROM**2
     omega, coupling, inv_s = _pair_params(structure, states, cfg)
     inv_s = inv_s[i, j]
     a, b, s = _radial(r2, inv_s, slope=True)
@@ -623,4 +630,5 @@ def pair_curvature(structure: AtomicStructure, states: VdwStates, cfg: MbdModelC
     c = (-0.25 * HARTREE_EV / BOHR_ANGSTROM**2) * coupling[i, j] ** 2 / (w_i * w_j * (w_i + w_j))
     radial = c * (2.0 * r2 * g3 * g3 + 2.0 * g2 * g4 + 4.0 * a * a * r2 + 4.0 * b * (a + r2 * s))
     transverse = c * (2.0 * g2 * g3 + 4.0 * a * b)
-    return i, j, offsets, d, radial, transverse
+    p = len(keep)
+    return i[:p], j[:p], d[:p], transverse[:p], radial[p:]

@@ -7,33 +7,32 @@ Chem. Phys. 144, 164109 (2016): P = H + mu I on the free components,
 where H is the bonded Gauss-Newton Hessian, the sum of g g^T over the
 rows g of bonded.gauss_newton_rows.  Under MBD dispersion H also holds
 the curvature of the MBD energy's second-order pair expansion
-(mbd.pair_curvature) over the pair-images within 6 A, where a C-C pair's
-phi'/R has fallen to about 1e-4 eV/A^2.  Per pair-image it adds the
-transverse block max(phi'/R, 0) (I - r r^T) on r = d/|d| to the pair's
-two diagonal blocks and subtracts it from the two between them; where a
-bond joins the pair-image, the radial phi'' joins the bond's k_r r r^T
-as max(k_r + phi'', 0) r r^T through the bond's row.  The radial
-curvature between non-bonded atoms is negative and is left out: with
-it, P is indefinite on PE (lowest eigenvalue -0.29 eV/A^2 on the 1x1x1
-cell).  So every block of H is positive semidefinite and P positive
-definite by construction.  The TS pairwise term adds nothing, since its
-damping leaves no curvature of note at bonded distances.  Cell
-components get P's mean atomic diagonal.  Given the state a structure
-was displaced from, the free components start from P's linear response
-to the displacement of the fixed ones.
+(mbd.pair_curvature) by one rule, each curvature evaluated where it
+applies.  Every pair-image within 6 A, where a C-C pair's phi'/R has
+fallen to about 1e-4 eV/A^2, adds the transverse block max(phi'/R, 0)
+(I - r r^T) on r = d/|d| to the pair's two diagonal blocks and subtracts
+it from the two between them.  Every bond's radial phi'', at the bond's
+own separation, joins its k_r r r^T as max(k_r + phi'', 0) r r^T through
+the bond's row.  The radial curvature between non-bonded atoms is
+negative and is not used: with it, P is indefinite on PE (lowest
+eigenvalue -0.29 eV/A^2 on the 1x1x1 cell).  So every block of H is
+positive semidefinite and P positive definite by construction.  The TS
+pairwise term adds nothing, since its damping leaves no curvature of
+note at bonded distances.  Cell components get P's mean atomic
+diagonal.  Given the state a structure was displaced from, the free
+components start from P's linear response to the displacement of the
+fixed ones.
 
 The atoms are ranked along the structure's longest extent
 (periodic.extent_order), and component c of the atom of rank a is row
-3 a + c.  A term couples rows at most its span apart, so in blocks of b
-rows, b at least the widest term's span and _MIN_BLOCK and rounded up
-to whole atoms, every entry of H lies in a diagonal block or in the
-block below one: H is block tridiagonal (192 rows on an (8,8) tube, 27
-on the 28+28 chain pair).  The pair blocks do not widen the band, and a
-pair further apart is left out: 5 of the 266 pair-images of the chain
-pair, all at 6.0 A, none of the 12464 of an (8,8)x20 tube, and 856 of
-the 5568 of PE 2x2x2, which is ranked across its chains.  A periodic
-bond that wraps through the cell spans about the whole cell, so such a
-cell is one block of (3N)^2, as dense, and costs what a dense inverse
+3 a + c.  A term or pair-image couples rows at most its span apart, so
+in blocks of b rows, b at least the widest span of any of them and
+_MIN_BLOCK and rounded up to whole atoms, every entry of H lies in a
+diagonal block or in the block below one: H is block tridiagonal.  b is
+27 rows on the 28+28 chain pair and 192 on the (8,8)x20 tube, and 36
+and 240 under MBD.  A bond or pair-image that wraps through the cell along
+the ranking spans about the whole cell, so such a cell is one block of
+(3N)^2, as dense (PE 2x2x2 under MBD), and costs what a dense inverse
 does.  Fixed components become identity rows of the band, and a block
 Cholesky factors it (Golub & Van Loan, Matrix Computations, 4th ed.,
 sections 4.3 and 4.5) into the inverse of each diagonal factor block
@@ -135,25 +134,23 @@ def _band(structure, topology, pairs):
     b, b): band[k, 0] is diagonal block k and band[k, 1] the block below
     it (rows of block k + 1, columns of block k; zero for the last k).
     Rows past 3N pad the last block with zeros.  ``pairs`` is the pair
-    curvature of mbd.pair_curvature, or None for the bonded H alone."""
+    curvature of mbd.pair_curvature at the topology's bonds, or None for
+    the bonded H alone."""
     n = len(structure)
-    k_bond = None if pairs is None else _bond_stiffness(topology, pairs)
+    k_bond = None if pairs is None else np.maximum(topology.k_r + pairs[4], 0.0)
     rank = np.argsort(extent_order(structure.positions.T)[1])  # each atom's place in the order
     families = [(rank[atoms], partial(_outer, gs))
                 for atoms, gs in gauss_newton_rows(structure, topology, k_bond) if atoms.size]
+    if pairs is not None and len(pairs[0]):  # the fill splits each family into at least one piece
+        i, j, d, transverse, _ = pairs
+        r = d.T / np.linalg.norm(d, axis=1)
+        h = np.maximum(transverse, 0.0) * (np.eye(3)[:, :, None] - r[:, None] * r)
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None, None]
+        families.append((rank[np.stack([i, j])], lambda part: sign * h.take(part, axis=2)[:, None]))
     span = 3 * max((int(np.ptp(a, axis=0).max()) for a, _ in families), default=0) + 2
     blocks = max(1, 3 * n // max(span, _MIN_BLOCK))
     per = -(-n // blocks)  # atoms per block, so that no atom straddles two
     b = 3 * per
-    if pairs is not None:
-        i, j, _, d, _, transverse = pairs
-        ranks = rank[np.stack([i, j])]
-        near = np.flatnonzero(np.abs(np.diff(ranks // per, axis=0)[0]) <= 1)
-        r = d[near].T / np.linalg.norm(d[near], axis=1)
-        h = np.maximum(transverse[near], 0.0) * (np.eye(3)[:, :, None] - r[:, None] * r)
-        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None, None]
-        if len(near):  # the fill splits each family into at least one piece
-            families.append((ranks[:, near], lambda part: sign * h.take(part, axis=2)[:, None]))
     within = np.arange(3)[:, None] * b + np.arange(3)  # entry (c, c') of a 3 x 3 block
     band = np.zeros(blocks * 2 * b * b)
     for ranks, outer in families:
@@ -179,26 +176,6 @@ def _outer(gs, part):
     from their slot rows gs (S, 3, T)."""
     g = gs.take(part, axis=2)
     return g[:, :, None, None] * g[None, None]
-
-
-def _bond_stiffness(topology, pairs):
-    """Per bond, max(k_r + phi'', 0) with the radial curvature phi'' of its
-    pair-image in ``pairs``, each pair-image listed once, or k_r if none
-    is.  Bond (a, b) with offsets (o_a, o_b) is the pair-image (a, b, o_b -
-    o_a), or (b, a, o_a - o_b)."""
-    i, j, offsets, _, radial, _ = pairs
-    a, b = topology.bonds.T
-    o = topology.bond_offsets[:, 1] - topology.bond_offsets[:, 0]
-    if not len(i):
-        return np.full(len(a), topology.k_r)
-    rows = np.concatenate([np.column_stack(x) for x in ((i, j, offsets), (a, b, o), (b, a, -o))])
-    lo = rows.min(axis=0)
-    key = np.ravel_multi_index((rows - lo).T, rows.max(axis=0) - lo + 1)
-    pair, bond = key[:len(i)], key[len(i):]
-    order = np.argsort(pair)
-    at = order[np.minimum(np.searchsorted(pair, bond, sorter=order), len(i) - 1)]
-    at = np.maximum(*np.where(pair[at] == bond, at, -1).reshape(2, -1))
-    return np.where(at >= 0, np.maximum(topology.k_r + radial[at], 0.0), topology.k_r)
 
 
 def _factor(diag, low):

@@ -301,36 +301,49 @@ def pair_expansion_energy(structure, cfg, i, j, image=(0.0, 0.0, 0.0)):
     return -0.25 * k * k * np.sum(t * t) / (w_i * w_j * (w_i + w_j)) * HARTREE_EV
 
 
-def dense_pair_blocks(structure, topo, pairs, block=None, clip=True):
+def pair_image_offsets(structure, i, j, d):
+    """The integer lattice offsets o (P, 3) of the pair-images (i, j) whose
+    separations are d = R_i - R_j - o @ cell."""
+    if structure.cell is None:
+        return np.zeros((len(i), 3), int)
+    t = structure.positions[i] - structure.positions[j] - d
+    return np.rint(t @ np.linalg.inv(structure.cell.matrix)).astype(int)
+
+
+def dense_pair_blocks(structure, topo, pairs, clip=True):
     """The pair curvature blocks [eV/A^2] of the relaxation preconditioner
     as one dense (3N, 3N) array, in atom order, written out pair by pair
-    from the listed curvatures ``pairs`` (i, j, offsets, d, phi'', phi'/R).
+    from the curvatures ``pairs`` (i, j, d, phi'/R, phi'') of
+    mbd.pair_curvature.
 
-    With ``clip``, each pair-image adds max(phi'/R, 0) (I - r r^T), and a
-    pair-image that a bond of ``topo`` joins (matched on the atoms and the
-    offset difference, in either orientation) also max(phi'', -k_r) r r^T;
-    pairs whose atoms lie in ``block``s more than one apart are skipped.
-    Without ``clip``, every pair adds phi'' r r^T + phi'/R (I - r r^T)."""
-    bonded = set()
-    for (a, b), (oa, ob) in zip(topo.bonds.tolist(), topo.bond_offsets.tolist()):
-        o = tuple(q - p for p, q in zip(oa, ob))
-        bonded |= {(a, b, o), (b, a, tuple(-x for x in o))}
+    With ``clip``, each pair-image adds max(phi'/R, 0) (I - r r^T) and each
+    bond of ``topo`` max(phi'', -k_r) r r^T along its own separation.
+    Without ``clip``, phi'' lists each pair-image's own (pair_curvature
+    given the pair-images as its bonds), and every pair-image adds phi''
+    r r^T + phi'/R (I - r r^T)."""
+    i, j, d, transverse, radial = pairs
+
+    def rr(dv):
+        return np.outer(dv, dv) / (dv @ dv)
+
+    if clip:
+        blocks = [(a, b, max(t, 0.0) * (np.eye(3) - rr(dv)))
+                  for a, b, dv, t in zip(i, j, d, transverse)]
+        a, b = topo.bonds.T
+        o = topo.bond_offsets[:, 1] - topo.bond_offsets[:, 0]
+        db = structure.positions[a] - structure.positions[b]
+        if structure.cell is not None:
+            db -= o @ structure.cell.matrix
+        blocks += [(p, q, max(k, -topo.k_r) * rr(dv)) for p, q, dv, k in zip(a, b, db, radial)]
+    else:
+        blocks = [(a, b, k * rr(dv) + t * (np.eye(3) - rr(dv)))
+                  for a, b, dv, t, k in zip(i, j, d, transverse, radial)]
     out = np.zeros((len(structure), 3, len(structure), 3))
-    for i, j, off, d, radial, transverse in zip(*pairs):
-        if block is not None and abs(block[i] - block[j]) > 1:
-            continue
-        r = d / np.linalg.norm(d)
-        rr = np.outer(r, r)
-        if clip:
-            h = max(transverse, 0.0) * (np.eye(3) - rr)
-            if (i, j, tuple(off.tolist())) in bonded:
-                h = h + max(radial, -topo.k_r) * rr
-        else:
-            h = radial * rr + transverse * (np.eye(3) - rr)
-        out[i, :, i] += h
-        out[j, :, j] += h
-        out[i, :, j] -= h
-        out[j, :, i] -= h
+    for a, b, h in blocks:
+        out[a, :, a] += h
+        out[b, :, b] += h
+        out[a, :, b] -= h
+        out[b, :, a] -= h
     return out.reshape(3 * len(structure), 3 * len(structure))
 
 

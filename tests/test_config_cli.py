@@ -339,6 +339,28 @@ def test_cli_quasistatic_runs(tmp_path, capsys):
     assert all(int(line.split(",")[column]) > 0 for line in lines[1:])
 
 
+@pytest.mark.parametrize("mode, moved", [("fixed-max", [10, 11]), ("fixed-min", [8, 9]),
+                                         ("fixed-all", [8, 9, 10, 11])])
+def test_cli_quasistatic_drives_the_selected_caps(tmp_path, capsys, mode, moved):
+    """protocol.driven picks the fully fixed atoms above the middle of
+    their span along protocol.axis, those below it, or all of them: in the
+    final structure of one -0.2 A step along y, only those have moved."""
+    xyz = tmp_path / "in.xyz"
+    write_xyz(make_chain_pair(ChainSpec(4, 4, hydrogen_caps=True)), str(xyz))
+    s = read_xyz(str(xyz))
+    fixed = np.flatnonzero(s.fixed.all(axis=1))
+    assert fixed.tolist() == [8, 9, 10, 11]
+    out = tmp_path / "q.csv"
+    assert cli(["quasistatic", "--input", str(xyz), "--output", str(out),
+                "--set", "model.vdw=pw", "--set", "protocol.axis=y",
+                "--set", f"protocol.driven={mode}", "--set", "protocol.increment=-0.2",
+                "--set", "protocol.steps=1"]) == 0
+    shift = read_xyz(str(out) + ".final.xyz").positions[fixed] - s.positions[fixed]
+    want = np.zeros_like(shift)
+    want[np.isin(fixed, moved), 1] = -0.2
+    assert np.abs(shift - want).max() <= 1e-9
+
+
 def test_cli_quasistatic_writes_the_stress_columns(tmp_path, capsys):
     """A bonded-only cell-strain run with compute_stress writes the six
     Voigt stress columns last; sigma_drive_GPa is the strained component

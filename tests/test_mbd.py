@@ -3,8 +3,9 @@ import pytest
 
 from conftest import (brute_force_mbd_matrix, dipole_tensor, fd_forces,
                       jacobi_eigenvalues, lattice_box, mbd_matrix, pair_expansion_energy,
-                      random_cluster, random_rotation, two_oscillator_energy)
+                      pair_image_offsets, random_cluster, random_rotation, two_oscillator_energy)
 from vdwmech import mbd
+from vdwmech.bonded import detect_topology
 from vdwmech.errors import (GeometryError, InputError, InstabilityError)
 from vdwmech.mbd import MbdModelConfig, mbd_energy
 from vdwmech.generators import PeCrystalSpec, make_pe_crystal
@@ -514,50 +515,73 @@ def _fd_separation_hessian(structure, i, j, image, h=2e-4):
                      for a in range(3)])
 
 
+def _fd_along(structure, a, b, image, h=2e-4):
+    """Central differences of E2 [eV/A^2] for atom a and atom b shifted by
+    ``image`` along their separation d: (d2E2/dR2, (dE2/dR) / R)."""
+    dv = structure.positions[a] - structure.positions[b] - image
+    r = np.linalg.norm(dv)
+    e_minus, e0, e_plus = (pair_expansion_energy(structure, CFG, a, b, image - x * dv / r)
+                           for x in (-h, 0.0, h))
+    return (e_plus - 2 * e0 + e_minus) / h**2, (e_plus - e_minus) / (2 * h * r)
+
+
 def test_pair_curvature_matches_fd_of_the_pair_expansion(rng):
     """On random clusters, every pair within the cutoff is listed once, and
-    phi'' r r^T + phi'/R (I - r r^T) is the Hessian of its E2 in d."""
+    phi'' r r^T + phi'/R (I - r r^T) is the Hessian of its E2 in d, with
+    phi'' of the pair listed as a bond the other way round; a bond past
+    the cutoff gets its phi'' as well."""
     for _ in range(3):
         s = random_cluster(rng, 6, min_dist=1.2, box=7.0)
-        i, j, offsets, d, radial, transverse = mbd.pair_curvature(s, states_for(s), CFG)
+        every = np.array([(b, a) for a in range(6) for b in range(a + 1, 6)])
+        i, j, d, transverse, radial = mbd.pair_curvature(s, states_for(s), CFG, every,
+                                                         np.zeros((len(every), 3), int))
         near = [(a, b) for a in range(6) for b in range(a + 1, 6)
                 if np.linalg.norm(s.positions[a] - s.positions[b]) <= mbd._CURVATURE_CUTOFF]
         assert sorted(zip(i.tolist(), j.tolist())) == near
-        assert not np.asarray(offsets).any()
         assert np.array_equal(d, s.positions[i] - s.positions[j])
-        for a, b, dv, rad, tr in zip(i, j, d, radial, transverse):
+        at = {(a, b): k for k, (b, a) in enumerate(every.tolist())}
+        for a, b, dv, tr in zip(i, j, d, transverse):
             r = dv / np.linalg.norm(dv)
             want = _fd_separation_hessian(s, a, b, np.zeros(3))
-            got = rad * np.outer(r, r) + tr * (np.eye(3) - np.outer(r, r))
+            got = radial[at[a, b]] * np.outer(r, r) + tr * (np.eye(3) - np.outer(r, r))
             assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+        far = [k for k, (b, a) in enumerate(every.tolist()) if (a, b) not in near]
+        for k in far:
+            assert radial[k] == pytest.approx(_fd_along(s, *every[k], np.zeros(3))[0], rel=1e-5)
 
 
 def test_pair_curvature_over_the_images_of_pe():
     """PE 1x1x1 at 3 shells: the listed pair-images are those of the full
-    +-t box within the cutoff, each once, and their radial and transverse
-    curvatures are the central differences of E2 along d."""
+    +-t box within the cutoff, each once, and their transverse curvatures
+    are the central differences of E2 along d.  So are the radial ones of
+    the topology's bonds, those that wrap through the cell included, and
+    of every pair-image given as a bond."""
     from itertools import product
 
     s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
-    shells, cut = 3, mbd._CURVATURE_CUTOFF
-    i, j, offsets, d, radial, transverse = mbd.pair_curvature(s, states_for(s), CFG, shells)
+    topo = detect_topology(s)
+    bond_offsets = topo.bond_offsets[:, 1] - topo.bond_offsets[:, 0]
+    assert bond_offsets.any()
+    shells, cut, cell = 3, mbd._CURVATURE_CUTOFF, s.cell.matrix
+    i, j, d, transverse, radial = mbd.pair_curvature(s, states_for(s), CFG, topo.bonds,
+                                                     bond_offsets, shells)
+    offsets = pair_image_offsets(s, i, j, d)
     keys = _pair_image_keys(i, j, offsets)
     x = s.positions
     want = {min((a, b, o), (b, a, tuple(-c for c in o)))
             for a in range(len(s)) for b in range(len(s)) if a != b
             for o in product(range(-shells, shells + 1), repeat=3)
-            if np.linalg.norm(x[a] - x[b] - np.array(o) @ s.cell.matrix) <= cut}
+            if np.linalg.norm(x[a] - x[b] - np.array(o) @ cell) <= cut}
     assert len(keys) == len(set(keys)) and set(keys) == want
-    assert np.allclose(d, s.positions[i] - s.positions[j] - offsets @ s.cell.matrix,
-                       rtol=0, atol=1e-12)
-    h = 2e-4
-    for a, b, o, dv, rad, tr in zip(i, j, offsets, d, radial, transverse):
-        r = np.linalg.norm(dv)
-        image = o @ s.cell.matrix
-        e_minus, e0, e_plus = (pair_expansion_energy(s, CFG, a, b, image - x * dv / r)
-                               for x in (-h, 0.0, h))
-        assert rad == pytest.approx((e_plus - 2 * e0 + e_minus) / h**2, rel=1e-5)
-        assert tr == pytest.approx((e_plus - e_minus) / (2 * h * r), rel=1e-5)
+    assert np.allclose(d, x[i] - x[j] - offsets @ cell, rtol=0, atol=1e-12)
+    for (a, b), o, rad in zip(topo.bonds, bond_offsets, radial):
+        assert rad == pytest.approx(_fd_along(s, a, b, o @ cell)[0], rel=1e-5)
+    images = np.stack([i, j], axis=1)
+    image_radial = mbd.pair_curvature(s, states_for(s), CFG, images, offsets, shells)[4]
+    for a, b, o, rad, tr in zip(i, j, offsets, image_radial, transverse):
+        want_rad, want_tr = _fd_along(s, a, b, o @ cell)
+        assert rad == pytest.approx(want_rad, rel=1e-5)
+        assert tr == pytest.approx(want_tr, rel=1e-5)
 
 
 def test_pair_expansion_tends_to_london():

@@ -3,14 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import band_to_dense, dense_gauss_newton, dense_pair_blocks
+from conftest import band_to_dense, dense_gauss_newton, dense_pair_blocks, pair_image_offsets
 from vdwmech.bonded import detect_topology
 from vdwmech.composite import CompositeModel
 from vdwmech.errors import InputError
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                                 make_pe_crystal, make_swcnt)
+from vdwmech.mbd import MbdModelConfig, pair_curvature
 from vdwmech.minimize import (_MIN_BLOCK, _MU, MinimizerConfig, _band, _preconditioner,
                               minimize)
+from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure
 
 
@@ -181,6 +183,27 @@ def test_relaxed_cell_component_reaches_zero_stress():
         assert abs(cell_stress(res.structure, model.energy).sigma[0, 0]) < 1e-3
 
 
+def test_relax_of_all_nine_cell_components():
+    """Bonded-only PE 1x1x1 sheared by 0.03 A in h_xy and stretched by 0.05 A
+    in h_yy, with the generated topology, relaxes all nine cell components
+    (relaxable_components without diagonal_only) to zero energy: the
+    off-diagonal h_yx moves, and the chain's cell vector returns to the
+    repeat PE_C."""
+    from vdwmech.generators import PE_C
+    from vdwmech.periodic import apply_cell_strain, relaxable_components
+    s = make_pe_crystal(PeCrystalSpec(1, 1, 1))
+    sheared = apply_cell_strain(apply_cell_strain(s, (0, 1), 0.03), (1, 1), 0.05)
+    model = CompositeModel(topology=detect_topology(s))
+    components = tuple(relaxable_components(s.cell, None, diagonal_only=False))
+    assert len(components) == 9
+    assert model.energy(sheared) > 1e-3
+    res = minimize(sheared, model, MinimizerConfig(force_tolerance=1e-4), relax_cell=components)
+    assert res.converged and res.energy < 1e-8
+    cell = res.structure.cell.matrix
+    assert cell[1, 0] != 0.0
+    assert np.linalg.norm(cell[0]) == pytest.approx(PE_C, abs=1e-5)
+
+
 def test_cell_relax_rejects_overlapping_trial_cell():
     # bonded terms plus damped dispersion have no repulsion between the
     # chains, so the relaxed cell shrinks until a trial cell overlaps atoms;
@@ -223,12 +246,11 @@ _PRECONDITIONER_CASES.update({f"{name}, MBD": (build, shift, "mbd")
 def _pairs_and_p(s, topo, vdw, shells=None):
     """The pair curvature of a model with ``vdw`` (None but for MBD) and the
     dense P - mu I it gives: the bonded Gauss-Newton Hessian plus the pair
-    blocks of the atoms at most one band block apart."""
+    blocks."""
     pairs = CompositeModel(topology=topo, vdw=vdw, shells=shells).pair_curvature(s)
     p = dense_gauss_newton(s, topo)
     if pairs is not None:
-        rows, band = _band(s, topo, pairs)
-        p += dense_pair_blocks(s, topo, pairs, rows[::3] // band.shape[2])
+        p += dense_pair_blocks(s, topo, pairs)
     return pairs, p
 
 
@@ -265,8 +287,11 @@ def test_pair_blocks_keep_p_positive_definite_on_pe(cells, shells):
     ref = make_pe_crystal(PeCrystalSpec(*cells))
     s, topo = _driven(ref, 0.0, 1), detect_topology(ref)
     pairs = _assert_h0_solves(s, topo, "mbd", shells)
+    i, j, d = pairs[:3]
+    image_radial = pair_curvature(s, states_for(s), MbdModelConfig(), np.stack([i, j], axis=1),
+                                  pair_image_offsets(s, i, j, d), shells)[4]
     unclipped = dense_gauss_newton(s, topo) + _MU * np.eye(3 * len(s)) \
-        + dense_pair_blocks(s, topo, pairs, clip=False)
+        + dense_pair_blocks(s, topo, (*pairs[:4], image_radial), clip=False)
     assert np.linalg.eigvalsh(unclipped)[0] < -0.1
 
 
@@ -279,10 +304,27 @@ def test_pair_blocks_find_bonds_listed_either_way():
     topo = detect_topology(s)
     assert topo.bond_offsets.any()
     flipped = replace(topo, bonds=topo.bonds[:, ::-1], bond_offsets=topo.bond_offsets[:, ::-1])
-    pairs, want = _pairs_and_p(s, topo, "mbd", shells=3)
+    _, want = _pairs_and_p(s, topo, "mbd", shells=3)
     for t in (topo, flipped):
+        pairs = CompositeModel(topology=t, vdw="mbd", shells=3).pair_curvature(s)
         got = band_to_dense(*_band(s, t, pairs))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("build, shells, blocks, width", [
+    (lambda: make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)), None, 5, 36),
+    (lambda: make_pe_crystal(PeCrystalSpec(2, 2, 2)), 2, 1, 288)], ids=["chain pair", "PE 2x2x2"])
+def test_pair_blocks_lie_inside_the_band(build, shells, blocks, width):
+    """The block width covers every family, the MBD pair-images included,
+    so each pair-image's atoms lie at most one block apart."""
+    s = build()
+    topo = detect_topology(s)
+    pairs = CompositeModel(topology=topo, vdw="mbd", shells=shells).pair_curvature(s)
+    rows, band = _band(s, topo, pairs)
+    assert band.shape == (blocks, 2, width, width)
+    block = rows[::3] // width
+    i, j = pairs[:2]
+    assert len(i) and np.abs(block[i] - block[j]).max() <= 1
 
 
 @pytest.mark.parametrize("case", sorted(_PRECONDITIONER_CASES))
@@ -349,17 +391,21 @@ def test_hessian_band_matches_dense_assembly(case):
 
 
 def test_band_checks_topology_indices():
-    """The bonded rows of P check the topology against the structure."""
+    """The bonded rows of P check the topology against the structure, and
+    under MBD so does the curvature at its bonds, before any evaluation."""
     topo = detect_topology(make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)))
     small = make_chain_pair(ChainSpec(6, 6, hydrogen_caps=True))
     with pytest.raises(InputError, match="out of range"):
         _band(small, topo, None)
+    with pytest.raises(InputError, match="out of range"):
+        minimize(small, CompositeModel(topology=topo, vdw="mbd"), MinimizerConfig())
 
 
 def test_mbd_relax_without_bonded_pairs():
     """Under MBD, P takes no pair block from one atom, and none but pair
     blocks from an unbonded line of three, which has no repulsion to stop
-    at and returns unconverged rather than raising."""
+    at and returns unconverged rather than raising; a model without a
+    topology gives no pair curvature."""
     one = AtomicStructure(positions=[[0, 0, 0]], species=["C"])
     res = minimize(one, CompositeModel(topology=detect_topology(one), vdw="mbd"),
                    MinimizerConfig())
@@ -367,6 +413,7 @@ def test_mbd_relax_without_bonded_pairs():
     line = AtomicStructure(positions=[[0, 0, 0], [3.0, 0, 0], [6.5, 0, 0]], species=["C"] * 3)
     topo = detect_topology(line)
     assert not len(topo.bonds)
+    assert CompositeModel(vdw="mbd").pair_curvature(line) is None
     res = minimize(line, CompositeModel(topology=topo, vdw="mbd"),
                    MinimizerConfig(max_iterations=50))
     assert not res.converged and res.iterations <= 50 and len(res.energy_trace) > 1
