@@ -24,16 +24,24 @@ components start from P's linear response to the displacement of the
 fixed ones.
 
 The atoms are ranked along the structure's longest extent
-(periodic.extent_order), and component c of the atom of rank a is row
-3 a + c.  A term or pair-image couples rows at most its span apart, so
-in blocks of b rows, b at least the widest span of any of them and
-_MIN_BLOCK and rounded up to whole atoms, every entry of H lies in a
-diagonal block or in the block below one: H is block tridiagonal.  b is
-27 rows on the 28+28 chain pair and 192 on the (8,8)x20 tube, and 36
-and 240 under MBD.  A bond or pair-image that wraps through the cell along
-the ranking spans about the whole cell, so such a cell is one block of
-(3N)^2, as dense (PE 2x2x2 under MBD), and costs what a dense inverse
-does.  Fixed components become identity rows of the band, and a block
+(periodic.extent_order); along a periodic axis, by the fractional
+coordinate f along that lattice vector folded as min(f mod 1, 1 - f mod
+1), so that a bond or pair-image that wraps through the cell joins atoms
+of nearby rank, in a sheared cell too.  Component c of the atom of rank
+a is row 3 a + c.  A term or pair-image couples rows at most its span
+apart, so in blocks of b rows, b at least the widest span of any of them
+and _MIN_BLOCK and rounded up to whole atoms, every entry of H lies in a
+diagonal block or in the block below one: H is block tridiagonal.  b
+is 27 rows on the 28+28 chain pair and 192 on the (8,8)x20 tube, and 36
+and 240 under MBD; the fold doubles it, to 384 on the periodic (8,8)x20
+tube.  Each family
+of terms goes into the flat band by np.add.at in pieces of at most about
+_FILL_CHUNK entries, whatever the band's length, so the fill's index and
+weight arrays stay bounded.  The families go in from the smallest
+entries up (MBD pair-images, torsions, angles, bonds), so that small
+terms meet small running sums: bonds first, the band of a perturbed
+(8,8)x6 tube would miss H by 1.0e-15 of its largest entry, not 3.5e-16.
+Fixed components become identity rows of the band, and a block
 Cholesky factors it (Golub & Van Loan, Matrix Computations, 4th ed.,
 sections 4.3 and 4.5) into the inverse of each diagonal factor block
 and the factor blocks below them, so each solve is block products.  The
@@ -67,7 +75,7 @@ _MU = 0.05          # eV/A^2, stiffness of directions no bonded term reaches
 _CELL_FD_STEP = 1e-3  # A
 _STEP_FLOOR = 1e-9    # A, shortest trial step worth evaluating
 _MAX_STEP = 0.20      # A, displacement cap per trial step
-# the band's narrowest block [rows] and entries per bincount of its fill.
+# the band's narrowest block [rows] and entries per np.add.at of its fill.
 # A chain-pair load step makes about 7.4 solves: on the 60-atom chain pair
 # (one BLAS thread) set-up and one solve take about 1.0 and 0.05 ms in
 # blocks of 27 rows, 1.3-1.6 and 0.033 ms in blocks of 60 and 3.7 and
@@ -138,10 +146,14 @@ def _band(structure, topology, pairs):
     the bonded H alone."""
     n = len(structure)
     k_bond = None if pairs is None else np.maximum(topology.k_r + pairs[4], 0.0)
-    rank = np.argsort(extent_order(structure.positions.T)[1])  # each atom's place in the order
+    axis, order = extent_order(structure.positions.T)
+    if structure.cell is not None and structure.cell.periodic[axis]:
+        f = (structure.positions @ np.linalg.inv(structure.cell.matrix))[:, axis] % 1.0
+        order = np.argsort(np.minimum(f, 1.0 - f), kind="stable")  # folded: wraps stay near
+    rank = np.argsort(order)  # each atom's place in the order
     families = [(rank[atoms], partial(_outer, gs))
                 for atoms, gs in gauss_newton_rows(structure, topology, k_bond) if atoms.size]
-    if pairs is not None and len(pairs[0]):  # the fill splits each family into at least one piece
+    if pairs is not None and len(pairs[0]):  # an empty family has no span
         i, j, d, transverse, _ = pairs
         r = d.T / np.linalg.norm(d, axis=1)
         h = np.maximum(transverse, 0.0) * (np.eye(3)[:, :, None] - r[:, None] * r)
@@ -153,21 +165,17 @@ def _band(structure, topology, pairs):
     b = 3 * per
     within = np.arange(3)[:, None] * b + np.arange(3)  # entry (c, c') of a 3 x 3 block
     band = np.zeros(blocks * 2 * b * b)
-    for ranks, outer in families:
-        # the 3 x 3 block of slots (s, s') goes to flat block k_s + k_s', the
-        # diagonal block if k_s = k_s' and the block below k_s' if k_s =
-        # k_s' + 1; at k_s = k_s' - 1 it mirrors a block below, weighed 0.
-        # Terms go in pieces by their first atom, so that each bincount
-        # has at most about _FILL_CHUNK entries and covers a window of the band
-        pieces = min(max(1, 9 * len(ranks) ** 2 * len(ranks.T) // _FILL_CHUNK,
-                         len(band) // _FILL_CHUNK), len(ranks.T))
-        for part in np.array_split(np.argsort(ranks.min(axis=0), kind="stable"), pieces):
+    # the 3 x 3 block of slots (s, s') goes to flat block k_s + k_s', the
+    # diagonal block if k_s = k_s' and the block below k_s' if k_s = k_s' +
+    # 1; at k_s = k_s' - 1 it mirrors a block below, weighed 0.  Smallest
+    # entries first, so that small terms meet small running sums
+    for ranks, outer in families[::-1]:
+        pieces = max(1, 9 * len(ranks) ** 2 * len(ranks.T) // _FILL_CHUNK)
+        for part in np.array_split(np.arange(len(ranks.T)), pieces):
             k, o = np.divmod(ranks.take(part, axis=1), per)
-            lo, hi = 2 * b * b * k.min(), 2 * b * b * (k.max() + 1)
-            base = (k[:, None] + k) * (b * b) + 3 * b * o[:, None] + 3 * o - lo
+            base = (k[:, None] + k) * (b * b) + 3 * b * o[:, None] + 3 * o
             w = outer(part) * (k[:, None] >= k)[:, None, :, None]
-            band[lo:hi] += np.bincount((base[:, None, :, None] + within[:, None, :, None]).ravel(),
-                                       w.ravel(), minlength=hi - lo)
+            np.add.at(band, (base[:, None, :, None] + within[:, None, :, None]).ravel(), w.ravel())
     return (3 * rank[:, None] + np.arange(3)).ravel(), band.reshape(blocks, 2, b, b)
 
 

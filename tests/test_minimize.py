@@ -10,8 +10,9 @@ from vdwmech.errors import InputError
 from vdwmech.generators import (ChainSpec, CntSpec, PeCrystalSpec, make_chain_pair,
                                 make_pe_crystal, make_swcnt)
 from vdwmech.mbd import MbdModelConfig, pair_curvature
-from vdwmech.minimize import (_MIN_BLOCK, _MU, MinimizerConfig, _band, _preconditioner,
-                              minimize)
+from vdwmech.minimize import (_FILL_CHUNK, _MIN_BLOCK, _MU, MinimizerConfig, _band,
+                              _preconditioner, minimize)
+from vdwmech.periodic import apply_cell_strain
 from vdwmech.species import states_for
 from vdwmech.structure import AtomicStructure
 
@@ -313,7 +314,9 @@ def test_pair_blocks_find_bonds_listed_either_way():
 
 @pytest.mark.parametrize("build, shells, blocks, width", [
     (lambda: make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)), None, 5, 36),
-    (lambda: make_pe_crystal(PeCrystalSpec(2, 2, 2)), 2, 1, 288)], ids=["chain pair", "PE 2x2x2"])
+    (lambda: make_pe_crystal(PeCrystalSpec(2, 2, 2)), 2, 1, 288),
+    (lambda: make_pe_crystal(PeCrystalSpec(2, 8, 2)), 2, 4, 288)],
+    ids=["chain pair", "PE 2x2x2", "PE 2x8x2"])
 def test_pair_blocks_lie_inside_the_band(build, shells, blocks, width):
     """The block width covers every family, the MBD pair-images included,
     so each pair-image's atoms lie at most one block apart."""
@@ -364,30 +367,49 @@ def _off_reference(s, scale, seed):
     return _perturbed(s, scale, seed), detect_topology(s)
 
 
+def _sheared_pe():
+    """PE 2x8x2 with its chain-axis vector a tilted by 3 A along the ranking
+    axis y, the atoms remapped affinely.  A bond that wraps along a then
+    moves 3 A in y but keeps its fractional coordinate along b: a fold of
+    y over the cell's y length would give 3 blocks."""
+    return apply_cell_strain(make_pe_crystal(PeCrystalSpec(2, 8, 2)), (0, 1), 3.0)
+
+
 _BAND_CASES = {
-    # name: (structure and its topology, number of blocks)
+    # name: (structure and its topology, number of blocks, MBD shells or
+    # None for the bonded H alone)
     "chain pair": (lambda: _off_reference(
-        make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)), 0.0, 0), 7),
-    "(8,8)x6 tube": (lambda: _off_reference(make_swcnt(CntSpec(8, 8, 6)), 0.05, 5), 3),
+        make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)), 0.0, 0), 7, None),
+    "(8,8)x6 tube": (lambda: _off_reference(make_swcnt(CntSpec(8, 8, 6)), 0.05, 5), 3, None),
     # its bonds wrap through the cell
-    "PE 1x1x1": (lambda: _off_reference(make_pe_crystal(PeCrystalSpec(1, 1, 1)), 0.05, 6), 1),
-    "loaded straight chains": (_loaded_chain_pair, 7),
+    "PE 1x1x1": (lambda: _off_reference(make_pe_crystal(PeCrystalSpec(1, 1, 1)), 0.05, 6), 1,
+                 None),
+    "loaded straight chains": (_loaded_chain_pair, 7, None),
+    # the cells below stay banded as the ranking folds along the periodic
+    # axis; the tube's torsions fill in more than one piece
+    "periodic (8,8)x20 tube": (lambda: _off_reference(
+        make_swcnt(CntSpec(8, 8, 20), axial_period=True), 0.05, 5), 5, None),
+    "PE 2x8x2, MBD": (lambda: _off_reference(make_pe_crystal(PeCrystalSpec(2, 8, 2)), 0.05, 6),
+                      4, 2),
+    "sheared PE 2x8x2, MBD": (lambda: _off_reference(_sheared_pe(), 0.05, 6), 4, 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAND_CASES))
 def test_hessian_band_matches_dense_assembly(case):
-    build, blocks = _BAND_CASES[case]
+    build, blocks, shells = _BAND_CASES[case]
     s, topo = build()
-    rows, band = _band(s, topo, None)
+    pairs, ref = _pairs_and_p(s, topo, "none" if shells is None else "mbd", shells)
+    rows, band = _band(s, topo, pairs)
     assert band.shape[0] == blocks
     assert band.shape[2] >= min(_MIN_BLOCK, 3 * len(s))
     assert not band[-1, 1].any()
     assert np.array_equal(np.sort(rows), np.arange(3 * len(s)))
-    ref = dense_gauss_newton(s, topo)
     assert np.abs(band_to_dense(rows, band) - ref).max() <= 1e-15 * np.abs(ref).max()
     if case == "loaded straight chains":
         assert topo._angle_forms[2].all()
+    if case == "periodic (8,8)x20 tube":
+        assert 9 * 4**2 * len(topo.dihedrals) > _FILL_CHUNK
 
 
 def test_band_checks_topology_indices():
@@ -421,16 +443,19 @@ def test_mbd_relax_without_bonded_pairs():
 
 def test_tube_relax_forms_no_dense_hessian():
     """A bonded-only (8,8)x40 tube (1280 atoms) perturbed by 0.02 A relaxes
-    with a traced peak under 40 MB: one dense (3N)^2 Hessian is 118 MB."""
-    s = make_swcnt(CntSpec(8, 8, 40))
-    model = CompositeModel(topology=detect_topology(s))
-    rng = np.random.default_rng(7)
-    moved = s.with_positions(s.positions + 0.02 * rng.standard_normal(s.positions.shape))
-    tracemalloc.start()
-    try:
-        res = minimize(moved, model, MinimizerConfig(force_tolerance=1e-3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.converged
-    assert peak < 40e6, peak
+    with a traced peak under 40 MB, open or periodic along its axis: one
+    dense (3N)^2 Hessian is 118 MB.  The periodic tube's bonds wrap through
+    the cell, and the folded ranking keeps its P in blocks of 384 rows."""
+    for axial_period in (False, True):
+        s = make_swcnt(CntSpec(8, 8, 40), axial_period=axial_period)
+        model = CompositeModel(topology=detect_topology(s))
+        rng = np.random.default_rng(7)
+        moved = s.with_positions(s.positions + 0.02 * rng.standard_normal(s.positions.shape))
+        tracemalloc.start()
+        try:
+            res = minimize(moved, model, MinimizerConfig(force_tolerance=1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 40e6, (axial_period, peak)
