@@ -33,8 +33,8 @@ With d = R_i - R_j - t, the block of image t is -K_ij (A d d^T + B I),
 where K_ij = omega_i omega_j sqrt(alpha_i alpha_j) and A, B are radial
 scalars of |d|.  Assembly accumulates the six unique sums sum_t A d_a d_b
 and sum_t B as (N, N) arrays and expands them into the (3N, 3N) layout
-once, at the end.  The home image (t = 0) is evaluated directly as (N, N)
-arrays, in both passes.  The translated images go through one pass, in
+once, at the end.  The home image (t = 0) is evaluated directly in row
+blocks, in both passes.  The translated images go through one pass, in
 assembly, as moments over t (see _lattice_pass): with d0 = R_i - R_j,
 each sum over t is a polynomial in d0 whose coefficients are the sums
 sum_t f(|d|) t_a t_b ..., and one matmul per block of atoms forms them
@@ -57,18 +57,23 @@ with the rational approximations of Cephes ndtr.c (W. J. Cody, Math.
 Comp. 23, 631 (1969)); it is within 2 ulp of scipy's erf.
 
 Memory, counted in dense 3N x 3N arrays (M = 9 N^2 doubles); N x N
-buffers come on top.  Assembly holds the seven (N, N) sums (7/9 M) and C
-(1 M).  The lattice pass adds two stacks of _STACK_BUDGET doubles (512
-KiB each, or one row of atoms over all images if that is more) and, for
-forces, the thirteen (N, N) sums P and Q (13/9 M).  P and Q are all that
-a periodic energy-and-forces call keeps across the eigensolve; an open
-structure keeps nothing.  The staged eigensolve (see _eigen) reduces C
-itself in place, through its Fortran-ordered transpose, so it holds at
-most three: C, the eigenvectors and dstevd's workspace; the
-back-transformation then runs in place on the eigenvectors.  For forces,
-the eigenvectors are scaled in place into v and W = v v^T is formed
-(2 M); K W fills six (N, N) arrays (2/3 M), and v and W are released
-before the force pass, P and Q before its home image.
+buffers come on top, and one home row block holds at most _STACK_BUDGET
+pairs.  Assembly holds C, the seven (N, N) sums (7/9 M) and one block.
+The lattice pass adds two stacks of _STACK_BUDGET doubles (512 KiB each,
+or one row of atoms over all images if that is more) and, for forces,
+the thirteen (N, N) sums P and Q (13/9 M), which are all that a periodic
+energy-and-forces call keeps across the eigensolve; an open structure
+keeps nothing.  The staged eigensolve (see _eigen) reduces C in place,
+through its Fortran-ordered transpose.  With vectors, it then packs the
+Householder vectors of the reduction into half a matrix and drops C, so
+divide and conquer holds 1/2 + 1 + 1 M: those vectors, the eigenvectors
+and dstevd's workspace.  The vectors are then unpacked into a fresh
+matrix, the back-transformation runs in place on the eigenvectors, and
+one temporary copy turns them into C order.  C reaches the solve in a
+one-element list, since CPython 3.10 keeps a temporary argument alive in
+its caller's frame.  For forces, the eigenvectors are scaled in place
+into v, and K W is formed from v's row sets without W itself, so the
+force pass holds v + 2/3 M, then 2/3 M and one block.
 
 All internal math is in Hartree atomic units.
 """
@@ -100,7 +105,8 @@ _ROW = {mono: k for k, mono in enumerate(_MONOMIALS)}
 # per cubic monomial (a, b, c): a, b, c and the rows of (b, c), (a, c), (a, b)
 _CUBIC = np.array([(*mono, _ROW[mono[1:]], _ROW[mono[::2]], _ROW[mono[:2]])
                    for mono in _MONOMIALS[10:]]).T
-# elements of each stacked (images x pairs) array of the lattice pass
+# elements of each stacked (images x pairs) array of the lattice pass, and
+# pairs of each row block of the home image
 _STACK_BUDGET = 2**16
 # Cephes ndtr.c coefficients, highest power first: erf(z) = z T(z^2) / U(z^2)
 # for z <= 1 and 1 - exp(-z^2) P(z) / Q(z) for 1 < z < 8; U and Q are monic
@@ -119,13 +125,13 @@ _ERF_T, _ERF_U, _ERFC_P, _ERFC_Q = ([np.array(c) for c in coeffs]
                                     for coeffs in (_ERF_T, _ERF_U, _ERFC_P, _ERFC_Q))
 # Matrices from this size on are diagonalized through scipy's LAPACK stages,
 # which skip the eigenvectors when only eigenvalues are needed and reduce
-# the matrix in place: with vectors they peak at three matrices, the
-# input included, where numpy's eigh holds five.  Loading scipy.linalg
+# the matrix in place: with vectors they peak at two and a half matrices,
+# the input included, where numpy's eigh holds five.  Loading scipy.linalg
 # adds about 28 MB of resident memory (numpy alone peaks at 27 MB, with
 # scipy.linalg.lapack at 55 MB).  At order 1024 that pays off in time, not
 # memory: an energy-only solve takes half as long (0.15 s against 0.30 s on
 # one thread) and saves 21 MB of peak; the memory saving passes the import
-# from about order 1200 without vectors and order 2200 with them.
+# from about order 1200 without vectors and by order 2200 with them.
 _STAGED_MIN_BYTES = 8 * 2**20
 # A, reach of pair_curvature; a C-C pair's phi'/R is about 1e-4 eV/A^2 there
 _CURVATURE_CUTOFF = 6.0
@@ -223,20 +229,27 @@ def _radial(r2, inv_s, slope=False):
 
 
 def _home_image(structure, inv_s, slope=False):
-    """The separations d = R_i - R_j (3, N, N) [Bohr] of the home cell and
-    their _radial factors, with the self pairs pushed far away (R = 1e30
-    Bohr keeps their factors finite, so no inf * 0 = nan arises)."""
+    """The home cell in blocks of rows i0:i1 with at most _STACK_BUDGET
+    pairs (or one row, if that is more): yields i0, i1, the separations
+    d = R_i - R_j (3, i1 - i0, N) [Bohr] and their _radial factors, with
+    the self pairs pushed far away (R = 1e30 Bohr keeps their factors
+    finite, so no inf * 0 = nan arises).  No element's operations depend
+    on the block it falls in."""
     pos_t = np.ascontiguousarray(structure.positions.T) / BOHR_ANGSTROM
     n = len(structure)
-    # a quarter faster than one broadcast np.subtract at N ~ 100; same bits
-    d = np.empty((3, n, n))
-    d[...] = pos_t[:, :, None]
-    d -= pos_t[:, None, :]
-    r2 = np.einsum("kij,kij->ij", d, d)
-    np.fill_diagonal(r2, 1e30 ** 2)
-    if r2.min() < (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2:
-        guard_overlap(structure, 0)
-    return (d, *_radial(r2, inv_s, slope))
+    rows = max(1, _STACK_BUDGET // n)
+    for i0 in range(0, n, rows):
+        i1 = min(n, i0 + rows)
+        # a quarter faster than one broadcast np.subtract at N ~ 100; same bits
+        d = np.empty((3, i1 - i0, n))
+        d[...] = pos_t[:, i0:i1, None]
+        d -= pos_t[:, None, :]
+        r2 = np.einsum("kij,kij->ij", d, d)
+        np.fill_diagonal(r2[:, i0:], 1e30 ** 2)
+        if r2.min() < (OVERLAP_GUARD / BOHR_ANGSTROM) ** 2:
+            guard_overlap(structure, 0)
+        yield (i0, i1, d, *_radial(r2, inv_s[i0:i1], slope))
+        del d, r2  # each block is freed before the next one is made
 
 
 def _lattice_pass(structure, shells, trans, inv_s, acc, forces):
@@ -337,25 +350,26 @@ def _lattice_pass(structure, shells, trans, inv_s, acc, forces):
     return pq
 
 
-def _eigen(c, vectors):
-    """Eigendecomposition of ``c``, a matrix symmetric by construction as
-    _assemble builds C: (eigenvalues ascending, orthonormal eigenvectors as
-    columns), with None for the eigenvectors when ``vectors`` is false.
-    Only finiteness is checked (InputError otherwise).  The eigenvalues are
-    the same to the last bit in both modes, so an energy-only call and an
-    energy-and-forces call agree exactly.  The staged solve overwrites
-    ``c``."""
+def _eigen(box, vectors):
+    """Eigendecomposition of the matrix in the one-element list ``box``, a
+    matrix symmetric by construction as _assemble builds C: (eigenvalues
+    ascending, orthonormal eigenvectors as columns), with None for the
+    eigenvectors when ``vectors`` is false.  Only finiteness is checked
+    (InputError otherwise).  The eigenvalues are the same to the last bit
+    in both modes, so an energy-only call and an energy-and-forces call
+    agree exactly.  The staged solve empties ``box`` and overwrites the
+    matrix: with no caller's frame holding it, it can drop the matrix
+    before its divide and conquer."""
+    c = box[0]
     lo, hi = float(c.min()), float(c.max())  # NaN propagates through both
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise InputError("matrix has non-finite entries")
     if c.nbytes >= _STAGED_MIN_BYTES and len(c) > 1:
         # c is symmetric, so its transpose is a Fortran-ordered view of the
-        # same matrix, which the staged solve reduces in place; from
-        # CPython 3.11 on, a caller that passed a temporary (as mbd_energy
-        # does) keeps no reference of its own to it
-        work = c.T
+        # same matrix, which the staged solve reduces in place
+        box[0] = c.T
         del c
-        return _staged_eigen(work, vectors)
+        return _staged_eigen(box, vectors)
     # numpy's eigvalsh and eigh use different tridiagonal solvers, so both
     # modes run eigh to get the same eigenvalues
     try:
@@ -365,35 +379,54 @@ def _eigen(c, vectors):
     return vals, vecs if vectors else None
 
 
-def _staged_eigen(work, vectors):
-    """The stages of LAPACK's dsyevd on ``work``, a Fortran-ordered matrix
-    that is reduced in place: one tridiagonal reduction, the eigenvalues of
-    the tridiagonal by dsterf and, for vectors, divide and conquer and the
-    back-transformation.  The eigenvalues come from dsterf in both modes,
-    and without vectors only the first two stages run."""
+def _staged_eigen(box, vectors):
+    """The stages of LAPACK's dsyevd on the Fortran-ordered matrix that
+    ``box`` holds, which is popped and reduced in place: one tridiagonal
+    reduction, the eigenvalues of the tridiagonal by dsterf and, for
+    vectors, divide and conquer and the back-transformation, which leaves
+    the eigenvectors C-ordered.  The eigenvalues come from dsterf in both
+    modes, and without vectors only the first two stages run."""
     from scipy.linalg import lapack
 
+    work = box.pop()
     n = len(work)
     lwork, info = lapack.dsytrd_lwork(n, lower=1)
     red, diag, off, tau, info = lapack.dsytrd(work, lower=1, lwork=int(lwork),
                                               overwrite_a=1)
+    del work
     vals, info = lapack.dsterf(diag, off)
     if info:
         raise NumericalError(f"eigenvalues failed to converge (dsterf info {info})")
     if not vectors:
         return vals, None
+    # the Householder vector of column j lies in its rows j + 2:, the rest
+    # of the reduction is spent, so the vectors are packed into half a
+    # matrix and the reduction is dropped before divide and conquer
+    packed = np.concatenate([red[j + 2:, j] for j in range(n - 1)])
+    del red
     _, vecs, info = lapack.dstevd(diag, off, compute_v=1)
     if info:
         raise NumericalError(f"eigenvectors failed to converge (dstevd info {info})")
-    # below its first row, the reduction holds the Householder vectors in
-    # the layout of a QR factorization, and they act on rows 1: of vecs;
-    # both blocks move to the front of their buffers, where dormqr takes
-    # them without a copy and overwrites the eigenvectors
+    # unpacked in the layout of a QR factorization, which acts on rows 1:
+    # of vecs; dormqr reads neither the diagonal nor the upper triangle,
+    # where a QR factorization keeps R.  The block of vecs moves to the
+    # front of its buffer, where dormqr overwrites it without a copy
+    house = np.empty((n - 1, n - 1), order="F")
+    start = 0
+    for j in range(n - 2):
+        house[j + 1:, j] = packed[start:start + n - 2 - j]
+        start += n - 2 - j
+    del packed
     top = vecs[0].copy()
-    lapack.dormqr("L", "N", _drop_first_row(red[:, :-1]), tau, _drop_first_row(vecs),
+    lapack.dormqr("L", "N", house, tau, _drop_first_row(vecs),
                   lwork=64 * (n + 65), overwrite_c=1)
     _restore_first_row(vecs, top)
-    return vals, vecs
+    del house
+    # C-ordered, as numpy's eigh returns them, so that the row sets that
+    # _coupled_blocks multiplies are strided BLAS operands
+    out = vecs.T
+    out[...] = vecs
+    return vals, out
 
 
 def _drop_first_row(x):
@@ -442,16 +475,17 @@ def _assemble(structure, shells, omega, coupling, inv_s, keep=None):
     # sum_t A d_a d_b in _COMPONENTS order, then sum_t B; the sum is added
     # to its transpose, so the home image weighs 1/2
     acc = np.zeros((7, n, n))
-    d, a, b, _ = _home_image(structure, inv_s)
-    a *= 0.5
-    b *= 0.5
-    t = np.empty((n, n))
-    for c, (p, q) in enumerate(_COMPONENTS):
-        np.multiply(a, d[p], out=t)
-        t *= d[q]
-        acc[c] += t
-    acc[6] += b
-    del d, a, b, t
+    for i0, i1, d, a, b, _ in _home_image(structure, inv_s):
+        a *= 0.5
+        b *= 0.5
+        blk = acc[:, i0:i1]
+        t = np.empty_like(a)
+        for c, (p, q) in enumerate(_COMPONENTS):
+            np.multiply(a, d[p], out=t)
+            t *= d[q]
+            blk[c] += t
+        blk[6] += b
+        del d, a, b, t, blk  # before the next block
     paired = len(trans) > 0
     if paired:
         pq = _lattice_pass(structure, shells, trans, inv_s, acc, keep is not None)
@@ -486,20 +520,18 @@ def mbd_energy(structure: AtomicStructure, states: VdwStates,
     if n == 0 or (n == 1 and shells == 0):
         return 0.0, np.zeros((n, 3)) if forces else None
     omega, coupling, inv_s = _pair_params(structure, states, cfg)
-    # C goes in as a temporary, which the staged solve reduces in place
+    # C goes in a list, which the staged solve empties, so that no frame
+    # holds C when the solve drops it
     keep = [] if forces else None
-    lam, v = _eigen(_assemble(structure, shells, omega, coupling, inv_s, keep), vectors=forces)
+    lam, v = _eigen([_assemble(structure, shells, omega, coupling, inv_s, keep)], vectors=forces)
     _check_spectrum(lam, need_positive=forces)
     e_ha = 0.5 * np.sum(np.sqrt(np.clip(lam, 0.0, None))) - 1.5 * np.sum(omega)
     if not forces:
         return float(e_ha) * HARTREE_EV, None
-    # W = C^(-1/2) = v v^T with v = vecs lam^(-1/4), scaled in place; v v^T
-    # runs as a symmetric rank-k update
+    # W = C^(-1/2) = v v^T with v = vecs lam^(-1/4), scaled in place
     v *= lam**-0.25
-    w = v @ v.T
+    kw = _coupled_blocks(v, coupling)
     del v
-    kw = _coupled_blocks(w, coupling)
-    del w
     return float(e_ha) * HARTREE_EV, _trace_forces(structure, kw, inv_s, keep)
 
 
@@ -512,14 +544,16 @@ def _check_spectrum(lam, need_positive=False):
             "geometry is outside the model's validity", mode_index=k)
 
 
-def _coupled_blocks(w, coupling):
-    """K_ij times the symmetric part of each 3x3 block of W, as a (6, N, N)
-    array in _COMPONENTS order."""
+def _coupled_blocks(v, coupling):
+    """K_ij times the symmetric part of each 3x3 block of W = v v^T, as a
+    (6, N, N) array in _COMPONENTS order.  W is never formed: its block
+    (p, q) is v_p v_q^T over the row sets v_p = v[p::3], a symmetric
+    rank-k update where p = q."""
     n = len(coupling)
-    w = w.reshape(n, 3, n, 3)
     kw = np.empty((6, n, n))
     for c, (p, q) in enumerate(_COMPONENTS):
-        np.add(w[:, p, :, q], w[:, q, :, p], out=kw[c])
+        w = v[p::3] @ v[q::3].T
+        np.add(w, w.T, out=kw[c])
         kw[c] *= coupling
     kw *= 0.5
     return kw
@@ -527,54 +561,59 @@ def _coupled_blocks(w, coupling):
 
 def _trace_forces(structure, kw, inv_s, keep):
     """Forces [eV/A] from the _coupled_blocks ``kw`` of W and the list
-    ``keep`` that _assemble filled.  Its sums P and Q of the translated
-    images, if any, are popped and freed before the home image's pass."""
+    ``keep`` that _assemble filled, whose sums P and Q of the translated
+    images, if any, are popped.  The images and the home cell are
+    contracted together, in the home image's row blocks."""
     n = len(structure)
-    # dT is symmetric in (a, b), so the trace needs only the symmetric part
-    # of each W block: 1/4 Tr[W dC] = 1/4 sum K_ij W_ij : dT(d_ij)
-    xx, yy, zz, xy, xz, yz = kw
-    rows = ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
-    ktr = xx + yy + zz
-    # minus the gradient of K W : T with respect to d; the home image weighs
-    # 1/2 because its row and column sums are equal and opposite
-    acc = np.zeros((3, n, n))
-    if keep:
-        # summed over the translated images, the gradient h d + 2 A u below
-        # is sum_ab (K W)_ab Q_abc + 2 (K W P)_c + Tr(K W) P_c
-        pq = keep.pop()
-        p_vec, q3 = pq[:3], pq[3:]
-        for c in range(3):
-            acc[c] += ktr * p_vec[c]
-            for b in range(3):
-                acc[c] += 2.0 * rows[c][b] * p_vec[b]
-                for a in range(3):
-                    acc[c] += rows[a][b] * q3[_ROW[tuple(sorted((a, b, c)))] - 10]
-        del pq, p_vec, q3
-    u = np.empty((3, n, n))
-    h = np.empty((n, n))
-    t = np.empty((n, n))
-    d, a, _, slope = _home_image(structure, inv_s, slope=True)
-    a *= 0.5
-    slope *= 0.5
-    for uc, row in zip(u, rows):  # u = (K W) d
-        np.multiply(row[0], d[0], out=uc)
-        for k in (1, 2):
-            uc += np.multiply(row[k], d[k], out=t)
-    # h = slope d.u + A Tr(K W), and the gradient is h d + 2 A u
-    np.multiply(d[0], u[0], out=h)
-    for k in (1, 2):
-        h += np.multiply(d[k], u[k], out=t)
-    h *= slope
-    h += np.multiply(a, ktr, out=t)
-    a *= 2.0
-    for c in range(3):
-        np.multiply(h, d[c], out=t)
-        u[c] *= a
-        t += u[c]
-        acc[c] += t
+    pq = keep.pop() if keep else None
     # F_k = -1/2 sum_{j, images} K dT . W  (in Ha/Bohr); the (j, k, -t)
     # terms are the column sums of the half set
-    forces = 0.5 * (acc.sum(axis=2) - acc.sum(axis=1)).T
+    row_sum = np.empty((3, n))
+    col_sum = np.zeros((3, n))
+    for i0, i1, d, a, _, slope in _home_image(structure, inv_s, slope=True):
+        # dT is symmetric in (a, b), so the trace needs only the symmetric
+        # part of each W block: 1/4 Tr[W dC] = 1/4 sum K_ij W_ij : dT(d_ij)
+        xx, yy, zz, xy, xz, yz = kw[:, i0:i1]
+        rows = ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
+        ktr = xx + yy + zz
+        # minus the gradient of K W : T with respect to d; the home image
+        # weighs 1/2 because its row and column sums are equal and opposite
+        acc = np.zeros_like(d)
+        if pq is not None:
+            # summed over the translated images, the gradient h d + 2 A u
+            # below is sum_ab (K W)_ab Q_abc + 2 (K W P)_c + Tr(K W) P_c
+            p_vec, q3 = pq[:3, i0:i1], pq[3:, i0:i1]
+            for c in range(3):
+                acc[c] += ktr * p_vec[c]
+                for q in range(3):
+                    acc[c] += 2.0 * rows[c][q] * p_vec[q]
+                    for p in range(3):
+                        acc[c] += rows[p][q] * q3[_ROW[tuple(sorted((p, q, c)))] - 10]
+        u = np.empty_like(d)
+        h = np.empty_like(a)
+        t = np.empty_like(a)
+        a *= 0.5
+        slope *= 0.5
+        for uc, row in zip(u, rows):  # u = (K W) d
+            np.multiply(row[0], d[0], out=uc)
+            for k in (1, 2):
+                uc += np.multiply(row[k], d[k], out=t)
+        # h = slope d.u + A Tr(K W), and the gradient is h d + 2 A u
+        np.multiply(d[0], u[0], out=h)
+        for k in (1, 2):
+            h += np.multiply(d[k], u[k], out=t)
+        h *= slope
+        h += np.multiply(a, ktr, out=t)
+        a *= 2.0
+        for c in range(3):
+            np.multiply(h, d[c], out=t)
+            u[c] *= a
+            t += u[c]
+            acc[c] += t
+        row_sum[:, i0:i1] = acc.sum(axis=2)
+        col_sum += acc.sum(axis=1)
+        del d, a, _, slope, ktr, acc, u, h, t  # before the next block
+    forces = 0.5 * (row_sum - col_sum).T
     return forces * (HARTREE_EV / BOHR_ANGSTROM)
 
 

@@ -91,16 +91,17 @@ def test_dipole_tensor_nested_fd_oracle(rng):
 
 
 # ---------------------------------------------------------------- eigensolve
-# mbd._eigen may overwrite its input, so each call takes a copy
+# mbd._eigen takes its matrix in a one-element list and may overwrite it,
+# so each call takes a copy
 
 def test_eigen_identity():
-    vals, vecs = mbd._eigen(np.eye(4), vectors=True)
+    vals, vecs = mbd._eigen([np.eye(4)], vectors=True)
     assert np.allclose(vals, 1.0)
     assert np.allclose(vecs @ vecs.T, np.eye(4))
 
 
 def test_eigen_diag():
-    vals, vecs = mbd._eigen(np.diag([3.0, 1.0, 2.0]), vectors=True)
+    vals, vecs = mbd._eigen([np.diag([3.0, 1.0, 2.0])], vectors=True)
     assert np.allclose(vals, [1.0, 2.0, 3.0])
     assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
@@ -108,7 +109,7 @@ def test_eigen_diag():
 def test_eigen_reconstruction(rng):
     m = rng.standard_normal((30, 30))
     a = 0.5 * (m + m.T)
-    vals, vecs = mbd._eigen(a.copy(), vectors=True)
+    vals, vecs = mbd._eigen([a.copy()], vectors=True)
     rec = (vecs * vals) @ vecs.T
     assert np.linalg.norm(rec - a) / np.linalg.norm(a) < 1e-10
     assert np.all(np.diff(vals) >= 0)
@@ -122,8 +123,8 @@ def test_eigen_values_do_not_depend_on_vectors(rng, monkeypatch, staged):
     for n in (1, 2, 30):
         m = rng.standard_normal((n, n))
         a = m + m.T
-        only, none = mbd._eigen(a.copy(), vectors=False)
-        vals, vecs = mbd._eigen(a.copy(), vectors=True)
+        only, none = mbd._eigen([a.copy()], vectors=False)
+        vals, vecs = mbd._eigen([a.copy()], vectors=True)
         assert none is None
         assert np.array_equal(only, vals)
         assert np.linalg.norm((vecs * vals) @ vecs.T - a) / np.linalg.norm(a) < 1e-10
@@ -139,7 +140,7 @@ def test_eigen_rejects_non_finite(monkeypatch, staged):
         a[0, 1] = a[1, 0] = value
         for vectors in (False, True):
             with pytest.raises(InputError, match="non-finite"):
-                mbd._eigen(a.copy(), vectors=vectors)
+                mbd._eigen([a.copy()], vectors=vectors)
 
 
 # ------------------------------------------------------------ matrix assembly
@@ -276,7 +277,7 @@ def test_eigenvalues_match_jacobi_oracle(rng):
         st = states_for(s)
         c = mbd_matrix(s, st, CFG)
         ref = jacobi_eigenvalues(c)
-        assert np.abs(mbd._eigen(c, vectors=False)[0] - ref).max() < 1e-10
+        assert np.abs(mbd._eigen([c], vectors=False)[0] - ref).max() < 1e-10
 
 
 # -------------------------------------------------------------------- energy
@@ -471,11 +472,10 @@ def test_periodic_energy_and_forces_memory_bounded():
 
 
 def test_staged_energy_and_forces_memory_bounded(monkeypatch):
-    """The staged eigensolve reduces one working copy of C in place and
-    back-transforms in place, and W is released before the image pass:
-    an e+f call peaks at about four 3N x 3N arrays (three where CPython
-    frees the caller's C during the solve), where the copying kernel
-    held six."""
+    """The staged eigensolve reduces the only copy of C in place and
+    back-transforms in place, and W = v v^T is never formed: an e+f call
+    peaks well under four 3N x 3N arrays, where the copying kernel held
+    six."""
     import tracemalloc
 
     from scipy.linalg import lapack  # noqa: F401  (loaded outside the trace)
@@ -494,6 +494,94 @@ def test_staged_energy_and_forces_memory_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * matrix_bytes
+
+
+@pytest.mark.parametrize("forces", [True, False])
+def test_staged_call_stays_under_its_eigensolve(forces):
+    """On a perturbed open (8,8)x12 tube (order 1152, the staged path),
+    no phase of a call holds more than its eigensolve: assembly holds C,
+    the seven (N, N) sums and one home row block; the solve with vectors
+    holds the Householder vectors packed into half a matrix, the
+    eigenvectors and dstevd's workspace; the force pass holds the scaled
+    eigenvectors and the six (N, N) blocks of K W, then those blocks and
+    one row block.  Counted in 3N x 3N matrices M above the level before
+    the call, both kinds of call stay under 2.85 M."""
+    import tracemalloc
+
+    from scipy.linalg import lapack  # noqa: F401  (loaded outside the trace)
+
+    from vdwmech.generators import CntSpec, make_swcnt
+
+    s = make_swcnt(CntSpec(8, 8, 12))
+    rng = np.random.default_rng(1)
+    s = s.with_positions(s.positions + 0.01 * rng.standard_normal(s.positions.shape))
+    st = states_for(s)
+    matrix_bytes = (3 * len(s)) ** 2 * 8
+    assert matrix_bytes >= mbd._STAGED_MIN_BYTES
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mbd_energy(s, st, CFG, forces=forces)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.85 * matrix_bytes
+
+
+def _row_block_cases():
+    from vdwmech.generators import ChainSpec, CntSpec, make_chain_pair, make_swcnt
+
+    tube = make_swcnt(CntSpec(4, 4, 3))
+    rng = np.random.default_rng(3)
+    tube = tube.with_positions(tube.positions + 0.01 * rng.standard_normal(tube.positions.shape))
+    return [(make_chain_pair(ChainSpec(28, 28, hydrogen_caps=True)), 0), (tube, 0),
+            (make_pe_crystal(PeCrystalSpec(1, 1, 1)), 1)]
+
+
+def _in_row_blocks(monkeypatch, n):
+    """Sets mbd._STACK_BUDGET so that the home cell of n atoms goes in
+    blocks of n // 3 rows, at least three of them."""
+    monkeypatch.setattr(mbd, "_STACK_BUDGET", n * (n // 3))
+
+
+def test_home_row_blocks_match_one_block(monkeypatch):
+    """Each element of the home image takes the same operations in any
+    row block, so the energies in both modes are the same to the last
+    bit; the forces sum their columns over the blocks."""
+    for s, shells in _row_block_cases():
+        st = states_for(s)
+        assert mbd._STACK_BUDGET >= len(s) ** 2  # one block
+        whole = mbd_energy(s, st, CFG, shells), mbd_energy(s, st, CFG, shells, forces=True)
+        with monkeypatch.context() as m:
+            _in_row_blocks(m, len(s))
+            blocks = [i0 for i0, *_ in mbd._home_image(s, np.ones((len(s), len(s))))]
+            assert len(blocks) >= 3
+            split = mbd_energy(s, st, CFG, shells), mbd_energy(s, st, CFG, shells, forces=True)
+        assert split[0][0] == whole[0][0] and split[1][0] == whole[1][0]
+        f, ref = split[1][1], whole[1][1]
+        assert np.abs(f - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_overlap_raises_from_any_row_block(monkeypatch):
+    """An overlap in the first or the last home row block raises the text
+    that a one-block evaluation raises, which names the pair."""
+    s, _ = _row_block_cases()[0]
+    st = states_for(s)
+    n = len(s)
+    for i, j in ((0, 1), (n - 2, n - 1)):
+        pos = s.positions.copy()
+        pos[j] = pos[i] + [0.05, 0.0, 0.0]
+        moved = s.with_positions(pos, check_overlap=False)
+        texts = []
+        for split in (False, True):
+            with monkeypatch.context() as m:
+                if split:
+                    _in_row_blocks(m, n)
+                for forces in (False, True):
+                    with pytest.raises(GeometryError, match=f"atoms {i} and {j} in the home cell") as e:
+                        mbd_energy(moved, st, CFG, forces=forces)
+                    texts.append(str(e.value))
+        assert len(set(texts)) == 1
 
 
 # ---------------------------------------------------------------- pair curvature
